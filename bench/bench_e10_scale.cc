@@ -1,30 +1,32 @@
 // E10 — parallel simulation engine scaling. The PDES engine partitions the
-// event schedule across per-node loops and runs them on a worker pool under
-// conservative synchronization (lookahead = minimum link latency), with the
-// guarantee that every engine — the legacy single queue (workers=0), the
-// single-threaded PDES oracle (workers=1), and any worker pool (workers=N) —
-// produces byte-identical same-seed results. This binary measures what the
-// parallelism buys: events/second on a synthetic multi-node workload at
-// 2/4/8/16 nodes, single-threaded vs a worker pool sized to the host.
+// event schedule across per-node loops and runs them round by round under
+// conservative synchronization (lookahead = minimum link latency); at every
+// thread count it fires exactly the events, in exactly the order, of the
+// Step() reference (one globally least event at a time). This binary
+// measures what the rounds and the parallelism buy: events/second on a
+// synthetic multi-node workload at 2/4/8/16 nodes for the Step() reference,
+// the round loop on one thread, and a worker pool sized to the host.
 //
 // The workload is engine-shaped, not application-shaped: each node runs
 // several self-rescheduling timer chains (local work, ~50us apart, jittered
 // from the node's own PRNG stream) and every 8th step posts a message one
 // node around the ring with >= lookahead delay (cross-node work). Per-node
 // accumulators are summed at the end into an order-independent checksum the
-// bench asserts is identical across all engines, so the speedup table can
-// never be quoted from runs that diverged.
+// bench asserts is identical across all runs, so the speedup table can never
+// be quoted from runs that diverged.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "sim/simulation.h"
+#include "step_reference.h"
 
 namespace encompass::bench {
 namespace {
@@ -32,7 +34,7 @@ namespace {
 // Worker-pool size for the "parallel" rows: host threads capped at 8, or the
 // ENCOMPASS_BENCH_WORKERS override (handy for exercising the round machinery
 // and its sim.* metrics on hosts whose core count would collapse the pool
-// to the single-thread oracle).
+// to a single thread).
 int PoolWorkers() {
   if (const char* env = std::getenv("ENCOMPASS_BENCH_WORKERS")) {
     const int v = std::atoi(env);
@@ -41,6 +43,9 @@ int PoolWorkers() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   return static_cast<int>(std::min(hw, 8u));
 }
+
+using sim::testing::AdvanceTo;
+using sim::testing::kStepReference;
 
 constexpr int kChainsPerNode = 4;
 constexpr uint64_t kPostEvery = 8;  // every 8th chain step posts to the ring
@@ -71,7 +76,7 @@ struct EngineRun {
   uint64_t checksum = 0;
   double wall_s = 0;
   double events_per_sec = 0;
-  // Coordinator breakdown (parallel engines only; from sim.* metrics).
+  // Coordinator breakdown (round-loop runs only; from sim.* metrics).
   int64_t rounds = 0;
   int64_t ready_loops = 0;
   int64_t posts = 0;
@@ -95,6 +100,25 @@ void CaptureEngineMetrics(sim::Simulation& sim, EngineRun& r,
   if (!prefix.empty()) ReportSimStats(prefix, stats);
 }
 
+// The determinism contract, enforced before any number is reported: every
+// run fired the Step() reference's (first run's) events, by executed count
+// and checksum. On a divergence, prints it and flags the JSON.
+bool SameHistory(const std::string& what,
+                 std::initializer_list<const EngineRun*> runs) {
+  const EngineRun& ref = **runs.begin();
+  for (const EngineRun* r : runs) {
+    if (r->executed == ref.executed && r->checksum == ref.checksum) continue;
+    printf("ENGINE DIVERGENCE %s: %llu/%llu vs Step() reference %llu/%llu "
+           "(executed/checksum)\n",
+           what.c_str(), (unsigned long long)r->executed,
+           (unsigned long long)r->checksum, (unsigned long long)ref.executed,
+           (unsigned long long)ref.checksum);
+    ReportValue("divergence", 1);
+    return false;
+  }
+  return true;
+}
+
 EngineRun RunSynthetic(int nodes, int workers, SimDuration span,
                        const std::string& stats_prefix = "") {
   sim::Simulation sim(/*seed=*/42, workers);
@@ -114,7 +138,7 @@ EngineRun RunSynthetic(int nodes, int workers, SimDuration span,
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
-  sim.RunUntil(span);
+  AdvanceTo(sim, workers, span);
   const auto t1 = std::chrono::steady_clock::now();
   EngineRun r;
   r.executed = sim.ExecutedEvents();
@@ -137,7 +161,7 @@ EngineRun RunSynthetic(int nodes, int workers, SimDuration span,
 // satellite's horizon collapses to ~100us — a coordinator round per handful
 // of events. With per-link lookahead the satellites' horizons are bounded by
 // 50ms links instead, so rounds batch thousands of events. Both
-// configurations — and the legacy/oracle engines — must produce the same
+// configurations — and the Step() reference — must produce the same
 // executed count and checksum: the lookahead table changes batching, never
 // history.
 
@@ -205,7 +229,7 @@ EngineRun RunHetero(int workers, bool per_link, SimDuration span,
     }
   }
   const auto t0 = std::chrono::steady_clock::now();
-  sim.RunUntil(span);
+  AdvanceTo(sim, workers, span);
   const auto t1 = std::chrono::steady_clock::now();
   EngineRun r;
   r.executed = sim.ExecutedEvents();
@@ -223,37 +247,19 @@ void TableHetero() {
   const SimDuration span = Seconds(1);
   Header("E10.c heterogeneous topology: per-link vs global-min lookahead "
          "(metro pair @100us + 6 WAN satellites @50ms, seed 4242, 1 sim-sec)");
-  EngineRun legacy = RunHetero(0, true, span);
-  EngineRun oracle = RunHetero(1, true, span, "hetero.oracle");
+  EngineRun step = RunHetero(kStepReference, true, span);
+  EngineRun single = RunHetero(1, true, span, "hetero.single");
   EngineRun perlink = RunHetero(pool, true, span, "hetero.perlink");
   EngineRun globalmin = RunHetero(pool, false, span, "hetero.globalmin");
-  EngineRun oracle_gm = RunHetero(1, false, span);
-  const bool identical =
-      legacy.executed == oracle.executed && oracle.executed == perlink.executed &&
-      perlink.executed == globalmin.executed &&
-      globalmin.executed == oracle_gm.executed &&
-      legacy.checksum == oracle.checksum && oracle.checksum == perlink.checksum &&
-      perlink.checksum == globalmin.checksum &&
-      globalmin.checksum == oracle_gm.checksum;
-  if (!identical) {
-    printf("ENGINE DIVERGENCE on hetero topology: legacy %llu/%llu oracle "
-           "%llu/%llu perlink %llu/%llu globalmin %llu/%llu oracle-gm %llu/%llu\n",
-           (unsigned long long)legacy.executed, (unsigned long long)legacy.checksum,
-           (unsigned long long)oracle.executed, (unsigned long long)oracle.checksum,
-           (unsigned long long)perlink.executed, (unsigned long long)perlink.checksum,
-           (unsigned long long)globalmin.executed,
-           (unsigned long long)globalmin.checksum,
-           (unsigned long long)oracle_gm.executed,
-           (unsigned long long)oracle_gm.checksum);
-    ReportValue("divergence", 1);
+  EngineRun single_gm = RunHetero(1, false, span);
+  if (!SameHistory("on hetero topology",
+                   {&step, &single, &perlink, &globalmin, &single_gm})) {
     return;
   }
   printf("%22s %14s %9s %12s %12s %14s\n", "engine", "events/s", "rounds",
          "ready/round", "horizon p50", "horizon p95");
-  printf("%22s %14.0f %9s %12s %12s %14s\n", "legacy (workers=0)",
-         legacy.events_per_sec, "-", "-", "-", "-");
-  printf("%22s %14.0f %9s %12s %12s %14s\n", "oracle (workers=1)",
-         oracle.events_per_sec, "-", "-", "-", "-");
+  printf("%22s %14.0f %9s %12s %12s %14s\n", "Step() reference",
+         step.events_per_sec, "-", "-", "-", "-");
   auto row = [](const char* name, const EngineRun& r) {
     printf("%22s %14.0f %9lld %12.2f %10lldus %12lldus\n", name,
            r.events_per_sec, (long long)r.rounds,
@@ -262,6 +268,7 @@ void TableHetero() {
                         : 0.0,
            (long long)r.horizon_p50, (long long)r.horizon_p95);
   };
+  row("single (workers=1)", single);
   row("global-min lookahead", globalmin);
   row("per-link lookahead", perlink);
   const double speedup = globalmin.events_per_sec > 0
@@ -269,8 +276,8 @@ void TableHetero() {
                              : 0;
   printf("per-link speedup over global-min engine: %.2fx\n", speedup);
   ReportValue("hetero.events", static_cast<double>(perlink.executed));
-  ReportValue("hetero.legacy_eps", legacy.events_per_sec);
-  ReportValue("hetero.single_eps", oracle.events_per_sec);
+  ReportValue("hetero.step_eps", step.events_per_sec);
+  ReportValue("hetero.single_eps", single.events_per_sec);
   ReportValue("hetero.parallel_eps", perlink.events_per_sec);
   ReportValue("hetero.globalmin_eps", globalmin.events_per_sec);
   ReportValue("hetero.speedup", speedup);
@@ -281,39 +288,29 @@ void TableScaling() {
   const int pool = PoolWorkers();
   Header("E10.a events/second by node count and engine (seed 42, 1 sim-sec)");
   printf("host threads: %u (worker pool: %d)\n", hw, pool);
-  printf("%6s %14s %14s %14s %9s\n", "nodes", "legacy eps", "oracle eps",
+  printf("%6s %14s %14s %14s %9s\n", "nodes", "step eps", "single eps",
          "parallel eps", "speedup");
   for (int nodes : {2, 4, 8, 16}) {
     const SimDuration span = Seconds(1);
-    EngineRun legacy = RunSynthetic(nodes, 0, span);
-    EngineRun oracle = RunSynthetic(nodes, 1, span);
+    EngineRun step = RunSynthetic(nodes, kStepReference, span);
+    EngineRun single = RunSynthetic(nodes, 1, span);
     // The 8-node parallel run surfaces its coordinator metrics in the JSON.
     EngineRun par =
         RunSynthetic(nodes, pool, span, nodes == 8 ? "nodes8.par" : "");
-    // The determinism contract, enforced before any number is reported:
-    // same seed, any engine, identical history.
-    if (legacy.executed != oracle.executed || oracle.executed != par.executed ||
-        legacy.checksum != oracle.checksum || oracle.checksum != par.checksum) {
-      printf("ENGINE DIVERGENCE at %d nodes: legacy %llu/%llu oracle %llu/%llu "
-             "parallel %llu/%llu (executed/checksum)\n",
-             nodes, (unsigned long long)legacy.executed,
-             (unsigned long long)legacy.checksum,
-             (unsigned long long)oracle.executed,
-             (unsigned long long)oracle.checksum,
-             (unsigned long long)par.executed,
-             (unsigned long long)par.checksum);
-      ReportValue("divergence", 1);
+    if (!SameHistory("at " + std::to_string(nodes) + " nodes",
+                     {&step, &single, &par})) {
       continue;
     }
+    // Against the Step() reference; the one-thread round loop's column
+    // shows how much of the gain round batching alone already gives.
     const double speedup =
-        oracle.events_per_sec > 0 ? par.events_per_sec / oracle.events_per_sec
-                                  : 0;
-    printf("%6d %14.0f %14.0f %14.0f %8.2fx\n", nodes, legacy.events_per_sec,
-           oracle.events_per_sec, par.events_per_sec, speedup);
+        step.events_per_sec > 0 ? par.events_per_sec / step.events_per_sec : 0;
+    printf("%6d %14.0f %14.0f %14.0f %8.2fx\n", nodes, step.events_per_sec,
+           single.events_per_sec, par.events_per_sec, speedup);
     const std::string k = "nodes" + std::to_string(nodes);
     ReportValue(k + ".events", static_cast<double>(par.executed));
-    ReportValue(k + ".legacy_eps", legacy.events_per_sec);
-    ReportValue(k + ".single_eps", oracle.events_per_sec);
+    ReportValue(k + ".step_eps", step.events_per_sec);
+    ReportValue(k + ".single_eps", single.events_per_sec);
     ReportValue(k + ".parallel_eps", par.events_per_sec);
     ReportValue(k + ".speedup", speedup);
   }
@@ -327,7 +324,7 @@ void TableScaling() {
 void TableWorkerSweep() {
   Header("E10.b 8 nodes: events/second by worker count");
   printf("%9s %14s\n", "workers", "events/s");
-  for (int workers : {0, 1, 2, 4, 8}) {
+  for (int workers : {1, 2, 4, 8}) {
     EngineRun r = RunSynthetic(8, workers, Seconds(1));
     printf("%9d %14.0f\n", workers, r.events_per_sec);
     ReportValue("sweep.workers" + std::to_string(workers) + ".eps",

@@ -13,7 +13,7 @@
 //                    branch record (TPC-B idiom: every transaction crosses
 //                    one ultra-hot row).
 // A determinism sweep re-runs the hot shape on both lanes at engine worker
-// counts {0,1,2,4} and refuses to report a "divergence"-free JSON unless
+// counts {1,2,4} and refuses to report a "divergence"-free JSON unless
 // commits, aborts, and the balance checksum are identical everywhere.
 
 #include <benchmark/benchmark.h>
@@ -430,7 +430,7 @@ void TableHotspot() {
   for (Shape shape :
        {Shape::kUniform, Shape::kZipf, Shape::kHot, Shape::kTpcb}) {
     for (bool queue : {false, true}) {
-      LaneRun r = RunLane(shape, queue, 0, Seconds(3));
+      LaneRun r = RunLane(shape, queue, 1, Seconds(3));
       const char* lane = queue ? "queue" : "locks";
       printf("%8s %6s %9llu %8llu %7.2f%% %9.2f %9.2f %10.1f\n",
              ShapeName(shape), lane, (unsigned long long)r.commits,
@@ -460,16 +460,16 @@ void TableHotspot() {
 
 void TableDeterminism() {
   Header("E11.b determinism: hot shape, both lanes, engine workers "
-         "{0,1,2,4} (2 sim-sec)");
+         "{1,2,4} (2 sim-sec)");
   printf("%6s %9s %9s %8s %18s %6s\n", "lane", "workers", "commits", "aborts",
          "checksum", "match");
   int divergence = 0;
   for (bool queue : {false, true}) {
     LaneRun base;
-    for (int workers : {0, 1, 2, 4}) {
+    for (int workers : {1, 2, 4}) {
       LaneRun r = RunLane(Shape::kHot, queue, workers, Seconds(2));
       bool match = true;
-      if (workers == 0) {
+      if (workers == 1) {
         base = r;
       } else {
         match = r.commits == base.commits && r.aborts == base.aborts &&
@@ -495,7 +495,7 @@ void BM_HotspotLane(benchmark::State& state) {
   const bool queue = state.range(0) != 0;
   uint64_t commits = 0;
   for (auto _ : state) {
-    LaneRun r = RunLane(Shape::kHot, queue, 0, Millis(300));
+    LaneRun r = RunLane(Shape::kHot, queue, 1, Millis(300));
     benchmark::DoNotOptimize(r.checksum);
     commits += r.commits;
   }

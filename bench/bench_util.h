@@ -60,7 +60,7 @@ class JsonReport {
   void Add(const std::string& key, double value) { values_[key] = value; }
 
   /// Records the run's primary simulation seed and engine worker count.
-  /// Every report carries both (0 until set), so downstream tooling can
+  /// Every report carries both (seed 0, one worker until set), so tooling can
   /// reproduce any BENCH_*.json without reading the bench source.
   void SetMeta(uint64_t seed, int parallel_workers) {
     seed_ = seed;
@@ -127,7 +127,7 @@ class JsonReport {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   uint64_t seed_ = 0;
-  int parallel_workers_ = 0;
+  int parallel_workers_ = 1;
   std::string commit_protocol_ = "2pc";
   bool paxos_fast_path_ = false;
   std::map<std::string, double> values_;
@@ -152,7 +152,7 @@ inline void ReportValue(const std::string& key, double value) {
 
 /// Stamps the report's reproducibility envelope (seed, engine workers).
 /// Call once per bench main(), right after InitReport.
-inline void ReportMeta(uint64_t seed, int parallel_workers = 0) {
+inline void ReportMeta(uint64_t seed, int parallel_workers = 1) {
   if (GlobalReport() != nullptr) GlobalReport()->SetMeta(seed, parallel_workers);
 }
 

@@ -160,10 +160,10 @@ struct ChaosCampaignConfig {
   /// Max quiesce time after the storm for transactions, safe deliveries,
   /// and recoveries to drain.
   SimDuration max_drain = Seconds(120);
-  /// Engine selector forwarded to sim::Simulation: 0 = legacy single queue,
-  /// 1 = PDES oracle, N >= 2 = worker pool. Same-seed results are
-  /// byte-identical at every setting.
-  int parallel_workers = 0;
+  /// Threads forwarded to sim::Simulation: 1 runs the round loop inline,
+  /// N >= 2 adds a worker pool. Same-seed results are byte-identical at
+  /// every count.
+  int parallel_workers = 1;
   /// Deploy every node with ExecLane::kQueue and run the clients through
   /// the $QPLAN submit path — the same storm and oracle, lock-free lane.
   bool queue_lane = false;

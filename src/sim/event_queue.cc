@@ -4,7 +4,7 @@
 
 namespace encompass::sim {
 
-EventId EventQueue::Schedule(SimTime when, uint16_t exec_node, EventFn fn) {
+EventId EventQueue::Schedule(SimTime when, EventFn fn) {
   const uint64_t seq = next_seq_++;
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -16,15 +16,13 @@ EventId EventQueue::Schedule(SimTime when, uint16_t exec_node, EventFn fn) {
     slots_.push_back(1);
   }
   const uint32_t gen = slots_[slot];
-  heap_.push(
-      Event{EventKey{when, origin_, seq}, slot, gen, exec_node, std::move(fn)});
+  heap_.push(Event{EventKey{when, origin_, seq}, slot, gen, std::move(fn)});
   ++live_count_;
   return (static_cast<EventId>(gen) << kSlotBits) | slot;
 }
 
-void EventQueue::ScheduleKeyed(const EventKey& key, uint16_t exec_node,
-                               EventFn fn) {
-  heap_.push(Event{key, kNoSlot, 0, exec_node, std::move(fn)});
+void EventQueue::ScheduleKeyed(const EventKey& key, EventFn fn) {
+  heap_.push(Event{key, kNoSlot, 0, std::move(fn)});
   ++live_count_;
 }
 
@@ -56,14 +54,13 @@ SimTime EventQueue::NextTime() const {
   return heap_.empty() ? kNoDeadline : heap_.top().key.time;
 }
 
-EventFn EventQueue::PopNext(EventKey* key, uint16_t* exec_node) {
+EventFn EventQueue::PopNext(EventKey* key) {
   SkipCancelled();
   assert(!heap_.empty());
   // priority_queue::top() is const; the callback is moved out via const_cast,
   // which is safe because the element is popped immediately after.
   auto& top = const_cast<Event&>(heap_.top());
   *key = top.key;
-  *exec_node = top.exec_node;
   EventFn fn = std::move(top.fn);
   if (top.slot != kNoSlot) RetireSlot(top.slot);
   heap_.pop();

@@ -66,18 +66,13 @@ class EventQueue {
   uint16_t origin() const { return origin_; }
 
   /// Schedules `fn` to fire at absolute time `when`, stamped with this
-  /// queue's origin and next sequence number. `exec_node` attributes the
-  /// work to a node for PRNG/stats/trace purposes (defaults to the origin).
-  /// Returns a handle for Cancel.
-  EventId Schedule(SimTime when, EventFn fn) {
-    return Schedule(when, origin_, std::move(fn));
-  }
-  EventId Schedule(SimTime when, uint16_t exec_node, EventFn fn);
+  /// queue's origin and next sequence number. Returns a handle for Cancel.
+  EventId Schedule(SimTime when, EventFn fn);
 
   /// Inserts an event carrying a foreign key (a cross-node post stamped by
   /// its sender). Keyed events are not cancellable: their seq lives in the
   /// sender's numbering and they carry no local slot.
-  void ScheduleKeyed(const EventKey& key, uint16_t exec_node, EventFn fn);
+  void ScheduleKeyed(const EventKey& key, EventFn fn);
 
   /// Draws the next local sequence number; used to stamp keys of cross-node
   /// posts originating here.
@@ -99,14 +94,13 @@ class EventQueue {
   SimTime NextTime() const;
 
   /// Pops and returns the earliest event's callback, setting *key to its
-  /// event key and *exec_node to its attribution. Precondition: !empty().
-  EventFn PopNext(EventKey* key, uint16_t* exec_node);
+  /// event key. Precondition: !empty().
+  EventFn PopNext(EventKey* key);
 
-  /// Back-compat pop that only reports the firing time.
+  /// Pop that only reports the firing time.
   EventFn PopNext(SimTime* when) {
     EventKey key;
-    uint16_t exec_node;
-    EventFn fn = PopNext(&key, &exec_node);
+    EventFn fn = PopNext(&key);
     *when = key.time;
     return fn;
   }
@@ -119,7 +113,6 @@ class EventQueue {
     EventKey key;
     uint32_t slot;  // kNoSlot for keyed (non-cancellable) inserts
     uint32_t gen;   // the slot's generation when scheduled
-    uint16_t exec_node;
     EventFn fn;
   };
   struct Later {

@@ -42,7 +42,7 @@ void FaultInjector::Note(std::string description) {
 
 void FaultInjector::Append(std::string description) {
   // Stamp the entry with the writing event's total-order key so journal()
-  // can present one canonical order on every engine. Outside event
+  // can present one canonical order at every worker count. Outside event
   // execution (setup code), fall back to a time-only key, which sorts
   // before any event's entries at the same instant.
   const internal::ExecContext* ec = internal::Exec();

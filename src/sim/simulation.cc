@@ -21,12 +21,7 @@ SimTime SatAdd(SimTime a, SimTime b) {
 }  // namespace
 
 Simulation::Simulation(uint64_t seed, int parallel_workers)
-    : mode_(parallel_workers <= 0  ? Mode::kLegacy
-            : parallel_workers == 1 ? Mode::kSingleLoop
-                                    : Mode::kParallel),
-      seed_(seed),
-      parallel_workers_(parallel_workers),
-      rng_(seed) {
+    : seed_(seed), parallel_workers_(std::max(parallel_workers, 1)) {
   loops_.push_back(std::make_unique<NodeLoop>(0, 0, NodeSeed(seed, 0)));
   loop_index_.emplace(0, 0);
   tree_.Resize(1);
@@ -48,12 +43,11 @@ NodeLoop* Simulation::EnsureLoop(uint16_t node) {
   auto it = loop_index_.find(node);
   if (it != loop_index_.end()) return loops_[it->second].get();
   // Loop creation mutates shared tables; it happens during topology setup
-  // and serial phases, never inside a parallel round.
-  assert(!in_round_);
+  // and serial phases, never from a node's event.
+  assert(MayTouch(0));
   const auto shard = static_cast<uint32_t>(loops_.size());
   loops_.push_back(std::make_unique<NodeLoop>(node, shard, NodeSeed(seed_, node)));
   loop_index_.emplace(node, shard);
-  loops_.back()->now = now_;
   tree_.Resize(loops_.size());  // the new leaf starts at +inf: queue is empty
   dirty_.resize(loops_.size(), 0);
   stats_.EnsureShards(loops_.size());
@@ -99,7 +93,7 @@ void Simulation::NoteLinkLatency(uint16_t a, uint16_t b, SimDuration latency) {
   }
   // Rebuild the per-shard echo floor: the least round trip from i out to any
   // peer and back. A loop's round horizon must not exceed its next event by
-  // more than this — see the self-echo bound in RunUntilParallel.
+  // more than this — see the self-echo bound in RunRounds.
   echo_.assign(dist_n_, kNoDeadline);
   for (size_t i = 0; i < dist_n_; ++i) {
     for (size_t j = 0; j < dist_n_; ++j) {
@@ -119,30 +113,25 @@ SimDuration Simulation::LookaheadBetween(uint16_t src, uint16_t dst) const {
   return LookaheadShard(is->second, id->second);
 }
 
-SimDuration Simulation::lookahead() const {
-  SimTime m = uniform_lookahead_;
-  for (size_t i = 0; i < dist_n_; ++i) {
-    for (size_t j = 0; j < dist_n_; ++j) {
-      if (i != j && dist_[i * dist_n_ + j] < m) m = dist_[i * dist_n_ + j];
-    }
-  }
-  return m;
-}
-
 uint16_t Simulation::CtxNode() const {
   const internal::ExecContext* ec = internal::Exec();
   return (ec != nullptr && ec->sim == this) ? ec->node : 0;
 }
 
+bool Simulation::MayTouch(uint32_t shard) const {
+  const internal::ExecContext* ec = internal::Exec();
+  return ec == nullptr || ec->sim != this || ec->shard == 0 ||
+         ec->shard == shard;
+}
+
 EventId Simulation::ScheduleOn(uint16_t node, SimTime when, EventFn fn) {
-  NodeLoop* loop =
-      mode_ == Mode::kLegacy ? loops_[0].get() : EnsureLoop(node);
-  // During a parallel round only the loop's own worker may touch its queue;
-  // cross-node work must go through PostToNode. The dirty flag is skipped in
-  // that case: the coordinator refreshes every ready loop after the round.
-  assert(!in_round_ || (internal::Exec() != nullptr &&
-                        internal::Exec()->shard == loop->shard));
-  const EventId seq = loop->queue.Schedule(when, node, std::move(fn));
+  NodeLoop* loop = EnsureLoop(node);
+  // A node's event may schedule only onto its own loop (another loop may be
+  // running on another thread); cross-node work must go through PostToNode.
+  // The dirty flag is skipped in a pool round: the coordinator refreshes
+  // every ready loop after the round.
+  assert(MayTouch(loop->shard));
+  const EventId seq = loop->queue.Schedule(when, std::move(fn));
   if (!in_round_) MarkDirty(loop->shard);
   return (static_cast<EventId>(loop->shard) << kSeqBits) | seq;
 }
@@ -170,19 +159,19 @@ EventId Simulation::AtOn(uint16_t node, SimTime when, EventFn fn) {
 void Simulation::PostToNode(uint16_t dst, SimDuration delay, EventFn fn) {
   if (delay < 0) delay = 0;
   const SimTime when = Now() + delay;
-  if (mode_ == Mode::kLegacy) {
-    loops_[0]->queue.Schedule(when, dst, std::move(fn));
-    return;
-  }
   const internal::ExecContext* ec = internal::Exec();
   NodeLoop* src = (ec != nullptr && ec->sim == this) ? loops_[ec->shard].get()
                                                      : loops_[0].get();
   NodeLoop* dl = EnsureLoop(dst);
-  // The key carries the sender's stamp: deliveries fire in send order, the
-  // same order the legacy engine's global sequence produces.
+  // The key carries the sender's stamp: deliveries fire in send order.
   const EventKey key{when, src->node, src->queue.IssueSeq()};
+  // A node's post to another loop must land past every horizon that loop
+  // can be granted in the same round; checked at every thread count, since
+  // an inline round inserts it directly.
+  assert(dl == src || src->shard == 0 ||
+         delay >= LookaheadShard(src->shard, dl->shard));
   if (dl == src || !in_round_) {
-    dl->queue.ScheduleKeyed(key, dst, std::move(fn));
+    dl->queue.ScheduleKeyed(key, std::move(fn));
     if (!in_round_) MarkDirty(dl->shard);
     return;
   }
@@ -192,19 +181,17 @@ void Simulation::PostToNode(uint16_t dst, SimDuration delay, EventFn fn) {
   // (receiver's view of src's round-start time + src→dst lookahead), the
   // post is at least that lookahead after the sender's current (>= round
   // start) event — so draining lanes between rounds loses nothing.
-  assert(delay >= LookaheadShard(src->shard, dl->shard));
   if (src->outbox.size() < loops_.size()) src->outbox.resize(loops_.size());
   auto& lane = src->outbox[dl->shard];
   if (lane.empty()) src->outbox_dsts.push_back(dl->shard);
-  lane.push_back(NodeLoop::Post{key, dst, std::move(fn)});
+  lane.push_back(NodeLoop::Post{key, std::move(fn)});
 }
 
 void Simulation::Cancel(EventId id) {
   const auto shard = static_cast<uint32_t>(id >> kSeqBits);
   if (shard >= loops_.size()) return;
   NodeLoop* loop = loops_[shard].get();
-  assert(!in_round_ || (internal::Exec() != nullptr &&
-                        internal::Exec()->shard == loop->shard));
+  assert(MayTouch(shard));
   loop->queue.Cancel(id & ((EventId{1} << kSeqBits) - 1));
   // A cancelled head can move the loop's next-event time *later*; a stale
   // too-small leaf would leave the round loop unable to find ready work.
@@ -213,15 +200,14 @@ void Simulation::Cancel(EventId id) {
 
 void Simulation::ExecOne(NodeLoop* loop) {
   EventKey key;
-  uint16_t exec_node = 0;
-  EventFn fn = loop->queue.PopNext(&key, &exec_node);
+  EventFn fn = loop->queue.PopNext(&key);
   loop->now = key.time;
   internal::ExecContext ctx;
   ctx.sim = this;
   ctx.stats = &stats_;
   ctx.trace = &trace_;
   ctx.shard = loop->shard;
-  ctx.node = exec_node;
+  ctx.node = loop->node;
   ctx.key = key;
   internal::ExecContext* prev = internal::Exec();
   internal::SetExec(&ctx);
@@ -240,7 +226,7 @@ void Simulation::DrainOutboxes() {
       std::vector<NodeLoop::Post>& lane = l->outbox[d];
       NodeLoop* dl = loops_[d].get();
       for (NodeLoop::Post& p : lane) {
-        dl->queue.ScheduleKeyed(p.key, p.exec_node, std::move(p.fn));
+        dl->queue.ScheduleKeyed(p.key, std::move(p.fn));
       }
       metric_posts_ += lane.size();
       lane.clear();
@@ -250,14 +236,12 @@ void Simulation::DrainOutboxes() {
   }
 }
 
-bool Simulation::Step() {
-  if (mode_ == Mode::kParallel) DrainOutboxes();
+bool Simulation::Step(SimTime deadline) {
   RefreshDirty();
   const EventKey* k0 = loops_[0]->queue.NextKey();
   const uint32_t w = tree_.MinIndex();
   NodeLoop* best;
-  // Keys are globally unique, so the k0-vs-tree comparison picks the same
-  // event the old full scan did.
+  // Keys are globally unique: the lesser of the two heads is the argmin.
   if (k0 != nullptr && (w == MinTree::kNone || *k0 < tree_.KeyAt(w))) {
     best = loops_[0].get();
   } else if (w != MinTree::kNone) {
@@ -265,6 +249,7 @@ bool Simulation::Step() {
   } else {
     return false;
   }
+  if (best->queue.NextTime() > deadline) return false;
   ExecOne(best);
   MarkDirty(best->shard);
   if (best->now > now_) now_ = best->now;
@@ -272,9 +257,9 @@ bool Simulation::Step() {
 }
 
 size_t Simulation::Run(size_t max_events) {
-  if (mode_ == Mode::kParallel && max_events == SIZE_MAX) {
+  if (max_events == SIZE_MAX) {
     const uint64_t before = ExecutedEvents();
-    RunUntilParallel(kNoDeadline - 1);
+    RunRounds(kNoDeadline - 1);
     return static_cast<size_t>(ExecutedEvents() - before);
   }
   size_t n = 0;
@@ -282,40 +267,12 @@ size_t Simulation::Run(size_t max_events) {
   return n;
 }
 
-void Simulation::RunUntilSerial(SimTime deadline) {
-  for (;;) {
-    RefreshDirty();
-    const EventKey* k0 = loops_[0]->queue.NextKey();
-    const uint32_t w = tree_.MinIndex();
-    NodeLoop* best;
-    if (k0 != nullptr && (w == MinTree::kNone || *k0 < tree_.KeyAt(w))) {
-      if (k0->time > deadline) return;
-      best = loops_[0].get();
-    } else if (w != MinTree::kNone) {
-      if (tree_.KeyAt(w).time > deadline) return;
-      best = loops_[w].get();
-    } else {
-      return;
-    }
-    ExecOne(best);
-    MarkDirty(best->shard);
-    if (best->now > now_) now_ = best->now;
-  }
-}
-
 void Simulation::RunUntil(SimTime deadline) {
-  if (mode_ == Mode::kParallel) {
-    RunUntilParallel(deadline);
-  } else {
-    RunUntilSerial(deadline);
-  }
+  RunRounds(deadline);
   if (now_ < deadline) now_ = deadline;
-  for (auto& l : loops_) {
-    if (l->now < deadline) l->now = deadline;
-  }
 }
 
-void Simulation::RunUntilParallel(SimTime deadline) {
+void Simulation::RunRounds(SimTime deadline) {
   StartWorkers();
   std::vector<uint32_t> active;  // scratch: shards with pending work
   for (;;) {

@@ -1,27 +1,25 @@
 // Simulation: the deterministic run context shared by every simulated
 // component — clocks, per-node event loops, PRNG streams, and statistics.
 //
-// The engine is a conservative parallel discrete-event simulator (PDES) with
-// an exact single-threaded oracle. Every simulated node owns an event loop
-// (clock + event queue + PRNG stream); loop 0 is the global loop for setup
-// code, fault injection, and topology events. Events carry a total-order key
-// (time, origin node, origin sequence) assigned at schedule time, so "the
-// order events fire in" is a property of the simulation's history, not of
-// the thread interleaving that executes it.
+// The engine is a conservative parallel discrete-event simulator (PDES).
+// Every simulated node owns an event loop (clock + event queue + PRNG
+// stream); loop 0 is the global loop for setup code, fault injection, and
+// topology events. Events carry a total-order key (time, origin node, origin
+// sequence) assigned at schedule time, so "the order events fire in" is a
+// property of the simulation's history, not of the thread interleaving that
+// executes it.
 //
-// `parallel_workers` selects among three engines that produce byte-identical
-// same-seed traces and metrics:
-//   0  — the classic single-queue engine: every event lands on loop 0 in one
-//        global schedule order (the pre-PDES behavior, bit-for-bit);
-//   1  — per-node loops multiplexed on the calling thread in canonical key
-//        order (the PDES oracle);
-//   N  — a pool of N threads executing node loops round-by-round under
-//        conservative synchronization: loop i may run strictly below
-//        min(cap, min over other loops j of E_j + L(j→i)), where E_j is
-//        loop j's next event time and L(j→i) is the lookahead from j to i.
-//        No rollback is ever needed because node j can only affect node i
-//        at least L(j→i) in the future (Network posts cross-node work via
-//        PostToNode, never with a shorter delay).
+// It runs a conservative round loop. Each round grants every node loop with
+// pending work a horizon: loop i may run strictly below min(cap, min over
+// other loops j of E_j + L(j→i)), where E_j is loop j's next event time and
+// L(j→i) is the lookahead from j to i. No rollback is ever needed because
+// node j can only affect node i at least L(j→i) in the future (Network posts
+// cross-node work via PostToNode, never with a shorter delay).
+// `parallel_workers` only sets how many threads run a round's loops: 1 runs
+// them inline on the calling thread, N adds N-1 pool threads. Every thread
+// count produces byte-identical same-seed traces and metrics. Step() is the
+// reference: it fires the single globally least event key, and
+// engine-identity tests compare the round loop against it.
 //
 // Lookahead is per ordered pair of nodes: Network::AddLink(a, b, l) feeds an
 // incremental all-pairs table of least path latencies, so a 50ms WAN link in
@@ -59,10 +57,10 @@
 
 namespace encompass::sim {
 
-/// One per-node event loop: its own clock, event queue, and PRNG stream.
-/// In parallel mode cross-node posts made during a round are buffered in the
-/// *sender's* outbox lanes (one per destination shard) rather than a locked
-/// inbox on the receiver: each lane has exactly one writer (the sending
+/// One per-node event loop: its own event queue and PRNG stream.
+/// With a worker pool, cross-node posts made during a round are buffered in
+/// the *sender's* outbox lanes (one per destination shard) rather than a
+/// locked inbox on the receiver: each lane has exactly one writer (the sending
 /// loop's worker), and the coordinator drains lanes between rounds (safe
 /// because a cross-node post is always at least one link lookahead in the
 /// future, past every horizon granted in the round).
@@ -72,7 +70,7 @@ struct NodeLoop {
 
   const uint16_t node;
   const uint32_t shard;  // index into Simulation::loops_ and the stat shards
-  SimTime now = 0;
+  SimTime now = 0;  // time of the last event this loop fired
   EventQueue queue;
   encompass::Random rng;
   uint64_t executed = 0;
@@ -80,7 +78,6 @@ struct NodeLoop {
 
   struct Post {
     EventKey key;
-    uint16_t exec_node;
     EventFn fn;
   };
   // outbox[d] buffers this loop's in-round posts to destination shard d;
@@ -94,9 +91,10 @@ struct NodeLoop {
 /// time or global randomness.
 class Simulation {
  public:
-  /// `parallel_workers` selects the engine; see the file comment. All modes
-  /// produce byte-identical same-seed output.
-  explicit Simulation(uint64_t seed = 1, int parallel_workers = 0);
+  /// `parallel_workers` is the number of threads that run a round (values
+  /// below 1 mean 1); see the file comment. Every count produces
+  /// byte-identical same-seed output.
+  explicit Simulation(uint64_t seed = 1, int parallel_workers = 1);
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -109,7 +107,6 @@ class Simulation {
     if (ec != nullptr && ec->sim == this) return ec->key.time;
     return now_;
   }
-  encompass::Random& Rng() { return rng_; }
 
   /// Per-node PRNG stream, derived deterministically from (seed, node).
   /// Components attribute their draws to the node the drawing work belongs
@@ -165,11 +162,15 @@ class Simulation {
 
   void Cancel(EventId id);
 
-  /// Runs one event in canonical order. Returns false if no event pending.
-  bool Step();
+  /// Runs the one event with the globally least key, if its time is at most
+  /// `deadline`; returns whether it did. The reference the round loop is
+  /// checked against: stepping to a deadline and then calling RunUntil on
+  /// it fires exactly what RunUntil alone would.
+  bool Step(SimTime deadline = kNoDeadline);
 
   /// Runs events until none are pending or `max_events` have fired.
-  /// Returns the number of events processed.
+  /// Returns the number of events processed. An unbounded Run uses the
+  /// round loop; a bounded one steps event by event.
   size_t Run(size_t max_events = SIZE_MAX);
 
   /// Runs all events with time <= deadline, then advances every clock to
@@ -182,8 +183,6 @@ class Simulation {
   bool Idle() const;
   size_t PendingEvents() const;
   uint64_t ExecutedEvents() const;
-
-  int parallel_workers() const { return parallel_workers_; }
 
   /// Creates `node`'s loop (idempotent). Called by Network::AddNode so every
   /// simulated node has its loop before traffic starts.
@@ -208,9 +207,6 @@ class Simulation {
   /// kNoDeadline if neither bound applies (the pair cannot interact).
   SimDuration LookaheadBetween(uint16_t src, uint16_t dst) const;
 
-  /// Smallest pairwise lookahead (the old scalar view; tests/benches only).
-  SimDuration lookahead() const;
-
   /// Publishes the engine's coordinator metrics (sim.rounds,
   /// sim.ready_loops, sim.inbox_posts counters and the sim.horizon_width
   /// histogram, horizon widths in µs) into GetStats(). The engine keeps
@@ -222,25 +218,25 @@ class Simulation {
   void PublishEngineMetrics();
 
  private:
-  enum class Mode { kLegacy, kSingleLoop, kParallel };
-
   // EventIds pack (loop shard << kSeqBits) | local id, where the local id is
   // the queue's (generation << slot-bits) | slot stamp.
   static constexpr int kSeqBits = EventQueue::kSlotBits + EventQueue::kGenBits;
 
   NodeLoop* EnsureLoop(uint16_t node);
   uint16_t CtxNode() const;
+  // Whether the executing context may touch shard's queue directly: setup
+  // code and global-loop events may touch any; a node's event only its own.
+  bool MayTouch(uint32_t shard) const;
   EventId ScheduleOn(uint16_t node, SimTime when, EventFn fn);
   void ExecOne(NodeLoop* loop);
   void DrainOutboxes();
-  void RunUntilSerial(SimTime deadline);
-  void RunUntilParallel(SimTime deadline);
+  void RunRounds(SimTime deadline);
   void RunLoopTo(NodeLoop* loop, SimTime horizon);
   void StartWorkers();
   void WorkerMain();
   void ClaimLoop(uint64_t round);
 
-  // --- incremental next-event tracking (coordinator/serial thread only) ----
+  // --- incremental next-event tracking (coordinator thread only) -----------
   // Loops whose queue head may have changed are flagged dirty; RefreshDirty
   // re-reads just those heads into the tournament tree. Leaf 0 stays at +∞
   // permanently: the global loop is consulted directly where it matters, so
@@ -269,11 +265,9 @@ class Simulation {
     return d < uniform_lookahead_ ? d : uniform_lookahead_;
   }
 
-  Mode mode_;
   SimTime now_ = 0;
   uint64_t seed_;
   int parallel_workers_;
-  encompass::Random rng_;
 
   SimDuration uniform_lookahead_ = kNoDeadline;  // scalar all-pairs floor
   bool per_link_ = false;       // any per-pair latency declared?
@@ -292,7 +286,7 @@ class Simulation {
   TraceLog trace_;
 
   // --- engine metrics (coordinator-only; published on demand) --------------
-  uint64_t metric_rounds_ = 0;       // parallel rounds run
+  uint64_t metric_rounds_ = 0;       // rounds run
   uint64_t metric_ready_loops_ = 0;  // sum of ready-set sizes over rounds
   uint64_t metric_posts_ = 0;        // cross-loop posts buffered via outboxes
   Histogram horizon_width_;          // granted horizon minus next-event time
@@ -301,7 +295,7 @@ class Simulation {
   uint64_t published_posts_ = 0;
   bool horizon_published_ = false;
 
-  // --- worker pool (kParallel only; threads start lazily) -----------------
+  // --- worker pool (parallel_workers > 1; threads start lazily) -------------
   std::vector<std::thread> threads_;
   std::mutex pool_mu_;  // guards round_seq_/next_/pending_, in_round_, stop_
   std::condition_variable pool_cv_;   // round published / stop

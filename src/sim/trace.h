@@ -13,8 +13,8 @@
 // executing the current event, stamped with that event's total-order key
 // (time, origin, seq) and a per-shard ordinal. Reads merge the shards by
 // (key, ordinal), which reproduces the canonical event order — the same
-// order on every engine (single-threaded or parallel), because keys are
-// assigned at schedule time, never by the executing thread.
+// order at every worker count, because keys are assigned at schedule time,
+// never by the executing thread.
 
 #ifndef ENCOMPASS_SIM_TRACE_H_
 #define ENCOMPASS_SIM_TRACE_H_
@@ -87,9 +87,9 @@ class TraceLog {
   /// are `(node << 24) | per-node counter`: each node allocates from its own
   /// counter, so the ids a node hands out depend only on that node's local
   /// event order — not on how node events interleave globally. That keeps
-  /// traces bit-stable across same-seed runs on any engine (single-threaded
-  /// or parallel). Node ids above 255 fold into the 8 tag bits; counters
-  /// have 24 bits of headroom per node.
+  /// traces bit-stable across same-seed runs at any worker count. Node ids
+  /// above 255 fold into the 8 tag bits; counters have 24 bits of headroom
+  /// per node.
   uint32_t NewSpan(uint16_t node) {
     if (node >= span_counters_.size()) span_counters_.resize(node + 1, 0);
     return (static_cast<uint32_t>(node & 0xff) << 24) | ++span_counters_[node];

@@ -57,9 +57,13 @@ void BackoutProcess::RunBackout(const net::Message& request,
       return;
     }
     // The undos are issued sequentially (each after the previous reply) to
-    // preserve per-record ordering across volumes deterministically.
+    // preserve per-record ordering across volumes deterministically. The
+    // closure holds itself only weakly; each in-flight undo's callback holds
+    // it strongly, so it is freed once the last reply is handled.
     auto issue = std::make_shared<std::function<void(size_t)>>();
-    *issue = [this, req, collected, undo_failed, transid, issue](size_t idx) {
+    std::weak_ptr<std::function<void(size_t)>> weak_issue = issue;
+    *issue = [this, req, collected, undo_failed, transid,
+              weak_issue](size_t idx) {
       if (idx >= collected->size()) {
         Reply(req, *undo_failed
                        ? Status::IoError("undo failed")
@@ -80,9 +84,10 @@ void BackoutProcess::RunBackout(const net::Message& request,
       stats().Incr(m_undos_);
       Call(net::Address(node()->id(), rec.volume), discprocess::kDiscUndo,
            undo.Encode(),
-           [undo_failed, issue, idx](const Status& s, const net::Message&) {
+           [undo_failed, self = weak_issue.lock(), idx](
+               const Status& s, const net::Message&) {
              if (!s.ok()) *undo_failed = true;
-             (*issue)(idx + 1);
+             (*self)(idx + 1);
            },
            opt);
       set_current_transid(saved);

@@ -181,7 +181,7 @@ SimDuration NodeRecoveryProcess::BackoffDelay(const Transid& t,
                                               uint32_t attempts) const {
   // Capped exponential backoff with deterministic jitter: the same
   // (jitter_seed, transid, attempt) always waits the same time, so recovery
-  // schedules replay bit-identically across engines, yet concurrent
+  // schedules replay bit-identically at any worker count, yet concurrent
   // negotiations de-synchronise instead of hammering a dead home in
   // lockstep.
   const SimDuration base = config_.retry_interval;

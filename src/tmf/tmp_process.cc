@@ -891,7 +891,7 @@ void TmpProcess::DepositChildVote(const Transid& transid, net::NodeId child) {
   // semantics — durable immediately, usurped ballots rejected, tally
   // credit delayed by the forced-write latency. A direct mutation inside
   // an event this TMP already runs: no message hop and no intermediate
-  // events, so it cannot perturb event ordering in either engine.
+  // events, so it cannot perturb event ordering at any worker count.
   const uint32_t ballot = MakePaxosBallot(0, node()->id());
   static const std::set<net::NodeId> kNone;
   uint32_t bits = 0;

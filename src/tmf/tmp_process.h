@@ -117,8 +117,8 @@ struct TmpConfig {
   /// (DepositChildVote) or seal decided instances the moment the
   /// disposition lands locally (ReclaimLocalAcceptors) — as plain function
   /// calls inside events it already runs: no messages, no new events, and
-  /// therefore byte-identical scheduling across the sequential and
-  /// parallel engines by construction.
+  /// therefore byte-identical scheduling at every worker count by
+  /// construction.
   struct ColocatedAcceptor {
     size_t index = 0;
     CommitAcceptorLog* log = nullptr;

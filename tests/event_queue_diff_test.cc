@@ -3,7 +3,7 @@
 // std::function + hash-set implementation). Both are driven with identical
 // operation sequences — schedules, keyed inserts, pops, and cancels aimed at
 // live, fired, cancelled, and never-issued ids — and must agree on firing
-// order, key/exec_node attribution, live-size accounting, and whether each
+// order, event keys, live-size accounting, and whether each
 // cancel took effect.
 
 #include <gtest/gtest.h>
@@ -40,12 +40,11 @@ TEST(EventQueueDiffTest, RandomizedOperationSequences) {
         case 0:
         case 1: {  // local schedule, occasionally at a tied time
           const SimTime when = 50 + rng() % 40;
-          const auto exec = static_cast<uint16_t>(3 + rng() % 2);
           const std::string tag = "L" + std::to_string(label++);
           issued.push_back(IdPair{
-              prod.Schedule(when, exec,
+              prod.Schedule(when,
                             [&prod_fired, tag]() { prod_fired.push_back(tag); }),
-              ref.Schedule(when, exec,
+              ref.Schedule(when,
                            [&ref_fired, tag]() { ref_fired.push_back(tag); })});
           break;
         }
@@ -53,9 +52,9 @@ TEST(EventQueueDiffTest, RandomizedOperationSequences) {
           const EventKey key{50 + rng() % 40,
                              static_cast<uint16_t>(7 + rng() % 2), keyed_seq++};
           const std::string tag = "K" + std::to_string(label++);
-          prod.ScheduleKeyed(key, key.origin,
+          prod.ScheduleKeyed(key,
                              [&prod_fired, tag]() { prod_fired.push_back(tag); });
-          ref.ScheduleKeyed(key, key.origin,
+          ref.ScheduleKeyed(key,
                             [&ref_fired, tag]() { ref_fired.push_back(tag); });
           break;
         }
@@ -77,17 +76,15 @@ TEST(EventQueueDiffTest, RandomizedOperationSequences) {
           ASSERT_EQ(prod_effect, ref_effect) << "trial " << trial << " op " << op;
           break;
         }
-        case 4: {  // pop one (if any): identical key, attribution, payload
+        case 4: {  // pop one (if any): identical key and payload
           ASSERT_EQ(prod.empty(), ref.empty());
           if (prod.empty()) break;
           EventKey pk, rk;
-          uint16_t pe, re;
-          prod.PopNext(&pk, &pe)();
-          ref.PopNext(&rk, &re)();
+          prod.PopNext(&pk)();
+          ref.PopNext(&rk)();
           ASSERT_EQ(pk.time, rk.time);
           ASSERT_EQ(pk.origin, rk.origin);
           ASSERT_EQ(pk.seq, rk.seq);
-          ASSERT_EQ(pe, re);
           break;
         }
       }
@@ -99,11 +96,9 @@ TEST(EventQueueDiffTest, RandomizedOperationSequences) {
     while (!prod.empty()) {
       ASSERT_FALSE(ref.empty());
       EventKey pk, rk;
-      uint16_t pe, re;
-      prod.PopNext(&pk, &pe)();
-      ref.PopNext(&rk, &re)();
+      prod.PopNext(&pk)();
+      ref.PopNext(&rk)();
       ASSERT_EQ(pk.seq, rk.seq);
-      ASSERT_EQ(pe, re);
     }
     EXPECT_TRUE(ref.empty());
     EXPECT_EQ(prod_fired, ref_fired) << "trial " << trial;

@@ -15,12 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <initializer_list>
 #include <string>
 
 #include "encompass/chaos.h"
 #include "tmf/commit_acceptor.h"
 #include "tmf/recovery.h"
 #include "tmf/tmf_protocol.h"
+#include "step_reference.h"
 #include "test_util.h"
 
 namespace encompass::app {
@@ -145,28 +147,36 @@ TEST_P(ChaosPaxosTest, SurvivesSeed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosPaxosTest,
                          ::testing::Range<uint64_t>(1, 21));
 
-// The same paxos storm is byte-identical at every engine setting: legacy
-// single queue (0), the PDES oracle (1), and worker pools of 2, 4, and 8.
-TEST(ChaosPaxosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
-  ChaosCampaignConfig cfg = PaxosCampaignConfig(7);
-  cfg.parallel_workers = 0;
-  ChaosCampaignResult base = RunChaosCampaign(cfg);
-  ExpectSurvived(base, 7);
-  for (int workers : {1, 2, 4, 8}) {
+// Runs `cfg` at each worker count and expects `base`'s history. A campaign
+// drives its own simulation, so these sweeps compare thread counts with one
+// another; the Step()-driven replays of a paxos and a fast-path crash
+// window are PaxosOracleTest and FastPathOracleTest below.
+void ExpectSameStormAt(ChaosCampaignConfig cfg, const ChaosCampaignResult& base,
+                       std::initializer_list<int> worker_counts) {
+  for (int workers : worker_counts) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
     cfg.parallel_workers = workers;
     ChaosCampaignResult r = RunChaosCampaign(cfg);
-    EXPECT_EQ(r.journal, base.journal) << "workers=" << workers;
-    EXPECT_EQ(r.txns_started, base.txns_started) << "workers=" << workers;
-    EXPECT_EQ(r.txns_committed, base.txns_committed) << "workers=" << workers;
-    EXPECT_EQ(r.txns_aborted, base.txns_aborted) << "workers=" << workers;
-    EXPECT_EQ(r.txns_unknown, base.txns_unknown) << "workers=" << workers;
-    EXPECT_EQ(r.balance_sum, base.balance_sum) << "workers=" << workers;
-    EXPECT_EQ(r.recoveries_completed, base.recoveries_completed)
-        << "workers=" << workers;
+    EXPECT_EQ(r.journal, base.journal);
+    EXPECT_EQ(r.txns_started, base.txns_started);
+    EXPECT_EQ(r.txns_committed, base.txns_committed);
+    EXPECT_EQ(r.txns_aborted, base.txns_aborted);
+    EXPECT_EQ(r.txns_unknown, base.txns_unknown);
+    EXPECT_EQ(r.balance_sum, base.balance_sum);
+    EXPECT_EQ(r.recoveries_completed, base.recoveries_completed);
     EXPECT_EQ(r.indoubt_resolved_via_acceptors,
-              base.indoubt_resolved_via_acceptors)
-        << "workers=" << workers;
+              base.indoubt_resolved_via_acceptors);
+    EXPECT_EQ(r.acceptor_log_final, base.acceptor_log_final);
   }
+}
+
+// The same paxos storm is byte-identical at every worker count: the round
+// loop inline (1) and worker pools of 2, 4, and 8.
+TEST(ChaosPaxosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
+  ChaosCampaignConfig cfg = PaxosCampaignConfig(7);
+  ChaosCampaignResult base = RunChaosCampaign(cfg);
+  ExpectSurvived(base, 7);
+  ExpectSameStormAt(cfg, base, {2, 4, 8});
 }
 
 // The point of the protocol, measured: over the shared storm seeds, Paxos
@@ -220,11 +230,12 @@ struct Rig {
   TestClient* client = nullptr;
   std::unique_ptr<tmf::FileSystem> fs;
 
+  // `workers` is a thread count or sim::testing::kStepReference.
   Rig(uint64_t seed, int nodes, bool paxos, SimDuration resolve_interval = 0,
-      bool fast_path = false, int replication = 3, int workers = 0)
+      bool fast_path = false, int replication = 3, int workers = 1)
       // The fast path's periodic acceptor sweep keeps the event queue alive
       // forever, so those rigs must settle with bounded runs too.
-      : sim(seed, workers), deploy(&sim),
+      : sim(seed, workers), deploy(&sim), workers_(workers),
         bounded_(resolve_interval > 0 || fast_path) {
     for (int n = 1; n <= nodes; ++n) {
       NodeSpec spec;
@@ -265,10 +276,14 @@ struct Rig {
   /// keeps the event queue alive forever.
   void Settle() {
     if (bounded_) {
-      sim.RunFor(Millis(250));
+      RunFor(Millis(250));
     } else {
-      sim.Run();
+      sim::testing::Drain(sim, workers_);
     }
+  }
+
+  void RunFor(SimDuration d) {
+    sim::testing::AdvanceTo(sim, workers_, sim.Now() + d);
   }
 
   /// Spawns the client on `node` and runs the sim until it settles.
@@ -307,18 +322,25 @@ struct Rig {
   }
 
  private:
+  int workers_;
   bool bounded_ = false;
 };
 
 // The window Paxos Commit exists for: the coordinator reaches its commit
-// point (a majority of acceptors durably accepted kCommitted) and dies
-// before any phase-2 message leaves — the exact "crashed between phase 1
-// and phase 2" schedule. Under 2PC the participant blocks until the home is
-// repaired; here it learns the outcome from the surviving acceptor majority
-// while the home is still down, and the home's own recovery later adopts
-// the same decision from the acceptors (its MAT never saw the commit).
-TEST(PaxosOracleTest, CoordinatorCrashBetweenPhasesResolvesViaAcceptors) {
-  Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500));
+// point and dies before any phase-2 message leaves — the exact "crashed
+// between phase 1 and phase 2" schedule. A two-participant transaction
+// homed on node 1 ENDs, and the home crashes once `in_window` holds: the
+// acceptors hold the commit, the home's MAT does not. Under 2PC the
+// participant blocks until the home is repaired; here it learns the outcome
+// from the surviving acceptor majority while the home is still down, and
+// the home's own recovery later adopts the same decision from the
+// acceptors. Run at a thread count or the Step() reference; *digest gets
+// the stats registry for byte-comparison.
+void CrashHomeInWindow(int workers, bool fast_path,
+                       bool (*in_window)(Rig&, uint64_t),
+                       std::string* digest) {
+  Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500), fast_path,
+          /*replication=*/3, workers);
   rig.SpawnClient(1);
   uint64_t t = rig.Begin(1);
 
@@ -328,31 +350,19 @@ TEST(PaxosOracleTest, CoordinatorCrashBetweenPhasesResolvesViaAcceptors) {
   rig.Insert(t, "mark1", "m1");
   rig.Insert(t, "mark2", "m1");
 
-  // END; crash the home the moment a majority of acceptors hold the
-  // decision (their logs mutate before the force-delayed grant replies, so
-  // the home has not even learned of its own commit point yet, let alone
-  // sent phase 2).
   rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
                       tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
-  auto accepted = [&](net::NodeId n) {
-    // Decision-replication instances live under voter 0 of the re-keyed log.
-    auto& entries =
-        rig.deploy.GetNode(n)->storage().acceptor_log.entries;
-    auto it = entries.find({t, uint16_t{0}});
-    return it != entries.end() && it->second.has_value &&
-           it->second.value == tmf::Disposition::kCommitted;
-  };
-  for (int i = 0; i < 4000 && !(accepted(2) && accepted(3)); ++i) {
-    rig.sim.RunFor(Micros(200));
+  for (int i = 0; i < 4000 && !in_window(rig, t); ++i) {
+    rig.RunFor(Micros(100));
   }
-  ASSERT_TRUE(accepted(2) && accepted(3));
+  ASSERT_TRUE(in_window(rig, t));
   ASSERT_EQ(rig.MatLookup(1, t), -1) << "home reached its MAT before crash; "
                                        "the window closed too late";
   rig.deploy.CrashNode(1);
 
   // With the coordinator dead, the participant's in-doubt resolve tick
   // fails over to the acceptors and applies the committed outcome.
-  rig.sim.RunFor(Seconds(5));
+  rig.RunFor(Seconds(5));
   EXPECT_EQ(rig.MatLookup(2, t), 1);
   EXPECT_EQ(rig.deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
   EXPECT_GE(rig.sim.GetStats().Counter("tmf.paxos_resolved_commits"), 1);
@@ -364,7 +374,7 @@ TEST(PaxosOracleTest, CoordinatorCrashBetweenPhasesResolvesViaAcceptors) {
   rig.deploy.RecoverNode(1, [&](const std::vector<tmf::RollforwardReport>&) {
     recovered = true;
   });
-  rig.sim.RunFor(Seconds(10));
+  rig.RunFor(Seconds(10));
   ASSERT_TRUE(recovered);
   EXPECT_EQ(rig.MatLookup(1, t), 1);
   EXPECT_GE(rig.sim.GetStats().Counter("recovery.paxos_resolves"), 1);
@@ -374,6 +384,32 @@ TEST(PaxosOracleTest, CoordinatorCrashBetweenPhasesResolvesViaAcceptors) {
   auto violations = oracle.Check(&rig.deploy);
   for (const auto& v : violations) {
     ADD_FAILURE() << "txn " << v.transid << ": " << v.detail;
+  }
+  *digest = rig.sim.GetStats().ToString();
+}
+
+// Decision replication: a majority of acceptors durably accepted the
+// commit. Their logs mutate before the force-delayed grant replies, so the
+// home has not even learned of its own commit point yet.
+bool DecisionAccepted(Rig& rig, uint64_t t) {
+  auto accepted = [&](net::NodeId n) {
+    // Decision-replication instances live under voter 0 of the re-keyed log.
+    auto& entries = rig.deploy.GetNode(n)->storage().acceptor_log.entries;
+    auto it = entries.find({t, uint16_t{0}});
+    return it != entries.end() && it->second.has_value &&
+           it->second.value == tmf::Disposition::kCommitted;
+  };
+  return accepted(2) && accepted(3);
+}
+
+TEST(PaxosOracleTest, CoordinatorCrashBetweenPhasesResolvesViaAcceptors) {
+  std::string reference;
+  CrashHomeInWindow(sim::testing::kStepReference, /*fast_path=*/false,
+                    DecisionAccepted, &reference);
+  for (int workers : {1, 2, 4}) {
+    std::string actual;
+    CrashHomeInWindow(workers, /*fast_path=*/false, DecisionAccepted, &actual);
+    EXPECT_EQ(actual, reference) << "workers=" << workers;
   }
 }
 
@@ -413,92 +449,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFastPathTest,
                          ::testing::Range<uint64_t>(1, 11));
 
 // The fast-path storm — coordinator crashes included — replays
-// byte-identically across the engine settings.
+// byte-identically at every worker count.
 TEST(ChaosFastPathParallelTest, SameSeedSameStormAtAnyWorkerCount) {
   ChaosCampaignConfig cfg = FastPathCampaignConfig(7);
-  cfg.parallel_workers = 0;
   ChaosCampaignResult base = RunChaosCampaign(cfg);
   ExpectSurvived(base, 7);
-  for (int workers : {1, 2, 4}) {
-    cfg.parallel_workers = workers;
-    ChaosCampaignResult r = RunChaosCampaign(cfg);
-    EXPECT_EQ(r.journal, base.journal) << "workers=" << workers;
-    EXPECT_EQ(r.txns_started, base.txns_started) << "workers=" << workers;
-    EXPECT_EQ(r.txns_committed, base.txns_committed) << "workers=" << workers;
-    EXPECT_EQ(r.txns_aborted, base.txns_aborted) << "workers=" << workers;
-    EXPECT_EQ(r.txns_unknown, base.txns_unknown) << "workers=" << workers;
-    EXPECT_EQ(r.balance_sum, base.balance_sum) << "workers=" << workers;
-    EXPECT_EQ(r.recoveries_completed, base.recoveries_completed)
-        << "workers=" << workers;
-    EXPECT_EQ(r.acceptor_log_final, base.acceptor_log_final)
-        << "workers=" << workers;
-  }
+  ExpectSameStormAt(cfg, base, {2, 4});
 }
 
-// Coordinator crash mid-fast-path, replayed at several engine worker
-// counts: the home dies after the participants' votes reached the acceptor
-// logs but before its own MAT saw the commit point. The participant's
-// in-doubt tick must settle against the surviving acceptors (home instance
-// first — it names the voters — then each voter's), and the home's own
-// recovery must adopt the same outcome.
-class FastPathOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FastPathOracleTest, CoordinatorCrashMidFastPathResolvesViaAcceptors) {
-  const int workers = GetParam();
-  Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
-          /*fast_path=*/true, /*replication=*/3, workers);
-  rig.SpawnClient(1);
-  uint64_t t = rig.Begin(1);
-
-  AtomicityOracle oracle;
-  oracle.RegisterIntent(t, "m1",
-                        {{1, "$DATA1", "mark1"}, {2, "$DATA2", "mark2"}});
-  rig.Insert(t, "mark1", "m1");
-  rig.Insert(t, "mark2", "m1");
-
-  // END; crash the home once node 2's co-located acceptor holds the
-  // prepared votes of both voters (the log mutates before the force-delayed
-  // vote ack leaves, so the home cannot have tallied its commit point yet).
-  rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                      tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
-  auto voted = [&](net::NodeId n, const std::string& name, uint16_t voter) {
-    auto& logs = rig.deploy.GetNode(n)->storage().acceptor_logs;
-    auto log = logs.find(name);
+// Fast path: node 2's co-located acceptor holds the prepared votes of both
+// voters. The log mutates before the force-delayed vote ack leaves, so the
+// home cannot have tallied its commit point yet. The participant settles
+// against the acceptors home instance first (it names the voters), then
+// each voter's.
+bool VotesLogged(Rig& rig, uint64_t t) {
+  auto voted = [&](uint16_t voter) {
+    auto& logs = rig.deploy.GetNode(2)->storage().acceptor_logs;
+    auto log = logs.find("$ACCEPT.1");
     if (log == logs.end()) return false;
     auto it = log->second.entries.find({t, voter});
     return it != log->second.entries.end() && it->second.has_value &&
            it->second.value == tmf::Disposition::kCommitted;
   };
-  for (int i = 0;
-       i < 4000 && !(voted(2, "$ACCEPT.1", 1) && voted(2, "$ACCEPT.1", 2));
-       ++i) {
-    rig.sim.RunFor(Micros(100));
-  }
-  ASSERT_TRUE(voted(2, "$ACCEPT.1", 1) && voted(2, "$ACCEPT.1", 2));
-  ASSERT_EQ(rig.MatLookup(1, t), -1) << "home reached its MAT before crash; "
-                                        "the window closed too late";
-  rig.deploy.CrashNode(1);
+  return voted(1) && voted(2);
+}
 
-  // The participant resolves against the surviving acceptor majority.
-  rig.sim.RunFor(Seconds(5));
-  EXPECT_EQ(rig.MatLookup(2, t), 1);
-  EXPECT_EQ(rig.deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
-  EXPECT_GE(rig.sim.GetStats().Counter("tmf.paxos_resolved_commits"), 1);
+class FastPathOracleTest : public ::testing::TestWithParam<int> {};
 
-  // Home recovery adopts the committed outcome from the acceptors.
-  bool recovered = false;
-  rig.deploy.RecoverNode(1, [&](const std::vector<tmf::RollforwardReport>&) {
-    recovered = true;
-  });
-  rig.sim.RunFor(Seconds(10));
-  ASSERT_TRUE(recovered);
-  EXPECT_EQ(rig.MatLookup(1, t), 1);
-  EXPECT_GE(rig.sim.GetStats().Counter("recovery.paxos_resolves"), 1);
-
-  auto violations = oracle.Check(&rig.deploy);
-  for (const auto& v : violations) {
-    ADD_FAILURE() << "txn " << v.transid << ": " << v.detail;
-  }
+TEST_P(FastPathOracleTest, CoordinatorCrashMidFastPathResolvesViaAcceptors) {
+  std::string reference;
+  std::string actual;
+  CrashHomeInWindow(sim::testing::kStepReference, /*fast_path=*/true,
+                    VotesLogged, &reference);
+  CrashHomeInWindow(GetParam(), /*fast_path=*/true, VotesLogged, &actual);
+  EXPECT_EQ(actual, reference) << "workers=" << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, FastPathOracleTest,

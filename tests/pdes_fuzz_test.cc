@@ -1,8 +1,9 @@
-// Randomized cross-engine fuzz for the PDES core: random topologies (spanning
-// tree + extra edges), random per-link latencies spanning LAN-to-WAN scales,
-// and mixed dense/sparse per-node traffic. Every trial runs the same seeded
-// workload on the single-thread oracle (workers=1) and byte-compares the full
-// per-node logs against worker pools {2, 4, 8}.
+// Randomized fuzz of the round loop against the Step() reference: random
+// topologies (spanning tree + extra edges), random per-link latencies
+// spanning LAN-to-WAN scales, and mixed dense/sparse per-node traffic. Every
+// trial runs the same seeded workload event by event through Step() and
+// byte-compares the full per-node logs against the round loop at {1, 2, 4, 8}
+// threads.
 // This is the test that hunts horizon bugs: a per-pair lookahead that is one
 // microsecond too generous shows up as a reordered or missing log line.
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "sim/simulation.h"
+#include "step_reference.h"
 
 namespace encompass::sim {
 namespace {
@@ -89,7 +91,7 @@ void ChainStep(Simulation* sim, const Plan* plan,
     });
   }
   if (draw % 7 == 0) {
-    // Arm-and-cancel from the owning node: must never fire on any engine.
+    // Arm-and-cancel from the owning node: must never fire.
     EventId id = sim->AfterOn(node, Millis(3), [logs, node]() {
       (*logs)[node].push_back("CANCELLED-FIRED");
     });
@@ -121,7 +123,7 @@ std::vector<std::string> RunPlan(const Plan& plan, uint32_t trial,
       });
     }
   }
-  sim.RunUntil(Millis(150));
+  testing::AdvanceTo(sim, workers, Millis(150));
   std::vector<std::string> flat;
   for (int n = 1; n <= plan.nodes; ++n) {
     flat.push_back("--- node " + std::to_string(n));
@@ -133,20 +135,18 @@ std::vector<std::string> RunPlan(const Plan& plan, uint32_t trial,
 TEST(PdesFuzzTest, RandomTopologiesAgreeAcrossEngines) {
   for (uint32_t trial = 0; trial < 8; ++trial) {
     const Plan plan = MakePlan(trial);
-    const std::vector<std::string> oracle = RunPlan(plan, trial, 1);
-    ASSERT_GT(oracle.size(), static_cast<size_t>(plan.nodes))
+    const std::vector<std::string> reference =
+        RunPlan(plan, trial, testing::kStepReference);
+    ASSERT_GT(reference.size(), static_cast<size_t>(plan.nodes))
         << "trial " << trial << " produced no events";
-    for (const std::string& line : oracle) {
+    for (const std::string& line : reference) {
       ASSERT_NE(line, "CANCELLED-FIRED") << "trial " << trial;
     }
-    // Worker pools must match the oracle byte-for-byte: they share its
-    // (time, origin, seq) total order. The legacy engine (workers=0) is
-    // excluded by design: it orders same-time ties by global schedule
-    // sequence instead, which can differ when a cross-node post and a local
-    // event collide on the same microsecond — the application workloads
-    // pinned by the goldens never hit that, but this fuzz deliberately does.
-    for (int workers : {2, 4, 8}) {
-      EXPECT_EQ(RunPlan(plan, trial, workers), oracle)
+    // The round loop must match byte-for-byte at every thread count,
+    // including same-microsecond collisions of cross-node posts and local
+    // events, which this fuzz deliberately provokes.
+    for (int workers : {1, 2, 4, 8}) {
+      EXPECT_EQ(RunPlan(plan, trial, workers), reference)
           << "trial " << trial << " workers=" << workers;
     }
   }
@@ -174,7 +174,7 @@ TEST(PdesFuzzTest, LookaheadTableMatchesLeastPaths) {
   sim.NoteLinkLatency(Micros(400));
   EXPECT_EQ(sim.LookaheadBetween(1, 2), Micros(400));
   EXPECT_EQ(sim.LookaheadBetween(1, 5), Micros(400));
-  EXPECT_EQ(sim.lookahead(), Micros(400));
+  EXPECT_EQ(sim.LookaheadBetween(3, 4), Micros(400));
 }
 
 }  // namespace

@@ -2,14 +2,10 @@
 // whose complete observable output — per-transaction trace dumps, the fault
 // journal, and the metric dump — is pinned in a golden file.
 //
-// The golden file was generated by the pre-refactor single-queue engine
-// (after the deterministic-attribution prep: per-node span ids, per-node
-// PRNG streams, source-attributed network randomness). Every engine mode
-// must reproduce it byte-for-byte:
-//   * parallel_workers = 0  — the classic single-queue engine,
-//   * parallel_workers = 1  — the per-node-loop engine, multiplexed on one
-//     thread in canonical (time, node, seq) order,
-//   * parallel_workers = 2/4/8 — the conservative-PDES thread pool.
+// The golden file was generated after the deterministic-attribution prep
+// (per-node span ids, per-node PRNG streams, source-attributed network
+// randomness). The Step() reference and the round loop at parallel_workers
+// 1, 2, 4 and 8 must all reproduce it byte-for-byte.
 //
 // Regenerate with:  ENCOMPASS_REGOLDEN=1 ./pdes_oracle_test
 // then inspect the diff before committing the new golden.
@@ -25,6 +21,7 @@
 
 #include "encompass/deployment.h"
 #include "sim/fault_injector.h"
+#include "step_reference.h"
 #include "test_util.h"
 #include "tmf/file_system.h"
 #include "tmf/tmf_protocol.h"
@@ -46,6 +43,7 @@ const char* GoldenPath() {
 }
 
 struct Rig {
+  int workers = 1;  // round-loop threads, or sim::testing::kStepReference
   std::unique_ptr<sim::Simulation> sim;
   std::unique_ptr<Deployment> deploy;
   std::unique_ptr<sim::FaultInjector> injector;
@@ -53,11 +51,16 @@ struct Rig {
   TestClient* client2 = nullptr;  // node 2
   std::unique_ptr<tmf::FileSystem> fs1;
   std::unique_ptr<tmf::FileSystem> fs2;
+
+  void RunUntil(SimTime deadline) {
+    sim::testing::AdvanceTo(*sim, workers, deadline);
+  }
 };
 
-Rig MakeRig(int parallel_workers) {
+Rig MakeRig(int workers) {
   Rig rig;
-  rig.sim = std::make_unique<sim::Simulation>(kSeed, parallel_workers);
+  rig.workers = workers;
+  rig.sim = std::make_unique<sim::Simulation>(kSeed, workers);
   rig.deploy = std::make_unique<Deployment>(rig.sim.get());
   rig.injector = std::make_unique<sim::FaultInjector>(rig.sim.get());
   for (int n = 1; n <= 3; ++n) {
@@ -78,13 +81,13 @@ Rig MakeRig(int parallel_workers) {
   rig.client2 = rig.deploy->GetNode(2)->node()->Spawn<TestClient>(2);
   rig.fs1 = std::make_unique<tmf::FileSystem>(rig.client1, &rig.deploy->catalog());
   rig.fs2 = std::make_unique<tmf::FileSystem>(rig.client2, &rig.deploy->catalog());
-  rig.sim->RunUntil(Millis(100));
+  rig.RunUntil(Millis(100));
   return rig;
 }
 
 uint64_t Begin(Rig& rig, TestClient* client, net::NodeId home, SimTime until) {
   auto* o = client->CallRaw(net::Address(home, "$TMP"), tmf::kTmfBegin, {});
-  rig.sim->RunUntil(until);
+  rig.RunUntil(until);
   EXPECT_TRUE(o->status.ok());
   auto t = tmf::DecodeTransidPayload(Slice(o->payload));
   EXPECT_TRUE(t.ok());
@@ -99,7 +102,7 @@ Status Insert(Rig& rig, tmf::FileSystem* fs, TestClient* client,
   fs->Insert(file, Slice(key), Slice(value),
              [&result](const Status& s, const Bytes&) { result = s; });
   client->set_current_transid(0);
-  rig.sim->RunUntil(until);
+  rig.RunUntil(until);
   return result;
 }
 
@@ -108,13 +111,13 @@ Status Finish(Rig& rig, TestClient* client, net::NodeId home, uint64_t transid,
   auto* o = client->CallRaw(net::Address(home, "$TMP"), tag,
                             tmf::EncodeTransidPayload(Transid::Unpack(transid)),
                             transid);
-  rig.sim->RunUntil(until);
+  rig.RunUntil(until);
   return o->status;
 }
 
 /// Runs the scenario and renders everything observable into one string.
-std::string RunScenario(int parallel_workers) {
-  Rig rig = MakeRig(parallel_workers);
+std::string RunScenario(int workers) {
+  Rig rig = MakeRig(workers);
   std::ostringstream out;
   std::vector<std::pair<std::string, uint64_t>> txns;
 
@@ -144,7 +147,7 @@ std::string RunScenario(int parallel_workers) {
   rig.injector->InjectAt(Seconds(2) + Millis(7), "fail node 2 cpu 0", [&rig]() {
     rig.deploy->GetNode(2)->node()->FailCpu(0);
   });
-  rig.sim->RunUntil(Seconds(2) + Millis(500));
+  rig.RunUntil(Seconds(2) + Millis(500));
   uint64_t c = Begin(rig, rig.client1, 1, Seconds(2) + Millis(600));
   Insert(rig, rig.fs1.get(), rig.client1, c, "f2", "kc", "vc2",
          Seconds(2) + Millis(800));
@@ -152,7 +155,7 @@ std::string RunScenario(int parallel_workers) {
       Finish(rig, rig.client1, 1, c, tmf::kTmfEnd, Seconds(3)).ok());
   rig.injector->InjectAt(Seconds(3) + Millis(11), "reload node 2 cpu 0",
                          [&rig]() { rig.deploy->GetNode(2)->node()->ReloadCpu(0); });
-  rig.sim->RunUntil(Seconds(3) + Millis(500));
+  rig.RunUntil(Seconds(3) + Millis(500));
   txns.emplace_back("C commit through cpu takeover", c);
 
   // --- D: voluntary abort after writes on two nodes -----------------------
@@ -167,9 +170,9 @@ std::string RunScenario(int parallel_workers) {
 
   // --- E/F: two concurrent commits from different home nodes --------------
   auto* oe = rig.client1->CallRaw(net::Address(1, "$TMP"), tmf::kTmfBegin, {});
-  rig.sim->RunUntil(Seconds(4) + Millis(3));
+  rig.RunUntil(Seconds(4) + Millis(3));
   auto* of = rig.client2->CallRaw(net::Address(2, "$TMP"), tmf::kTmfBegin, {});
-  rig.sim->RunUntil(Seconds(4) + Millis(200));
+  rig.RunUntil(Seconds(4) + Millis(200));
   EXPECT_TRUE(oe->status.ok());
   EXPECT_TRUE(of->status.ok());
   auto te = tmf::DecodeTransidPayload(Slice(oe->payload));
@@ -184,12 +187,12 @@ std::string RunScenario(int parallel_workers) {
   rig.fs2->Insert("f2", Slice("kf"), Slice("vf2"), [](const Status&, const Bytes&) {});
   rig.fs2->Insert("f3", Slice("kf"), Slice("vf3"), [](const Status&, const Bytes&) {});
   rig.client2->set_current_transid(0);
-  rig.sim->RunUntil(Seconds(4) + Millis(500));
+  rig.RunUntil(Seconds(4) + Millis(500));
   auto* oe2 = rig.client1->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
                                    tmf::EncodeTransidPayload(Transid::Unpack(e)), e);
   auto* of2 = rig.client2->CallRaw(net::Address(2, "$TMP"), tmf::kTmfEnd,
                                    tmf::EncodeTransidPayload(Transid::Unpack(f)), f);
-  rig.sim->RunUntil(Seconds(5));
+  rig.RunUntil(Seconds(5));
   EXPECT_TRUE(oe2->status.ok());
   EXPECT_TRUE(of2->status.ok());
   txns.emplace_back("E concurrent commit from node 1", e);
@@ -203,7 +206,7 @@ std::string RunScenario(int parallel_workers) {
       rig.injector->Note("node 3 recovered");
     });
   });
-  rig.sim->RunUntil(Seconds(8));
+  rig.RunUntil(Seconds(8));
   uint64_t g = Begin(rig, rig.client1, 1, Seconds(8) + Millis(100));
   Insert(rig, rig.fs1.get(), rig.client1, g, "f3", "kg", "vg3",
          Seconds(8) + Millis(300));
@@ -211,7 +214,7 @@ std::string RunScenario(int parallel_workers) {
       Finish(rig, rig.client1, 1, g, tmf::kTmfEnd, Seconds(9)).ok());
   txns.emplace_back("G commit after node 3 recovery", g);
 
-  rig.sim->RunUntil(Seconds(10));
+  rig.RunUntil(Seconds(10));
 
   // --- render everything observable ---------------------------------------
   for (const auto& [label, transid] : txns) {
@@ -237,14 +240,14 @@ std::string ReadGolden() {
 TEST(PdesOracle, ByteIdenticalAcrossEngines) {
   if (std::getenv("ENCOMPASS_REGOLDEN") != nullptr) {
     std::ofstream out(GoldenPath(), std::ios::binary);
-    out << RunScenario(0);
+    out << RunScenario(sim::testing::kStepReference);
     GTEST_SKIP() << "golden regenerated at " << GoldenPath();
   }
   const std::string golden = ReadGolden();
   ASSERT_FALSE(golden.empty())
       << "missing golden file " << GoldenPath()
       << " (regenerate with ENCOMPASS_REGOLDEN=1)";
-  for (int workers : {0, 1, 2, 4, 8}) {
+  for (int workers : {sim::testing::kStepReference, 1, 2, 4, 8}) {
     const std::string actual = RunScenario(workers);
     if (actual != golden) {
       // Dump the divergent output next to the golden for inspection.
@@ -255,7 +258,7 @@ TEST(PdesOracle, ByteIdenticalAcrossEngines) {
     }
     EXPECT_EQ(actual, golden)
         << "parallel_workers=" << workers
-        << " diverged from the golden engine output";
+        << " (0 = Step() reference) diverged from the golden output";
   }
 }
 

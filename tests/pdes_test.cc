@@ -12,6 +12,7 @@
 
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
+#include "step_reference.h"
 
 namespace encompass::sim {
 namespace {
@@ -57,14 +58,13 @@ TEST(EventQueueTest, ShuffledSameTimeInsertionsFireInKeyOrder) {
     EventQueue q;
     std::vector<std::string> fired;
     for (const EventKey& k : shuffled) {
-      q.ScheduleKeyed(k, k.origin, [&fired, k]() {
+      q.ScheduleKeyed(k, [&fired, k]() {
         fired.push_back(std::to_string(k.origin) + ":" + std::to_string(k.seq));
       });
     }
     while (!q.empty()) {
       EventKey key;
-      uint16_t exec;
-      q.PopNext(&key, &exec)();
+      q.PopNext(&key)();
     }
     if (trial == 0) {
       reference = fired;
@@ -80,13 +80,12 @@ TEST(EventQueueTest, ShuffledSameTimeInsertionsFireInKeyOrder) {
 TEST(EventQueueTest, GlobalOriginSortsFirstAtEqualTime) {
   EventQueue q;
   std::vector<int> fired;
-  q.ScheduleKeyed(EventKey{100, 3, 1}, 3, [&fired]() { fired.push_back(3); });
-  q.ScheduleKeyed(EventKey{100, 0, 99}, 0, [&fired]() { fired.push_back(0); });
-  q.ScheduleKeyed(EventKey{100, 1, 7}, 1, [&fired]() { fired.push_back(1); });
+  q.ScheduleKeyed(EventKey{100, 3, 1}, [&fired]() { fired.push_back(3); });
+  q.ScheduleKeyed(EventKey{100, 0, 99}, [&fired]() { fired.push_back(0); });
+  q.ScheduleKeyed(EventKey{100, 1, 7}, [&fired]() { fired.push_back(1); });
   while (!q.empty()) {
     EventKey key;
-    uint16_t exec;
-    q.PopNext(&key, &exec)();
+    q.PopNext(&key)();
   }
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 3}));
 }
@@ -97,17 +96,16 @@ TEST(EventQueueTest, CancelOnlyAffectsLocalEvents) {
   EventId a = q.Schedule(10, [&fired]() { fired.push_back(1); });
   // A keyed event whose foreign seq collides with the local id being
   // cancelled must not be swallowed by the tombstone.
-  q.ScheduleKeyed(EventKey{10, 7, a}, 7, [&fired]() { fired.push_back(2); });
+  q.ScheduleKeyed(EventKey{10, 7, a}, [&fired]() { fired.push_back(2); });
   q.Cancel(a);
   q.Cancel(a);      // double-cancel: no-op
   q.Cancel(12345);  // unknown: no-op
   EXPECT_EQ(q.size(), 1u);
   EventKey key;
-  uint16_t exec;
-  q.PopNext(&key, &exec)();
+  q.PopNext(&key)();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(fired, (std::vector<int>{2}));
-  EXPECT_EQ(exec, 7);
+  EXPECT_EQ(key.origin, 7);
 }
 
 TEST(EventQueueTest, NextKeyReportsEarliest) {
@@ -115,7 +113,7 @@ TEST(EventQueueTest, NextKeyReportsEarliest) {
   EXPECT_EQ(q.NextKey(), nullptr);
   EXPECT_EQ(q.NextTime(), kNoDeadline);
   q.Schedule(300, []() {});
-  q.ScheduleKeyed(EventKey{200, 5, 1}, 5, []() {});
+  q.ScheduleKeyed(EventKey{200, 5, 1}, []() {});
   ASSERT_NE(q.NextKey(), nullptr);
   EXPECT_EQ(q.NextKey()->time, 200);
   EXPECT_EQ(q.NextKey()->origin, 5);
@@ -196,9 +194,9 @@ TEST(NodeRngTest, StreamsAreDistinctAndSeedStable) {
   EXPECT_EQ(n1a, n1b);
   EXPECT_NE(n1a, n2a);
   EXPECT_NE(n1b, n1c);
-  // The node streams are also distinct from the legacy global stream.
+  // The node streams are also distinct from the global loop's stream.
   std::vector<uint64_t> global;
-  for (int i = 0; i < 16; ++i) global.push_back(sim_b.Rng().Next());
+  for (int i = 0; i < 16; ++i) global.push_back(sim_b.RngFor(0).Next());
   EXPECT_NE(global, n1a);
 }
 
@@ -221,15 +219,19 @@ TEST(NodeRngTest, NodeStreamUnaffectedByOtherNodesDraws) {
   EXPECT_EQ(got, expected);
 }
 
-// --- cross-engine identity -------------------------------------------------
+// --- round loop vs the Step() reference -----------------------------------
 
 namespace engine_test {
 
-// A micro-workload exercising everything the engines must agree on: per-node
-// timer chains (AfterOn), ring traffic with lookahead-respecting delays
-// (PostToNode), per-node PRNG draws, and a cancellation. Each node appends to
-// its own log (only that node's events touch it, so logging is race-free on
-// the worker pool); the per-node logs must be identical across engines.
+using testing::AdvanceTo;
+using testing::kStepReference;
+
+// A micro-workload exercising everything the round loop must agree with the
+// Step() reference on: per-node timer chains (AfterOn), ring traffic with
+// lookahead-respecting delays (PostToNode), per-node PRNG draws, and a
+// cancellation. Each node appends to its own log (only that node's events
+// touch it, so logging is race-free on the worker pool); the per-node logs
+// must be identical at every thread count.
 std::vector<std::string> RunMicroWorkload(int workers) {
   constexpr int kNodes = 4;
   Simulation sim(/*seed=*/99, workers);
@@ -265,8 +267,8 @@ std::vector<std::string> RunMicroWorkload(int workers) {
                   Chain::Step(&sim, &logs, static_cast<uint16_t>(n), 12);
                 });
   }
-  // A timer armed then cancelled from the owning node must never fire,
-  // on any engine.
+  // A timer armed then cancelled from the owning node must never fire, at
+  // any thread count.
   for (int n = 1; n <= kNodes; ++n) {
     sim.AfterOn(static_cast<uint16_t>(n), Micros(30),
                 [&sim, &logs, n]() {
@@ -276,7 +278,7 @@ std::vector<std::string> RunMicroWorkload(int workers) {
                   sim.Cancel(id);
                 });
   }
-  sim.RunUntil(Millis(30));
+  AdvanceTo(sim, workers, Millis(30));
   std::vector<std::string> flat;
   for (int n = 1; n <= kNodes; ++n) {
     flat.push_back("--- node " + std::to_string(n));
@@ -286,32 +288,50 @@ std::vector<std::string> RunMicroWorkload(int workers) {
 }
 
 TEST(EngineTest, AllEnginesAgreeOnMicroWorkload) {
-  const std::vector<std::string> legacy = RunMicroWorkload(0);
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(std::count(legacy.begin(), legacy.end(), "CANCELLED?"), 0);
-  for (int workers : {1, 2, 8}) {
-    EXPECT_EQ(RunMicroWorkload(workers), legacy) << "workers=" << workers;
+  const std::vector<std::string> reference = RunMicroWorkload(kStepReference);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(std::count(reference.begin(), reference.end(), "CANCELLED?"), 0);
+  for (int workers : {1, 2, 4, 8}) {
+    EXPECT_EQ(RunMicroWorkload(workers), reference) << "workers=" << workers;
   }
 }
 
+// A cross-node post and a local timer that land on the same microsecond
+// fire in (time, origin, seq) order — the post from node 1 first — even
+// though the timer was scheduled earlier. A default-constructed Simulation
+// runs the same round loop as every other thread count.
+TEST(EngineTest, DefaultSimulationBreaksSameTimeTiesByKey) {
+  Simulation sim;
+  sim.NoteLinkLatency(Millis(1));
+  sim.EnsureNode(1);
+  sim.EnsureNode(2);
+  std::vector<std::string> fired;
+  sim.AfterOn(2, Millis(2), [&fired]() { fired.push_back("timer on 2"); });
+  sim.AfterOn(1, Millis(1), [&sim, &fired]() {
+    sim.PostToNode(2, Millis(1), [&fired]() { fired.push_back("post 1->2"); });
+  });
+  sim.Run();
+  EXPECT_EQ(fired, (std::vector<std::string>{"post 1->2", "timer on 2"}));
+}
+
 TEST(EngineTest, RunUntilAdvancesClockWithoutEvents) {
-  for (int workers : {0, 1, 2}) {
+  for (int workers : {kStepReference, 1, 2}) {
     Simulation sim(1, workers);
     sim.NoteLinkLatency(Millis(5));
     sim.EnsureNode(1);
     sim.EnsureNode(2);
-    sim.RunUntil(Millis(10));
+    AdvanceTo(sim, workers, Millis(10));
     EXPECT_EQ(sim.Now(), Millis(10)) << "workers=" << workers;
     bool fired = false;
     sim.AfterOn(1, Micros(1), [&fired]() { fired = true; });
-    sim.RunFor(Micros(5));
+    AdvanceTo(sim, workers, sim.Now() + Micros(5));
     EXPECT_TRUE(fired) << "workers=" << workers;
     EXPECT_EQ(sim.Now(), Millis(10) + Micros(5)) << "workers=" << workers;
   }
 }
 
 TEST(EngineTest, ExecutedEventsCountsAcrossLoops) {
-  for (int workers : {0, 1, 4}) {
+  for (int workers : {kStepReference, 1, 4}) {
     Simulation sim(1, workers);
     sim.NoteLinkLatency(Millis(5));
     for (uint16_t n = 1; n <= 3; ++n) {
@@ -319,7 +339,7 @@ TEST(EngineTest, ExecutedEventsCountsAcrossLoops) {
       sim.AfterOn(n, Micros(n), []() {});
       sim.AfterOn(n, Micros(100 + n), []() {});
     }
-    sim.Run();
+    testing::Drain(sim, workers);
     EXPECT_EQ(sim.ExecutedEvents(), 6u) << "workers=" << workers;
     EXPECT_TRUE(sim.Idle());
     EXPECT_EQ(sim.PendingEvents(), 0u);
@@ -329,7 +349,7 @@ TEST(EngineTest, ExecutedEventsCountsAcrossLoops) {
 // A two-tier topology exercising per-link horizons: nodes 1-2 joined by a
 // fast link trade frequent traffic, nodes 3-4 hang off 20ms WAN links and
 // run their own dense chains. Per-pair lookahead lets 3 and 4 batch far
-// ahead of the 1-2 pair; the logs must still match every engine exactly.
+// ahead of the 1-2 pair; the logs must still match the Step() reference.
 std::vector<std::string> RunHeteroWorkload(int workers) {
   Simulation sim(/*seed=*/123, workers);
   for (uint16_t n = 1; n <= 4; ++n) sim.EnsureNode(n);
@@ -369,7 +389,7 @@ std::vector<std::string> RunHeteroWorkload(int workers) {
       Chain::Step(&sim, &logs, n, n <= 2 ? 10 : 60);
     });
   }
-  sim.RunUntil(Millis(25));
+  AdvanceTo(sim, workers, Millis(25));
   std::vector<std::string> flat;
   for (int n = 1; n <= 4; ++n) {
     flat.push_back("--- node " + std::to_string(n));
@@ -379,10 +399,10 @@ std::vector<std::string> RunHeteroWorkload(int workers) {
 }
 
 TEST(EngineTest, PerLinkLookaheadPreservesIdentityOnHeteroTopology) {
-  const std::vector<std::string> legacy = RunHeteroWorkload(0);
-  ASSERT_GT(legacy.size(), 8u);
+  const std::vector<std::string> reference = RunHeteroWorkload(kStepReference);
+  ASSERT_GT(reference.size(), 8u);
   for (int workers : {1, 2, 4, 8}) {
-    EXPECT_EQ(RunHeteroWorkload(workers), legacy) << "workers=" << workers;
+    EXPECT_EQ(RunHeteroWorkload(workers), reference) << "workers=" << workers;
   }
 }
 

@@ -6,7 +6,7 @@
 // PlanViolation status before anything executes; the lock lane is untouched
 // by the new lane; concurrent submits share one epoch; a runtime op failure
 // aborts the whole transaction through BACKOUTPROCESS undo; and the lane is
-// deterministic at every parallel-engine worker count.
+// byte-identical to the Step() reference at every worker count.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "tmf/file_system.h"
 #include "tmf/queue_lane.h"
 #include "tmf/tmf_protocol.h"
+#include "step_reference.h"
 #include "test_util.h"
 
 namespace encompass::app {
@@ -89,8 +90,10 @@ tmf::QueueTxn TransferTxn(int from, int to, int64_t amount) {
   return t;
 }
 
-void Pump(sim::Simulation* sim, TestClient::Outcome* out) {
-  for (int i = 0; i < 1000 && !out->done; ++i) sim->RunFor(Millis(5));
+void Pump(sim::Simulation* sim, TestClient::Outcome* out, int workers = 1) {
+  for (int i = 0; i < 1000 && !out->done; ++i) {
+    sim::testing::AdvanceTo(*sim, workers, sim->Now() + Millis(5));
+  }
 }
 
 net::Address Qplan() { return net::Address(1, "$QPLAN"); }
@@ -256,7 +259,8 @@ TEST(QueueLaneTest, RuntimeFailureAbortsAndBacksOut) {
 
 // Two queue-lane nodes over a partitioned file, driven concurrently: the
 // run's full history — reply statuses, every balance, the complete stats
-// registry — is byte-identical at every engine worker count.
+// registry — is byte-identical at every worker count and to the Step()
+// reference (workers = sim::testing::kStepReference).
 std::string RunTwoNodeScenario(int workers) {
   sim::Simulation sim(17, workers);
   Deployment deploy(&sim);
@@ -292,7 +296,7 @@ std::string RunTwoNodeScenario(int workers) {
     clients[n - 1] =
         deploy.GetNode(static_cast<net::NodeId>(n))->node()->Spawn<TestClient>(2);
   }
-  sim.Run();
+  sim::testing::Drain(sim, workers);
 
   std::vector<TestClient::Outcome*> outs;
   for (int n = 1; n <= 2; ++n) {
@@ -304,7 +308,7 @@ std::string RunTwoNodeScenario(int workers) {
           TransferTxn(base + k, base + (k + 3) % 10, 7 + k).Encode()));
     }
   }
-  for (auto* out : outs) Pump(&sim, out);
+  for (auto* out : outs) Pump(&sim, out, workers);
 
   std::string digest;
   for (auto* out : outs) {
@@ -323,7 +327,7 @@ std::string RunTwoNodeScenario(int workers) {
 }
 
 TEST(QueueLaneTest, DeterministicAcrossWorkerCounts) {
-  const std::string base = RunTwoNodeScenario(0);
+  const std::string base = RunTwoNodeScenario(sim::testing::kStepReference);
   EXPECT_NE(base.find("OK;"), std::string::npos);
   for (int workers : {1, 2, 4}) {
     EXPECT_EQ(RunTwoNodeScenario(workers), base) << "workers=" << workers;

@@ -25,17 +25,16 @@ class ReferenceEventQueue {
 
   explicit ReferenceEventQueue(uint16_t origin = 0) : origin_(origin) {}
 
-  EventId Schedule(SimTime when, uint16_t exec_node, std::function<void()> fn) {
+  EventId Schedule(SimTime when, std::function<void()> fn) {
     uint64_t seq = next_seq_++;
-    heap_.push(Event{EventKey{when, origin_, seq}, exec_node, true, std::move(fn)});
+    heap_.push(Event{EventKey{when, origin_, seq}, true, std::move(fn)});
     pending_.insert(seq);
     ++live_count_;
     return seq;
   }
 
-  void ScheduleKeyed(const EventKey& key, uint16_t exec_node,
-                     std::function<void()> fn) {
-    heap_.push(Event{key, exec_node, false, std::move(fn)});
+  void ScheduleKeyed(const EventKey& key, std::function<void()> fn) {
+    heap_.push(Event{key, false, std::move(fn)});
     ++live_count_;
   }
 
@@ -64,12 +63,11 @@ class ReferenceEventQueue {
     return heap_.empty() ? kNoDeadline : heap_.top().key.time;
   }
 
-  std::function<void()> PopNext(EventKey* key, uint16_t* exec_node) {
+  std::function<void()> PopNext(EventKey* key) {
     SkipCancelled();
     assert(!heap_.empty());
     auto& top = const_cast<Event&>(heap_.top());
     *key = top.key;
-    *exec_node = top.exec_node;
     std::function<void()> fn = std::move(top.fn);
     if (top.local) pending_.erase(top.key.seq);
     heap_.pop();
@@ -80,7 +78,6 @@ class ReferenceEventQueue {
  private:
   struct Event {
     EventKey key;
-    uint16_t exec_node;
     bool local;  // cancellable, seq drawn from this queue's numbering
     std::function<void()> fn;
   };

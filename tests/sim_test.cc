@@ -159,7 +159,8 @@ TEST(SimulationTest, DeterministicAcrossRuns) {
     Simulation sim(seed);
     std::vector<uint64_t> draws;
     for (int i = 0; i < 10; ++i) {
-      sim.After(sim.Rng().Uniform(100), [&] { draws.push_back(sim.Rng().Next()); });
+      sim.After(sim.RngFor(0).Uniform(100),
+                [&] { draws.push_back(sim.RngFor(0).Next()); });
     }
     sim.Run();
     return draws;
