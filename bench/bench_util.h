@@ -35,9 +35,10 @@ class JsonReport {
   /// version 2 added the mandatory "seed" / "parallel_workers" fields,
   /// version 3 the "hardware_threads" / "git_rev" host context (perf numbers
   /// without the host and the exact source state are unreviewable),
-  /// version 4 the "commit_protocol" / "paxos_fast_path" knobs (protocol
-  /// sweeps must be self-describing).
-  static constexpr int kSchemaVersion = 4;
+  /// version 4 the "commit_protocol" knob (protocol sweeps must be
+  /// self-describing) next to a fast-path flag, which version 5 dropped
+  /// when "paxos" came to name the one Paxos Commit protocol.
+  static constexpr int kSchemaVersion = 5;
 
   /// Short revision of the sources this binary was run from, resolved at
   /// runtime (the build tree lives inside the repo); "unknown" outside git.
@@ -68,11 +69,10 @@ class JsonReport {
   }
 
   /// Names the commit protocol this bench's headline numbers ran under.
-  /// Every envelope carries both fields — benches that never touch the TMF
-  /// keep the defaults, protocol sweeps overwrite them per run.
-  void SetCommitConfig(std::string protocol, bool fast_path) {
+  /// Every envelope carries the field — benches that never touch the TMF
+  /// keep the default, protocol sweeps overwrite it per run.
+  void SetCommitConfig(std::string protocol) {
     commit_protocol_ = std::move(protocol);
-    paxos_fast_path_ = fast_path;
   }
 
   /// Snapshots a simulation's Stats registry: every nonzero counter, and
@@ -105,11 +105,11 @@ class JsonReport {
             "{\n  \"bench\": \"%s\",\n  \"version\": %d,\n  \"seed\": %llu,\n"
             "  \"parallel_workers\": %d,\n  \"hardware_threads\": %u,\n"
             "  \"git_rev\": \"%s\",\n  \"commit_protocol\": \"%s\",\n"
-            "  \"paxos_fast_path\": %d,\n  \"wall_ms\": %.3f",
+            "  \"wall_ms\": %.3f",
             name_.c_str(), kSchemaVersion,
             static_cast<unsigned long long>(seed_), parallel_workers_,
             std::thread::hardware_concurrency(), GitRev().c_str(),
-            commit_protocol_.c_str(), paxos_fast_path_ ? 1 : 0, wall_ms);
+            commit_protocol_.c_str(), wall_ms);
     for (const auto& [key, value] : values_) {
       if (std::fabs(value - std::llround(value)) < 1e-9) {
         fprintf(f, ",\n  \"%s\": %lld", key.c_str(),
@@ -129,7 +129,6 @@ class JsonReport {
   uint64_t seed_ = 0;
   int parallel_workers_ = 1;
   std::string commit_protocol_ = "2pc";
-  bool paxos_fast_path_ = false;
   std::map<std::string, double> values_;
 };
 
@@ -160,14 +159,12 @@ inline void ReportSimStats(const std::string& prefix, const sim::Stats& stats) {
   if (GlobalReport() != nullptr) GlobalReport()->AddSimStats(prefix, stats);
 }
 
-/// Stamps the commit-protocol envelope fields ("2pc", "paxos", or
-/// "paxos-fast"). Benches that sweep protocols call this per headline run.
-inline void ReportCommitConfig(tmf::CommitProtocol protocol, bool fast_path) {
+/// Stamps the commit-protocol envelope field ("2pc" or "paxos"). Benches
+/// that sweep protocols call this per headline run.
+inline void ReportCommitConfig(tmf::CommitProtocol protocol) {
   if (GlobalReport() == nullptr) return;
-  const char* name = protocol == tmf::CommitProtocol::kPaxos
-                         ? (fast_path ? "paxos-fast" : "paxos")
-                         : "2pc";
-  GlobalReport()->SetCommitConfig(name, fast_path);
+  GlobalReport()->SetCommitConfig(
+      protocol == tmf::CommitProtocol::kPaxos ? "paxos" : "2pc");
 }
 
 /// Human name of a network message tag for the per-verb breakdown; falls
@@ -194,8 +191,8 @@ inline std::string NetTagName(uint32_t tag) {
 }
 
 /// Per-transaction / per-verb message accounting of a tracked network
-/// (NetworkConfig::track_messages): emits `<prefix>.net.msgs_per_txn` (the
-/// fast-path headline) plus a per-verb breakdown of every cross-node send.
+/// (NetworkConfig::track_messages): emits `<prefix>.net.msgs_per_txn` plus
+/// a per-verb breakdown of every cross-node send.
 inline void ReportNetMessages(const std::string& prefix,
                               const net::Network& network,
                               uint64_t committed_txns) {

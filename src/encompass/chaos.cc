@@ -365,25 +365,13 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
     spec.tmp_config.track_indoubt_hold = true;
     spec.tmp_config.track_commit_latency = true;
     if (config.commit_protocol == tmf::CommitProtocol::kPaxos) {
-      if (config.paxos_fast_path) {
-        // Explicit endpoint placement: `$ACCEPT.<k>` pairs round-robined
-        // over the nodes, so a 3-node cluster still fields 2F+1 = 5
-        // acceptors when asked. The endpoint order defines the vote-ack
-        // tally bit of each acceptor.
-        spec.tmp_config.commit_replication = config.commit_replication;
-        spec.tmp_config.paxos_fast_path = true;
-        for (int k = 0; k < config.commit_replication; ++k) {
-          spec.tmp_config.acceptor_endpoints.emplace_back(
-              static_cast<net::NodeId>(k % config.nodes + 1),
-              "$ACCEPT." + std::to_string(k));
-        }
-      } else {
-        const int replication =
-            std::min(config.commit_replication, config.nodes);
-        spec.tmp_config.commit_replication = replication;
-        for (int a = 1; a <= replication; ++a) {
-          spec.tmp_config.acceptor_nodes.push_back(static_cast<net::NodeId>(a));
-        }
+      // `$ACCEPT.<k>` pairs round-robined over the nodes, so a 3-node
+      // cluster still fields 2F+1 = 5 acceptors when asked. The endpoint
+      // order defines the vote-ack tally bit of each acceptor.
+      for (int k = 0; k < config.commit_replication; ++k) {
+        spec.tmp_config.acceptor_endpoints.emplace_back(
+            static_cast<net::NodeId>(k % config.nodes + 1),
+            "$ACCEPT." + std::to_string(k));
       }
     }
     spec.exec_lane = config.queue_lane ? ExecLane::kQueue : ExecLane::kLocks;
@@ -733,11 +721,7 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
     if (auto* disc = nd->disc(VolName(n))) {
       res.leaked_locks += disc->locks().held_count();
     }
-    const NodeStorage& st = nd->storage();
-    res.acceptor_log_peak =
-        std::max(res.acceptor_log_peak, st.acceptor_log.peak_instances);
-    res.acceptor_log_final += st.acceptor_log.entries.size();
-    for (const auto& [name, log] : st.acceptor_logs) {
+    for (const auto& [name, log] : nd->storage().acceptor_logs) {
       (void)name;
       res.acceptor_log_peak =
           std::max(res.acceptor_log_peak, log.peak_instances);

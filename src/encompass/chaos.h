@@ -168,17 +168,13 @@ struct ChaosCampaignConfig {
   /// the $QPLAN submit path — the same storm and oracle, lock-free lane.
   bool queue_lane = false;
   /// Commit protocol of every node's TMP: the paper's 2PC (default), or
-  /// Paxos Commit with `commit_replication` CommitAcceptor pairs placed on
-  /// nodes 1..min(commit_replication, nodes).
+  /// Paxos Commit with `commit_replication` = 2F+1 CommitAcceptor pairs
+  /// placed as `$ACCEPT.<k>` endpoints round-robined over the nodes (so the
+  /// group may outnumber the nodes). Every participant votes its prepared
+  /// state straight to the F+1 nearest acceptors, and the home reclaims
+  /// acceptor instances once phase 2 is acknowledged.
   tmf::CommitProtocol commit_protocol = tmf::CommitProtocol::kTwoPhase;
   int commit_replication = 3;
-  /// Paxos Commit fast path: CommitAcceptor pairs are placed as explicit
-  /// `$ACCEPT.<k>` endpoints round-robined over the nodes (so
-  /// commit_replication may exceed the node count), every participant votes
-  /// its prepared state straight to the F+1 nearest acceptors, and the home
-  /// reclaims acceptor instances once phase 2 is acknowledged. Off by
-  /// default: pre-PR campaign traces are byte-identical.
-  bool paxos_fast_path = false;
   /// Per-transaction / per-verb network message accounting
   /// (ChaosCampaignResult::msgs_per_committed_txn). Off by default.
   bool track_messages = false;
@@ -224,9 +220,8 @@ struct ChaosCampaignResult {
   int64_t indoubt_resolved_via_home = 0;
   /// Resolve ticks a participant spent blocked on an unreachable home while
   /// still in-doubt (tmf.indoubt_blocked_on_home). 2PC accrues one per tick
-  /// for the whole dead-home window; Paxos Commit escalates to the acceptors
-  /// after the first blocked tick, so the count stays near the number of
-  /// in-doubt transactions rather than scaling with outage length.
+  /// for the whole dead-home window; Paxos Commit participants never probe
+  /// the home — they escalate straight to the acceptors.
   int64_t indoubt_blocked_on_home = 0;
   /// In-doubt dispositions learned from an acceptor majority while the
   /// home was unreachable (participants + recovering nodes; paxos only).
@@ -239,16 +234,16 @@ struct ChaosCampaignResult {
   double indoubt_hold_max_ms = 0;
   /// END-TRANSACTION to commit point at the home TMP
   /// (tmf.commit_latency_us), milliseconds. Prices the protocols against
-  /// each other: paxos adds an acceptor round trip before the commit point.
+  /// each other: paxos commits on its vote-ack tally, 2PC on the MAT force.
   int64_t commit_latency_count = 0;
   double commit_latency_p50_ms = 0;
   double commit_latency_p99_ms = 0;
   /// High-water of recovery negotiation attempts for any single transid.
   int64_t recovery_max_retry_attempts = 0;
   /// Cross-node messages per committed transaction (config.track_messages
-  /// only): total transid-attributed network sends / txns_committed. The
-  /// fast-path headline — fewer messages per commit than decision-replication
-  /// Paxos because co-located votes never cross the network.
+  /// only): total transid-attributed network sends / txns_committed. Paxos
+  /// Commit pays for its votes and acks here, except the co-located ones,
+  /// which never cross the network.
   double msgs_per_committed_txn = 0;
   uint64_t tracked_messages = 0;  ///< transid-attributed cross-node sends
   /// Per-verb breakdown of every cross-node send (track_messages only).

@@ -1,6 +1,5 @@
 #include "encompass/deployment.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/logging.h"
@@ -95,13 +94,12 @@ void NodeDeployment::StartServices() {
   // sequence floor past everything any earlier incarnation could have
   // issued (seq is 40 bits; 32 bits of headroom per incarnation).
   tcfg.seq_base = storage_.tmp_incarnation++ << 32;
-  // Fast path: hand the TMP direct pointers to the $ACCEPT.<k> logs living
-  // on this node (created here, spawned with the acceptor pairs below —
-  // std::map node pointers are stable). The logs are durable NodeStorage,
-  // so they survive pair takeover and node recovery alike; each respawn
-  // re-derives the same pointers.
-  if (tcfg.commit_protocol == tmf::CommitProtocol::kPaxos &&
-      tcfg.paxos_fast_path) {
+  // Paxos Commit: hand the TMP direct pointers to the $ACCEPT.<k> logs
+  // living on this node (created here, spawned with the acceptor pairs
+  // below — std::map node pointers are stable). The logs are durable
+  // NodeStorage, so they survive pair takeover and node recovery alike;
+  // each respawn re-derives the same pointers.
+  if (tcfg.commit_protocol == tmf::CommitProtocol::kPaxos) {
     for (size_t k = 0; k < tcfg.acceptor_endpoints.size(); ++k) {
       const auto& [accept_node, accept_name] = tcfg.acceptor_endpoints[k];
       if (accept_node != node_->id()) continue;
@@ -113,35 +111,19 @@ void NodeDeployment::StartServices() {
   os::SpawnPair<tmf::TmpProcess>(node_, "$TMP", a, b, tcfg);
   RegisterRepairablePair<tmf::TmpProcess>("$TMP", tcfg);
 
-  // Paxos Commit acceptor, on the nodes the deployment designates. Plain
-  // 2PC (the default) spawns nothing here, keeping its process layout and
-  // traces byte-identical to pre-paxos builds.
-  if (tcfg.commit_protocol == tmf::CommitProtocol::kPaxos &&
-      tcfg.paxos_fast_path && !tcfg.acceptor_endpoints.empty()) {
-    // Fast path: $ACCEPT.<k> pairs placed by explicit endpoint list — a
-    // node may host several, so commit_replication can exceed the node
-    // count. Each pair keeps its own durable log and knows its tally index.
-    for (size_t k = 0; k < tcfg.acceptor_endpoints.size(); ++k) {
-      const auto& [accept_node, accept_name] = tcfg.acceptor_endpoints[k];
-      if (accept_node != node_->id()) continue;
-      tmf::CommitAcceptorConfig ccfg;
-      ccfg.log = &storage_.acceptor_logs[accept_name];
-      ccfg.force_latency = tcfg.mat_force_latency;
-      ccfg.index = static_cast<uint8_t>(k);
-      ccfg.sweep_interval = tcfg.acceptor_sweep_interval;
-      two_cpus(&a, &b);
-      os::SpawnPair<tmf::CommitAcceptor>(node_, accept_name, a, b, ccfg);
-      RegisterRepairablePair<tmf::CommitAcceptor>(accept_name, ccfg);
-    }
-  } else if (tcfg.commit_protocol == tmf::CommitProtocol::kPaxos &&
-             std::find(tcfg.acceptor_nodes.begin(), tcfg.acceptor_nodes.end(),
-                       node_->id()) != tcfg.acceptor_nodes.end()) {
+  // Paxos Commit acceptors: the $ACCEPT.<k> pairs the endpoint list places
+  // on this node. Each pair keeps its own durable log and knows its tally
+  // index. Plain 2PC (the default) spawns nothing here.
+  for (const auto& ca : tcfg.colocated_acceptors) {
+    const std::string& accept_name = tcfg.acceptor_endpoints[ca.index].second;
     tmf::CommitAcceptorConfig ccfg;
-    ccfg.log = &storage_.acceptor_log;
+    ccfg.log = ca.log;
     ccfg.force_latency = tcfg.mat_force_latency;
+    ccfg.index = static_cast<uint8_t>(ca.index);
+    ccfg.sweep_interval = tcfg.acceptor_sweep_interval;
     two_cpus(&a, &b);
-    os::SpawnPair<tmf::CommitAcceptor>(node_, tcfg.acceptor_process, a, b, ccfg);
-    RegisterRepairablePair<tmf::CommitAcceptor>(tcfg.acceptor_process, ccfg);
+    os::SpawnPair<tmf::CommitAcceptor>(node_, accept_name, a, b, ccfg);
+    RegisterRepairablePair<tmf::CommitAcceptor>(accept_name, ccfg);
   }
 
   // Queue execution lane: the planner pair rides the same spawn/repair
@@ -361,9 +343,6 @@ void Deployment::RecoverNode(
   rcfg.jitter_seed = sim_->seed() ^ (static_cast<uint64_t>(id) << 32) ^ 1;
   const tmf::TmpConfig& tcfg = nd->spec().tmp_config;
   if (tcfg.commit_protocol == tmf::CommitProtocol::kPaxos) {
-    rcfg.acceptor_nodes = tcfg.acceptor_nodes;
-    rcfg.acceptor_process = tcfg.acceptor_process;
-    rcfg.paxos_fast_path = tcfg.paxos_fast_path;
     rcfg.acceptor_endpoints = tcfg.acceptor_endpoints;
   }
   os::Node* node = nd->node();

@@ -33,7 +33,7 @@ struct FileSpec {
   std::string name;
   storage::FileOrganization organization = storage::FileOrganization::kKeySequenced;
   bool audited = true;
-  storage::FileSchema schema;
+  storage::FileSchema schema{};
 };
 
 /// A disc volume (and its DISCPROCESS pair) to deploy on a node. The volume
@@ -75,14 +75,12 @@ struct NodeStorage {
   std::map<std::string, std::unique_ptr<audit::AuditTrail>> trails;
   std::map<std::string, VolumeArchive> archives;  ///< by volume name
   audit::MonitorAuditTrail monitor_trail;
-  /// Paxos Commit acceptor log (forced; every granting mutation is charged
-  /// a force latency before the acceptor replies). Durable like the MAT:
-  /// DropVolatile must NOT clear it — the whole point of replicating the
-  /// commit decision is surviving node crashes.
-  tmf::CommitAcceptorLog acceptor_log;
-  /// Fast-path acceptor logs, one per co-located $ACCEPT.<k> pair (a node
-  /// may host several when commit_replication exceeds the node count).
-  /// Durable for the same reason as acceptor_log.
+  /// Paxos Commit acceptor logs, one per co-located $ACCEPT.<k> pair (a
+  /// node may host several when the acceptor group outnumbers the nodes).
+  /// Forced: every granting mutation is charged a force latency before the
+  /// acceptor replies. Durable like the MAT: DropVolatile must NOT clear
+  /// them — the whole point of the acceptor votes is surviving node
+  /// crashes.
   std::map<std::string, tmf::CommitAcceptorLog> acceptor_logs;
   /// Durable count of TMP (re)starts on this node — the paper's crash-count
   /// analogue. Folded into TmpConfig::seq_base so no transid of an earlier

@@ -19,8 +19,8 @@ void CommitAcceptor::OnPairAttach() {
 }
 
 void CommitAcceptor::OnRequest(const net::Message& msg) {
-  // One-way fast-path traffic first: it carries no reply path, so a backup
-  // member just drops it (the primary's log is the durable one).
+  // One-way vote and reclaim traffic first: it carries no reply path, so a
+  // backup member just drops it (the primary's log is the durable one).
   if (msg.tag == kTmfPaxosVote) {
     if (IsPrimary()) HandleVote(msg);
     return;
@@ -288,13 +288,28 @@ struct PhaseTally {
   bool fired = false;
 };
 
-}  // namespace
+/// What one Paxos round learned.
+struct PaxosRoundOutcome {
+  Disposition value = Disposition::kUnknown;
+  /// The instance was already reclaimed: `value` is the transaction's final
+  /// sealed disposition and no further voter instances need settling.
+  bool sealed = false;
+  /// Participant set revealed by the home-voter instance's accepted value.
+  std::vector<net::NodeId> participants;
+};
 
-void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
-                     const Transid& t, uint32_t attempt, Disposition proposed,
-                     bool skip_prepare,
-                     std::function<void(const PaxosRoundOutcome&)> done) {
-  const auto endpoints = cfg.Endpoints();
+/// Runs one abort-proposing Paxos round for instance (t, voter) at ballot
+/// MakePaxosBallot(attempt, proc's node): a prepare phase, then the accept
+/// phase over every acceptor. `done` fires exactly once: kCommitted /
+/// kAborted when that value reached a majority of acceptors at this ballot
+/// (the chosen value — possibly adopted from an earlier proposer), kUnknown
+/// when the round failed (majority unreachable or outpaced by a higher
+/// ballot). A sealed reply from any acceptor short-circuits the round with
+/// the final transaction disposition.
+void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
+              uint16_t voter, uint32_t attempt,
+              std::function<void(const PaxosRoundOutcome&)> done) {
+  const auto& endpoints = cfg.endpoints;
   const int n = static_cast<int>(endpoints.size());
   const int majority = n / 2 + 1;
   if (n == 0) {
@@ -302,7 +317,6 @@ void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
     return;
   }
   const uint32_t ballot = MakePaxosBallot(attempt, proc->node()->id());
-  const uint16_t voter = cfg.voter;
   os::CallOptions opt;
   opt.timeout = cfg.call_timeout;
 
@@ -346,17 +360,12 @@ void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
     }
   };
 
-  if (skip_prepare) {
-    start_accept(proposed, {});
-    return;
-  }
-
   auto tally = std::make_shared<PhaseTally>();
   for (const auto& [node, name] : endpoints) {
     proc->Call(
         net::Address(node, name), kTmfPaxosPrepare,
         EncodePaxosPrepare(t, ballot, voter),
-        [tally, n, majority, proposed, start_accept, done](
+        [tally, n, majority, start_accept, done](
             const Status& s, const net::Message& reply) {
           if (tally->fired) return;
           ++tally->responses;
@@ -406,8 +415,9 @@ void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
               return;
             }
             // A promise quorum stands; propose the value of the highest
-            // accepted ballot it revealed, else our own.
-            start_accept(tally->have_adopted ? tally->adopted : proposed,
+            // accepted ballot it revealed, else abort.
+            start_accept(tally->have_adopted ? tally->adopted
+                                             : Disposition::kAborted,
                          tally->participants);
           } else if (tally->responses == n) {
             tally->fired = true;
@@ -418,22 +428,15 @@ void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
   }
 }
 
-void RunPaxosRound(os::Process* proc, const PaxosRoundConfig& cfg,
-                   const Transid& t, uint32_t attempt, Disposition proposed,
-                   bool skip_prepare, std::function<void(Disposition)> done) {
-  RunPaxosRoundEx(proc, cfg, t, attempt, proposed, skip_prepare,
-                  [done](const PaxosRoundOutcome& o) { done(o.value); });
-}
+}  // namespace
 
 void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
-                         const Transid& t, uint32_t attempt, bool fast_path,
+                         const Transid& t, uint32_t attempt,
                          std::function<void(Disposition)> done) {
-  PaxosRoundConfig home_cfg = cfg;
-  home_cfg.voter = fast_path ? t.home_node : 0;
-  RunPaxosRoundEx(
-      proc, home_cfg, t, attempt, Disposition::kAborted, /*skip_prepare=*/false,
-      [proc, cfg, t, attempt, fast_path, done](const PaxosRoundOutcome& o) {
-        if (o.sealed || o.value != Disposition::kCommitted || !fast_path) {
+  RunRound(
+      proc, cfg, t, t.home_node, attempt,
+      [proc, cfg, t, attempt, done](const PaxosRoundOutcome& o) {
+        if (o.sealed || o.value != Disposition::kCommitted) {
           done(o.value);
           return;
         }
@@ -453,11 +456,8 @@ void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
         auto tally = std::make_shared<VoterTally>();
         tally->remaining = static_cast<int>(o.participants.size());
         for (net::NodeId p : o.participants) {
-          PaxosRoundConfig vcfg = cfg;
-          vcfg.voter = p;
-          RunPaxosRoundEx(
-              proc, vcfg, t, attempt, Disposition::kAborted,
-              /*skip_prepare=*/false,
+          RunRound(
+              proc, cfg, t, p, attempt,
               [tally, done](const PaxosRoundOutcome& vo) {
                 if (tally->fired) return;
                 if (vo.sealed) {

@@ -1,23 +1,18 @@
 // CommitAcceptor: the acceptor half of Paxos Commit (Gray & Lamport,
-// "Consensus on Transaction Commit"), specialised to this codebase's two
-// deployment forms. In the decision-replication form (PR 9) each distributed
-// transaction is one consensus instance whose value is the home TMP's
-// commit/abort decision; the home proposes at ballot (0, home) — its prepare
-// phase rode the kTmfPhase1 fan-out for free — and the commit point becomes
-// "a majority of acceptors durably accepted kCommitted" instead of the
-// home's MAT force. In the fast-path form (the paper's F+1-message
-// topology) every participant runs its own instance, keyed (transid, voter
-// node): participants send one-way prepared-votes straight to the acceptors
-// (the vote to a co-located acceptor never crosses the network), acceptors
-// ack forced votes directly to the home, and the transaction commits when
-// every voter's instance chose Prepared. Recovery proposers (in-doubt
-// participants, ROLLFORWARD, a respawned home) run full prepare+accept
-// rounds at ballots (attempt >= 1, proposer), adopting the value of the
-// highest accepted ballot a majority reveals and defaulting to abort when
-// none was accepted, so any live majority can settle an in-doubt
-// transaction without waiting for the home to return. Decided instances are
-// garbage-collected once phase 2 landed everywhere; a bounded ring of
-// sealed final dispositions answers resolvers that arrive late.
+// "Consensus on Transaction Commit"), in the paper's F+1-message topology.
+// Every participant of a distributed transaction runs its own consensus
+// instance, keyed (transid, voter node): participants send one-way
+// prepared-votes straight to the acceptors (the vote to a co-located
+// acceptor never crosses the network), acceptors ack forced votes directly
+// to the home, and the transaction commits when every voter's instance
+// chose Prepared. Recovery proposers (in-doubt participants, ROLLFORWARD, a
+// respawned home) run full prepare+accept rounds at ballots
+// (attempt >= 1, proposer), adopting the value of the highest accepted
+// ballot a majority reveals and defaulting to abort when none was accepted,
+// so any live majority can settle an in-doubt transaction without waiting
+// for the home to return. Decided instances are garbage-collected once
+// phase 2 landed everywhere; a bounded ring of sealed final dispositions
+// answers resolvers that arrive late.
 
 #ifndef ENCOMPASS_TMF_COMMIT_ACCEPTOR_H_
 #define ENCOMPASS_TMF_COMMIT_ACCEPTOR_H_
@@ -35,16 +30,14 @@
 
 namespace encompass::tmf {
 
-/// Durable acceptor state of one consensus instance. Legacy deployments key
-/// one instance per transaction (voter 0); the fast path keys one per
+/// Durable acceptor state of one consensus instance, keyed per
 /// (transaction, voter node).
 struct CommitAcceptorEntry {
   uint32_t promised = 0;         ///< highest ballot promised
   uint32_t accepted_ballot = 0;  ///< ballot of the accepted value (0 = none)
   bool has_value = false;
   Disposition value = Disposition::kUnknown;
-  /// Fast path, home-voter instance only: the participant set the home's
-  /// vote carried (what a resolver must settle before declaring commit).
+  /// Home-voter instance only: the participant set the home's vote carried (what a resolver must settle before declaring commit).
   std::vector<net::NodeId> participants;
   /// When the instance was created (drives the orphan sweep).
   SimTime born = 0;
@@ -54,7 +47,7 @@ struct CommitAcceptorEntry {
 /// survives process takeover and total node crashes; every granting mutation
 /// is charged a force latency before the reply leaves the acceptor.
 struct CommitAcceptorLog {
-  /// Live instances, keyed (packed transid, voter node; voter 0 = legacy).
+  /// Live instances, keyed (packed transid, voter node).
   std::map<std::pair<uint64_t, uint16_t>, CommitAcceptorEntry> entries;
 
   /// Final transaction dispositions of reclaimed instances, bounded FIFO:
@@ -67,7 +60,7 @@ struct CommitAcceptorLog {
   /// High-water mark of live instances (the boundedness headline).
   size_t peak_instances = 0;
 
-  CommitAcceptorEntry& At(const Transid& t, uint16_t voter = 0) {
+  CommitAcceptorEntry& At(const Transid& t, uint16_t voter) {
     CommitAcceptorEntry& e = entries[{t.Pack(), voter}];
     if (entries.size() > peak_instances) peak_instances = entries.size();
     return e;
@@ -101,19 +94,18 @@ struct CommitAcceptorConfig {
   /// reply immediately.
   SimDuration force_latency = Millis(8);
   /// Index k of this $ACCEPT.<k> pair within the acceptor group — the bit
-  /// this acceptor sets in the home's fast-path vote tally.
+  /// this acceptor sets in the home's vote tally.
   uint8_t index = 0;
   /// Orphan sweep: > 0 arms a periodic scan that asks the home TMP for the
   /// disposition of instances older than `sweep_age` (reclaims whose
-  /// broadcast this acceptor missed). 0 = off (legacy deployments).
+  /// broadcast this acceptor missed). 0 = off.
   SimDuration sweep_interval = 0;
   SimDuration sweep_age = Seconds(4);
 };
 
-/// The $ACCEPT process pair(s), registered on the acceptor nodes of a paxos
-/// deployment — one pair per node in the legacy form, `$ACCEPT.<k>` pairs
-/// spread round-robin across all nodes under the fast path (so
-/// commit_replication may exceed the node count).
+/// The `$ACCEPT.<k>` process pairs of a paxos deployment, placed by the
+/// TMP's `acceptor_endpoints` list (a node may host several, so the group
+/// may outnumber the nodes).
 class CommitAcceptor : public os::PairedProcess {
  public:
   explicit CommitAcceptor(CommitAcceptorConfig config) : config_(config) {}
@@ -147,67 +139,24 @@ class CommitAcceptor : public os::PairedProcess {
   std::set<uint64_t> sweep_in_flight_;
 };
 
-/// Where a proposer finds the acceptor set. `endpoints` (node, process name)
-/// wins when non-empty — the fast path's multi-pair placement; otherwise
-/// the legacy one-$ACCEPT-per-node derivation from `acceptor_nodes`.
+/// Where a resolver finds the acceptor group: the (node, pair name) of every
+/// `$ACCEPT.<k>` pair, in tally-index order.
 struct PaxosRoundConfig {
-  std::vector<net::NodeId> acceptor_nodes;
-  std::string acceptor_process = "$ACCEPT";
   std::vector<std::pair<net::NodeId, std::string>> endpoints;
-  /// Consensus-instance key this round settles (0 = legacy decision
-  /// instance; fast-path rounds name a voter node).
-  uint16_t voter = 0;
   SimDuration call_timeout = Seconds(2);
-
-  std::vector<std::pair<net::NodeId, std::string>> Endpoints() const {
-    if (!endpoints.empty()) return endpoints;
-    std::vector<std::pair<net::NodeId, std::string>> out;
-    out.reserve(acceptor_nodes.size());
-    for (net::NodeId n : acceptor_nodes) out.emplace_back(n, acceptor_process);
-    return out;
-  }
 };
 
-/// What one Paxos round learned.
-struct PaxosRoundOutcome {
-  Disposition value = Disposition::kUnknown;
-  /// The instance was already reclaimed: `value` is the transaction's final
-  /// sealed disposition and no further voter instances need settling.
-  bool sealed = false;
-  /// Participant set revealed by the home-voter instance's accepted value.
-  std::vector<net::NodeId> participants;
-};
-
-/// Runs one Paxos round for instance (t, cfg.voter) at ballot
-/// MakePaxosBallot(attempt, proc->node()->id()): an optional prepare phase
-/// (skipped only for the home's attempt-0 proposal, whose promise rode
-/// phase 1), then the accept phase over every acceptor. `done` fires exactly
-/// once: kCommitted / kAborted when that value reached a majority of
-/// acceptors at this ballot (the chosen value — possibly adopted from an
-/// earlier proposer), kUnknown when the round failed (majority unreachable
-/// or outpaced by a higher ballot) and the caller should escalate `attempt`.
-/// A sealed reply from any acceptor short-circuits the round with the final
-/// transaction disposition.
-void RunPaxosRoundEx(os::Process* proc, const PaxosRoundConfig& cfg,
-                     const Transid& t, uint32_t attempt, Disposition proposed,
-                     bool skip_prepare,
-                     std::function<void(const PaxosRoundOutcome&)> done);
-
-/// Legacy wrapper: value-only callback.
-void RunPaxosRound(os::Process* proc, const PaxosRoundConfig& cfg,
-                   const Transid& t, uint32_t attempt, Disposition proposed,
-                   bool skip_prepare, std::function<void(Disposition)> done);
-
-/// Universal in-doubt resolution against the acceptors, shared by in-doubt
-/// participants, ROLLFORWARD, and respawned homes. Legacy form: one
-/// abort-proposing round on the decision instance. Fast path: an
-/// abort-proposing round on the home-voter instance first — a chosen
-/// Prepared there reveals the participant set, whose voter instances are
-/// then settled in parallel (all Prepared => committed, any Aborted =>
-/// aborted, any failed round => kUnknown, caller retries at a higher
-/// attempt). Sealed answers short-circuit everything.
+/// In-doubt resolution against the acceptors, shared by in-doubt
+/// participants, ROLLFORWARD, a respawned home, and the home's own stall
+/// fallback. Runs an abort-proposing round at ballot
+/// MakePaxosBallot(attempt, proc's node) on the home-voter instance first —
+/// a chosen Prepared there reveals the participant set, whose voter
+/// instances are then settled in parallel (all Prepared => committed, any
+/// Aborted => aborted, any failed round => kUnknown: majority unreachable or
+/// outpaced, the caller retries at a higher attempt). A sealed answer from
+/// any acceptor short-circuits everything with the final disposition.
 void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
-                         const Transid& t, uint32_t attempt, bool fast_path,
+                         const Transid& t, uint32_t attempt,
                          std::function<void(Disposition)> done);
 
 }  // namespace encompass::tmf

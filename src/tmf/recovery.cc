@@ -122,31 +122,20 @@ void NodeRecoveryProcess::ResolvePaxos(const Transid& t) {
   if (it == pending_.end() || it->second.in_flight) return;
   it->second.in_flight = true;
   PaxosRoundConfig cfg;
-  cfg.acceptor_nodes = config_.acceptor_nodes;
-  cfg.acceptor_process = config_.acceptor_process;
   cfg.endpoints = config_.acceptor_endpoints;
   cfg.call_timeout = config_.resolve_timeout;
-  auto settled = [this, t](Disposition chosen) {
-    auto it = pending_.find(t);
-    if (it == pending_.end()) return;
-    it->second.in_flight = false;
-    if (chosen == Disposition::kUnknown) {
-      RetryLater(t);
-      return;
-    }
-    stats().Incr(m_paxos_resolves_);
-    Settle(t, chosen);
-  };
-  if (config_.paxos_fast_path) {
-    // Fast path: per-voter instances. ResolvePaxosOutcome settles the home
-    // instance first (revealing the participant set), then each voter's.
-    ResolvePaxosOutcome(this, cfg, t, it->second.paxos_attempt++,
-                        /*fast_path=*/true, std::move(settled));
-    return;
-  }
-  RunPaxosRound(this, cfg, t, it->second.paxos_attempt++,
-                Disposition::kAborted, /*skip_prepare=*/false,
-                std::move(settled));
+  ResolvePaxosOutcome(this, cfg, t, it->second.paxos_attempt++,
+                      [this, t](Disposition chosen) {
+                        auto it = pending_.find(t);
+                        if (it == pending_.end()) return;
+                        it->second.in_flight = false;
+                        if (chosen == Disposition::kUnknown) {
+                          RetryLater(t);
+                          return;
+                        }
+                        stats().Incr(m_paxos_resolves_);
+                        Settle(t, chosen);
+                      });
 }
 
 void NodeRecoveryProcess::Settle(const Transid& t, Disposition d) {

@@ -19,10 +19,11 @@
 //     recovering flag the home always answers definitely (its MAT, or it
 //     aborts the transaction — our volatile phase-1 promise died with the
 //     node);
-//   * under Paxos Commit (acceptor_nodes configured) an unreachable home no
-//     longer blocks: any live acceptor majority reveals the decision, and
-//     own-home unresolved transactions are sealed there (abort proposed at
-//     a usurping ballot; any majority-accepted commit is adopted instead).
+//   * under Paxos Commit (acceptor_endpoints configured) an unreachable
+//     home no longer blocks: any live acceptor majority reveals the
+//     decision, and own-home unresolved transactions are sealed there
+//     (abort proposed at a usurping ballot; any majority-accepted commit is
+//     adopted instead).
 
 #ifndef ENCOMPASS_TMF_RECOVERY_H_
 #define ENCOMPASS_TMF_RECOVERY_H_
@@ -64,14 +65,10 @@ struct NodeRecoveryConfig {
   /// bit-identically for a given campaign seed.
   uint64_t jitter_seed = 1;
   /// Paxos Commit: when a home TMP is unreachable, learn the disposition
-  /// from any live majority of these acceptors instead of waiting for the
-  /// home to return. Empty (default) = negotiate with homes only (2PC).
-  std::vector<net::NodeId> acceptor_nodes;
-  std::string acceptor_process = "$ACCEPT";
-  /// Fast path: resolution must settle per-voter instances (the home's
-  /// first — it names the participants — then theirs) at the explicit
-  /// endpoint placement instead of one decision instance.
-  bool paxos_fast_path = false;
+  /// from any live majority of these `$ACCEPT.<k>` pairs (settling the
+  /// home's voter instance first — it names the participants — then
+  /// theirs) instead of waiting for the home to return. Empty (default) =
+  /// negotiate with homes only (2PC).
   std::vector<std::pair<net::NodeId, std::string>> acceptor_endpoints;
   /// Fired once with the per-volume reports when every volume is rebuilt.
   /// May tear down this process.
@@ -118,11 +115,7 @@ class NodeRecoveryProcess : public os::Process {
 
   void NegotiateAll();
   void Negotiate(const Transid& t);
-  /// Paxos Commit is configured in either placement form.
-  bool PaxosAvailable() const {
-    return !config_.acceptor_nodes.empty() ||
-           !config_.acceptor_endpoints.empty();
-  }
+  bool PaxosAvailable() const { return !config_.acceptor_endpoints.empty(); }
   void ResolvePaxos(const Transid& t);
   void Settle(const Transid& t, Disposition d);
   void RetryLater(const Transid& t);

@@ -48,21 +48,18 @@ enum TmfTag : uint32_t {
   // what its MAT already proves.
   kTmfResolveTxn = net::kTagTmf + 13,
 
-  // Paxos Commit (Gray & Lamport, "Consensus on Transaction Commit"): sent
-  // to the CommitAcceptor pairs that replicate the commit/abort decision of
-  // a distributed transaction. The commit point under
-  // `TmpConfig::commit_protocol = kPaxos` is "a majority of acceptors
-  // durably accepted kCommitted", not the home MAT force.
-  kTmfPaxosPrepare = net::kTagTmf + 14,  ///< phase 1a: promise a ballot
-  kTmfPaxosAccept = net::kTagTmf + 15,   ///< phase 2a: accept a value
-
-  // Paxos Commit fast path (the paper's F+1-message topology): every
-  // participant runs its own consensus instance, keyed (transid, voter
+  // Paxos Commit (Gray & Lamport, "Consensus on Transaction Commit"), sent
+  // to the CommitAcceptor pairs under `TmpConfig::commit_protocol = kPaxos`.
+  // Every participant runs its own consensus instance, keyed (transid, voter
   // node), and sends its phase-2a prepared-vote directly to the acceptors —
   // one-way, no reply — so the commit point is one WAN delay from the
-  // participants' prepares instead of two. Acceptors ack durably-forced
-  // votes straight to the home TMP (bundled per transaction), and the home
-  // reclaims decided instances once phase 2 landed everywhere.
+  // participants' prepares instead of the home MAT force. Acceptors ack
+  // durably-forced votes straight to the home TMP (bundled per
+  // transaction), and the home reclaims decided instances once phase 2
+  // landed everywhere. Recovery proposers settle stuck instances with
+  // prepare/accept rounds.
+  kTmfPaxosPrepare = net::kTagTmf + 14,  ///< phase 1a: promise a ballot
+  kTmfPaxosAccept = net::kTagTmf + 15,   ///< phase 2a: accept a value
   kTmfPaxosVote = net::kTagTmf + 16,     ///< one-way voter -> acceptor
   kTmfPaxosVoteAck = net::kTagTmf + 17,  ///< one-way acceptor -> home TMP
   kTmfPaxosReclaim = net::kTagTmf + 18,  ///< one-way home -> acceptor (GC)
@@ -208,8 +205,9 @@ inline bool DecodeForceDisposition(const Slice& payload, Transid* t,
 // --- Paxos Commit wire formats -------------------------------------------
 
 /// Ballot numbers order proposers: `(attempt << 16) | proposer_node_id`.
-/// The home's initial proposal is attempt 0 (its promise rides the phase-1
-/// fan-out, Gray & Lamport's "free" prepare phase); every recovery proposer
+/// Every voter's prepared-vote is cast at the home's attempt-0 ballot (it
+/// rides the phase-1 fan-out, Gray & Lamport's "free" prepare phase); every
+/// recovery proposer
 /// starts at attempt >= 1, so a usurping ballot always outranks the home's
 /// initial one, and the node id in the low bits keeps concurrent proposers'
 /// ballots distinct.
@@ -235,29 +233,26 @@ inline bool DecodePhase1Ballot(const Slice& payload, uint32_t* ballot) {
   return GetFixed64(&in, &packed) && GetFixed32(&in, ballot);
 }
 
-/// Under the fast path every participant runs its own consensus instance,
-/// keyed by (transid, voter node). Voter 0 names the legacy single
-/// decision-replication instance, and a voter-0 encoding appends no trailing
-/// bytes, so pre-fast-path wire traffic is byte-identical.
+/// Every participant runs its own consensus instance, keyed by (transid,
+/// voter node).
 inline Bytes EncodePaxosPrepare(const Transid& t, uint32_t ballot,
-                                uint16_t voter = 0) {
+                                uint16_t voter) {
   Bytes out;
   PutFixed64(&out, t.Pack());
   PutFixed32(&out, ballot);
-  if (voter != 0) PutFixed16(&out, voter);
+  PutFixed16(&out, voter);
   return out;
 }
 
 inline bool DecodePaxosPrepare(const Slice& payload, Transid* t,
-                               uint32_t* ballot, uint16_t* voter = nullptr) {
+                               uint32_t* ballot, uint16_t* voter) {
   Slice in = payload;
   uint64_t packed;
-  if (!GetFixed64(&in, &packed) || !GetFixed32(&in, ballot)) return false;
-  *t = Transid::Unpack(packed);
-  if (voter != nullptr) {
-    *voter = 0;
-    if (in.size() >= 2) GetFixed16(&in, voter);
+  if (!GetFixed64(&in, &packed) || !GetFixed32(&in, ballot) ||
+      !GetFixed16(&in, voter)) {
+    return false;
   }
+  *t = Transid::Unpack(packed);
   return true;
 }
 
@@ -268,12 +263,12 @@ struct PaxosPrepareReply {
   uint32_t accepted_ballot = 0;  ///< ballot of the accepted value (0 = none)
   bool has_value = false;
   Disposition value = Disposition::kUnknown;
-  /// Fast-path extension: participant set carried by the home's accepted
-  /// vote (resolvers learn which voter instances to settle from it).
+  /// Participant set carried by the home's accepted vote (resolvers learn
+  /// which voter instances to settle from it).
   std::vector<net::NodeId> participants;
-  /// Fast-path extension: the instance was garbage-collected after the
-  /// transaction's final disposition landed everywhere; `sealed_value` is
-  /// that final transaction disposition (not a per-voter value).
+  /// The instance was garbage-collected after the transaction's final
+  /// disposition landed everywhere; `sealed_value` is that final
+  /// transaction disposition (not a per-voter value).
   bool sealed = false;
   Disposition sealed_value = Disposition::kUnknown;
 };
@@ -286,7 +281,7 @@ inline Bytes EncodePaxosPrepareReply(const PaxosPrepareReply& r) {
   PutFixed8(&out, r.has_value ? 1 : 0);
   PutFixed8(&out, static_cast<uint8_t>(r.value));
   // The extension block is appended only when it carries information, so a
-  // legacy (voter-0, never-sealed) reply keeps the pre-fast-path bytes.
+  // plain promise (no participants, not sealed) stays 11 bytes.
   if (r.sealed || !r.participants.empty()) {
     PutFixed8(&out, r.sealed ? 1 : 0);
     PutFixed8(&out, static_cast<uint8_t>(r.sealed_value));
@@ -332,49 +327,41 @@ inline bool DecodePaxosPrepareReply(const Slice& payload,
   return !r->has_value || r->value != Disposition::kUnknown;
 }
 
-/// Also the kTmfPaxosVote payload: a fast-path vote is a phase-2a accept
-/// sent one-way, with the voter's instance key appended, and — on the home's
-/// vote only — the participant set the resolvers will need.
+/// Also the kTmfPaxosVote payload: a vote is a phase-2a accept sent
+/// one-way. Both carry the voter's instance key and — on the home's vote
+/// only — the participant set the resolvers will need.
 inline Bytes EncodePaxosAccept(const Transid& t, uint32_t ballot,
-                               Disposition value, uint16_t voter = 0,
-                               const std::vector<net::NodeId>& participants =
-                                   {}) {
+                               Disposition value, uint16_t voter,
+                               const std::vector<net::NodeId>& participants) {
   Bytes out;
   PutFixed64(&out, t.Pack());
   PutFixed32(&out, ballot);
   PutFixed8(&out, static_cast<uint8_t>(value));
-  if (voter != 0) {
-    PutFixed16(&out, voter);
-    PutFixed8(&out, static_cast<uint8_t>(participants.size()));
-    for (net::NodeId p : participants) PutFixed16(&out, p);
-  }
+  PutFixed16(&out, voter);
+  PutFixed8(&out, static_cast<uint8_t>(participants.size()));
+  for (net::NodeId p : participants) PutFixed16(&out, p);
   return out;
 }
 
 inline bool DecodePaxosAccept(const Slice& payload, Transid* t,
                               uint32_t* ballot, Disposition* value,
-                              uint16_t* voter = nullptr,
-                              std::vector<net::NodeId>* participants =
-                                  nullptr) {
+                              uint16_t* voter,
+                              std::vector<net::NodeId>* participants) {
   Slice in = payload;
   uint64_t packed;
-  uint8_t v;
+  uint8_t v, npart;
   if (!GetFixed64(&in, &packed) || !GetFixed32(&in, ballot) ||
-      !GetFixed8(&in, &v) || v > 1) {
+      !GetFixed8(&in, &v) || v > 1 || !GetFixed16(&in, voter) ||
+      !GetFixed8(&in, &npart)) {
     return false;
   }
   *t = Transid::Unpack(packed);
   *value = static_cast<Disposition>(v);
-  if (voter != nullptr) *voter = 0;
-  if (participants != nullptr) participants->clear();
-  if (voter != nullptr && in.size() >= 3) {
-    uint8_t npart;
-    if (!GetFixed16(&in, voter) || !GetFixed8(&in, &npart)) return false;
-    for (uint8_t i = 0; i < npart; ++i) {
-      uint16_t p;
-      if (!GetFixed16(&in, &p)) return false;
-      if (participants != nullptr) participants->push_back(p);
-    }
+  participants->clear();
+  for (uint8_t i = 0; i < npart; ++i) {
+    uint16_t p;
+    if (!GetFixed16(&in, &p)) return false;
+    participants->push_back(p);
   }
   return true;
 }
@@ -383,7 +370,7 @@ inline bool DecodePaxosAccept(const Slice& payload, Transid* t,
 struct PaxosAcceptReply {
   bool accepted = false;
   uint32_t promised = 0;
-  /// Fast-path extension: see PaxosPrepareReply::sealed.
+  /// See PaxosPrepareReply::sealed.
   bool sealed = false;
   Disposition sealed_value = Disposition::kUnknown;
 };

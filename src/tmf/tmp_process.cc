@@ -116,8 +116,8 @@ bool TmpProcess::GetTxnState(const Transid& t, TxnState* state) const {
 
 void TmpProcess::OnRequest(const net::Message& msg) {
   if (msg.tag == kTmfPaxosVoteAck) {
-    // One-way fast-path vote ack: no reply path, a backup member drops it
-    // (the acks re-arrive after a takeover re-runs phase 1).
+    // One-way vote ack: no reply path, a backup member drops it (the acks
+    // re-arrive after a takeover re-runs phase 1).
     if (IsPrimary()) HandlePaxosVoteAck(msg);
     return;
   }
@@ -224,7 +224,7 @@ void TmpProcess::SetState(TxnEntry* txn, TxnState to) {
     }
   }
   // Commit latency at the home TMP: END received (kEnding) to commit point
-  // (kEnded). Paxos pays its acceptor round trip here; 2PC its MAT force.
+  // (kEnded). Paxos waits for its vote tally here; 2PC its MAT force.
   // A kEnding exit to any other state (abort) clears without recording.
   if (config_.track_commit_latency && txn->is_home) {
     if (to == TxnState::kEnding && txn->indoubt_since == 0) {
@@ -332,7 +332,7 @@ void TmpProcess::HandleEnd(const net::Message& msg) {
     if (ok && txn->state == TxnState::kEnding) {
       CompleteCommit(transid);
     } else if (txn->state == TxnState::kEnding) {
-      if (FastPathFor(*txn)) {
+      if (PaxosEnabledFor(*txn)) {
         // The home's vote may already sit forced at F+1 acceptors: a
         // unilateral abort could contradict a chosen Prepared. Settle the
         // voter instances at a usurping ballot instead.
@@ -463,15 +463,10 @@ void TmpProcess::HandlePhase1(const net::Message& msg) {
     }
     // Affirmative reply: from here on this node holds the transaction's
     // locks until the final disposition arrives (in-doubt).
-    // Fast path: the affirmative vote also goes straight to the acceptors —
-    // this participant's phase-2a message, forced at F+1 acceptors and
-    // acked to the home, which is how the commit point skips the home's
-    // accept round.
-    if (config_.paxos_fast_path &&
-        config_.commit_protocol == CommitProtocol::kPaxos &&
-        txn->home_ballot != 0) {
-      CastVote(txn);
-    }
+    // Paxos Commit: the affirmative vote also goes straight to the
+    // acceptors — this participant's phase-2a message, forced at F+1
+    // acceptors and acked to the home, whose tally is the commit point.
+    if (PaxosDeployed() && txn->home_ballot != 0) CastVote(txn);
     Reply(request, Status::Ok());
   });
 }
@@ -500,15 +495,15 @@ void TmpProcess::RunPhase1(TxnEntry* txn, std::function<void(bool)> done) {
     finish();
     return;
   }
-  // Fast path, home side: the home's own prepared-vote leaves the moment
+  // Paxos Commit, home side: the home's own prepared-vote leaves the moment
   // its local audit forces complete — it does not wait for the children's
   // phase-1 replies. The children's votes travel to the acceptors
   // concurrently; that overlap is the saved WAN round trip.
-  const bool fast_vote = FastPathFor(*txn);
+  const bool paxos_vote = PaxosEnabledFor(*txn);
   const Transid transid = txn->transid;
   auto audit_left = std::make_shared<int>(
       static_cast<int>(config_.audit_processes.size()));
-  if (fast_vote && *audit_left == 0) CastVote(txn);
+  if (paxos_vote && *audit_left == 0) CastVote(txn);
   os::CallOptions force_opt;
   force_opt.timeout = config_.force_timeout;
   force_opt.retries = 2;
@@ -516,10 +511,10 @@ void TmpProcess::RunPhase1(TxnEntry* txn, std::function<void(bool)> done) {
     stats().Incr(m_.audit_forces);
     Trace(sim::TraceEventKind::kAuditForce, packed);
     Call(net::Address(node()->id(), name), audit::kAuditForce, {},
-         [this, failed, finish, audit_left, fast_vote, transid](
+         [this, failed, finish, audit_left, paxos_vote, transid](
              const Status& s, const net::Message&) {
            if (!s.ok()) *failed = true;
-           if (fast_vote && --*audit_left == 0 && !*failed) {
+           if (paxos_vote && --*audit_left == 0 && !*failed) {
              TxnEntry* t = FindTxn(transid);
              if (t != nullptr && t->state == TxnState::kEnding) CastVote(t);
            }
@@ -539,11 +534,11 @@ void TmpProcess::RunPhase1(TxnEntry* txn, std::function<void(bool)> done) {
   for (net::NodeId child : txn->children) {
     stats().Incr(m_.phase1_sent);
     Call(Tmp(child), kTmfPhase1, p1_payload,
-         [this, failed, finish, fast_vote, transid, child](
+         [this, failed, finish, paxos_vote, transid, child](
              const Status& s, const net::Message&) {
            if (!s.ok()) {
              *failed = true;
-           } else if (fast_vote) {
+           } else if (paxos_vote) {
              // The affirmative reply is the child's prepared-vote — force
              // it into this node's co-located acceptors on its behalf.
              DepositChildVote(transid, child);
@@ -558,17 +553,11 @@ void TmpProcess::CompleteCommit(const Transid& transid) {
   TxnEntry* txn = FindTxn(transid);
   if (txn == nullptr || txn->state != TxnState::kEnding) return;
   if (PaxosEnabledFor(*txn)) {
-    if (config_.paxos_fast_path) {
-      // Fast path: the commit point is the forced-vote ack tally
-      // (HandlePaxosVoteAck), which usually fires before phase 1 even
-      // finishes. Reaching here with the transaction still ending means
-      // some voter's F+1 acks are missing — arm the fallback rounds.
-      ArmPaxosFallbackTimer(transid);
-      return;
-    }
-    // Paxos Commit: the commit point is a majority of acceptors durably
-    // accepting the decision, not the home MAT force below.
-    StartPaxosCommit(transid);
+    // Paxos Commit: the commit point is the forced-vote ack tally
+    // (HandlePaxosVoteAck), which usually fires before phase 1 even
+    // finishes. Reaching here with the transaction still ending means some
+    // voter's F+1 acks are missing — arm the fallback rounds.
+    ArmPaxosFallbackTimer(transid);
     return;
   }
   // The commit record force on the Monitor Audit Trail is the commit point.
@@ -622,10 +611,10 @@ void TmpProcess::CommitPointReached(const Transid& transid) {
   // not impede END-TRANSACTION completion on the home node).
   NotifyLocalDiscs(transid,
                    static_cast<uint8_t>(discprocess::DiscTxnState::kEnded));
-  // Fast-path GC: once every child has acked its phase-2 delivery no
+  // Acceptor-log GC: once every child has acked its phase-2 delivery no
   // resolver will ever need the voter instances — queue them for
   // reclamation at the acceptors.
-  if (config_.paxos_fast_path && PaxosEnabledFor(*txn)) {
+  if (PaxosEnabledFor(*txn)) {
     reclaim_waiting_[transid.Pack()] =
         ReclaimEntry{Disposition::kCommitted, ReclaimMaskFor(*txn)};
   }
@@ -640,64 +629,28 @@ void TmpProcess::CommitPointReached(const Transid& transid) {
 // Paxos Commit
 // ---------------------------------------------------------------------------
 
+bool TmpProcess::PaxosDeployed() const {
+  return config_.commit_protocol == CommitProtocol::kPaxos &&
+         !config_.acceptor_endpoints.empty();
+}
+
 bool TmpProcess::PaxosEnabledFor(const TxnEntry& txn) const {
   // Only distributed transactions have an in-doubt window to shrink;
   // single-node commits keep the home MAT force as their commit point.
-  return config_.commit_protocol == CommitProtocol::kPaxos &&
-         (!config_.acceptor_nodes.empty() ||
-          !config_.acceptor_endpoints.empty()) &&
-         txn.is_home && !txn.children.empty();
+  return PaxosDeployed() && txn.is_home && !txn.children.empty();
 }
 
 PaxosRoundConfig TmpProcess::PaxosConfig() const {
   PaxosRoundConfig cfg;
-  cfg.acceptor_nodes = config_.acceptor_nodes;
-  cfg.acceptor_process = config_.acceptor_process;
   cfg.endpoints = config_.acceptor_endpoints;
   cfg.call_timeout = config_.paxos_round_timeout;
   return cfg;
 }
 
-void TmpProcess::StartPaxosCommit(const Transid& transid) {
-  TxnEntry* txn = FindTxn(transid);
-  if (txn == nullptr || txn->state != TxnState::kEnding) return;
-  if (txn->paxos_round_in_flight) return;
-  txn->paxos_round_in_flight = true;
-  stats().Incr(m_.paxos_rounds);
-  const uint32_t attempt = txn->paxos_attempt;
-  // Attempt 0 skips the prepare phase: the promise rode the phase-1 fan-out
-  // and a fresh acceptor entry (promised 0) grants it implicitly. Every
-  // later attempt (a retry after being outpaced) prepares properly and
-  // adopts whatever value a majority already accepted.
-  RunPaxosRound(
-      this, PaxosConfig(), transid, attempt, Disposition::kCommitted,
-      /*skip_prepare=*/attempt == 0, [this, transid](Disposition chosen) {
-        TxnEntry* txn = FindTxn(transid);
-        if (txn == nullptr) return;
-        txn->paxos_round_in_flight = false;
-        if (chosen == Disposition::kCommitted) {
-          stats().Incr(m_.paxos_commit_points);
-          CommitPointReached(transid);
-        } else if (chosen == Disposition::kAborted) {
-          // A recovery proposer usurped the instance and fixed abort (it
-          // proved the commit point was never reached). Converge.
-          stats().Incr(m_.paxos_adopted_aborts);
-          StartAbort(transid, "paxos: abort chosen by recovery proposer");
-        } else {
-          // Majority unreachable or outpaced: escalate the ballot and retry.
-          // Until a value is chosen the transaction simply stays ending.
-          ++txn->paxos_attempt;
-          SetTimer(config_.paxos_retry_interval,
-                   [this, transid]() { StartPaxosCommit(transid); });
-        }
-      });
-}
-
 void TmpProcess::MaybePaxosEscalate(const Transid& transid, TxnEntry* txn) {
-  if (config_.commit_protocol != CommitProtocol::kPaxos) return;
   // Grace gate: a transaction that entered its in-doubt window less than one
   // resolve interval ago is most likely a healthy commit mid-flight (the
-  // home's acceptor round plus phase 2 land within tens of milliseconds).
+  // vote tally plus phase 2 land within tens of milliseconds).
   // Usurping its ballot with an abort-proposing round would cancel commits
   // that were about to succeed; only transactions that have already waited
   // out a full interval are genuinely stuck.
@@ -719,85 +672,60 @@ void TmpProcess::StartPaxosResolve(const Transid& transid) {
   TxnEntry* txn = FindTxn(transid);
   if (txn == nullptr || txn->state != TxnState::kEnding || txn->is_home) return;
   if (txn->paxos_round_in_flight) return;
-  if (config_.acceptor_nodes.empty() && config_.acceptor_endpoints.empty()) {
-    return;
-  }
   txn->paxos_round_in_flight = true;
   // Never re-use the home's initial attempt: a usurping ballot must outrank
   // it so the quorum intersection exposes any accepted value.
   uint32_t floor = (txn->home_ballot >> 16) + 1;
   if (txn->paxos_attempt < floor) txn->paxos_attempt = floor;
   stats().Incr(m_.paxos_rounds);
-  auto settle = [this, transid](Disposition chosen) {
-    TxnEntry* txn = FindTxn(transid);
-    if (txn == nullptr) return;
-    txn->paxos_round_in_flight = false;
-    if (txn->state != TxnState::kEnding) return;
-    if (chosen == Disposition::kCommitted) {
-      stats().Incr(m_.paxos_resolved_commits);
-      ApplyRemoteCommit(transid, txn);
-    } else if (chosen == Disposition::kAborted) {
-      stats().Incr(m_.paxos_resolved_aborts);
-      StartAbort(transid, "in-doubt resolved by acceptor majority");
-    } else {
-      ++txn->paxos_attempt;  // retried on the next resolve tick
-    }
-  };
-  if (config_.paxos_fast_path) {
-    // Fast path: the outcome is spread over per-voter instances — settle
-    // the home's instance first (it names the participants), then theirs.
-    ResolvePaxosOutcome(this, PaxosConfig(), transid, txn->paxos_attempt,
-                        /*fast_path=*/true, std::move(settle));
-    return;
-  }
-  RunPaxosRound(this, PaxosConfig(), transid, txn->paxos_attempt,
-                Disposition::kAborted,
-                /*skip_prepare=*/false, std::move(settle));
+  // The outcome is spread over per-voter instances — ResolvePaxosOutcome
+  // settles the home's instance first (it names the participants), then
+  // theirs.
+  ResolvePaxosOutcome(
+      this, PaxosConfig(), transid, txn->paxos_attempt,
+      [this, transid](Disposition chosen) {
+        TxnEntry* txn = FindTxn(transid);
+        if (txn == nullptr) return;
+        txn->paxos_round_in_flight = false;
+        if (txn->state != TxnState::kEnding) return;
+        if (chosen == Disposition::kCommitted) {
+          stats().Incr(m_.paxos_resolved_commits);
+          ApplyRemoteCommit(transid, txn);
+        } else if (chosen == Disposition::kAborted) {
+          stats().Incr(m_.paxos_resolved_aborts);
+          StartAbort(transid, "in-doubt resolved by acceptor majority");
+        } else {
+          ++txn->paxos_attempt;  // retried on the next resolve tick
+        }
+      });
 }
 
 void TmpProcess::SealDecision(const Transid& t) {
-  if (config_.commit_protocol != CommitProtocol::kPaxos ||
-      (config_.acceptor_nodes.empty() && config_.acceptor_endpoints.empty())) {
-    return;
-  }
   if (!paxos_sealing_.insert(t).second) return;  // round already in flight
   uint32_t& attempt = paxos_seal_attempt_[t];
   if (attempt == 0) attempt = 1;
   stats().Incr(m_.paxos_rounds);
-  auto sealed = [this, t](Disposition chosen) {
-    paxos_sealing_.erase(t);
-    if (chosen == Disposition::kUnknown) return;  // resealed on next query
-    paxos_seal_attempt_.erase(t);
-    if (FindTxn(t) != nullptr) return;  // tracked meanwhile: live pipeline
-    if (LookupDisposition(t) != Disposition::kUnknown) return;  // recorded
-    stats().Incr(m_.paxos_seals);
-    if (config_.monitor_trail != nullptr) {
-      config_.monitor_trail->AppendForced(audit::CompletionRecord{
-          t, chosen == Disposition::kCommitted ? audit::Completion::kCommitted
-                                               : audit::Completion::kAborted});
-    }
-  };
-  if (config_.paxos_fast_path) {
-    ResolvePaxosOutcome(this, PaxosConfig(), t, attempt++,
-                        /*fast_path=*/true, std::move(sealed));
-    return;
-  }
-  RunPaxosRound(this, PaxosConfig(), t, attempt++, Disposition::kAborted,
-                /*skip_prepare=*/false, std::move(sealed));
-}
-
-// ---------------------------------------------------------------------------
-// Paxos Commit fast path
-// ---------------------------------------------------------------------------
-
-bool TmpProcess::FastPathFor(const TxnEntry& txn) const {
-  return config_.paxos_fast_path && PaxosEnabledFor(txn);
+  ResolvePaxosOutcome(
+      this, PaxosConfig(), t, attempt++, [this, t](Disposition chosen) {
+        paxos_sealing_.erase(t);
+        if (chosen == Disposition::kUnknown) return;  // resealed on next query
+        paxos_seal_attempt_.erase(t);
+        if (FindTxn(t) != nullptr) return;  // tracked meanwhile: live pipeline
+        if (LookupDisposition(t) != Disposition::kUnknown) return;  // recorded
+        stats().Incr(m_.paxos_seals);
+        if (config_.monitor_trail != nullptr) {
+          config_.monitor_trail->AppendForced(audit::CompletionRecord{
+              t, chosen == Disposition::kCommitted
+                     ? audit::Completion::kCommitted
+                     : audit::Completion::kAborted});
+        }
+      });
 }
 
 std::vector<size_t> TmpProcess::VoteTargetIndices(
     net::NodeId voter, net::NodeId home,
     const std::set<net::NodeId>& prefer) const {
-  const auto eps = PaxosConfig().Endpoints();
+  const auto& eps = config_.acceptor_endpoints;
   const size_t quorum = eps.size() / 2 + 1;  // F+1 of 2F+1
   // Any F+1 subset works for safety (it intersects every resolver's F+1
   // prepare quorum), so pick the cheapest: co-located pairs cost no network
@@ -818,7 +746,7 @@ std::vector<size_t> TmpProcess::VoteTargetIndices(
 }
 
 uint32_t TmpProcess::ReclaimMaskFor(const TxnEntry& txn) const {
-  const auto eps = PaxosConfig().Endpoints();
+  const auto& eps = config_.acceptor_endpoints;
   const size_t n = eps.size();
   const uint32_t all = n >= 32 ? ~0u : (1u << n) - 1;
   const net::NodeId home = txn.transid.home_node;
@@ -849,10 +777,10 @@ uint32_t TmpProcess::ReclaimMaskFor(const TxnEntry& txn) const {
 
 void TmpProcess::CastVote(TxnEntry* txn) {
   const Transid t = txn->transid;
-  // Home: ballot (0, home) — the same implicit promise the legacy path
-  // rides on phase 1. Child: the home's piggybacked ballot. Every voter
-  // instance thus lives at one known ballot, and any recovery proposal at
-  // attempt >= 1 outranks them all.
+  // Home: ballot (0, home), the implicit promise that rides phase 1.
+  // Child: the home's piggybacked ballot. Every voter instance thus lives
+  // at one known ballot, and any recovery proposal at attempt >= 1
+  // outranks them all.
   const uint32_t ballot =
       txn->is_home ? MakePaxosBallot(0, node()->id()) : txn->home_ballot;
   if (ballot == 0) return;
@@ -862,7 +790,7 @@ void TmpProcess::CastVote(TxnEntry* txn) {
   }
   Bytes vote = EncodePaxosAccept(t, ballot, Disposition::kCommitted,
                                  node()->id(), participants);
-  const auto eps = PaxosConfig().Endpoints();
+  const auto& eps = config_.acceptor_endpoints;
   static const std::set<net::NodeId> kNone;
   const std::set<net::NodeId>& prefer = txn->is_home ? txn->children : kNone;
   // Stamped with the transid so per-transaction message accounting sees the
@@ -882,7 +810,7 @@ void TmpProcess::CastVote(TxnEntry* txn) {
 void TmpProcess::DepositChildVote(const Transid& transid, net::NodeId child) {
   TxnEntry* txn = FindTxn(transid);
   if (txn == nullptr || txn->state != TxnState::kEnding || !txn->is_home ||
-      !FastPathFor(*txn) || config_.colocated_acceptors.empty()) {
+      !PaxosEnabledFor(*txn) || config_.colocated_acceptors.empty()) {
     return;
   }
   // The child's vote, bit-for-bit what CastVote would have sent here: same
@@ -929,7 +857,7 @@ void TmpProcess::HandlePaxosVoteAck(const net::Message& msg) {
   if (!DecodePaxosVoteAck(Slice(msg.payload), &ack)) return;
   TxnEntry* txn = FindTxn(ack.transid);
   if (txn == nullptr || txn->state != TxnState::kEnding || !txn->is_home ||
-      !FastPathFor(*txn)) {
+      !PaxosEnabledFor(*txn)) {
     return;  // decided meanwhile (or a stale replay): the ack is moot
   }
   for (uint16_t voter : ack.voters) {
@@ -939,7 +867,7 @@ void TmpProcess::HandlePaxosVoteAck(const net::Message& msg) {
 }
 
 void TmpProcess::CheckVoteTally(TxnEntry* txn) {
-  const size_t acceptors = PaxosConfig().Endpoints().size();
+  const size_t acceptors = config_.acceptor_endpoints.size();
   const size_t needed = acceptors / 2 + 1;
   auto prepared = [&](uint16_t voter) {
     auto it = txn->vote_acks.find(voter);
@@ -992,7 +920,7 @@ void TmpProcess::StartPaxosFallback(const Transid& transid) {
   // every voter instance with abort-proposing rounds at a usurping ballot
   // and adopts whatever they fix.
   ResolvePaxosOutcome(
-      this, PaxosConfig(), transid, txn->paxos_attempt, /*fast_path=*/true,
+      this, PaxosConfig(), transid, txn->paxos_attempt,
       [this, transid](Disposition chosen) {
         TxnEntry* txn = FindTxn(transid);
         if (txn == nullptr) return;
@@ -1003,7 +931,7 @@ void TmpProcess::StartPaxosFallback(const Transid& transid) {
           CommitPointReached(transid);
         } else if (chosen == Disposition::kAborted) {
           stats().Incr(m_.paxos_adopted_aborts);
-          StartAbort(transid, "paxos fast path: abort fixed by fallback");
+          StartAbort(transid, "paxos: abort fixed by fallback");
         } else {
           // Exponential backoff: during an outage no amount of re-proposing
           // settles the instances, and each retry costs prepare/accept
@@ -1040,7 +968,7 @@ void TmpProcess::FlushReclaims() {
   // would be a wasted message. Sent outside any transaction's trace (each
   // batch spans several). An acceptor that misses its flush — down or
   // partitioned — reclaims through its own orphan sweep instead.
-  const auto eps = PaxosConfig().Endpoints();
+  const auto& eps = config_.acceptor_endpoints;
   std::vector<std::vector<std::pair<uint64_t, Disposition>>> batches(
       eps.size());
   for (const auto& [packed, entry] : reclaim_pending_) {
@@ -1065,8 +993,8 @@ void TmpProcess::ReclaimLocalAcceptors(const Transid& transid, Disposition d) {
   // The disposition just landed on this node, so every co-located pair's
   // instances are sealed in place — a direct mutation of the shared durable
   // log, no message and no event. This is why ReclaimMaskFor() strips
-  // participant-node bits from the home's network flush. Empty (every
-  // non-fast-path deployment) makes this a no-op.
+  // participant-node bits from the home's network flush. Empty (every 2PC
+  // deployment) makes this a no-op.
   for (const auto& ca : config_.colocated_acceptors) {
     ca.log->Seal(transid.Pack(), d);
   }
@@ -1142,12 +1070,11 @@ void TmpProcess::StartAbort(const Transid& transid, const std::string& reason) {
   LOG_DEBUG << DebugName() << " aborting " << transid.ToString() << ": " << reason;
   stats().Incr(m_.aborts_started);
   Trace(sim::TraceEventKind::kAbortStart, transid.Pack());
-  // Fast-path GC: an ending home transaction may already have voter
+  // Acceptor-log GC: an ending home transaction may already have voter
   // instances forced at the acceptors (its own or its children's votes) —
   // reclaim them once the abort safe-deliveries drain. Aborts straight out
   // of kActive never voted, so there is nothing to reclaim.
-  if (config_.paxos_fast_path && txn->state == TxnState::kEnding &&
-      PaxosEnabledFor(*txn)) {
+  if (txn->state == TxnState::kEnding && PaxosEnabledFor(*txn)) {
     reclaim_waiting_[transid.Pack()] =
         ReclaimEntry{Disposition::kAborted, ReclaimMaskFor(*txn)};
   }
@@ -1262,9 +1189,7 @@ void TmpProcess::HandleResolveTxn(const net::Message& msg) {
   }
   TxnEntry* txn = FindTxn(t);
   if (txn == nullptr) {
-    if (config_.commit_protocol == CommitProtocol::kPaxos &&
-        (!config_.acceptor_nodes.empty() ||
-         !config_.acceptor_endpoints.empty())) {
+    if (PaxosDeployed()) {
       // Under Paxos Commit the absent MAT record proves nothing: the commit
       // point lives at the acceptors, and this TMP may have been respawned
       // after a majority accepted commit but before the home learned it.
@@ -1333,10 +1258,8 @@ void TmpProcess::ResolveIndoubts() {
     if (t.home_node == node()->id()) continue;  // home resolves locally
     TxnEntry* probing = FindTxn(t);
     if (probing == nullptr) continue;
-    if (config_.paxos_fast_path &&
-        config_.commit_protocol == CommitProtocol::kPaxos &&
-        !config_.acceptor_endpoints.empty()) {
-      // Fast path: the acceptor log, not the home, owns the commit record,
+    if (PaxosDeployed()) {
+      // Paxos Commit: the acceptor log, not the home, owns the commit record,
       // so the per-tick kTmfResolveTxn probe is a wasted cross-node call —
       // it either times out against a dead home (the common reason the
       // window exists at all) or answers what an acceptor round settles
@@ -1349,9 +1272,8 @@ void TmpProcess::ResolveIndoubts() {
     stats().Incr(m_.resolves_sent);
     os::CallOptions opt;
     // Diagnose a dead home within one resolve tick, not after the full
-    // safe-call timeout: the Paxos Commit fallback below is useless if it
-    // only engages after the home has already healed, and a blocked 2PC
-    // participant should re-ask on every tick rather than stack timeouts.
+    // safe-call timeout: a blocked participant should re-ask on every tick
+    // rather than stack timeouts.
     opt.timeout = config_.safe_call_timeout;
     if (config_.indoubt_resolve_interval > 0 &&
         config_.indoubt_resolve_interval < opt.timeout) {
@@ -1368,11 +1290,8 @@ void TmpProcess::ResolveIndoubts() {
              }
              // Home unreachable while this participant still holds locks
              // in-doubt: one blocked resolution tick. 2PC can only retry
-             // next tick, so each tick of a dead-home window adds one;
-             // under Paxos Commit any live acceptor majority answers in the
-             // home's stead, ending the window after the first blocked tick.
+             // next tick, so each tick of a dead-home window adds one.
              stats().Incr(m_.indoubt_blocked_on_home);
-             MaybePaxosEscalate(t, blocked);
              return;
            }
            Disposition d;
@@ -1389,13 +1308,8 @@ void TmpProcess::ResolveIndoubts() {
            } else if (d == Disposition::kAborted) {
              stats().Incr(m_.indoubt_resolved_aborts);
              StartAbort(t, "in-doubt resolved by home");
-           } else {
-             // The home answered but does not know — a respawned home whose
-             // seal round is still running, or one that lost its volatile
-             // phase state. The acceptor log, not the home, owns the commit
-             // record: go ask it rather than wait out another tick.
-             MaybePaxosEscalate(t, txn);
            }
+           // kUnknown: the home is still deciding; ask again next tick.
          },
          opt);
   }
@@ -1696,7 +1610,7 @@ void TmpProcess::OnTakeover() {
       if (ok && txn->state == TxnState::kEnding) {
         CompleteCommit(transid);
       } else if (txn->state == TxnState::kEnding) {
-        if (FastPathFor(*txn)) StartPaxosFallback(transid);
+        if (PaxosEnabledFor(*txn)) StartPaxosFallback(transid);
         else StartAbort(transid, "takeover");
       }
     });

@@ -36,7 +36,7 @@ namespace encompass::tmf {
 /// they have no in-doubt window to shrink.
 enum class CommitProtocol : uint8_t {
   kTwoPhase = 0,  ///< the paper's 2PC: commit point = home MAT force
-  kPaxos = 1,     ///< Paxos Commit: commit point = majority acceptor accept
+  kPaxos = 1,     ///< Paxos Commit: commit point = every vote at F+1 acceptors
 };
 
 /// Static configuration of one node's TMP.
@@ -85,32 +85,24 @@ struct TmpConfig {
   /// single-incarnation sequence (seq is 40 bits; incarnation << 32 leaves
   /// 4G transactions per incarnation).
   uint64_t seq_base = 0;
-  /// Commit protocol for distributed transactions. Under kPaxos the home
-  /// replicates its decision to the `acceptor_nodes` CommitAcceptor pairs
-  /// before answering the client; in-doubt participants and recovering
-  /// nodes may then learn the outcome from any live acceptor majority
-  /// instead of waiting for the home to return.
-  CommitProtocol commit_protocol = CommitProtocol::kTwoPhase;
-  /// 2F+1: how many acceptors a paxos deployment registers (majority =
-  /// F+1). Deployments place them on nodes 1..commit_replication.
-  int commit_replication = 3;
-  std::vector<net::NodeId> acceptor_nodes;  ///< where $ACCEPT pairs run
-  std::string acceptor_process = "$ACCEPT";
-  SimDuration paxos_round_timeout = Seconds(2);    ///< per acceptor call
-  SimDuration paxos_retry_interval = Millis(200);  ///< pacing between rounds
-  /// The paper's F+1-message fast path: every participant sends its
+  /// Commit protocol for distributed transactions. Under kPaxos (Gray &
+  /// Lamport's F+1-message Paxos Commit) every participant sends its
   /// phase-2a prepared-vote straight to the acceptors (a co-located
   /// acceptor makes that a local forced write, not a network message) and
   /// the home's commit point becomes its tally of forced-vote acks — one
-  /// WAN delay instead of two. Requires `acceptor_endpoints`. Off by
-  /// default so pre-existing deployments keep byte-identical traces.
-  bool paxos_fast_path = false;
-  /// Fast-path acceptor placement: (node, pair name) of every $ACCEPT.<k>
-  /// pair. A node may host several pairs, so commit_replication = 2F+1
-  /// works on clusters smaller than 2F+1. Order defines each pair's tally
-  /// bit (index k). Non-empty overrides `acceptor_nodes` everywhere.
+  /// WAN delay after phase 1 instead of the MAT force. In-doubt
+  /// participants and recovering nodes may then learn the outcome from any
+  /// live acceptor majority instead of waiting for the home to return.
+  /// Requires `acceptor_endpoints`.
+  CommitProtocol commit_protocol = CommitProtocol::kTwoPhase;
+  SimDuration paxos_round_timeout = Seconds(2);    ///< per acceptor call
+  SimDuration paxos_retry_interval = Millis(200);  ///< pacing between rounds
+  /// Acceptor placement: (node, pair name) of every $ACCEPT.<k> pair; the
+  /// group size is 2F+1 = acceptor_endpoints.size(). A node may host
+  /// several pairs, so the group may outnumber the nodes. Order defines
+  /// each pair's tally bit (index k).
   std::vector<std::pair<net::NodeId, std::string>> acceptor_endpoints;
-  /// Fast path: the $ACCEPT.<k> logs that live on this TMP's own node,
+  /// The $ACCEPT.<k> logs that live on this TMP's own node,
   /// wired by the deployment (`index` is the pair's tally bit k). The logs
   /// sit in the same durable NodeStorage the acceptor pairs write, so the
   /// TMP can mutate them directly — deposit a child's phase-1 vote
@@ -126,10 +118,10 @@ struct TmpConfig {
   std::vector<ColocatedAcceptor> colocated_acceptors;
   /// How long the home batches decided-instance reclamations before
   /// flushing kTmfPaxosReclaim to the acceptors that actually hold voter
-  /// instances (fast path). Longer batching means fewer reclaim messages
+  /// instances. Longer batching means fewer reclaim messages
   /// at the price of a higher acceptor-log peak.
   SimDuration paxos_reclaim_interval = Millis(250);
-  /// Orphan-sweep cadence handed to fast-path CommitAcceptor pairs by the
+  /// Orphan-sweep cadence handed to the CommitAcceptor pairs by the
   /// deployment (0 disables the sweep).
   SimDuration acceptor_sweep_interval = Seconds(1);
   /// Record how long non-home participants keep locks in-doubt (the
@@ -140,8 +132,8 @@ struct TmpConfig {
   /// Record END-TRANSACTION-to-commit-point latency at the home TMP (the
   /// `tmf.commit_latency_us` histogram). Off by default for the same
   /// byte-identical-snapshot reason as `track_indoubt_hold`; the chaos
-  /// campaign and BENCH_e12 turn it on to price Paxos Commit's extra
-  /// acceptor round trip against 2PC's MAT force.
+  /// campaign and BENCH_e13 turn it on to price Paxos Commit's vote tally
+  /// against 2PC's MAT force.
   bool track_commit_latency = false;
 };
 
@@ -206,12 +198,12 @@ class TmpProcess : public os::PairedProcess {
     bool paxos_round_in_flight = false;
     bool resolve_in_flight = false;    ///< outstanding in-doubt probe to home
     uint32_t home_ballot = 0;  ///< ballot piggybacked on phase 1 (non-home)
-    /// Fast path, home only: per-voter bitmask of acceptor indices whose
-    /// forced-vote acks arrived. Volatile like pending_acks — a takeover
+    /// Home only: per-voter bitmask of acceptor indices whose forced-vote
+    /// acks arrived. Volatile like pending_acks — a takeover
     /// re-runs phase 1, votes replay idempotently, acks re-arrive.
     std::map<uint16_t, uint32_t> vote_acks;
-    /// Fast path, home only: the fallback round is armed (phase 1 finished
-    /// but the ack tally had not fired yet).
+    /// Home only: the fallback round is armed (phase 1 finished but the
+    /// ack tally had not fired yet).
     uint64_t paxos_fallback_timer = 0;
     // When this entry entered kEnding. Non-home: feeds tmf.indoubt_hold_us
     // when the in-doubt window closes. Home: feeds tmf.commit_latency_us at
@@ -274,19 +266,19 @@ class TmpProcess : public os::PairedProcess {
   void ResolveIndoubts();
 
   // -- Paxos Commit -----------------------------------------------------------------
-  /// True when `txn`'s commit point is replicated: paxos deployments
-  /// replicate distributed home transactions only.
+  /// kPaxos with an acceptor group configured.
+  bool PaxosDeployed() const;
+  /// True when `txn` commits through Paxos Commit (votes go straight to the
+  /// acceptors; the commit point is the home's ack tally): paxos
+  /// deployments run distributed home transactions only.
   bool PaxosEnabledFor(const TxnEntry& txn) const;
   PaxosRoundConfig PaxosConfig() const;
-  /// Home side: replicate the commit decision; on the majority accept
-  /// (the commit point) fall into CommitPointReached.
-  void StartPaxosCommit(const Transid& transid);
-  /// Participant side: the home is unreachable — learn (or fix, by
-  /// proposing abort at a usurping ballot) the outcome from the acceptors.
+  /// Participant side: learn (or fix, by proposing abort at a usurping
+  /// ballot) the outcome from the acceptors instead of the home.
   /// Escalates a stuck in-doubt participant to the acceptor group, but only
   /// after it has been in-doubt for a full resolve interval — younger
   /// entries are healthy commits mid-flight that a usurping ballot would
-  /// needlessly abort. No-op under 2PC.
+  /// needlessly abort.
   void MaybePaxosEscalate(const Transid& transid, TxnEntry* txn);
   void StartPaxosResolve(const Transid& transid);
   /// Respawned-home side: this TMP no longer tracks `t` and its MAT has no
@@ -294,11 +286,6 @@ class TmpProcess : public os::PairedProcess {
   /// an abort-proposing round and seals whatever is chosen into the MAT, so
   /// presumed abort never contradicts a majority-accepted commit.
   void SealDecision(const Transid& t);
-
-  // -- Paxos Commit fast path ---------------------------------------------------------
-  /// True when `txn` commits through the F+1-message fast path (votes go
-  /// straight to the acceptors; the commit point is the home's ack tally).
-  bool FastPathFor(const TxnEntry& txn) const;
   /// Sends this node's prepared-vote for `txn` one-way to its vote
   /// targets. Home: ballot (0, home) carrying the direct-participant set.
   /// Child: the home ballot that rode phase 1, skipping home-node targets
@@ -342,7 +329,7 @@ class TmpProcess : public os::PairedProcess {
   void CheckVoteTally(TxnEntry* txn);
   /// Arms the stall fallback once phase 1 finished but acks are missing.
   void ArmPaxosFallbackTimer(const Transid& transid);
-  /// Fast-path recovery at the home: full abort-proposing rounds at a
+  /// Stall recovery at the home: full abort-proposing rounds at a
   /// usurping ballot on every voter instance (all Prepared => commit, any
   /// Aborted => abort, else retry).
   void StartPaxosFallback(const Transid& transid);
@@ -429,7 +416,7 @@ class TmpProcess : public os::PairedProcess {
   std::set<Transid> paxos_sealing_;
   std::map<Transid, uint32_t> paxos_seal_attempt_;
 
-  /// Fast-path GC (home only, volatile: a lost reclaim is caught by the
+  /// Acceptor-log GC (home only, volatile: a lost reclaim is caught by the
   /// acceptors' orphan sweep). Decided transactions waiting for their
   /// safe-delivery drain, then the batched per-acceptor reclaim flush —
   /// each entry carries the ReclaimMaskFor() bitmask of acceptors that

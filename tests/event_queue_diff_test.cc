@@ -49,7 +49,7 @@ TEST(EventQueueDiffTest, RandomizedOperationSequences) {
           break;
         }
         case 2: {  // keyed insert from a foreign origin
-          const EventKey key{50 + rng() % 40,
+          const EventKey key{static_cast<SimTime>(50 + rng() % 40),
                              static_cast<uint16_t>(7 + rng() % 2), keyed_seq++};
           const std::string tag = "K" + std::to_string(label++);
           prod.ScheduleKeyed(key,

@@ -1,16 +1,17 @@
 // Paxos Commit and in-doubt negotiation tests.
 //
-// The tentpole: with `commit_protocol = kPaxos` the home TMP replicates its
-// commit/abort decision to 2F+1 CommitAcceptor pairs, the commit point
-// becomes "a majority durably accepted" instead of the home MAT force, and
-// any in-doubt party (participant, ROLLFORWARD, respawned home) can settle
-// against a live acceptor majority while the home is down — the classic
-// 2PC blocked window. These tests drive the protocol through the same storm
-// schedules, worker sweeps, and hand-built crash windows the 2PC campaign
-// uses, plus regression tests for the negotiation bugfixes that ride along:
-// concurrent (non-head-of-line) recovery negotiation, capped backoff with a
-// high-water attempts gauge, and counted (not swallowed) malformed
-// resolve-transaction replies.
+// With `commit_protocol = kPaxos` every participant of a distributed
+// transaction votes its prepared state straight to F+1 of 2F+1
+// CommitAcceptor pairs, the commit point becomes the home's tally of
+// forced-vote acks instead of the home MAT force, and any in-doubt party
+// (participant, ROLLFORWARD, respawned home) can settle against a live
+// acceptor majority while the home is down — the classic 2PC blocked
+// window. These tests drive the protocol through the same storm schedules,
+// worker sweeps, and hand-built crash windows the 2PC campaign uses, plus
+// regression tests for the negotiation bugfixes: concurrent
+// (non-head-of-line) recovery negotiation, capped backoff with a high-water
+// attempts gauge, and counted (not swallowed) malformed resolve-transaction
+// replies.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +34,7 @@ using testutil::TestClient;
 ChaosCampaignConfig PaxosCampaignConfig(uint64_t seed) {
   // Same storm floor as the 2PC ChaosCampaignTest (PR-4 schedule): >= 8
   // faults, at least one total node crash, three nodes — with every TMP on
-  // Paxos Commit and a 2F+1 = 3 acceptor group on nodes 1..3.
+  // Paxos Commit and a 2F+1 = 3 acceptor group, one `$ACCEPT.<k>` per node.
   ChaosCampaignConfig cfg;
   cfg.seed = seed;
   cfg.nodes = 3;
@@ -75,31 +76,23 @@ void ExpectSurvived(const ChaosCampaignResult& r, uint64_t seed) {
 }
 
 // Two-phase commit stays the default, byte for byte: a deployment that
-// never mentions Paxos must spawn no acceptors, replicate nothing, and
-// record nothing new (the pdes_oracle golden pins the full trace+stats
-// snapshot of that path against the pre-Paxos tree).
+// never mentions Paxos must spawn no acceptors, vote nothing, and record
+// nothing new (the pdes_oracle golden pins the full trace+stats snapshot of
+// that path against the pre-Paxos tree).
 TEST(PaxosDefaultsTest, TwoPhaseRemainsTheDefault) {
   tmf::TmpConfig cfg;
   EXPECT_EQ(cfg.commit_protocol, tmf::CommitProtocol::kTwoPhase);
-  EXPECT_EQ(cfg.commit_replication, 3);
-  EXPECT_TRUE(cfg.acceptor_nodes.empty());
-  EXPECT_EQ(cfg.acceptor_process, "$ACCEPT");
   EXPECT_FALSE(cfg.track_indoubt_hold);
-  // PR-10 knobs stay off until asked for: no direct voting, no explicit
-  // endpoint placement, no message accounting — pre-PR traces byte-identical.
-  EXPECT_FALSE(cfg.paxos_fast_path);
+  // No acceptor placement and no message accounting until asked for.
   EXPECT_TRUE(cfg.acceptor_endpoints.empty());
   EXPECT_FALSE(net::NetworkConfig{}.track_messages);
 
   tmf::NodeRecoveryConfig rcfg;
-  EXPECT_TRUE(rcfg.acceptor_nodes.empty());
   EXPECT_EQ(rcfg.retry_backoff_cap, Seconds(8));
-  EXPECT_FALSE(rcfg.paxos_fast_path);
   EXPECT_TRUE(rcfg.acceptor_endpoints.empty());
 
   ChaosCampaignConfig ccfg;
   EXPECT_EQ(ccfg.commit_protocol, tmf::CommitProtocol::kTwoPhase);
-  EXPECT_FALSE(ccfg.paxos_fast_path);
   EXPECT_FALSE(ccfg.track_messages);
 
   // A default (2PC) campaign must never touch the acceptor path.
@@ -131,7 +124,9 @@ TEST(PaxosDefaultsTest, BallotEncoding) {
 
 // The full PR-4 storm schedule under Paxos Commit: every seed must survive
 // the same invariants the 2PC campaign pins — zero oracle violations,
-// conserved balances, no leaks, every crashed node recovered.
+// conserved balances, no leaks, every crashed node recovered — and the
+// acceptor log must stay bounded: its high-water tracks in-flight
+// transactions, not throughput, and GC drains it once the storm settles.
 class ChaosPaxosTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosPaxosTest, SurvivesSeed) {
@@ -142,15 +137,46 @@ TEST_P(ChaosPaxosTest, SurvivesSeed) {
   EXPECT_GT(r.txns_started, 0u) << "seed " << seed;
   EXPECT_GT(r.txns_committed, 0u) << "seed " << seed;
   ExpectSurvived(r, seed);
+  EXPECT_GT(r.acceptor_log_peak, 0u) << "seed " << seed;
+  EXPECT_LT(r.acceptor_log_peak, 100u)
+      << "seed " << seed << ": acceptor log grew with throughput, not load";
+  EXPECT_LT(r.acceptor_log_final, 32u)
+      << "seed " << seed << ": GC left instances behind";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosPaxosTest,
                          ::testing::Range<uint64_t>(1, 21));
 
+// The same storms with F = 2: five `$ACCEPT.<k>` pairs on three nodes, so
+// nodes 1 and 2 each host two pairs and one node crash takes two acceptors
+// down at once. Every participant votes to F+1 = 3 of them; the same
+// survival invariants and acceptor-log bounds must hold.
+class ChaosFastPathTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChaosFastPathTest, SurvivesSeed) {
+  const uint64_t seed = GetParam();
+  ChaosCampaignConfig cfg = PaxosCampaignConfig(seed);
+  cfg.commit_replication = 5;
+  ChaosCampaignResult r = RunChaosCampaign(cfg);
+  EXPECT_GE(r.schedule.faults.size(), 5u) << "seed " << seed;
+  EXPECT_GE(r.node_crashes, 1u) << "seed " << seed;
+  EXPECT_GT(r.txns_started, 0u) << "seed " << seed;
+  EXPECT_GT(r.txns_committed, 0u) << "seed " << seed;
+  ExpectSurvived(r, seed);
+  EXPECT_GT(r.acceptor_log_peak, 0u) << "seed " << seed;
+  EXPECT_LT(r.acceptor_log_peak, 100u)
+      << "seed " << seed << ": acceptor log grew with throughput, not load";
+  EXPECT_LT(r.acceptor_log_final, 32u)
+      << "seed " << seed << ": GC left instances behind";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFastPathTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
 // Runs `cfg` at each worker count and expects `base`'s history. A campaign
 // drives its own simulation, so these sweeps compare thread counts with one
-// another; the Step()-driven replays of a paxos and a fast-path crash
-// window are PaxosOracleTest and FastPathOracleTest below.
+// another; the Step()-driven replay of a paxos crash window is
+// FastPathOracleTest below.
 void ExpectSameStormAt(ChaosCampaignConfig cfg, const ChaosCampaignResult& base,
                        std::initializer_list<int> worker_counts) {
   for (int workers : worker_counts) {
@@ -170,13 +196,13 @@ void ExpectSameStormAt(ChaosCampaignConfig cfg, const ChaosCampaignResult& base,
   }
 }
 
-// The same paxos storm is byte-identical at every worker count: the round
-// loop inline (1) and worker pools of 2, 4, and 8.
-TEST(ChaosPaxosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
+// The paxos storm — coordinator crashes included — replays
+// byte-identically at every worker count.
+TEST(ChaosFastPathParallelTest, SameSeedSameStormAtAnyWorkerCount) {
   ChaosCampaignConfig cfg = PaxosCampaignConfig(7);
   ChaosCampaignResult base = RunChaosCampaign(cfg);
   ExpectSurvived(base, 7);
-  ExpectSameStormAt(cfg, base, {2, 4, 8});
+  ExpectSameStormAt(cfg, base, {2, 4});
 }
 
 // The point of the protocol, measured: over the shared storm seeds, Paxos
@@ -232,11 +258,11 @@ struct Rig {
 
   // `workers` is a thread count or sim::testing::kStepReference.
   Rig(uint64_t seed, int nodes, bool paxos, SimDuration resolve_interval = 0,
-      bool fast_path = false, int replication = 3, int workers = 1)
-      // The fast path's periodic acceptor sweep keeps the event queue alive
-      // forever, so those rigs must settle with bounded runs too.
+      int replication = 3, int workers = 1)
+      // The acceptors' periodic orphan sweep keeps the event queue alive
+      // forever, so paxos rigs must settle with bounded runs too.
       : sim(seed, workers), deploy(&sim), workers_(workers),
-        bounded_(resolve_interval > 0 || fast_path) {
+        bounded_(resolve_interval > 0 || paxos) {
     for (int n = 1; n <= nodes; ++n) {
       NodeSpec spec;
       spec.id = static_cast<net::NodeId>(n);
@@ -246,18 +272,10 @@ struct Rig {
       spec.tmp_config.indoubt_resolve_interval = resolve_interval;
       if (paxos) {
         spec.tmp_config.commit_protocol = tmf::CommitProtocol::kPaxos;
-        if (fast_path) {
-          spec.tmp_config.paxos_fast_path = true;
-          for (int k = 0; k < replication; ++k) {
-            spec.tmp_config.acceptor_endpoints.emplace_back(
-                static_cast<net::NodeId>(k % nodes + 1),
-                "$ACCEPT." + std::to_string(k));
-          }
-        } else {
-          for (int a = 1; a <= 3 && a <= nodes; ++a) {
-            spec.tmp_config.acceptor_nodes.push_back(
-                static_cast<net::NodeId>(a));
-          }
+        for (int k = 0; k < replication; ++k) {
+          spec.tmp_config.acceptor_endpoints.emplace_back(
+              static_cast<net::NodeId>(k % nodes + 1),
+              "$ACCEPT." + std::to_string(k));
         }
       }
       deploy.AddNode(spec);
@@ -326,20 +344,33 @@ struct Rig {
   bool bounded_ = false;
 };
 
-// The window Paxos Commit exists for: the coordinator reaches its commit
-// point and dies before any phase-2 message leaves — the exact "crashed
+// Node 2's co-located acceptor holds the prepared votes of both voters. The
+// log mutates before the force-delayed vote ack leaves, so the home cannot
+// have tallied its commit point yet.
+bool VotesLogged(Rig& rig, uint64_t t) {
+  auto voted = [&](uint16_t voter) {
+    auto& logs = rig.deploy.GetNode(2)->storage().acceptor_logs;
+    auto log = logs.find("$ACCEPT.1");
+    if (log == logs.end()) return false;
+    auto it = log->second.entries.find({t, voter});
+    return it != log->second.entries.end() && it->second.has_value &&
+           it->second.value == tmf::Disposition::kCommitted;
+  };
+  return voted(1) && voted(2);
+}
+
+// The window Paxos Commit exists for: the coordinator's commit point is
+// fixed and it dies before any phase-2 message leaves — the exact "crashed
 // between phase 1 and phase 2" schedule. A two-participant transaction
-// homed on node 1 ENDs, and the home crashes once `in_window` holds: the
+// homed on node 1 ENDs, and the home crashes once VotesLogged holds: the
 // acceptors hold the commit, the home's MAT does not. Under 2PC the
-// participant blocks until the home is repaired; here it learns the outcome
-// from the surviving acceptor majority while the home is still down, and
-// the home's own recovery later adopts the same decision from the
-// acceptors. Run at a thread count or the Step() reference; *digest gets
-// the stats registry for byte-comparison.
-void CrashHomeInWindow(int workers, bool fast_path,
-                       bool (*in_window)(Rig&, uint64_t),
-                       std::string* digest) {
-  Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500), fast_path,
+// participant blocks until the home is repaired; here it settles against
+// the acceptors — the home instance first (it names the voters), then each
+// voter's — while the home is still down, and the home's own recovery later
+// adopts the same decision from the acceptors. Run at a thread count or the
+// Step() reference; *digest gets the stats registry for byte-comparison.
+void CrashHomeInWindow(int workers, std::string* digest) {
+  Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
           /*replication=*/3, workers);
   rig.SpawnClient(1);
   uint64_t t = rig.Begin(1);
@@ -352,10 +383,10 @@ void CrashHomeInWindow(int workers, bool fast_path,
 
   rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
                       tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
-  for (int i = 0; i < 4000 && !in_window(rig, t); ++i) {
+  for (int i = 0; i < 4000 && !VotesLogged(rig, t); ++i) {
     rig.RunFor(Micros(100));
   }
-  ASSERT_TRUE(in_window(rig, t));
+  ASSERT_TRUE(VotesLogged(rig, t));
   ASSERT_EQ(rig.MatLookup(1, t), -1) << "home reached its MAT before crash; "
                                        "the window closed too late";
   rig.deploy.CrashNode(1);
@@ -388,100 +419,13 @@ void CrashHomeInWindow(int workers, bool fast_path,
   *digest = rig.sim.GetStats().ToString();
 }
 
-// Decision replication: a majority of acceptors durably accepted the
-// commit. Their logs mutate before the force-delayed grant replies, so the
-// home has not even learned of its own commit point yet.
-bool DecisionAccepted(Rig& rig, uint64_t t) {
-  auto accepted = [&](net::NodeId n) {
-    // Decision-replication instances live under voter 0 of the re-keyed log.
-    auto& entries = rig.deploy.GetNode(n)->storage().acceptor_log.entries;
-    auto it = entries.find({t, uint16_t{0}});
-    return it != entries.end() && it->second.has_value &&
-           it->second.value == tmf::Disposition::kCommitted;
-  };
-  return accepted(2) && accepted(3);
-}
-
-TEST(PaxosOracleTest, CoordinatorCrashBetweenPhasesResolvesViaAcceptors) {
-  std::string reference;
-  CrashHomeInWindow(sim::testing::kStepReference, /*fast_path=*/false,
-                    DecisionAccepted, &reference);
-  for (int workers : {1, 2, 4}) {
-    std::string actual;
-    CrashHomeInWindow(workers, /*fast_path=*/false, DecisionAccepted, &actual);
-    EXPECT_EQ(actual, reference) << "workers=" << workers;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Paxos Commit fast path (PR 10)
-// ---------------------------------------------------------------------------
-
-ChaosCampaignConfig FastPathCampaignConfig(uint64_t seed) {
-  ChaosCampaignConfig cfg = PaxosCampaignConfig(seed);
-  cfg.paxos_fast_path = true;
-  return cfg;
-}
-
-// The fast-path storm suite: the same PR-4 schedules the 2PC and
-// decision-replication campaigns survive, now with every participant voting
-// its prepared state straight to the acceptors and the home reclaiming the
-// instances afterwards. Same invariants, plus the acceptor log must stay
-// bounded — its high-water tracks in-flight transactions, not throughput.
-class ChaosFastPathTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ChaosFastPathTest, SurvivesSeed) {
-  const uint64_t seed = GetParam();
-  ChaosCampaignResult r = RunChaosCampaign(FastPathCampaignConfig(seed));
-  EXPECT_GE(r.schedule.faults.size(), 5u) << "seed " << seed;
-  EXPECT_GE(r.node_crashes, 1u) << "seed " << seed;
-  EXPECT_GT(r.txns_started, 0u) << "seed " << seed;
-  EXPECT_GT(r.txns_committed, 0u) << "seed " << seed;
-  ExpectSurvived(r, seed);
-  EXPECT_GT(r.acceptor_log_peak, 0u) << "seed " << seed;
-  EXPECT_LT(r.acceptor_log_peak, 100u)
-      << "seed " << seed << ": acceptor log grew with throughput, not load";
-  EXPECT_LT(r.acceptor_log_final, 32u)
-      << "seed " << seed << ": GC left instances behind";
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFastPathTest,
-                         ::testing::Range<uint64_t>(1, 11));
-
-// The fast-path storm — coordinator crashes included — replays
-// byte-identically at every worker count.
-TEST(ChaosFastPathParallelTest, SameSeedSameStormAtAnyWorkerCount) {
-  ChaosCampaignConfig cfg = FastPathCampaignConfig(7);
-  ChaosCampaignResult base = RunChaosCampaign(cfg);
-  ExpectSurvived(base, 7);
-  ExpectSameStormAt(cfg, base, {2, 4});
-}
-
-// Fast path: node 2's co-located acceptor holds the prepared votes of both
-// voters. The log mutates before the force-delayed vote ack leaves, so the
-// home cannot have tallied its commit point yet. The participant settles
-// against the acceptors home instance first (it names the voters), then
-// each voter's.
-bool VotesLogged(Rig& rig, uint64_t t) {
-  auto voted = [&](uint16_t voter) {
-    auto& logs = rig.deploy.GetNode(2)->storage().acceptor_logs;
-    auto log = logs.find("$ACCEPT.1");
-    if (log == logs.end()) return false;
-    auto it = log->second.entries.find({t, voter});
-    return it != log->second.entries.end() && it->second.has_value &&
-           it->second.value == tmf::Disposition::kCommitted;
-  };
-  return voted(1) && voted(2);
-}
-
 class FastPathOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FastPathOracleTest, CoordinatorCrashMidFastPathResolvesViaAcceptors) {
   std::string reference;
   std::string actual;
-  CrashHomeInWindow(sim::testing::kStepReference, /*fast_path=*/true,
-                    VotesLogged, &reference);
-  CrashHomeInWindow(GetParam(), /*fast_path=*/true, VotesLogged, &actual);
+  CrashHomeInWindow(sim::testing::kStepReference, &reference);
+  CrashHomeInWindow(GetParam(), &actual);
   EXPECT_EQ(actual, reference) << "workers=" << GetParam();
 }
 
@@ -493,8 +437,7 @@ INSTANTIATE_TEST_SUITE_P(Workers, FastPathOracleTest,
 // a resolver arriving later must be answered from the sealed ring, not by
 // (unsoundly) abort-fixing a fresh empty instance.
 TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
-  Rig rig(19, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
-          /*fast_path=*/true);
+  Rig rig(19, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500));
   rig.SpawnClient(1);
   uint64_t t = rig.Begin(1);
   rig.Insert(t, "mark1", "m1");
@@ -538,7 +481,6 @@ TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
   }
   tmf::Disposition chosen = tmf::Disposition::kUnknown;
   tmf::ResolvePaxosOutcome(rig.client, cfg, Transid::Unpack(t), /*attempt=*/5,
-                           /*fast_path=*/true,
                            [&](tmf::Disposition d) { chosen = d; });
   rig.sim.RunFor(Seconds(2));
   EXPECT_EQ(chosen, tmf::Disposition::kCommitted)
@@ -551,7 +493,7 @@ TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
 // of all five logs per voter, and GC seals across every pair.
 TEST(FastPathPlacementTest, FiveAcceptorsOnThreeNodes) {
   Rig rig(23, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
-          /*fast_path=*/true, /*replication=*/5);
+          /*replication=*/5);
   // Placement k % 3 + 1: node 1 hosts pairs {0, 3}, node 2 {1, 4}, node 3
   // {2}.
   EXPECT_EQ(rig.deploy.GetNode(1)->storage().acceptor_logs.size(), 2u);
