@@ -29,6 +29,12 @@ int64_t ParseBalance(const Bytes& image) {
   return strtoll(rec->Get("balance").c_str(), nullptr, 10);
 }
 
+net::NetworkConfig CampaignNetwork(const ChaosCampaignConfig& config) {
+  net::NetworkConfig net_config;
+  net_config.track_messages = config.track_messages;
+  return net_config;
+}
+
 }  // namespace
 
 // ---- AtomicityOracle --------------------------------------------------------
@@ -330,28 +336,22 @@ void ChaosClient::AbortTxn() {
        opt);
 }
 
-// ---- Campaign runner --------------------------------------------------------
+// ---- Campaign ---------------------------------------------------------------
 
-ChaosCampaignResult RunChaosCampaign(const ChaosCampaignConfig& config) {
-  sim::FaultScheduleConfig scfg = config.schedule;
-  scfg.nodes = config.nodes;
-  scfg.cpus_per_node = 4;
-  sim::FaultSchedule schedule =
-      sim::FaultScheduleGenerator(scfg).Generate(config.seed);
-  return ReplayChaosCampaign(config, schedule);
-}
+ChaosCampaign::ChaosCampaign(const ChaosCampaignConfig& config,
+                             const sim::FaultSchedule& schedule)
+    : config_(config),
+      stop_at_(schedule.EndTime() + Seconds(2)),
+      sim_(config.seed, config.parallel_workers),
+      deploy_(&sim_, CampaignNetwork(config)),
+      injector_(&sim_),
+      client_gen_(config.nodes + 1, 0) {
+  res_.schedule = schedule;
+  res_.schedule_dump = schedule.Dump();
+  res_.node_crashes = schedule.CountOf(sim::FaultClass::kNodeCrash);
+  res_.expected_sum = static_cast<long long>(config.nodes) *
+                      config.accounts_per_node * config.initial_balance;
 
-ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
-                                        const sim::FaultSchedule& schedule) {
-  ChaosCampaignResult res;
-  res.schedule = schedule;
-  res.schedule_dump = schedule.Dump();
-  res.node_crashes = schedule.CountOf(sim::FaultClass::kNodeCrash);
-
-  sim::Simulation sim(config.seed, config.parallel_workers);
-  net::NetworkConfig net_config;
-  net_config.track_messages = config.track_messages;
-  Deployment deploy(&sim, net_config);
   for (int n = 1; n <= config.nodes; ++n) {
     NodeSpec spec;
     spec.id = static_cast<net::NodeId>(n);
@@ -377,9 +377,9 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
     spec.exec_lane = config.queue_lane ? ExecLane::kQueue : ExecLane::kLocks;
     spec.volumes = {VolumeSpec{
         VolName(n), {FileSpec{"acct"}, FileSpec{MarkerFile(n)}}, {}}};
-    deploy.AddNode(spec);
+    deploy_.AddNode(spec);
   }
-  deploy.LinkAll();
+  deploy_.LinkAll();
 
   storage::FileDefinition def;
   def.name = "acct";
@@ -390,16 +390,13 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
   }
   def.partitions.AddPartition({}, static_cast<net::NodeId>(config.nodes),
                               VolName(config.nodes));
-  deploy.DefinePartitionedFile(def);
+  deploy_.DefinePartitionedFile(def);
   for (int n = 1; n <= config.nodes; ++n) {
-    deploy.DefineFile(MarkerFile(n), static_cast<net::NodeId>(n), VolName(n));
+    deploy_.DefineFile(MarkerFile(n), static_cast<net::NodeId>(n), VolName(n));
   }
 
   for (int n = 1; n <= config.nodes; ++n) {
-    auto* vol =
-        deploy.GetNode(static_cast<net::NodeId>(n))->storage().volumes
-            .at(VolName(n))
-            .get();
+    storage::Volume* vol = DataVolume(static_cast<net::NodeId>(n));
     for (int i = (n - 1) * config.accounts_per_node;
          i < n * config.accounts_per_node; ++i) {
       storage::Record rec;
@@ -409,385 +406,349 @@ ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
     }
     vol->Flush();
   }
-  res.expected_sum =
-      static_cast<long long>(config.nodes) * config.accounts_per_node *
-      config.initial_balance;
+}
 
-  sim.RunFor(Millis(10));  // let the service pairs settle
+ChaosCampaignResult ChaosCampaign::Run(const Advance& advance) {
+  advance(sim_, sim_.Now() + Millis(10));  // let the service pairs settle
   // Archive every volume at this transaction-consistent point: the base
   // ROLLFORWARD rebuilds a crashed node from.
-  for (int n = 1; n <= config.nodes; ++n) {
-    deploy.GetNode(static_cast<net::NodeId>(n))->ArchiveVolumes();
+  for (int n = 1; n <= config_.nodes; ++n) {
+    deploy_.GetNode(static_cast<net::NodeId>(n))->ArchiveVolumes();
   }
+  for (int n = 1; n <= config_.nodes; ++n) {
+    SpawnClients(static_cast<net::NodeId>(n));
+  }
+  BindFaults();
 
-  AtomicityOracle oracle;
-  sim::FaultInjector injector(&sim);
-  const SimTime stop_at = schedule.EndTime() + Seconds(2);
+  // ---- the storm, then the drain -------------------------------------------
+  advance(sim_, stop_at_);
+  const int max_spins = static_cast<int>(config_.max_drain / Seconds(1)) + 1;
+  for (int spin = 0; spin < max_spins && !res_.quiesced; ++spin) {
+    advance(sim_, sim_.Now() + Seconds(1));
+    res_.quiesced = Quiet();
+  }
+  advance(sim_, sim_.Now() + Seconds(2));  // settle any last timer pops
+  Census();
+  return std::move(res_);
+}
 
-  std::vector<uint64_t> client_gen(config.nodes + 1, 0);
-  auto spawn_clients = [&](net::NodeId n) {
-    for (int c = 0; c < config.clients_per_node; ++c) {
-      ChaosClientConfig ccfg;
-      ccfg.catalog = &deploy.catalog();
-      ccfg.oracle = &oracle;
-      ccfg.seed = config.seed * 1000003 + static_cast<uint64_t>(n) * 101 +
-                  static_cast<uint64_t>(c) * 17 + client_gen[n] * 7919;
-      ccfg.nodes = config.nodes;
-      ccfg.accounts_per_node = config.accounts_per_node;
-      ccfg.think_time = config.client_think;
-      ccfg.stop_at = stop_at;
-      ccfg.queue_lane = config.queue_lane;
-      // Spread clients over CPUs 1..3, away from CPU 0 where recovery runs.
-      deploy.GetNode(n)->node()->Spawn<ChaosClient>(1 + c % 3, ccfg);
+storage::Volume* ChaosCampaign::DataVolume(net::NodeId n) {
+  return deploy_.GetNode(n)->storage().volumes.at(VolName(n)).get();
+}
+
+void ChaosCampaign::SpawnClients(net::NodeId n) {
+  for (int c = 0; c < config_.clients_per_node; ++c) {
+    ChaosClientConfig ccfg;
+    ccfg.catalog = &deploy_.catalog();
+    ccfg.oracle = &oracle_;
+    ccfg.seed = config_.seed * 1000003 + static_cast<uint64_t>(n) * 101 +
+                static_cast<uint64_t>(c) * 17 + client_gen_[n] * 7919;
+    ccfg.nodes = config_.nodes;
+    ccfg.accounts_per_node = config_.accounts_per_node;
+    ccfg.think_time = config_.client_think;
+    ccfg.stop_at = stop_at_;
+    ccfg.queue_lane = config_.queue_lane;
+    // Spread clients over CPUs 1..3, away from CPU 0 where recovery runs.
+    deploy_.GetNode(n)->node()->Spawn<ChaosClient>(1 + c % 3, ccfg);
+  }
+  ++client_gen_[n];
+}
+
+bool ChaosCampaign::Suppressed(net::NodeId n, const std::string& what) {
+  if (crashed_.count(n) == 0) return false;
+  injector_.Note("suppressed " + what + ": node crashed");
+  return true;
+}
+
+void ChaosCampaign::SetPartition(uint32_t mask, bool up) {
+  for (int a = 1; a <= config_.nodes; ++a) {
+    for (int b = a + 1; b <= config_.nodes; ++b) {
+      if (((mask >> a) & 1u) == ((mask >> b) & 1u)) continue;
+      const auto na = static_cast<net::NodeId>(a);
+      const auto nb = static_cast<net::NodeId>(b);
+      if (crashed_.count(na) || crashed_.count(nb)) continue;
+      if (up) {
+        deploy_.cluster().RestoreLink(na, nb);
+      } else {
+        deploy_.cluster().CutLink(na, nb);
+      }
     }
-    ++client_gen[n];
-  };
-  for (int n = 1; n <= config.nodes; ++n) {
-    spawn_clients(static_cast<net::NodeId>(n));
   }
+}
 
-  // ---- bind the schedule to concrete cluster actions -----------------------
-  // Fault actions run on the global loop (serial phase of the parallel
-  // engine), but RecoverNode's done-callback fires on the recovering node's
-  // own loop — two nodes finishing recovery in the same round would race on
-  // the shared campaign state without this mutex.
-  std::mutex campaign_mu;
-  std::set<net::NodeId> crashed;
-  int recovering = 0;
-  auto fault_tag = [](const sim::FaultSpec& f) {
-    return std::string(sim::FaultClassName(f.fault)) + " node " +
-           std::to_string(f.node);
-  };
-  for (const sim::FaultSpec& f : schedule.faults) {
+// Binds the schedule to concrete cluster actions. They run on the global
+// loop, so they may read crashed_ without the campaign mutex.
+void ChaosCampaign::BindFaults() {
+  for (const sim::FaultSpec& f : res_.schedule.faults) {
+    const std::string node = std::to_string(f.node);
+    const std::string unit = std::to_string(f.unit);
+    const std::string tag =
+        std::string(sim::FaultClassName(f.fault)) + " node " + node;
+    const SimTime heal = f.at + f.heal_after;
     switch (f.fault) {
-      case sim::FaultClass::kCpuFail: {
-        injector.InjectAt(
-            f.at, fault_tag(f) + " cpu " + std::to_string(f.unit),
-            [&deploy, &crashed, &injector, f]() {
-              if (crashed.count(f.node)) {
-                injector.Note("suppressed cpu fail: node crashed");
-                return;
-              }
-              deploy.GetNode(f.node)->node()->FailCpu(f.unit);
-            });
-        injector.InjectAt(
-            f.at + f.heal_after, "reload node " + std::to_string(f.node) +
-                                     " cpu " + std::to_string(f.unit),
-            [&deploy, &crashed, &injector, f]() {
-              if (crashed.count(f.node)) {
-                injector.Note("suppressed cpu reload: node crashed");
-                return;
-              }
-              os::Node* node = deploy.GetNode(f.node)->node();
-              if (!node->CpuUp(f.unit)) node->ReloadCpu(f.unit);
+      case sim::FaultClass::kCpuFail:
+        injector_.InjectAt(f.at, tag + " cpu " + unit, [this, f]() {
+          if (Suppressed(f.node, "cpu fail")) return;
+          deploy_.GetNode(f.node)->node()->FailCpu(f.unit);
+        });
+        injector_.InjectAt(heal, "reload node " + node + " cpu " + unit,
+                           [this, f]() {
+                             if (Suppressed(f.node, "cpu reload")) return;
+                             os::Node* n = deploy_.GetNode(f.node)->node();
+                             if (!n->CpuUp(f.unit)) n->ReloadCpu(f.unit);
+                           });
+        break;
+      case sim::FaultClass::kBusCut:
+        injector_.InjectAt(f.at, tag + " bus " + unit, [this, f]() {
+          if (Suppressed(f.node, "bus cut")) return;
+          deploy_.GetNode(f.node)->node()->SetBusUp(f.unit, false);
+        });
+        injector_.InjectAt(
+            heal, "restore node " + node + " bus " + unit, [this, f]() {
+              if (crashed_.count(f.node)) return;  // reload did it
+              deploy_.GetNode(f.node)->node()->SetBusUp(f.unit, true);
             });
         break;
-      }
-      case sim::FaultClass::kBusCut: {
-        injector.InjectAt(f.at,
-                          fault_tag(f) + " bus " + std::to_string(f.unit),
-                          [&deploy, &crashed, &injector, f]() {
-                            if (crashed.count(f.node)) {
-                              injector.Note("suppressed bus cut: node crashed");
-                              return;
-                            }
-                            deploy.GetNode(f.node)->node()->SetBusUp(f.unit,
-                                                                     false);
-                          });
-        injector.InjectAt(f.at + f.heal_after,
-                          "restore node " + std::to_string(f.node) + " bus " +
-                              std::to_string(f.unit),
-                          [&deploy, &crashed, f]() {
-                            if (crashed.count(f.node)) return;  // reload did it
-                            deploy.GetNode(f.node)->node()->SetBusUp(f.unit,
-                                                                     true);
-                          });
+      case sim::FaultClass::kDriveDrop:
+        injector_.InjectAt(f.at, tag + " drive " + unit, [this, f]() {
+          DataVolume(f.node)->FailDrive(f.unit);
+        });
+        injector_.InjectAt(heal, "revive node " + node + " drive " + unit,
+                           [this, f]() {
+                             (void)DataVolume(f.node)->ReviveDrive(f.unit);
+                           });
         break;
-      }
-      case sim::FaultClass::kDriveDrop: {
-        injector.InjectAt(
-            f.at, fault_tag(f) + " drive " + std::to_string(f.unit),
-            [&deploy, f]() {
-              deploy.GetNode(f.node)->storage().volumes.at(VolName(f.node))
-                  ->FailDrive(f.unit);
-            });
-        injector.InjectAt(
-            f.at + f.heal_after, "revive node " + std::to_string(f.node) +
-                                     " drive " + std::to_string(f.unit),
-            [&deploy, f]() {
-              (void)deploy.GetNode(f.node)->storage().volumes
-                  .at(VolName(f.node))
-                  ->ReviveDrive(f.unit);
-            });
-        break;
-      }
       case sim::FaultClass::kLinkFlap: {
-        injector.InjectAt(f.at,
-                          "cut link " + std::to_string(f.node) + "-" +
-                              std::to_string(f.peer),
-                          [&deploy, &crashed, &injector, f]() {
-                            if (crashed.count(f.node) || crashed.count(f.peer)) {
-                              injector.Note("suppressed link cut: endpoint crashed");
-                              return;
-                            }
-                            deploy.cluster().CutLink(f.node, f.peer);
-                          });
-        injector.InjectAt(f.at + f.heal_after,
-                          "restore link " + std::to_string(f.node) + "-" +
-                              std::to_string(f.peer),
-                          [&deploy, &crashed, f]() {
-                            if (crashed.count(f.node) || crashed.count(f.peer))
-                              return;  // ReconnectNode restores it
-                            deploy.cluster().RestoreLink(f.node, f.peer);
-                          });
+        const std::string link = node + "-" + std::to_string(f.peer);
+        injector_.InjectAt(f.at, "cut link " + link, [this, f]() {
+          if (crashed_.count(f.node) || crashed_.count(f.peer)) {
+            injector_.Note("suppressed link cut: endpoint crashed");
+            return;
+          }
+          deploy_.cluster().CutLink(f.node, f.peer);
+        });
+        injector_.InjectAt(heal, "restore link " + link, [this, f]() {
+          if (crashed_.count(f.node) || crashed_.count(f.peer)) {
+            return;  // ReconnectNode restores it
+          }
+          deploy_.cluster().RestoreLink(f.node, f.peer);
+        });
         break;
       }
       case sim::FaultClass::kPartition: {
-        auto cross = [&config, f](auto&& fn) {
-          for (int a = 1; a <= config.nodes; ++a) {
-            for (int b = a + 1; b <= config.nodes; ++b) {
-              if (((f.mask >> a) & 1u) != ((f.mask >> b) & 1u)) {
-                fn(static_cast<net::NodeId>(a), static_cast<net::NodeId>(b));
-              }
-            }
-          }
-        };
-        injector.InjectAt(f.at,
-                          "partition mask=" + std::to_string(f.mask),
-                          [&deploy, &crashed, cross]() {
-                            cross([&](net::NodeId a, net::NodeId b) {
-                              if (crashed.count(a) || crashed.count(b)) return;
-                              deploy.cluster().CutLink(a, b);
-                            });
-                          });
-        injector.InjectAt(f.at + f.heal_after,
-                          "heal partition mask=" + std::to_string(f.mask),
-                          [&deploy, &crashed, cross]() {
-                            cross([&](net::NodeId a, net::NodeId b) {
-                              if (crashed.count(a) || crashed.count(b)) return;
-                              deploy.cluster().RestoreLink(a, b);
-                            });
-                          });
+        const std::string mask = std::to_string(f.mask);
+        injector_.InjectAt(f.at, "partition mask=" + mask,
+                           [this, f]() { SetPartition(f.mask, false); });
+        injector_.InjectAt(heal, "heal partition mask=" + mask,
+                           [this, f]() { SetPartition(f.mask, true); });
         break;
       }
-      case sim::FaultClass::kNodeCrash: {
-        injector.InjectAt(f.at, "crash node " + std::to_string(f.node),
-                          [&deploy, &crashed, f]() {
-                            crashed.insert(f.node);
-                            deploy.CrashNode(f.node);
-                          });
-        injector.InjectAt(
-            f.at + f.heal_after, "recover node " + std::to_string(f.node),
-            [&deploy, &campaign_mu, &crashed, &recovering, &injector, &res,
-             &spawn_clients, &sim, stop_at, f, &config]() {
-              // In-doubt census at the instant the dead home returns: every
-              // participant still blocked on it waited out the whole outage.
-              for (int n = 1; n <= config.nodes; ++n) {
-                if (n == f.node) continue;
-                NodeDeployment* nd =
-                    deploy.GetNode(static_cast<net::NodeId>(n));
-                if (tmf::TmpProcess* tmp = nd->tmp()) {
-                  res.indoubt_at_recovery +=
-                      tmp->IndoubtParticipantsOf(f.node);
-                }
-              }
-              ++recovering;
-              deploy.RecoverNode(
-                  f.node,
-                  [&campaign_mu, &crashed, &recovering, &injector, &res,
-                   &spawn_clients, &sim, stop_at,
-                   f](const std::vector<tmf::RollforwardReport>& reports) {
-                    std::lock_guard<std::mutex> lk(campaign_mu);
-                    crashed.erase(f.node);
-                    --recovering;
-                    ++res.recoveries_completed;
-                    for (const auto& r : reports) {
-                      res.rollforward_negotiated += r.negotiated;
-                      res.rollforward_redo_applied += r.redo_applied;
-                    }
-                    injector.Note("node " + std::to_string(f.node) +
-                                  " recovered and back in service");
-                    if (sim.Now() < stop_at) {
-                      spawn_clients(f.node);
-                    }
-                  });
-            });
+      case sim::FaultClass::kNodeCrash:
+        injector_.InjectAt(f.at, "crash node " + node, [this, f]() {
+          crashed_.insert(f.node);
+          deploy_.CrashNode(f.node);
+        });
+        injector_.InjectAt(heal, "recover node " + node,
+                           [this, f]() { Recover(f.node); });
         break;
-      }
     }
   }
+}
 
-  // ---- the storm, then the drain -------------------------------------------
-  sim.RunUntil(stop_at);
-  const int max_spins =
-      static_cast<int>(config.max_drain / Seconds(1)) + 1;
-  for (int spin = 0; spin < max_spins; ++spin) {
-    sim.RunFor(Seconds(1));
-    if (!crashed.empty() || recovering > 0) continue;
-    bool quiet = true;
-    for (int n = 1; n <= config.nodes && quiet; ++n) {
-      NodeDeployment* nd = deploy.GetNode(static_cast<net::NodeId>(n));
-      tmf::TmpProcess* tmp = nd->tmp();
-      if (tmp == nullptr || tmp->ActiveTransactionCount() != 0 ||
-          tmp->PendingSafeDeliveries() != 0) {
-        quiet = false;
-        break;
-      }
-      auto* disc = nd->disc(VolName(n));
-      if (disc == nullptr || disc->locks().held_count() != 0) quiet = false;
-    }
-    if (quiet) {
-      res.quiesced = true;
-      break;
+void ChaosCampaign::Recover(net::NodeId node) {
+  // In-doubt census at the instant the dead home returns: every
+  // participant still blocked on it waited out the whole outage.
+  for (int n = 1; n <= config_.nodes; ++n) {
+    if (n == node) continue;
+    if (tmf::TmpProcess* tmp =
+            deploy_.GetNode(static_cast<net::NodeId>(n))->tmp()) {
+      res_.indoubt_at_recovery += tmp->IndoubtParticipantsOf(node);
     }
   }
-  sim.RunFor(Seconds(2));  // settle any last timer pops
+  ++recovering_;
+  deploy_.RecoverNode(
+      node, [this, node](const std::vector<tmf::RollforwardReport>& reports) {
+        std::lock_guard<std::mutex> lk(campaign_mu_);
+        crashed_.erase(node);
+        --recovering_;
+        ++res_.recoveries_completed;
+        for (const auto& r : reports) {
+          res_.rollforward_negotiated += r.negotiated;
+          res_.rollforward_redo_applied += r.redo_applied;
+        }
+        injector_.Note("node " + std::to_string(node) +
+                       " recovered and back in service");
+        if (sim_.Now() < stop_at_) SpawnClients(node);
+      });
+}
 
-  // ---- verdicts ------------------------------------------------------------
-  res.faults_fired = injector.fired();
-  for (const sim::FaultEvent& e : injector.journal()) {
-    res.journal.push_back("t=" + std::to_string(e.when) + " " + e.description);
-  }
-  if (!res.quiesced) {
-    // Name what failed to drain — these lines ride along in the journal a
-    // failing test prints, next to the fault sequence that caused them.
-    for (int n = 1; n <= config.nodes; ++n) {
-      NodeDeployment* nd = deploy.GetNode(static_cast<net::NodeId>(n));
-      tmf::TmpProcess* tmp = nd->tmp();
-      if (tmp == nullptr) {
-        res.journal.push_back("leftover: node " + std::to_string(n) +
-                              " has no TMP");
-        continue;
-      }
-      for (const auto& e : tmp->ListTransactions()) {
-        res.journal.push_back(
-            "leftover: node " + std::to_string(n) + " " +
-            e.transid.ToString() + " state=" +
-            tmf::TxnStateName(static_cast<tmf::TxnState>(e.state)) +
-            (e.is_home ? " home" : " participant of " +
-                                       std::to_string(e.parent)));
-      }
-      if (tmp->PendingSafeDeliveries() != 0) {
-        res.journal.push_back(
-            "leftover: node " + std::to_string(n) + " pending_safe=" +
-            std::to_string(tmp->PendingSafeDeliveries()));
-      }
-      auto* disc = nd->disc(VolName(n));
-      if (disc != nullptr && disc->locks().held_count() != 0) {
-        res.journal.push_back(
-            "leftover: node " + std::to_string(n) + " held_locks=" +
-            std::to_string(disc->locks().held_count()));
-      }
+bool ChaosCampaign::Quiet() {
+  if (!crashed_.empty() || recovering_ > 0) return false;
+  for (int n = 1; n <= config_.nodes; ++n) {
+    NodeDeployment* nd = deploy_.GetNode(static_cast<net::NodeId>(n));
+    tmf::TmpProcess* tmp = nd->tmp();
+    if (tmp == nullptr || tmp->ActiveTransactionCount() != 0 ||
+        tmp->PendingSafeDeliveries() != 0) {
+      return false;
     }
+    auto* disc = nd->disc(VolName(n));
+    if (disc == nullptr || disc->locks().held_count() != 0) return false;
   }
-  res.violations = oracle.Check(&deploy);
-  res.txns_started = oracle.intents();
-  res.txns_committed = oracle.count(AtomicityOracle::Outcome::kCommitted);
-  res.txns_aborted = oracle.count(AtomicityOracle::Outcome::kAborted);
-  res.txns_unknown = oracle.count(AtomicityOracle::Outcome::kUnknown);
-  res.illegal_transitions = sim.GetStats().Counter("tmf.illegal_transitions");
-  {
-    sim::Stats& stats = sim.GetStats();
-    res.indoubt_resolved_via_home =
-        stats.Counter("tmf.indoubt_resolved_commits") +
-        stats.Counter("tmf.indoubt_resolved_aborts");
-    res.indoubt_blocked_on_home = stats.Counter("tmf.indoubt_blocked_on_home");
-    res.indoubt_resolved_via_acceptors =
-        stats.Counter("tmf.paxos_resolved_commits") +
-        stats.Counter("tmf.paxos_resolved_aborts") +
-        stats.Counter("recovery.paxos_resolves");
-    res.recovery_max_retry_attempts =
-        stats.Counter("recovery.max_retry_attempts");
-    res.acceptor_duplicate_votes =
-        stats.Counter("tmf.acceptor_duplicate_votes");
-    if (const sim::Histogram* h = stats.FindHistogram("tmf.indoubt_hold_us")) {
-      res.indoubt_hold_count = static_cast<int64_t>(h->count());
-      res.indoubt_hold_p50_ms = static_cast<double>(h->Percentile(50)) / 1e3;
-      res.indoubt_hold_p99_ms = static_cast<double>(h->Percentile(99)) / 1e3;
-      res.indoubt_hold_max_ms = static_cast<double>(h->Max()) / 1e3;
-    }
-    if (const sim::Histogram* h = stats.FindHistogram("tmf.commit_latency_us")) {
-      res.commit_latency_count = static_cast<int64_t>(h->count());
-      res.commit_latency_p50_ms = static_cast<double>(h->Percentile(50)) / 1e3;
-      res.commit_latency_p99_ms = static_cast<double>(h->Percentile(99)) / 1e3;
-    }
+  return true;
+}
+
+// ---- verdicts ---------------------------------------------------------------
+
+void ChaosCampaign::Census() {
+  res_.faults_fired = injector_.fired();
+  for (const sim::FaultEvent& e : injector_.journal()) {
+    res_.journal.push_back("t=" + std::to_string(e.when) + " " +
+                           e.description);
   }
-  for (int n = 1; n <= config.nodes; ++n) {
-    NodeDeployment* nd = deploy.GetNode(static_cast<net::NodeId>(n));
+  if (!res_.quiesced) JournalLeftovers();
+  res_.violations = oracle_.Check(&deploy_);
+  res_.txns_started = oracle_.intents();
+  res_.txns_committed = oracle_.count(AtomicityOracle::Outcome::kCommitted);
+  res_.txns_aborted = oracle_.count(AtomicityOracle::Outcome::kAborted);
+  res_.txns_unknown = oracle_.count(AtomicityOracle::Outcome::kUnknown);
+  const sim::Stats& stats = sim_.GetStats();
+  res_.illegal_transitions = stats.Counter("tmf.illegal_transitions");
+  res_.indoubt_resolved_via_home =
+      stats.Counter("tmf.indoubt_resolved_commits") +
+      stats.Counter("tmf.indoubt_resolved_aborts");
+  res_.indoubt_blocked_on_home = stats.Counter("tmf.indoubt_blocked_on_home");
+  res_.indoubt_resolved_via_acceptors =
+      stats.Counter("tmf.paxos_resolved_commits") +
+      stats.Counter("tmf.paxos_resolved_aborts") +
+      stats.Counter("recovery.paxos_resolves");
+  res_.acceptor_duplicate_votes = stats.Counter("tmf.acceptor_duplicate_votes");
+  if (const sim::Histogram* h = stats.FindHistogram("tmf.indoubt_hold_us")) {
+    res_.indoubt_hold_p99_ms = static_cast<double>(h->Percentile(99)) / 1e3;
+    res_.indoubt_hold_max_ms = static_cast<double>(h->Max()) / 1e3;
+  }
+  if (const sim::Histogram* h = stats.FindHistogram("tmf.commit_latency_us")) {
+    res_.commit_latency_p50_ms = static_cast<double>(h->Percentile(50)) / 1e3;
+    res_.commit_latency_p99_ms = static_cast<double>(h->Percentile(99)) / 1e3;
+  }
+  for (int n = 1; n <= config_.nodes; ++n) {
+    NodeDeployment* nd = deploy_.GetNode(static_cast<net::NodeId>(n));
     if (tmf::TmpProcess* tmp = nd->tmp()) {
-      res.leaked_txns += tmp->ActiveTransactionCount();
-      res.pending_safe += tmp->PendingSafeDeliveries();
+      res_.leaked_txns += tmp->ActiveTransactionCount();
+      res_.pending_safe += tmp->PendingSafeDeliveries();
     }
     if (auto* disc = nd->disc(VolName(n))) {
-      res.leaked_locks += disc->locks().held_count();
+      res_.leaked_locks += disc->locks().held_count();
     }
     for (const auto& [name, log] : nd->storage().acceptor_logs) {
       (void)name;
-      res.acceptor_log_peak =
-          std::max(res.acceptor_log_peak, log.peak_instances);
-      res.acceptor_log_final += log.entries.size();
+      res_.acceptor_log_peak =
+          std::max(res_.acceptor_log_peak, log.peak_instances);
+      res_.acceptor_log_final += log.entries.size();
     }
-    auto* vol = nd->storage().volumes.at(VolName(n)).get();
-    for (int i = (n - 1) * config.accounts_per_node;
-         i < n * config.accounts_per_node; ++i) {
+    storage::Volume* vol = DataVolume(static_cast<net::NodeId>(n));
+    for (int i = (n - 1) * config_.accounts_per_node;
+         i < n * config_.accounts_per_node; ++i) {
       auto r = vol->ReadRecord("acct", Slice(AcctKey(i)));
-      if (r.status.ok()) res.balance_sum += ParseBalance(r.value);
+      if (r.status.ok()) res_.balance_sum += ParseBalance(r.value);
     }
   }
-  if (config.track_messages) {
-    uint64_t tracked = 0;
-    for (const auto& [transid, count] :
-         deploy.cluster().network().PerTxnMessages()) {
+  if (config_.track_messages) {
+    const net::Network& network = deploy_.cluster().network();
+    for (const auto& [transid, count] : network.PerTxnMessages()) {
       (void)transid;
-      tracked += count;
+      res_.tracked_messages += count;
     }
-    res.tracked_messages = tracked;
-    if (res.txns_committed > 0) {
-      res.msgs_per_committed_txn =
-          static_cast<double>(tracked) / static_cast<double>(res.txns_committed);
+    if (res_.txns_committed > 0) {
+      res_.msgs_per_committed_txn =
+          static_cast<double>(res_.tracked_messages) /
+          static_cast<double>(res_.txns_committed);
     }
-    res.msgs_per_tag = deploy.cluster().network().PerTagMessages();
+    res_.msgs_per_tag = network.PerTagMessages();
   }
+  if (res_.balance_sum != res_.expected_sum) JournalDrift();
+}
 
-  if (res.balance_sum != res.expected_sum) {
-    // Attribute the drift: recompute each account from the committed
-    // transfers and name the transactions touching every account that
-    // disagrees with the durable value. Unknown-outcome transactions make
-    // an account legitimately ambiguous; list them so the reader can tell
-    // ambiguity from corruption.
-    int total = config.nodes * config.accounts_per_node;
-    std::vector<long long> expect(total, config.initial_balance);
-    for (const auto& [id, in] : oracle.all()) {
-      if (in.outcome != AtomicityOracle::Outcome::kCommitted) continue;
-      if (in.from_acct < 0) continue;
-      expect[in.from_acct] -= in.amount;
-      expect[in.to_acct] += in.amount;
+// Names what failed to drain: these lines ride along in the journal a
+// failing test prints, next to the fault sequence that caused them.
+void ChaosCampaign::JournalLeftovers() {
+  for (int n = 1; n <= config_.nodes; ++n) {
+    const std::string node = "leftover: node " + std::to_string(n);
+    NodeDeployment* nd = deploy_.GetNode(static_cast<net::NodeId>(n));
+    tmf::TmpProcess* tmp = nd->tmp();
+    if (tmp == nullptr) {
+      res_.journal.push_back(node + " has no TMP");
+      continue;
     }
-    for (int i = 0; i < total; ++i) {
-      int n = 1 + i / config.accounts_per_node;
-      auto r = deploy.GetNode(static_cast<net::NodeId>(n))
-                   ->storage().volumes.at(VolName(n))
-                   ->ReadRecord("acct", Slice(AcctKey(i)));
-      long long actual = r.status.ok() ? ParseBalance(r.value) : 0;
-      if (actual == expect[i]) continue;
-      res.journal.push_back("drift: acct " + std::to_string(i) + " actual=" +
-                            std::to_string(actual) + " committed-expected=" +
-                            std::to_string(expect[i]));
-      for (const auto& [id, in] : oracle.all()) {
-        if (in.from_acct != i && in.to_acct != i) continue;
-        const char* o = in.outcome == AtomicityOracle::Outcome::kCommitted
-                            ? "committed"
-                            : (in.outcome == AtomicityOracle::Outcome::kAborted
-                                   ? "aborted"
-                                   : "unknown");
-        res.journal.push_back(
-            "drift:   " + Transid::Unpack(id).ToString() + " " + o +
-            (in.from_acct == i ? " debit " : " credit ") +
-            std::to_string(in.amount));
-      }
+    for (const auto& e : tmp->ListTransactions()) {
+      res_.journal.push_back(
+          node + " " + e.transid.ToString() + " state=" +
+          tmf::TxnStateName(static_cast<tmf::TxnState>(e.state)) +
+          (e.is_home ? " home"
+                     : " participant of " + std::to_string(e.parent)));
+    }
+    if (tmp->PendingSafeDeliveries() != 0) {
+      res_.journal.push_back(node + " pending_safe=" +
+                             std::to_string(tmp->PendingSafeDeliveries()));
+    }
+    auto* disc = nd->disc(VolName(n));
+    if (disc != nullptr && disc->locks().held_count() != 0) {
+      res_.journal.push_back(node + " held_locks=" +
+                             std::to_string(disc->locks().held_count()));
     }
   }
-  return res;
+}
+
+// Attributes a balance drift: recomputes each account from the committed
+// transfers and names the transactions touching every account that
+// disagrees with the durable value. Unknown-outcome transactions make an
+// account legitimately ambiguous; they are listed so the reader can tell
+// ambiguity from corruption.
+void ChaosCampaign::JournalDrift() {
+  const int total = config_.nodes * config_.accounts_per_node;
+  std::vector<long long> expect(total, config_.initial_balance);
+  for (const auto& [id, in] : oracle_.all()) {
+    if (in.outcome != AtomicityOracle::Outcome::kCommitted) continue;
+    if (in.from_acct < 0) continue;
+    expect[in.from_acct] -= in.amount;
+    expect[in.to_acct] += in.amount;
+  }
+  for (int i = 0; i < total; ++i) {
+    const auto n = static_cast<net::NodeId>(1 + i / config_.accounts_per_node);
+    auto r = DataVolume(n)->ReadRecord("acct", Slice(AcctKey(i)));
+    const long long actual = r.status.ok() ? ParseBalance(r.value) : 0;
+    if (actual == expect[i]) continue;
+    res_.journal.push_back("drift: acct " + std::to_string(i) + " actual=" +
+                           std::to_string(actual) + " committed-expected=" +
+                           std::to_string(expect[i]));
+    for (const auto& [id, in] : oracle_.all()) {
+      if (in.from_acct != i && in.to_acct != i) continue;
+      const char* o = in.outcome == AtomicityOracle::Outcome::kCommitted
+                          ? "committed"
+                          : (in.outcome == AtomicityOracle::Outcome::kAborted
+                                 ? "aborted"
+                                 : "unknown");
+      res_.journal.push_back(
+          "drift:   " + Transid::Unpack(id).ToString() + " " + o +
+          (in.from_acct == i ? " debit " : " credit ") +
+          std::to_string(in.amount));
+    }
+  }
+}
+
+sim::FaultSchedule ChaosSchedule(const ChaosCampaignConfig& config) {
+  sim::FaultScheduleConfig scfg = config.schedule;
+  scfg.nodes = config.nodes;
+  scfg.cpus_per_node = 4;
+  return sim::FaultScheduleGenerator(scfg).Generate(config.seed);
+}
+
+ChaosCampaignResult RunChaosCampaign(const ChaosCampaignConfig& config) {
+  return ReplayChaosCampaign(config, ChaosSchedule(config));
+}
+
+ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
+                                        const sim::FaultSchedule& schedule) {
+  return ChaosCampaign(config, schedule).Run();
 }
 
 }  // namespace encompass::app

@@ -23,9 +23,11 @@
 #ifndef ENCOMPASS_ENCOMPASS_CHAOS_H_
 #define ENCOMPASS_ENCOMPASS_CHAOS_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -228,18 +230,13 @@ struct ChaosCampaignResult {
   int64_t indoubt_resolved_via_acceptors = 0;
   /// Blocked-lock time: how long non-home participants held locks in-doubt
   /// (tmf.indoubt_hold_us), milliseconds.
-  int64_t indoubt_hold_count = 0;
-  double indoubt_hold_p50_ms = 0;
   double indoubt_hold_p99_ms = 0;
   double indoubt_hold_max_ms = 0;
   /// END-TRANSACTION to commit point at the home TMP
   /// (tmf.commit_latency_us), milliseconds. Prices the protocols against
   /// each other: paxos commits on its vote-ack tally, 2PC on the MAT force.
-  int64_t commit_latency_count = 0;
   double commit_latency_p50_ms = 0;
   double commit_latency_p99_ms = 0;
-  /// High-water of recovery negotiation attempts for any single transid.
-  int64_t recovery_max_retry_attempts = 0;
   /// Cross-node messages per committed transaction (config.track_messages
   /// only): total transid-attributed network sends / txns_committed. Paxos
   /// Commit pays for its votes and acks here, except the co-located ones,
@@ -256,6 +253,69 @@ struct ChaosCampaignResult {
   /// Replayed phase-2a votes absorbed idempotently (no second force).
   int64_t acceptor_duplicate_votes = 0;
 };
+
+/// One chaos campaign. Construction builds the cluster: the deployment and
+/// its seeded accounts. Run() settles it, archives the volumes, starts the
+/// clients and binds the schedule to cluster actions at that settled
+/// instant (a client arms its first think timer relative to now), then runs
+/// the storm, drains, and takes the census. Every advance of simulated time
+/// goes through Run's `advance`, so a test can drive a whole storm through
+/// the Step() reference and byte-compare stats() with a round-loop run.
+class ChaosCampaign {
+ public:
+  /// Advances the simulation to an absolute deadline.
+  using Advance = std::function<void(sim::Simulation&, SimTime)>;
+
+  ChaosCampaign(const ChaosCampaignConfig& config,
+                const sim::FaultSchedule& schedule);
+  // Fault actions and recovery callbacks hold `this`.
+  ChaosCampaign(const ChaosCampaign&) = delete;
+  ChaosCampaign& operator=(const ChaosCampaign&) = delete;
+
+  /// Settles, runs the storm, drains, and takes the census; every advance
+  /// of simulated time goes through `advance`. Call once.
+  ChaosCampaignResult Run(
+      const Advance& advance = [](sim::Simulation& sim, SimTime deadline) {
+        sim.RunUntil(deadline);
+      });
+
+  const sim::Stats& stats() const { return sim_.GetStats(); }
+
+ private:
+  storage::Volume* DataVolume(net::NodeId n);
+  void SpawnClients(net::NodeId n);
+  void BindFaults();
+  /// True (after journaling "suppressed <what>: node crashed") when node
+  /// `n` is down, so the fault must not touch it.
+  bool Suppressed(net::NodeId n, const std::string& what);
+  /// Cuts (or restores) every link across a partition mask, skipping
+  /// crashed endpoints.
+  void SetPartition(uint32_t mask, bool up);
+  void Recover(net::NodeId node);
+  bool Quiet();
+  void Census();
+  void JournalLeftovers();
+  void JournalDrift();
+
+  const ChaosCampaignConfig config_;
+  const SimTime stop_at_;
+  sim::Simulation sim_;
+  Deployment deploy_;
+  AtomicityOracle oracle_;
+  sim::FaultInjector injector_;
+  ChaosCampaignResult res_;
+  // Fault actions run on the global loop (serial phase of the parallel
+  // engine), but RecoverNode's done-callback fires on the recovering node's
+  // own loop — two nodes finishing recovery in the same round would race on
+  // res_'s recovery tallies and the state below without this mutex.
+  std::mutex campaign_mu_;
+  std::set<net::NodeId> crashed_;
+  int recovering_ = 0;
+  std::vector<uint64_t> client_gen_;  ///< per node: client respawn count
+};
+
+/// The fault schedule RunChaosCampaign generates for `config.seed`.
+sim::FaultSchedule ChaosSchedule(const ChaosCampaignConfig& config);
 
 /// Generates the fault schedule for `config.seed` and runs the campaign.
 ChaosCampaignResult RunChaosCampaign(const ChaosCampaignConfig& config);

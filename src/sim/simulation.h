@@ -120,6 +120,7 @@ class Simulation {
   uint64_t seed() const { return seed_; }
 
   Stats& GetStats() { return stats_; }
+  const Stats& GetStats() const { return stats_; }
   TraceLog& GetTrace() { return trace_; }
 
   /// Appends one causal trace event stamped with the current simulated time.

@@ -9,75 +9,24 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 #include "encompass/chaos.h"
-#include "tmf/tmf_protocol.h"
-#include "test_util.h"
+#include "storm_test_util.h"
 
 namespace encompass::app {
 namespace {
 
-using testutil::TestClient;
+using testutil::ExpectSameStormAsStepReference;
+using testutil::ExpectStormSurvives;
+using testutil::ExpectSurvived;
+using testutil::Rig;
+using testutil::StormConfig;
 
-ChaosCampaignConfig CampaignConfig(uint64_t seed) {
-  ChaosCampaignConfig cfg;
-  cfg.seed = seed;
-  cfg.nodes = 3;
-  cfg.accounts_per_node = 20;
-  cfg.clients_per_node = 2;
-  cfg.schedule.faults = 8;
-  cfg.schedule.min_node_crashes = 1;
-  return cfg;
-}
-
-/// Asserts every survival invariant; on any failure, writes the schedule
-/// dump next to the test binary for archival/replay.
-void ExpectSurvived(const ChaosCampaignResult& r, uint64_t seed) {
-  bool clean = r.quiesced && r.violations.empty() &&
-               r.balance_sum == r.expected_sum && r.leaked_locks == 0 &&
-               r.leaked_txns == 0 && r.pending_safe == 0 &&
-               r.illegal_transitions == 0 &&
-               r.recoveries_completed == r.node_crashes;
-  if (!clean) {
-    std::ofstream out("chaos_failing_seed_" + std::to_string(seed) +
-                      ".schedule");
-    out << r.schedule_dump;
-    out.close();
-    for (const auto& line : r.journal) {
-      ADD_FAILURE() << "journal: " << line;
-    }
-  }
-  EXPECT_TRUE(r.quiesced) << "seed " << seed << " did not quiesce";
-  for (const auto& v : r.violations) {
-    ADD_FAILURE() << "seed " << seed << " txn " << v.transid << ": "
-                  << v.detail;
-  }
-  EXPECT_EQ(r.balance_sum, r.expected_sum) << "seed " << seed;
-  EXPECT_EQ(r.leaked_locks, 0u) << "seed " << seed;
-  EXPECT_EQ(r.leaked_txns, 0u) << "seed " << seed;
-  EXPECT_EQ(r.pending_safe, 0u) << "seed " << seed;
-  EXPECT_EQ(r.illegal_transitions, 0) << "seed " << seed;
-  EXPECT_EQ(r.recoveries_completed, r.node_crashes) << "seed " << seed;
-}
+constexpr char kFailingSeed[] = "chaos_failing_seed_";
 
 class ChaosCampaignTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosCampaignTest, SurvivesSeed) {
-  const uint64_t seed = GetParam();
-  ChaosCampaignResult r = RunChaosCampaign(CampaignConfig(seed));
-
-  // The schedule itself must meet the campaign floor: at least 5 faults,
-  // at least one total node crash (so ROLLFORWARD + negotiation run).
-  EXPECT_GE(r.schedule.faults.size(), 5u) << "seed " << seed;
-  EXPECT_GE(r.node_crashes, 1u) << "seed " << seed;
-  EXPECT_GE(r.faults_fired, r.schedule.faults.size()) << "seed " << seed;
-
-  // The workload must have actually exercised the system.
-  EXPECT_GT(r.txns_started, 0u) << "seed " << seed;
-  EXPECT_GT(r.txns_committed, 0u) << "seed " << seed;
-
-  ExpectSurvived(r, seed);
+  ExpectStormSurvives(StormConfig(GetParam()), kFailingSeed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosCampaignTest,
@@ -87,7 +36,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosCampaignTest,
 // schedule: Dump -> Parse round-trips exactly, and the replayed campaign
 // reproduces the original run event for event.
 TEST(ChaosReplayTest, DumpedScheduleReplaysDeterministically) {
-  ChaosCampaignConfig cfg = CampaignConfig(42);
+  ChaosCampaignConfig cfg = StormConfig(42);
   ChaosCampaignResult first = RunChaosCampaign(cfg);
 
   sim::FaultSchedule parsed;
@@ -108,44 +57,32 @@ TEST(ChaosReplayTest, DumpedScheduleReplaysDeterministically) {
   EXPECT_EQ(replay.journal, first.journal);
 }
 
-// The same storm on the parallel engine: every PDES worker count yields the
-// same history — journal, transaction counts, balances — and survives the
-// same invariants. The per-node PRNG streams and key-ordered journal are
-// what make this hold; a regression in either shows up as a diff here.
+// The same storm on the parallel engine: the round loop at every PDES
+// worker count fires exactly the events the Step() reference fires, so the
+// journal, transaction outcomes, balances, and stats registry all match it.
+// The per-node PRNG streams, key-ordered journal, and the round horizons are
+// what make this hold; a regression in any shows up as a diff here. Seed 1's
+// storm sends requests to peers whose own next event is far off, so it also
+// checks the horizon's reactive-reply (echo) bound.
 TEST(ChaosParallelTest, SameSeedSameStormAtAnyWorkerCount) {
-  ChaosCampaignConfig cfg = CampaignConfig(7);
-  cfg.parallel_workers = 1;
-  ChaosCampaignResult oracle = RunChaosCampaign(cfg);
-  ExpectSurvived(oracle, 7);
-  for (int workers : {2, 4}) {
-    cfg.parallel_workers = workers;
-    ChaosCampaignResult r = RunChaosCampaign(cfg);
-    EXPECT_EQ(r.journal, oracle.journal) << "workers=" << workers;
-    EXPECT_EQ(r.txns_started, oracle.txns_started) << "workers=" << workers;
-    EXPECT_EQ(r.txns_committed, oracle.txns_committed)
-        << "workers=" << workers;
-    EXPECT_EQ(r.txns_aborted, oracle.txns_aborted) << "workers=" << workers;
-    EXPECT_EQ(r.txns_unknown, oracle.txns_unknown) << "workers=" << workers;
-    EXPECT_EQ(r.balance_sum, oracle.balance_sum) << "workers=" << workers;
-    EXPECT_EQ(r.recoveries_completed, oracle.recoveries_completed)
-        << "workers=" << workers;
-    EXPECT_EQ(r.faults_fired, oracle.faults_fired) << "workers=" << workers;
-  }
+  ExpectSurvived(ExpectSameStormAsStepReference(StormConfig(1)), 1,
+                 kFailingSeed);
 }
 
 // The same storm with every node on the queue execution lane: clients
 // submit whole predeclared transactions to $QPLAN instead of running the
 // lock-lane verb sequence. A queue-lane commit is a normal TMF commit, so
 // the atomicity oracle, balance conservation, leak checks, and ROLLFORWARD
-// floor all hold unchanged.
+// floor all hold unchanged — and the storm matches the Step() reference at
+// every worker count.
 TEST(ChaosQueueLaneTest, QueueLaneStormHoldsOracle) {
-  ChaosCampaignConfig cfg = CampaignConfig(9);
+  ChaosCampaignConfig cfg = StormConfig(9);
   cfg.queue_lane = true;
-  ChaosCampaignResult r = RunChaosCampaign(cfg);
+  ChaosCampaignResult r = ExpectSameStormAsStepReference(cfg);
   EXPECT_GE(r.node_crashes, 1u);
   EXPECT_GT(r.txns_started, 0u);
   EXPECT_GT(r.txns_committed, 0u);
-  ExpectSurvived(r, 9);
+  ExpectSurvived(r, 9, kFailingSeed);
 }
 
 // The generator's structural guarantees hold for many seeds: every fault
@@ -173,88 +110,48 @@ TEST(FaultScheduleTest, StructuralGuaranteesAcrossSeeds) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: partition between phase 1 and phase 2 of a distributed commit,
-// convergence asserted through the oracle.
+// Hand-built crash windows: a partition between phase 1 and phase 2 of a
+// distributed commit, convergence asserted through the oracle.
 // ---------------------------------------------------------------------------
 
 TEST(ChaosOracleTest, PartitionBetweenPhasesConvergesAfterHeal) {
-  sim::Simulation sim(7);
-  Deployment deploy(&sim);
-  for (int n = 1; n <= 2; ++n) {
-    NodeSpec spec;
-    spec.id = static_cast<net::NodeId>(n);
-    std::string vol = "$DATA" + std::to_string(n);
-    spec.volumes = {VolumeSpec{
-        vol, {FileSpec{"mark" + std::to_string(n)}}, {}}};
-    deploy.AddNode(spec);
-  }
-  deploy.LinkAll();
-  ASSERT_TRUE(deploy.DefineFile("mark1", 1, "$DATA1").ok());
-  ASSERT_TRUE(deploy.DefineFile("mark2", 2, "$DATA2").ok());
-
-  auto* client = deploy.GetNode(1)->node()->Spawn<TestClient>(2);
-  tmf::FileSystem fs(client, &deploy.catalog());
-  sim.Run();
+  Rig rig(7, 2, /*paxos=*/false);
+  rig.SpawnClient(1);
 
   // Begin, write the marker on both nodes.
-  auto* b = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfBegin, {});
-  sim.Run();
-  ASSERT_TRUE(b->done && b->status.ok());
-  uint64_t t = tmf::DecodeTransidPayload(Slice(b->payload))->Pack();
-
+  uint64_t t = rig.Begin(1);
   AtomicityOracle oracle;
   oracle.RegisterIntent(t, "m1",
                         {{1, "$DATA1", "mark1"}, {2, "$DATA2", "mark2"}});
-
-  auto insert = [&](const std::string& file) {
-    bool done = false;
-    Status st;
-    client->set_current_transid(t);
-    fs.Insert(file, Slice(std::string("m1")), Slice(std::string("x")),
-              [&](const Status& s, const Bytes&) {
-                st = s;
-                done = true;
-              });
-    client->set_current_transid(0);
-    sim.Run();
-    EXPECT_TRUE(done);
-    return st;
-  };
-  ASSERT_TRUE(insert("mark1").ok());
-  ASSERT_TRUE(insert("mark2").ok());
+  rig.Insert(t, "mark1", "m1");
+  rig.Insert(t, "mark2", "m1");
 
   // END; cut the link the instant the commit record hits the home MAT —
   // after phase 1 (node 2 is prepared, in doubt) and before its phase 2.
-  auto* e = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                            tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
-  for (int i = 0;
-       i < 2000 &&
-       deploy.GetNode(1)->storage().monitor_trail.Lookup(Transid::Unpack(t)) != 1;
-       ++i) {
-    sim.RunFor(Micros(500));
-  }
-  ASSERT_EQ(deploy.GetNode(1)->storage().monitor_trail.Lookup(Transid::Unpack(t)), 1);
-  deploy.cluster().CutLink(1, 2);
-  sim.RunFor(Seconds(1));
+  auto* e = rig.End(1, t);
+  rig.RunToCommitRecord(1, t);
+  ASSERT_EQ(rig.MatLookup(1, t), 1);
+  rig.deploy.cluster().CutLink(1, 2);
+  rig.RunFor(Seconds(1));
 
   // Home committed; the participant side is partitioned away in doubt.
   ASSERT_TRUE(e->done);
   ASSERT_TRUE(e->status.ok());
   oracle.RecordOutcome(t, AtomicityOracle::Outcome::kCommitted);
-  EXPECT_GT(deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
-  EXPECT_GT(deploy.GetNode(1)->tmp()->PendingSafeDeliveries(), 0u);
+  EXPECT_GT(rig.deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
+  EXPECT_GT(rig.deploy.GetNode(1)->tmp()->PendingSafeDeliveries(), 0u);
 
   // Heal; safe delivery finishes phase 2 and both sides converge.
-  deploy.cluster().RestoreLink(1, 2);
-  sim.RunFor(Seconds(5));
+  rig.deploy.cluster().RestoreLink(1, 2);
+  rig.RunFor(Seconds(5));
 
-  auto violations = oracle.Check(&deploy);
+  auto violations = oracle.Check(&rig.deploy);
   for (const auto& v : violations) {
     ADD_FAILURE() << "txn " << v.transid << ": " << v.detail;
   }
-  EXPECT_EQ(deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
-  EXPECT_EQ(deploy.GetNode(1)->tmp()->PendingSafeDeliveries(), 0u);
-  EXPECT_EQ(deploy.GetNode(2)->storage().monitor_trail.Lookup(Transid::Unpack(t)), 1);
+  EXPECT_EQ(rig.deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
+  EXPECT_EQ(rig.deploy.GetNode(1)->tmp()->PendingSafeDeliveries(), 0u);
+  EXPECT_EQ(rig.MatLookup(2, t), 1);
 }
 
 // Same window, but the partitioned participant then loses the whole node:
@@ -262,83 +159,40 @@ TEST(ChaosOracleTest, PartitionBetweenPhasesConvergesAfterHeal) {
 // with the home TMP can restore the committed write. The oracle must still
 // see the marker on both volumes afterwards.
 TEST(ChaosOracleTest, CrashedInDoubtParticipantRecoversCommittedWrite) {
-  sim::Simulation sim(11);
-  Deployment deploy(&sim);
-  for (int n = 1; n <= 2; ++n) {
-    NodeSpec spec;
-    spec.id = static_cast<net::NodeId>(n);
-    std::string vol = "$DATA" + std::to_string(n);
-    spec.volumes = {VolumeSpec{
-        vol, {FileSpec{"mark" + std::to_string(n)}}, {}}};
-    deploy.AddNode(spec);
-  }
-  deploy.LinkAll();
-  ASSERT_TRUE(deploy.DefineFile("mark1", 1, "$DATA1").ok());
-  ASSERT_TRUE(deploy.DefineFile("mark2", 2, "$DATA2").ok());
-  deploy.GetNode(1)->ArchiveVolumes();
-  deploy.GetNode(2)->ArchiveVolumes();
-
-  auto* client = deploy.GetNode(1)->node()->Spawn<TestClient>(2);
-  tmf::FileSystem fs(client, &deploy.catalog());
-  sim.Run();
-
-  auto* b = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfBegin, {});
-  sim.Run();
-  ASSERT_TRUE(b->done && b->status.ok());
-  uint64_t t = tmf::DecodeTransidPayload(Slice(b->payload))->Pack();
-
+  Rig rig(11, 2, /*paxos=*/false);
+  rig.SpawnClient(1);
+  uint64_t t = rig.Begin(1);
   AtomicityOracle oracle;
   oracle.RegisterIntent(t, "m1",
                         {{1, "$DATA1", "mark1"}, {2, "$DATA2", "mark2"}});
+  rig.Insert(t, "mark1", "m1");
+  rig.Insert(t, "mark2", "m1");
 
-  auto insert = [&](const std::string& file) {
-    bool done = false;
-    Status st;
-    client->set_current_transid(t);
-    fs.Insert(file, Slice(std::string("m1")), Slice(std::string("x")),
-              [&](const Status& s, const Bytes&) {
-                st = s;
-                done = true;
-              });
-    client->set_current_transid(0);
-    sim.Run();
-    EXPECT_TRUE(done);
-    return st;
-  };
-  ASSERT_TRUE(insert("mark1").ok());
-  ASSERT_TRUE(insert("mark2").ok());
-
-  auto* e = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                            tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
-  for (int i = 0;
-       i < 2000 &&
-       deploy.GetNode(1)->storage().monitor_trail.Lookup(Transid::Unpack(t)) != 1;
-       ++i) {
-    sim.RunFor(Micros(500));
-  }
-  deploy.cluster().CutLink(1, 2);
-  sim.RunFor(Seconds(1));
+  auto* e = rig.End(1, t);
+  rig.RunToCommitRecord(1, t);
+  rig.deploy.cluster().CutLink(1, 2);
+  rig.RunFor(Seconds(1));
   ASSERT_TRUE(e->done && e->status.ok());
   oracle.RecordOutcome(t, AtomicityOracle::Outcome::kCommitted);
 
   // Total failure of the in-doubt participant: volatile state (including
   // the unforced marker insert... but NOT its phase-1-forced after-image)
   // is lost.
-  deploy.CrashNode(2);
-  sim.RunFor(Seconds(1));
+  rig.deploy.CrashNode(2);
+  rig.RunFor(Seconds(1));
 
   bool recovered = false;
-  deploy.RecoverNode(2, [&](const std::vector<tmf::RollforwardReport>&) {
+  rig.deploy.RecoverNode(2, [&](const std::vector<tmf::RollforwardReport>&) {
     recovered = true;
   });
-  sim.RunFor(Seconds(10));
+  rig.RunFor(Seconds(10));
   ASSERT_TRUE(recovered);
 
-  auto violations = oracle.Check(&deploy);
+  auto violations = oracle.Check(&rig.deploy);
   for (const auto& v : violations) {
     ADD_FAILURE() << "txn " << v.transid << ": " << v.detail;
   }
-  EXPECT_EQ(deploy.GetNode(2)->storage().monitor_trail.Lookup(Transid::Unpack(t)), 1);
+  EXPECT_EQ(rig.MatLookup(2, t), 1);
 }
 
 }  // namespace

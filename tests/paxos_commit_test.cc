@@ -15,8 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <initializer_list>
 #include <string>
 
 #include "encompass/chaos.h"
@@ -24,56 +22,19 @@
 #include "tmf/recovery.h"
 #include "tmf/tmf_protocol.h"
 #include "step_reference.h"
-#include "test_util.h"
+#include "storm_test_util.h"
 
 namespace encompass::app {
 namespace {
 
+using testutil::ExpectSameStormAsStepReference;
+using testutil::ExpectStormSurvives;
+using testutil::ExpectSurvived;
+using testutil::PaxosStormConfig;
+using testutil::Rig;
 using testutil::TestClient;
 
-ChaosCampaignConfig PaxosCampaignConfig(uint64_t seed) {
-  // Same storm floor as the 2PC ChaosCampaignTest (PR-4 schedule): >= 8
-  // faults, at least one total node crash, three nodes — with every TMP on
-  // Paxos Commit and a 2F+1 = 3 acceptor group, one `$ACCEPT.<k>` per node.
-  ChaosCampaignConfig cfg;
-  cfg.seed = seed;
-  cfg.nodes = 3;
-  cfg.accounts_per_node = 20;
-  cfg.clients_per_node = 2;
-  cfg.schedule.faults = 8;
-  cfg.schedule.min_node_crashes = 1;
-  cfg.commit_protocol = tmf::CommitProtocol::kPaxos;
-  cfg.commit_replication = 3;
-  return cfg;
-}
-
-void ExpectSurvived(const ChaosCampaignResult& r, uint64_t seed) {
-  bool clean = r.quiesced && r.violations.empty() &&
-               r.balance_sum == r.expected_sum && r.leaked_locks == 0 &&
-               r.leaked_txns == 0 && r.pending_safe == 0 &&
-               r.illegal_transitions == 0 &&
-               r.recoveries_completed == r.node_crashes;
-  if (!clean) {
-    std::ofstream out("paxos_failing_seed_" + std::to_string(seed) +
-                      ".schedule");
-    out << r.schedule_dump;
-    out.close();
-    for (const auto& line : r.journal) {
-      ADD_FAILURE() << "journal: " << line;
-    }
-  }
-  EXPECT_TRUE(r.quiesced) << "seed " << seed << " did not quiesce";
-  for (const auto& v : r.violations) {
-    ADD_FAILURE() << "seed " << seed << " txn " << v.transid << ": "
-                  << v.detail;
-  }
-  EXPECT_EQ(r.balance_sum, r.expected_sum) << "seed " << seed;
-  EXPECT_EQ(r.leaked_locks, 0u) << "seed " << seed;
-  EXPECT_EQ(r.leaked_txns, 0u) << "seed " << seed;
-  EXPECT_EQ(r.pending_safe, 0u) << "seed " << seed;
-  EXPECT_EQ(r.illegal_transitions, 0) << "seed " << seed;
-  EXPECT_EQ(r.recoveries_completed, r.node_crashes) << "seed " << seed;
-}
+constexpr char kFailingSeed[] = "paxos_failing_seed_";
 
 // Two-phase commit stays the default, byte for byte: a deployment that
 // never mentions Paxos must spawn no acceptors, vote nothing, and record
@@ -96,11 +57,7 @@ TEST(PaxosDefaultsTest, TwoPhaseRemainsTheDefault) {
   EXPECT_FALSE(ccfg.track_messages);
 
   // A default (2PC) campaign must never touch the acceptor path.
-  ccfg.seed = 5;
-  ccfg.nodes = 3;
-  ccfg.schedule.faults = 8;
-  ccfg.schedule.min_node_crashes = 1;
-  ChaosCampaignResult r = RunChaosCampaign(ccfg);
+  ChaosCampaignResult r = RunChaosCampaign(testutil::StormConfig(5));
   EXPECT_EQ(r.indoubt_resolved_via_acceptors, 0);
 }
 
@@ -122,21 +79,15 @@ TEST(PaxosDefaultsTest, BallotEncoding) {
   EXPECT_EQ(tmf::DecodeTransidPayload(Slice(paxos))->Pack(), t.Pack());
 }
 
-// The full PR-4 storm schedule under Paxos Commit: every seed must survive
-// the same invariants the 2PC campaign pins — zero oracle violations,
-// conserved balances, no leaks, every crashed node recovered — and the
-// acceptor log must stay bounded: its high-water tracks in-flight
-// transactions, not throughput, and GC drains it once the storm settles.
-class ChaosPaxosTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ChaosPaxosTest, SurvivesSeed) {
-  const uint64_t seed = GetParam();
-  ChaosCampaignResult r = RunChaosCampaign(PaxosCampaignConfig(seed));
-  EXPECT_GE(r.schedule.faults.size(), 5u) << "seed " << seed;
-  EXPECT_GE(r.node_crashes, 1u) << "seed " << seed;
-  EXPECT_GT(r.txns_started, 0u) << "seed " << seed;
-  EXPECT_GT(r.txns_committed, 0u) << "seed " << seed;
-  ExpectSurvived(r, seed);
+// The 2PC campaign's storm floor under Paxos Commit with `replication`
+// acceptor pairs: every seed must survive the same invariants the 2PC
+// campaign pins — zero oracle violations, conserved balances, no leaks,
+// every crashed node recovered — and the acceptor log must stay bounded:
+// its high-water tracks in-flight transactions, not throughput, and GC
+// drains it once the storm settles.
+void ExpectPaxosSeedSurvives(uint64_t seed, int replication) {
+  ChaosCampaignResult r =
+      ExpectStormSurvives(PaxosStormConfig(seed, replication), kFailingSeed);
   EXPECT_GT(r.acceptor_log_peak, 0u) << "seed " << seed;
   EXPECT_LT(r.acceptor_log_peak, 100u)
       << "seed " << seed << ": acceptor log grew with throughput, not load";
@@ -144,65 +95,31 @@ TEST_P(ChaosPaxosTest, SurvivesSeed) {
       << "seed " << seed << ": GC left instances behind";
 }
 
+// F = 1: three `$ACCEPT.<k>` pairs, one per node.
+class ChaosPaxosTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChaosPaxosTest, SurvivesSeed) { ExpectPaxosSeedSurvives(GetParam(), 3); }
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosPaxosTest,
                          ::testing::Range<uint64_t>(1, 21));
 
-// The same storms with F = 2: five `$ACCEPT.<k>` pairs on three nodes, so
-// nodes 1 and 2 each host two pairs and one node crash takes two acceptors
-// down at once. Every participant votes to F+1 = 3 of them; the same
-// survival invariants and acceptor-log bounds must hold.
+// F = 2: five `$ACCEPT.<k>` pairs on three nodes, so nodes 1 and 2 each host
+// two pairs and one node crash takes two acceptors down at once. Every
+// participant votes to F+1 = 3 of them.
 class ChaosFastPathTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosFastPathTest, SurvivesSeed) {
-  const uint64_t seed = GetParam();
-  ChaosCampaignConfig cfg = PaxosCampaignConfig(seed);
-  cfg.commit_replication = 5;
-  ChaosCampaignResult r = RunChaosCampaign(cfg);
-  EXPECT_GE(r.schedule.faults.size(), 5u) << "seed " << seed;
-  EXPECT_GE(r.node_crashes, 1u) << "seed " << seed;
-  EXPECT_GT(r.txns_started, 0u) << "seed " << seed;
-  EXPECT_GT(r.txns_committed, 0u) << "seed " << seed;
-  ExpectSurvived(r, seed);
-  EXPECT_GT(r.acceptor_log_peak, 0u) << "seed " << seed;
-  EXPECT_LT(r.acceptor_log_peak, 100u)
-      << "seed " << seed << ": acceptor log grew with throughput, not load";
-  EXPECT_LT(r.acceptor_log_final, 32u)
-      << "seed " << seed << ": GC left instances behind";
+  ExpectPaxosSeedSurvives(GetParam(), 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFastPathTest,
                          ::testing::Range<uint64_t>(1, 11));
 
-// Runs `cfg` at each worker count and expects `base`'s history. A campaign
-// drives its own simulation, so these sweeps compare thread counts with one
-// another; the Step()-driven replay of a paxos crash window is
-// FastPathOracleTest below.
-void ExpectSameStormAt(ChaosCampaignConfig cfg, const ChaosCampaignResult& base,
-                       std::initializer_list<int> worker_counts) {
-  for (int workers : worker_counts) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    cfg.parallel_workers = workers;
-    ChaosCampaignResult r = RunChaosCampaign(cfg);
-    EXPECT_EQ(r.journal, base.journal);
-    EXPECT_EQ(r.txns_started, base.txns_started);
-    EXPECT_EQ(r.txns_committed, base.txns_committed);
-    EXPECT_EQ(r.txns_aborted, base.txns_aborted);
-    EXPECT_EQ(r.txns_unknown, base.txns_unknown);
-    EXPECT_EQ(r.balance_sum, base.balance_sum);
-    EXPECT_EQ(r.recoveries_completed, base.recoveries_completed);
-    EXPECT_EQ(r.indoubt_resolved_via_acceptors,
-              base.indoubt_resolved_via_acceptors);
-    EXPECT_EQ(r.acceptor_log_final, base.acceptor_log_final);
-  }
-}
-
-// The paxos storm — coordinator crashes included — replays
-// byte-identically at every worker count.
+// The paxos storm — coordinator crashes included — fires exactly the
+// Step() reference's events at every worker count.
 TEST(ChaosFastPathParallelTest, SameSeedSameStormAtAnyWorkerCount) {
-  ChaosCampaignConfig cfg = PaxosCampaignConfig(7);
-  ChaosCampaignResult base = RunChaosCampaign(cfg);
-  ExpectSurvived(base, 7);
-  ExpectSameStormAt(cfg, base, {2, 4});
+  ExpectSurvived(ExpectSameStormAsStepReference(PaxosStormConfig(7)), 7,
+                 kFailingSeed);
 }
 
 // The point of the protocol, measured: over the shared storm seeds, Paxos
@@ -229,12 +146,12 @@ TEST(ChaosPaxosTest, FewerIndoubtBlockedOnHomeThanTwoPhase) {
   size_t indoubt_2pc = 0, indoubt_paxos = 0;
   int64_t via_acceptors = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    ChaosCampaignConfig two = PaxosCampaignConfig(seed);
+    ChaosCampaignConfig two = PaxosStormConfig(seed);
     comparison_storm(&two);
     two.commit_protocol = tmf::CommitProtocol::kTwoPhase;
     indoubt_2pc += RunChaosCampaign(two).indoubt_at_recovery;
 
-    ChaosCampaignConfig pax = PaxosCampaignConfig(seed);
+    ChaosCampaignConfig pax = PaxosStormConfig(seed);
     comparison_storm(&pax);
     ChaosCampaignResult p = RunChaosCampaign(pax);
     indoubt_paxos += p.indoubt_at_recovery;
@@ -249,100 +166,6 @@ TEST(ChaosPaxosTest, FewerIndoubtBlockedOnHomeThanTwoPhase) {
 // ---------------------------------------------------------------------------
 // Hand-built crash windows
 // ---------------------------------------------------------------------------
-
-struct Rig {
-  sim::Simulation sim;
-  Deployment deploy;
-  TestClient* client = nullptr;
-  std::unique_ptr<tmf::FileSystem> fs;
-
-  // `workers` is a thread count or sim::testing::kStepReference.
-  Rig(uint64_t seed, int nodes, bool paxos, SimDuration resolve_interval = 0,
-      int replication = 3, int workers = 1)
-      // The acceptors' periodic orphan sweep keeps the event queue alive
-      // forever, so paxos rigs must settle with bounded runs too.
-      : sim(seed, workers), deploy(&sim), workers_(workers),
-        bounded_(resolve_interval > 0 || paxos) {
-    for (int n = 1; n <= nodes; ++n) {
-      NodeSpec spec;
-      spec.id = static_cast<net::NodeId>(n);
-      std::string vol = "$DATA" + std::to_string(n);
-      spec.volumes = {
-          VolumeSpec{vol, {FileSpec{"mark" + std::to_string(n)}}, {}}};
-      spec.tmp_config.indoubt_resolve_interval = resolve_interval;
-      if (paxos) {
-        spec.tmp_config.commit_protocol = tmf::CommitProtocol::kPaxos;
-        for (int k = 0; k < replication; ++k) {
-          spec.tmp_config.acceptor_endpoints.emplace_back(
-              static_cast<net::NodeId>(k % nodes + 1),
-              "$ACCEPT." + std::to_string(k));
-        }
-      }
-      deploy.AddNode(spec);
-    }
-    deploy.LinkAll();
-    for (int n = 1; n <= nodes; ++n) {
-      std::string mark = "mark" + std::to_string(n);
-      std::string vol = "$DATA" + std::to_string(n);
-      EXPECT_TRUE(
-          deploy.DefineFile(mark, static_cast<net::NodeId>(n), vol).ok());
-      deploy.GetNode(static_cast<net::NodeId>(n))->ArchiveVolumes();
-    }
-  }
-
-  /// Runs until the sim settles — bounded when a periodic resolve timer
-  /// keeps the event queue alive forever.
-  void Settle() {
-    if (bounded_) {
-      RunFor(Millis(250));
-    } else {
-      sim::testing::Drain(sim, workers_);
-    }
-  }
-
-  void RunFor(SimDuration d) {
-    sim::testing::AdvanceTo(sim, workers_, sim.Now() + d);
-  }
-
-  /// Spawns the client on `node` and runs the sim until it settles.
-  void SpawnClient(net::NodeId node) {
-    client = deploy.GetNode(node)->node()->Spawn<TestClient>(2);
-    fs = std::make_unique<tmf::FileSystem>(client, &deploy.catalog());
-    Settle();
-  }
-
-  /// BEGINs a transaction at `home` and returns its packed transid.
-  uint64_t Begin(net::NodeId home) {
-    auto* b = client->CallRaw(net::Address(home, "$TMP"), tmf::kTmfBegin, {});
-    Settle();
-    EXPECT_TRUE(b->done && b->status.ok());
-    return tmf::DecodeTransidPayload(Slice(b->payload))->Pack();
-  }
-
-  /// Inserts `key` into `file` under transaction `t`.
-  void Insert(uint64_t t, const std::string& file, const std::string& key) {
-    bool done = false;
-    Status st;
-    client->set_current_transid(t);
-    fs->Insert(file, Slice(key), Slice(std::string("x")),
-               [&](const Status& s, const Bytes&) {
-                 st = s;
-                 done = true;
-               });
-    client->set_current_transid(0);
-    Settle();
-    EXPECT_TRUE(done && st.ok()) << st.ToString();
-  }
-
-  int64_t MatLookup(net::NodeId node, uint64_t t) {
-    return deploy.GetNode(node)->storage().monitor_trail.Lookup(
-        Transid::Unpack(t));
-  }
-
- private:
-  int workers_;
-  bool bounded_ = false;
-};
 
 // Node 2's co-located acceptor holds the prepared votes of both voters. The
 // log mutates before the force-delayed vote ack leaves, so the home cannot
@@ -381,8 +204,7 @@ void CrashHomeInWindow(int workers, std::string* digest) {
   rig.Insert(t, "mark1", "m1");
   rig.Insert(t, "mark2", "m1");
 
-  rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                      tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
+  rig.End(1, t);
   for (int i = 0; i < 4000 && !VotesLogged(rig, t); ++i) {
     rig.RunFor(Micros(100));
   }
@@ -442,9 +264,7 @@ TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
   uint64_t t = rig.Begin(1);
   rig.Insert(t, "mark1", "m1");
   rig.Insert(t, "mark2", "m1");
-  auto* e = rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                                tmf::EncodeTransidPayload(Transid::Unpack(t)),
-                                t);
+  auto* e = rig.End(1, t);
   // Commit, phase 2, acks, then the 100ms reclaim flush — 2s covers it all.
   rig.sim.RunFor(Seconds(2));
   ASSERT_TRUE(e->done && e->status.ok()) << e->status.ToString();
@@ -508,9 +328,7 @@ TEST(FastPathPlacementTest, FiveAcceptorsOnThreeNodes) {
   uint64_t t = rig.Begin(1);
   rig.Insert(t, "mark1", "m1");
   rig.Insert(t, "mark2", "m1");
-  auto* e = rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                                tmf::EncodeTransidPayload(Transid::Unpack(t)),
-                                t);
+  auto* e = rig.End(1, t);
   rig.sim.RunFor(Seconds(2));
   ASSERT_TRUE(e->done && e->status.ok()) << e->status.ToString();
   EXPECT_EQ(rig.MatLookup(1, t), 1);
@@ -568,8 +386,7 @@ TEST(RecoveryNegotiationTest, TwoCrashedHomesNegotiateConcurrently) {
   // points within one phase-2 flight time of each other; the instant both
   // home MATs hold the commit records, isolate node 4 completely (the mesh
   // would happily route a phase 2 around any single cut link).
-  rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                      tmf::EncodeTransidPayload(Transid::Unpack(ta)), ta);
+  rig.End(1, ta);
   client2->CallRaw(net::Address(2, "$TMP"), tmf::kTmfEnd,
                    tmf::EncodeTransidPayload(Transid::Unpack(tb)), tb);
   for (int i = 0;
@@ -687,11 +504,8 @@ TEST(RecoveryNegotiationTest, MalformedResolveReplyIsCounted) {
   uint64_t t = rig.Begin(1);
   rig.Insert(t, "mark1", "m1");
   rig.Insert(t, "mark2", "m1");
-  rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
-                      tmf::EncodeTransidPayload(Transid::Unpack(t)), t);
-  for (int i = 0; i < 2000 && rig.MatLookup(1, t) != 1; ++i) {
-    rig.sim.RunFor(Micros(500));
-  }
+  rig.End(1, t);
+  rig.RunToCommitRecord(1, t);
   ASSERT_EQ(rig.MatLookup(1, t), 1);
   rig.deploy.cluster().CutLink(1, 2);
   rig.sim.RunFor(Seconds(1));
