@@ -23,6 +23,10 @@
 #include "sim/stats.h"
 #include "tmf/tmf_protocol.h"
 
+#ifndef ENCOMPASS_BUILD_TYPE
+#define ENCOMPASS_BUILD_TYPE ""
+#endif
+
 namespace encompass::bench {
 
 /// Headline numbers of one benchmark binary, written as BENCH_<name>.json in
@@ -37,8 +41,16 @@ class JsonReport {
   /// without the host and the exact source state are unreviewable),
   /// version 4 the "commit_protocol" knob (protocol sweeps must be
   /// self-describing) next to a fast-path flag, which version 5 dropped
-  /// when "paxos" came to name the one Paxos Commit protocol.
-  static constexpr int kSchemaVersion = 5;
+  /// when "paxos" came to name the one Paxos Commit protocol. Version 6
+  /// added "build_type" (a RelWithDebInfo number next to a Release one is
+  /// not a comparison).
+  static constexpr int kSchemaVersion = 6;
+
+  /// CMAKE_BUILD_TYPE this binary was compiled under, or "unspecified".
+  static const char* BuildType() {
+    const char* type = ENCOMPASS_BUILD_TYPE;
+    return type[0] != '\0' ? type : "unspecified";
+  }
 
   /// Short revision of the sources this binary was run from, resolved at
   /// runtime (the build tree lives inside the repo); "unknown" outside git.
@@ -104,12 +116,12 @@ class JsonReport {
     fprintf(f,
             "{\n  \"bench\": \"%s\",\n  \"version\": %d,\n  \"seed\": %llu,\n"
             "  \"parallel_workers\": %d,\n  \"hardware_threads\": %u,\n"
-            "  \"git_rev\": \"%s\",\n  \"commit_protocol\": \"%s\",\n"
-            "  \"wall_ms\": %.3f",
+            "  \"git_rev\": \"%s\",\n  \"build_type\": \"%s\",\n"
+            "  \"commit_protocol\": \"%s\",\n  \"wall_ms\": %.3f",
             name_.c_str(), kSchemaVersion,
             static_cast<unsigned long long>(seed_), parallel_workers_,
             std::thread::hardware_concurrency(), GitRev().c_str(),
-            commit_protocol_.c_str(), wall_ms);
+            BuildType(), commit_protocol_.c_str(), wall_ms);
     for (const auto& [key, value] : values_) {
       if (std::fabs(value - std::llround(value)) < 1e-9) {
         fprintf(f, ",\n  \"%s\": %lld", key.c_str(),

@@ -1,9 +1,11 @@
 #include "encompass/deployment.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/logging.h"
-#include "tmf/commit_acceptor.h"
+#include "tmf/paxos_tmp.h"
 #include "tmf/recovery.h"
 
 namespace encompass::app {
@@ -94,22 +96,34 @@ void NodeDeployment::StartServices() {
   // sequence floor past everything any earlier incarnation could have
   // issued (seq is 40 bits; 32 bits of headroom per incarnation).
   tcfg.seq_base = storage_.tmp_incarnation++ << 32;
-  // Paxos Commit: hand the TMP direct pointers to the $ACCEPT.<k> logs
-  // living on this node (created here, spawned with the acceptor pairs
-  // below — std::map node pointers are stable). The logs are durable
-  // NodeStorage, so they survive pair takeover and node recovery alike;
-  // each respawn re-derives the same pointers.
+  // The commit protocol picks the TMP class, once, here. Paxos Commit also
+  // hands the TMP direct pointers to the $ACCEPT.<k> logs living on this
+  // node (created here, spawned with the acceptor pairs below — std::map
+  // node pointers are stable). The logs are durable NodeStorage, so they
+  // survive pair takeover and node recovery alike; each respawn re-derives
+  // the same pointers.
+  two_cpus(&a, &b);
   if (tcfg.commit_protocol == tmf::CommitProtocol::kPaxos) {
-    for (size_t k = 0; k < tcfg.acceptor_endpoints.size(); ++k) {
+    // The vote tally, the reclaim masks and the home's vote deposit are
+    // 32-bit masks over the acceptor group.
+    const size_t group = tcfg.acceptor_endpoints.size();
+    if (group == 0 || group > 32) {
+      fprintf(stderr, "paxos commit needs 1 to 32 acceptor endpoints, got %zu\n",
+              group);
+      std::abort();
+    }
+    for (size_t k = 0; k < group; ++k) {
       const auto& [accept_node, accept_name] = tcfg.acceptor_endpoints[k];
       if (accept_node != node_->id()) continue;
       tcfg.colocated_acceptors.push_back(
           {k, &storage_.acceptor_logs[accept_name]});
     }
+    os::SpawnPair<tmf::PaxosTmp>(node_, "$TMP", a, b, tcfg);
+    RegisterRepairablePair<tmf::PaxosTmp>("$TMP", tcfg);
+  } else {
+    os::SpawnPair<tmf::TmpProcess>(node_, "$TMP", a, b, tcfg);
+    RegisterRepairablePair<tmf::TmpProcess>("$TMP", tcfg);
   }
-  two_cpus(&a, &b);
-  os::SpawnPair<tmf::TmpProcess>(node_, "$TMP", a, b, tcfg);
-  RegisterRepairablePair<tmf::TmpProcess>("$TMP", tcfg);
 
   // Paxos Commit acceptors: the $ACCEPT.<k> pairs the endpoint list places
   // on this node. Each pair keeps its own durable log and knows its tally

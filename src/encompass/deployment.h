@@ -22,6 +22,7 @@
 #include "storage/partition.h"
 #include "storage/volume.h"
 #include "tmf/backout_process.h"
+#include "tmf/commit_acceptor.h"
 #include "tmf/queue_lane.h"
 #include "tmf/rollforward.h"
 #include "tmf/tmp_process.h"

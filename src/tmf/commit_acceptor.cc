@@ -6,6 +6,24 @@
 
 namespace encompass::tmf {
 
+AcceptOutcome CommitAcceptorLog::Accept(
+    const Transid& t, uint16_t voter, uint32_t ballot, Disposition value,
+    const std::vector<net::NodeId>& participants, SimTime now) {
+  if (SealedValue(t.Pack()) != nullptr) return AcceptOutcome::kSealed;
+  CommitAcceptorEntry& e = At(t, voter);
+  if (e.born == 0) e.born = now;
+  if (e.has_value && e.accepted_ballot == ballot && e.value == value) {
+    return AcceptOutcome::kDuplicate;
+  }
+  if (ballot < e.promised) return AcceptOutcome::kRejected;
+  e.promised = ballot;
+  e.accepted_ballot = ballot;
+  e.has_value = true;
+  e.value = value;
+  if (!participants.empty()) e.participants = participants;
+  return AcceptOutcome::kAccepted;
+}
+
 void CommitAcceptor::OnPairAttach() {
   m_prepares_ = stats().RegisterCounter("acceptor.prepares");
   m_accepts_ = stats().RegisterCounter("acceptor.accepts");
@@ -95,46 +113,26 @@ void CommitAcceptor::HandleAccept(const net::Message& msg) {
     return;
   }
   stats().Incr(m_accepts_);
-  if (const Disposition* s = config_.log->SealedValue(t.Pack())) {
-    stats().Incr(m_sealed_answers_);
-    PaxosAcceptReply r;
-    r.sealed = true;
-    r.sealed_value = *s;
-    Reply(msg, Status::Ok(), EncodePaxosAcceptReply(r));
-    return;
-  }
-  CommitAcceptorEntry& e = config_.log->At(t, voter);
-  if (e.born == 0) e.born = sim()->Now();
   PaxosAcceptReply r;
-  // A replayed accept at the ballot already holding this exact value (a
-  // respawned participant re-casting its vote, a home takeover re-running
-  // its round) is answered idempotently: accepted, but without a second
-  // force — the first one already made it durable.
-  if (e.has_value && e.accepted_ballot == ballot && e.value == value) {
-    stats().Incr(m_duplicate_votes_);
-    r.accepted = true;
-    r.promised = e.promised;
-    Reply(msg, Status::Ok(), EncodePaxosAcceptReply(r));
-    return;
-  }
-  // >= admits a re-accept at the promised ballot; a strictly higher promise
-  // (a usurping recovery proposer) wins.
-  r.accepted = ballot >= e.promised;
-  if (r.accepted) {
-    e.promised = ballot;
-    e.accepted_ballot = ballot;
-    e.has_value = true;
-    e.value = value;
-    if (!participants.empty()) e.participants = participants;
+  const AcceptOutcome outcome = config_.log->Accept(
+      t, voter, ballot, value, participants, sim()->Now());
+  if (outcome == AcceptOutcome::kSealed) {
+    stats().Incr(m_sealed_answers_);
+    r.sealed = true;
+    r.sealed_value = *config_.log->SealedValue(t.Pack());
   } else {
-    stats().Incr(m_rejections_);
+    // A replayed accept (a home takeover re-running its round) is answered
+    // idempotently: accepted, without a second force.
+    if (outcome == AcceptOutcome::kDuplicate) stats().Incr(m_duplicate_votes_);
+    if (outcome == AcceptOutcome::kRejected) stats().Incr(m_rejections_);
+    r.accepted = outcome != AcceptOutcome::kRejected;
+    r.promised = config_.log->At(t, voter).promised;
   }
-  r.promised = e.promised;
-  if (!r.accepted) {
+  if (outcome == AcceptOutcome::kAccepted) {
+    ReplyForced(msg, EncodePaxosAcceptReply(r));
+  } else {
     Reply(msg, Status::Ok(), EncodePaxosAcceptReply(r));
-    return;
   }
-  ReplyForced(msg, EncodePaxosAcceptReply(r));
 }
 
 void CommitAcceptor::HandleVote(const net::Message& msg) {
@@ -149,32 +147,23 @@ void CommitAcceptor::HandleVote(const net::Message& msg) {
     return;  // one-way: malformed votes are dropped
   }
   stats().Incr(m_votes_);
-  if (config_.log->SealedValue(t.Pack()) != nullptr) {
-    // Already decided and reclaimed; the home no longer tallies this
-    // transaction, so there is nobody to ack.
-    stats().Incr(m_sealed_answers_);
-    return;
+  switch (config_.log->Accept(t, voter, ballot, value, participants,
+                              sim()->Now())) {
+    case AcceptOutcome::kSealed:  // decided and reclaimed: nobody tallies
+      stats().Incr(m_sealed_answers_);
+      return;
+    case AcceptOutcome::kDuplicate:
+      // A respawned participant replays its vote: re-ack (the first ack may
+      // have died with the home's old incarnation) without a second force.
+      stats().Incr(m_duplicate_votes_);
+      QueueVoteAck(t, voter);
+      return;
+    case AcceptOutcome::kRejected:  // usurped by a recovery proposer
+      stats().Incr(m_rejections_);
+      return;
+    case AcceptOutcome::kAccepted:
+      break;
   }
-  CommitAcceptorEntry& e = config_.log->At(t, voter);
-  if (e.born == 0) e.born = sim()->Now();
-  // A respawned participant replays its vote: the first force already made
-  // it durable, so the reply is idempotent — re-ack (the original ack may
-  // have died with the home's old incarnation) without a second force.
-  if (e.has_value && e.accepted_ballot == ballot && e.value == value) {
-    stats().Incr(m_duplicate_votes_);
-    QueueVoteAck(t, voter);
-    return;
-  }
-  if (ballot < e.promised) {
-    // A recovery proposer already usurped this instance; the vote is void.
-    stats().Incr(m_rejections_);
-    return;
-  }
-  e.promised = ballot > e.promised ? ballot : e.promised;
-  e.accepted_ballot = ballot;
-  e.has_value = true;
-  e.value = value;
-  if (!participants.empty()) e.participants = participants;
   if (config_.force_latency <= 0) {
     QueueVoteAck(t, voter);
     return;
@@ -336,10 +325,7 @@ void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
                        DecodePaxosAcceptReply(Slice(reply.payload), &r)) {
                      if (r.sealed) {
                        tally->fired = true;
-                       PaxosRoundOutcome o;
-                       o.value = r.sealed_value;
-                       o.sealed = true;
-                       done(o);
+                       done(PaxosRoundOutcome{r.sealed_value, true, {}});
                        return;
                      }
                      if (r.accepted) ++tally->yes;
@@ -347,10 +333,7 @@ void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
                    if (tally->yes >= majority) {
                      // The value is chosen: a majority holds it durably.
                      tally->fired = true;
-                     PaxosRoundOutcome o;
-                     o.value = value;
-                     o.participants = participants;
-                     done(o);
+                     done(PaxosRoundOutcome{value, false, participants});
                    } else if (tally->responses == n) {
                      tally->fired = true;
                      done(PaxosRoundOutcome{});
@@ -373,10 +356,7 @@ void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
           if (s.ok() && DecodePaxosPrepareReply(Slice(reply.payload), &r)) {
             if (r.sealed) {
               tally->fired = true;
-              PaxosRoundOutcome o;
-              o.value = r.sealed_value;
-              o.sealed = true;
-              done(o);
+              done(PaxosRoundOutcome{r.sealed_value, true, {}});
               return;
             }
             if (r.granted) {
@@ -408,10 +388,8 @@ void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
               // majority reports the same accepted ballot (a ballot holds
               // one value, so same ballot at a majority = chosen). No
               // accept phase needed: the resolver is a learner here.
-              PaxosRoundOutcome o;
-              o.value = tally->adopted;
-              o.participants = tally->participants;
-              done(o);
+              done(PaxosRoundOutcome{tally->adopted, false,
+                                     tally->participants});
               return;
             }
             // A promise quorum stands; propose the value of the highest

@@ -43,6 +43,14 @@ struct CommitAcceptorEntry {
   SimTime born = 0;
 };
 
+/// What CommitAcceptorLog::Accept did with a phase-2a value.
+enum class AcceptOutcome : uint8_t {
+  kSealed,     ///< already decided and reclaimed: no instance created
+  kDuplicate,  ///< replay of the accepted value: the first force stands
+  kAccepted,   ///< newly accepted: force before acknowledging
+  kRejected,   ///< a higher ballot was promised (a usurping proposer)
+};
+
 /// The acceptor's forced log. It lives in NodeStorage next to the MAT, so it
 /// survives process takeover and total node crashes; every granting mutation
 /// is charged a force latency before the reply leaves the acceptor.
@@ -70,6 +78,15 @@ struct CommitAcceptorLog {
     auto it = sealed.find(packed);
     return it == sealed.end() ? nullptr : &it->second;
   }
+
+  /// Phase 2b on instance (t, voter), the one accept rule: sealed? →
+  /// create the instance (`born` = now) → same ballot and value replayed? →
+  /// ballot below the promise? → else accept, a non-empty participant set
+  /// included.
+  AcceptOutcome Accept(const Transid& t, uint16_t voter, uint32_t ballot,
+                       Disposition value,
+                       const std::vector<net::NodeId>& participants,
+                       SimTime now);
 
   /// Drops every instance of `packed` and records its final disposition.
   void Seal(uint64_t packed, Disposition d) {

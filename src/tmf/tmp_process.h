@@ -1,17 +1,23 @@
 // TmpProcess: the Transaction Monitor Process — "a process-pair which is
 // configured for each network node that participates in the distributed
-// data base". It implements:
+// data base". This class is the paper's TMP, with two-phase commit:
 //   * transid generation at BEGIN-TRANSACTION,
 //   * the per-node transaction state table with Figure-3 transitions,
 //     broadcast (accounted per alive CPU) within the node,
 //   * the abbreviated single-node two-phase commit (force audit, write the
 //     commit record to the Monitor Audit Trail, release locks),
 //   * the distributed commit protocol: remote-transaction-begin and phase
-//     one as critical-response messages; phase two and abort as
-//     safe-delivery messages retried until deliverable,
+//     one as critical-response messages, the home's MAT force as the commit
+//     point, phase two and abort as safe-delivery messages retried until
+//     deliverable,
 //   * unilateral abort on communication loss, in-doubt lock retention after
 //     an affirmative phase-1 reply, and the manual disposition override,
 //   * coordination of the BACKOUTPROCESS for transaction backout.
+//
+// Every place where a different commit protocol must act differently is a
+// protected virtual hook ("the commit-point seam"), whose body here is the
+// 2PC step. PaxosTmp (tmf/paxos_tmp.h) is the one subclass; DESIGN.md
+// §13.2 lists the hooks.
 
 #ifndef ENCOMPASS_TMF_TMP_PROCESS_H_
 #define ENCOMPASS_TMF_TMP_PROCESS_H_
@@ -24,12 +30,14 @@
 #include <vector>
 
 #include "audit/audit_trail.h"
+#include "discprocess/disc_protocol.h"
 #include "os/process_pair.h"
-#include "tmf/commit_acceptor.h"
 #include "tmf/tmf_protocol.h"
 #include "tmf/transaction_state.h"
 
 namespace encompass::tmf {
+
+struct CommitAcceptorLog;
 
 /// Which protocol fixes the commit point of a DISTRIBUTED transaction.
 /// Single-node transactions always commit through the home MAT force —
@@ -85,41 +93,29 @@ struct TmpConfig {
   /// single-incarnation sequence (seq is 40 bits; incarnation << 32 leaves
   /// 4G transactions per incarnation).
   uint64_t seq_base = 0;
-  /// Commit protocol for distributed transactions. Under kPaxos (Gray &
-  /// Lamport's F+1-message Paxos Commit) every participant sends its
-  /// phase-2a prepared-vote straight to the acceptors (a co-located
-  /// acceptor makes that a local forced write, not a network message) and
-  /// the home's commit point becomes its tally of forced-vote acks — one
-  /// WAN delay after phase 1 instead of the MAT force. In-doubt
-  /// participants and recovering nodes may then learn the outcome from any
-  /// live acceptor majority instead of waiting for the home to return.
-  /// Requires `acceptor_endpoints`.
+  /// Commit protocol for distributed transactions. kPaxos makes the
+  /// deployment spawn PaxosTmp (tmf/paxos_tmp.h): votes go straight to the
+  /// acceptors, the home's tally of their forced acks is the commit point,
+  /// and in-doubt parties may learn the outcome from any live acceptor
+  /// majority. Requires 1 to 32 `acceptor_endpoints`.
   CommitProtocol commit_protocol = CommitProtocol::kTwoPhase;
   SimDuration paxos_round_timeout = Seconds(2);    ///< per acceptor call
   SimDuration paxos_retry_interval = Millis(200);  ///< pacing between rounds
-  /// Acceptor placement: (node, pair name) of every $ACCEPT.<k> pair; the
-  /// group size is 2F+1 = acceptor_endpoints.size(). A node may host
-  /// several pairs, so the group may outnumber the nodes. Order defines
-  /// each pair's tally bit (index k).
+  /// Acceptor placement: (node, pair name) of every $ACCEPT.<k> pair, in
+  /// tally-bit order k; the group size is 2F+1. A node may host several.
   std::vector<std::pair<net::NodeId, std::string>> acceptor_endpoints;
-  /// The $ACCEPT.<k> logs that live on this TMP's own node,
-  /// wired by the deployment (`index` is the pair's tally bit k). The logs
-  /// sit in the same durable NodeStorage the acceptor pairs write, so the
-  /// TMP can mutate them directly — deposit a child's phase-1 vote
-  /// (DepositChildVote) or seal decided instances the moment the
-  /// disposition lands locally (ReclaimLocalAcceptors) — as plain function
-  /// calls inside events it already runs: no messages, no new events, and
-  /// therefore byte-identical scheduling at every worker count by
-  /// construction.
+  /// The $ACCEPT.<k> logs on this TMP's own node, wired by the deployment.
+  /// They sit in the durable NodeStorage the acceptor pairs write, so the
+  /// TMP mutates them with plain calls inside events it already runs — no
+  /// messages and no new events, so scheduling stays identical at every
+  /// worker count.
   struct ColocatedAcceptor {
     size_t index = 0;
     CommitAcceptorLog* log = nullptr;
   };
   std::vector<ColocatedAcceptor> colocated_acceptors;
   /// How long the home batches decided-instance reclamations before
-  /// flushing kTmfPaxosReclaim to the acceptors that actually hold voter
-  /// instances. Longer batching means fewer reclaim messages
-  /// at the price of a higher acceptor-log peak.
+  /// flushing kTmfPaxosReclaim (fewer messages, higher acceptor-log peak).
   SimDuration paxos_reclaim_interval = Millis(250);
   /// Orphan-sweep cadence handed to the CommitAcceptor pairs by the
   /// deployment (0 disables the sweep).
@@ -178,7 +174,6 @@ class TmpProcess : public os::PairedProcess {
   void OnNodeUp(net::NodeId peer) override;
   void OnNodeDown(net::NodeId peer) override;
 
- private:
   struct TxnEntry {
     Transid transid;
     TxnState state = TxnState::kActive;
@@ -189,22 +184,7 @@ class TmpProcess : public os::PairedProcess {
     net::ProcessId client;
     uint64_t client_req = 0;
     uint32_t client_tag = 0;
-    // Commit coordination (primary-only, not checkpointed: a takeover
-    // restarts the phase).
-    int pending_acks = 0;
-    bool phase_failed = false;
-    // Paxos Commit coordination (volatile, like pending_acks).
-    uint32_t paxos_attempt = 0;        ///< next ballot attempt to run
-    bool paxos_round_in_flight = false;
     bool resolve_in_flight = false;    ///< outstanding in-doubt probe to home
-    uint32_t home_ballot = 0;  ///< ballot piggybacked on phase 1 (non-home)
-    /// Home only: per-voter bitmask of acceptor indices whose forced-vote
-    /// acks arrived. Volatile like pending_acks — a takeover
-    /// re-runs phase 1, votes replay idempotently, acks re-arrive.
-    std::map<uint16_t, uint32_t> vote_acks;
-    /// Home only: the fallback round is armed (phase 1 finished but the
-    /// ack tally had not fired yet).
-    uint64_t paxos_fallback_timer = 0;
     // When this entry entered kEnding. Non-home: feeds tmf.indoubt_hold_us
     // when the in-doubt window closes. Home: feeds tmf.commit_latency_us at
     // the commit point. Volatile: a takeover restarts the clock,
@@ -212,6 +192,54 @@ class TmpProcess : public os::PairedProcess {
     SimTime indoubt_since = 0;
   };
 
+  // -- The commit-point seam ---------------------------------------------------
+  // Each body is the paper's 2PC step (empty where 2PC has none); another
+  // commit protocol overrides them (DESIGN.md §13.2).
+
+  /// Payload of the phase-1 request to every child of `txn`.
+  virtual Bytes Phase1Request(const TxnEntry& txn) const;
+  /// Phase 1 here forced every local audit trail of the transaction.
+  virtual void OnAuditForced(const Transid&) {}
+  /// A child answered phase 1 affirmatively.
+  virtual void OnChildPrepared(const Transid&, net::NodeId /*child*/) {}
+  /// This participant's phase 1 succeeded; the affirmative reply follows.
+  virtual void OnPrepared(TxnEntry*, const net::Message& /*phase1*/) {}
+  /// The home's phase 1 succeeded: reach the commit point. 2PC forces the
+  /// commit record to the MAT (group commit).
+  virtual void CompleteCommit(const Transid& transid);
+  /// The home's phase 1 failed: 2PC aborts.
+  virtual void OnPhase1Failed(TxnEntry* txn, const char* reason);
+  /// The disposition was just fixed here; the entry keeps its old state.
+  virtual void OnDecided(TxnEntry*, Disposition) {}
+  /// A safe delivery of the transaction was acknowledged.
+  virtual void OnSafeDelivered(const Transid&) {}
+  /// The home answers a resolver its MAT cannot: `txn` is null if `t` is
+  /// untracked, else a recovering participant asks. 2PC presumes abort.
+  virtual Disposition DecideAtHome(const Transid& t, TxnEntry* txn);
+  /// One resolve tick of an in-doubt participant: 2PC probes the home.
+  virtual void ResolveIndoubt(const Transid& t, TxnEntry* txn);
+  /// Removes the transaction from the table (checkpointed).
+  virtual void DropTxn(const Transid& transid);
+
+  // -- Core operations the hooks build on -------------------------------------
+  /// The commit record of `transid` is durable: release locks, propagate
+  /// phase 2, answer the client.
+  void CommitPointReached(const Transid& transid);
+  /// A remote decision (phase 2 or a resolved in-doubt query) says the
+  /// transaction committed: record it in the MAT, release locks, propagate
+  /// phase 2 to our children, drop the entry. Idempotent.
+  void ApplyRemoteCommit(const Transid& transid, TxnEntry* txn);
+  /// Abort decided: mark aborting, back out, release, propagate abort.
+  void StartAbort(const Transid& transid, const std::string& reason);
+  TxnEntry* FindTxn(const Transid& t);
+  /// Forces `t`'s completion record (commit or abort) to the MAT.
+  void RecordCompletion(const Transid& t, Disposition d);
+  Disposition LookupDisposition(const Transid& t) const;
+  /// True while a safe delivery of `transid` is still queued.
+  bool SafeDeliveryPending(const Transid& transid) const;
+  const TmpConfig& config() const { return config_; }
+
+ private:
   // -- Verb handlers ----------------------------------------------------------
   void HandleBegin(const net::Message& msg);
   void HandleEnd(const net::Message& msg);
@@ -232,25 +260,19 @@ class TmpProcess : public os::PairedProcess {
   /// Runs phase 1 (force local audit + critical-response to children), then
   /// `done(ok)`.
   void RunPhase1(TxnEntry* txn, std::function<void(bool)> done);
-  /// Commit decided: write the MAT record, release locks, propagate phase 2.
-  /// Concurrent committers share one physical MAT write (group commit).
-  void CompleteCommit(const Transid& transid);
+  /// The home's phase 1 (END, or resumed by a takeover): on success reach
+  /// the commit point, else OnPhase1Failed(`abort_reason`).
+  void RunHomePhase1(TxnEntry* txn, const char* abort_reason);
   /// Starts the physical MAT write for every transaction in mat_waiting_.
   void StartMatWrite();
   /// Schedules the next MAT write cycle (honouring the batching window).
   void ArmMatWrite();
-  /// The commit record of `transid` is durable: release locks, propagate
-  /// phase 2, answer the client.
-  void CommitPointReached(const Transid& transid);
-  /// A remote decision (phase 2 or a resolved in-doubt query) says the
-  /// transaction committed: record it in the MAT, release locks, propagate
-  /// phase 2 to our children, drop the entry. Idempotent.
-  void ApplyRemoteCommit(const Transid& transid, TxnEntry* txn);
-  /// Abort decided: mark aborting, back out, release, propagate abort.
-  void StartAbort(const Transid& transid, const std::string& reason);
+  /// Asks the BACKOUTPROCESS to undo `transid`, then FinishAbort.
+  void RunBackout(const Transid& transid);
   void FinishAbort(const Transid& transid);
+  /// Remembers `msg`'s sender as the END/ABORT caller to answer.
+  void RecordClient(TxnEntry* txn, const net::Message& msg);
   void ReplyToClient(TxnEntry* txn, const Status& status, Bytes payload = {});
-  void DropTxn(const Transid& transid);
   /// Transition with Figure-3 validation, broadcast accounting, checkpoint.
   void SetState(TxnEntry* txn, TxnState to);
 
@@ -262,81 +284,8 @@ class TmpProcess : public os::PairedProcess {
   /// Periodic timer (indoubt_resolve_interval) re-armed on both pair
   /// members; the tick body runs on the primary only.
   void ArmIndoubtResolve();
-  /// Queries the home TMP of every in-doubt (ending, non-home) transaction.
+  /// Runs ResolveIndoubt for every in-doubt (ending, non-home) transaction.
   void ResolveIndoubts();
-
-  // -- Paxos Commit -----------------------------------------------------------------
-  /// kPaxos with an acceptor group configured.
-  bool PaxosDeployed() const;
-  /// True when `txn` commits through Paxos Commit (votes go straight to the
-  /// acceptors; the commit point is the home's ack tally): paxos
-  /// deployments run distributed home transactions only.
-  bool PaxosEnabledFor(const TxnEntry& txn) const;
-  PaxosRoundConfig PaxosConfig() const;
-  /// Participant side: learn (or fix, by proposing abort at a usurping
-  /// ballot) the outcome from the acceptors instead of the home.
-  /// Escalates a stuck in-doubt participant to the acceptor group, but only
-  /// after it has been in-doubt for a full resolve interval — younger
-  /// entries are healthy commits mid-flight that a usurping ballot would
-  /// needlessly abort.
-  void MaybePaxosEscalate(const Transid& transid, TxnEntry* txn);
-  void StartPaxosResolve(const Transid& transid);
-  /// Respawned-home side: this TMP no longer tracks `t` and its MAT has no
-  /// record, but under paxos the decision may live at the acceptors. Runs
-  /// an abort-proposing round and seals whatever is chosen into the MAT, so
-  /// presumed abort never contradicts a majority-accepted commit.
-  void SealDecision(const Transid& t);
-  /// Sends this node's prepared-vote for `txn` one-way to its vote
-  /// targets. Home: ballot (0, home) carrying the direct-participant set.
-  /// Child: the home ballot that rode phase 1, skipping home-node targets
-  /// — the home deposits the child's vote there itself (see
-  /// DepositChildVote), so the child's affirmative phase-1 reply is the
-  /// only cross-node message its vote costs.
-  void CastVote(TxnEntry* txn);
-  /// A child's affirmative phase-1 reply IS its prepared-vote: the vote's
-  /// bytes are deterministic in (transid, home ballot, voter), so the home
-  /// writes it straight into its co-located acceptor logs (the shared
-  /// durable NodeStorage — the same forced write HandleVote performs,
-  /// with the tally credit delayed by the force latency) instead of the
-  /// child shipping a second cross-node message.
-  void DepositChildVote(const Transid& transid, net::NodeId child);
-  /// The F+1 acceptors `voter`'s vote goes to, as acceptor_endpoints
-  /// indices: the voter's co-located pairs first (a local forced write,
-  /// not a network message), the home node's pairs next (their acks are
-  /// then home-local), then pairs on `prefer` nodes (the home passes its
-  /// participant set so its spill-over copies land where reclaims are
-  /// free), the rest in index order. Any F+1 subset intersects every
-  /// resolver's F+1 prepare quorum. Deterministic in the arguments, so
-  /// the home can recompute any child's target set for the reclaim mask.
-  std::vector<size_t> VoteTargetIndices(
-      net::NodeId voter, net::NodeId home,
-      const std::set<net::NodeId>& prefer) const;
-  /// Bitmask (bit k = endpoint k) of every acceptor that may hold a voter
-  /// instance for `txn` and is NOT covered by a participant node's local
-  /// reclaim (see ReclaimLocalAcceptors): the union of VoteTargetIndices
-  /// over {home} ∪ children — widened to all endpoints once a fallback
-  /// round ran (its accept fan-out touches the whole group) — minus every
-  /// child-node bit.
-  uint32_t ReclaimMaskFor(const TxnEntry& txn) const;
-  /// Participant-side GC: when the final disposition lands here (phase 2,
-  /// an abort, or an acceptor-resolved outcome) every co-located acceptor
-  /// log is sealed in place — a direct mutation of the shared durable
-  /// store, zero messages and zero events.
-  void ReclaimLocalAcceptors(const Transid& transid, Disposition d);
-  void HandlePaxosVoteAck(const net::Message& msg);
-  /// Commit point check: every voter ({home} ∪ children) durably accepted
-  /// at F+1 acceptors.
-  void CheckVoteTally(TxnEntry* txn);
-  /// Arms the stall fallback once phase 1 finished but acks are missing.
-  void ArmPaxosFallbackTimer(const Transid& transid);
-  /// Stall recovery at the home: full abort-proposing rounds at a
-  /// usurping ballot on every voter instance (all Prepared => commit, any
-  /// Aborted => abort, else retry).
-  void StartPaxosFallback(const Transid& transid);
-  /// GC: queues a decided transaction's instances for reclamation once its
-  /// phase-2 / abort safe-deliveries all drained.
-  void MaybeQueueReclaim(const Transid& transid);
-  void FlushReclaims();
 
   // -- Orphaned-lock sweep ------------------------------------------------------------
   // A DISCPROCESS can end up holding locks under a transid no TMP tracks:
@@ -356,13 +305,15 @@ class TmpProcess : public os::PairedProcess {
   void ApplyOrphanDisposition(const Transid& t, Disposition d);
 
   // -- Helpers ----------------------------------------------------------------------
-  TxnEntry* FindTxn(const Transid& t);
+  /// Decodes the transid payload of `msg`; answers a malformed one.
+  bool DecodeTransid(const net::Message& msg, Transid* t);
   TxnEntry* CreateTxn(const Transid& t, bool is_home, net::NodeId parent);
   /// Arms the abandonment timer for a freshly created transaction.
   void ArmAutoAbort(const Transid& t);
-  void NotifyLocalDiscs(const Transid& t, uint8_t disc_state);
-  Disposition LookupDisposition(const Transid& t) const;
+  void NotifyLocalDiscs(const Transid& t, discprocess::DiscTxnState state);
   void CheckpointTxn(const TxnEntry& txn, bool removed);
+  /// Mirrors the transid sequence counter to the backup.
+  void CheckpointSeq();
   net::Address Tmp(net::NodeId node) const { return net::Address(node, "$TMP"); }
 
   /// Interned handles for every TMP metric, registered once at attach. The
@@ -383,19 +334,10 @@ class TmpProcess : public os::PairedProcess {
     sim::MetricId indoubt_blocked_on_home;
     sim::MetricId resolve_malformed_replies;
     sim::MetricId orphan_lock_commits, orphan_lock_aborts;
-    sim::MetricId paxos_rounds, paxos_commit_points, paxos_adopted_aborts;
-    sim::MetricId paxos_resolved_commits, paxos_resolved_aborts, paxos_seals;
-    sim::MetricId paxos_votes_cast, paxos_fast_commit_points, paxos_fallbacks;
-    sim::MetricId paxos_reclaims_sent;
     sim::MetricId indoubt_hold_us;    // histogram
     sim::MetricId commit_latency_us;  // histogram
     sim::MetricId transition[kNumTxnStates][kNumTxnStates];
   };
-
-  TmpConfig config_;
-  Metrics m_;
-  std::map<Transid, TxnEntry> txns_;
-  uint64_t next_seq_ = 0;
 
   struct SafeDelivery {
     net::NodeId dest;
@@ -403,31 +345,22 @@ class TmpProcess : public os::PairedProcess {
     Transid transid;
     bool in_flight = false;
   };
+  /// Mirrors one safe-queue change (kCkptSafeAdd/kCkptSafeRemove) to the
+  /// backup; GetSafeDelivery reads it back.
+  void CheckpointSafeDelivery(uint8_t type, const SafeDelivery& d);
+  static bool GetSafeDelivery(Slice* in, SafeDelivery* d);
+
+  TmpConfig config_;
+  Metrics m_;
+  std::map<Transid, TxnEntry> txns_;
+  uint64_t next_seq_ = 0;
+
   std::list<SafeDelivery> safe_queue_;
   uint64_t safe_timer_ = 0;
 
   /// Lock-holding transids unknown to this TMP at the last sweep tick
   /// (first strike); acted on if still unknown when seen again.
   std::set<Transid> orphan_suspects_;
-
-  /// Untracked transids with a seal round in flight, and the next ballot
-  /// attempt each should use (a re-seal at an unchanged ballot would be
-  /// rejected by its own earlier promise).
-  std::set<Transid> paxos_sealing_;
-  std::map<Transid, uint32_t> paxos_seal_attempt_;
-
-  /// Acceptor-log GC (home only, volatile: a lost reclaim is caught by the
-  /// acceptors' orphan sweep). Decided transactions waiting for their
-  /// safe-delivery drain, then the batched per-acceptor reclaim flush —
-  /// each entry carries the ReclaimMaskFor() bitmask of acceptors that
-  /// may hold its instances, so untouched acceptors get no message.
-  struct ReclaimEntry {
-    Disposition disposition;
-    uint32_t endpoint_mask;
-  };
-  std::map<uint64_t, ReclaimEntry> reclaim_waiting_;
-  std::vector<std::pair<uint64_t, ReclaimEntry>> reclaim_pending_;
-  bool reclaim_flush_armed_ = false;
 
   /// One committer waiting for its commit record to reach the MAT.
   struct MatWaiter {

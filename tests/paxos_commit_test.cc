@@ -542,5 +542,140 @@ TEST(RecoveryNegotiationTest, MalformedResolveReplyIsCounted) {
   EXPECT_GE(rig.sim.GetStats().Counter("tmf.indoubt_resolved_commits"), 1);
 }
 
+// The one phase-2b accept rule (CommitAcceptorLog::Accept), shared by the
+// acceptor's accept and vote handlers and the home's deposit of a child's
+// vote, outcome by outcome.
+constexpr uint16_t kVoter = 2;
+const Transid kTxn{1, 0, 77};
+
+TEST(CommitAcceptorLogTest, AcceptCreatesTheInstanceAndStampsBorn) {
+  tmf::CommitAcceptorLog log;
+  const uint32_t ballot = tmf::MakePaxosBallot(0, 1);
+  EXPECT_EQ(log.Accept(kTxn, kVoter, ballot, tmf::Disposition::kCommitted,
+                       {2, 3}, /*now=*/100),
+            tmf::AcceptOutcome::kAccepted);
+  const tmf::CommitAcceptorEntry& e = log.entries.at({kTxn.Pack(), kVoter});
+  EXPECT_EQ(e.promised, ballot);
+  EXPECT_EQ(e.accepted_ballot, ballot);
+  EXPECT_TRUE(e.has_value);
+  EXPECT_EQ(e.value, tmf::Disposition::kCommitted);
+  EXPECT_EQ(e.participants, (std::vector<net::NodeId>{2, 3}));
+  EXPECT_EQ(e.born, 100);
+  EXPECT_EQ(log.peak_instances, 1u);
+}
+
+TEST(CommitAcceptorLogTest, ReplayAtTheSameBallotAndValueIsADuplicate) {
+  tmf::CommitAcceptorLog log;
+  const uint32_t ballot = tmf::MakePaxosBallot(0, 1);
+  log.Accept(kTxn, kVoter, ballot, tmf::Disposition::kCommitted, {2}, 100);
+  EXPECT_EQ(log.Accept(kTxn, kVoter, ballot, tmf::Disposition::kCommitted, {},
+                       200),
+            tmf::AcceptOutcome::kDuplicate);
+  const tmf::CommitAcceptorEntry& e = log.entries.at({kTxn.Pack(), kVoter});
+  EXPECT_EQ(e.born, 100) << "a replay re-stamped the instance";
+  EXPECT_EQ(e.participants, (std::vector<net::NodeId>{2}));
+}
+
+TEST(CommitAcceptorLogTest, ReacceptAtThePromisedBallot) {
+  tmf::CommitAcceptorLog log;
+  const uint32_t vote = tmf::MakePaxosBallot(0, 1);
+  const uint32_t recovery = tmf::MakePaxosBallot(1, 3);
+  log.Accept(kTxn, kVoter, vote, tmf::Disposition::kCommitted, {}, 100);
+  // A recovery proposer's prepare was granted: the promise moved up.
+  log.At(kTxn, kVoter).promised = recovery;
+  EXPECT_EQ(log.Accept(kTxn, kVoter, recovery, tmf::Disposition::kAborted, {},
+                       300),
+            tmf::AcceptOutcome::kAccepted);
+  const tmf::CommitAcceptorEntry& e = log.entries.at({kTxn.Pack(), kVoter});
+  EXPECT_EQ(e.promised, recovery);
+  EXPECT_EQ(e.accepted_ballot, recovery);
+  EXPECT_EQ(e.value, tmf::Disposition::kAborted);
+  EXPECT_EQ(e.born, 100);
+}
+
+TEST(CommitAcceptorLogTest, VoteUnderAUsurpingPromiseIsRejected) {
+  tmf::CommitAcceptorLog log;
+  const uint32_t recovery = tmf::MakePaxosBallot(1, 3);
+  log.At(kTxn, kVoter).promised = recovery;
+  EXPECT_EQ(log.Accept(kTxn, kVoter, tmf::MakePaxosBallot(0, 1),
+                       tmf::Disposition::kCommitted, {2}, 100),
+            tmf::AcceptOutcome::kRejected);
+  const tmf::CommitAcceptorEntry& e = log.entries.at({kTxn.Pack(), kVoter});
+  EXPECT_EQ(e.promised, recovery);
+  EXPECT_FALSE(e.has_value);
+  EXPECT_TRUE(e.participants.empty());
+  EXPECT_EQ(e.born, 100) << "the rejected vote still created the instance";
+}
+
+TEST(CommitAcceptorLogTest, SealedTransactionCreatesNoInstance) {
+  tmf::CommitAcceptorLog log;
+  log.Seal(kTxn.Pack(), tmf::Disposition::kAborted);
+  EXPECT_EQ(log.Accept(kTxn, kVoter, tmf::MakePaxosBallot(0, 1),
+                       tmf::Disposition::kCommitted, {}, 100),
+            tmf::AcceptOutcome::kSealed);
+  EXPECT_TRUE(log.entries.empty());
+  EXPECT_EQ(log.peak_instances, 0u);
+}
+
+// A vote ack naming an acceptor index outside the group must not reach the
+// tally: its bit would count a phantom acceptor toward F+1, and an index of
+// 32 or more would shift a 32-bit mask out of range. Injected at the home
+// the instant END puts the transaction in phase 1 — before any real vote
+// can be forced — out-of-range acks for both voters are counted and
+// dropped, and the commit point still comes from the real tally.
+TEST(PaxosVoteAckTest, OutOfRangeAcceptorIndexIsDropped) {
+  Rig rig(29, 2, /*paxos=*/true);
+  rig.SpawnClient(1);
+  uint64_t t = rig.Begin(1);
+  rig.Insert(t, "mark1", "m1");
+  rig.Insert(t, "mark2", "m1");
+  auto* e = rig.End(1, t);
+  tmf::TxnState state = tmf::TxnState::kActive;
+  for (int i = 0; i < 100 && state != tmf::TxnState::kEnding; ++i) {
+    rig.RunFor(Micros(100));
+    rig.deploy.GetNode(1)->tmp()->GetTxnState(Transid::Unpack(t), &state);
+  }
+  ASSERT_EQ(state, tmf::TxnState::kEnding);
+
+  for (uint8_t index : {3, 4, 31, 32, 255}) {
+    tmf::PaxosVoteAck ack;
+    ack.transid = Transid::Unpack(t);
+    ack.acceptor_index = index;
+    ack.voters = {1, 2};
+    rig.client->SendRaw(net::Address(1, "$TMP"), tmf::kTmfPaxosVoteAck,
+                        tmf::EncodePaxosVoteAck(ack), t);
+  }
+  rig.RunFor(Millis(1));
+  const sim::Stats& stats = rig.sim.GetStats();
+  EXPECT_EQ(stats.Counter("tmf.paxos_bad_vote_acks"), 5);
+  EXPECT_EQ(stats.Counter("tmf.paxos_commit_points"), 0);
+  EXPECT_EQ(rig.MatLookup(1, t), -1) << "phantom acceptors reached F+1";
+
+  rig.RunFor(Seconds(1));
+  ASSERT_TRUE(e->done && e->status.ok()) << e->status.ToString();
+  EXPECT_EQ(stats.Counter("tmf.paxos_fast_commit_points"), 1);
+  EXPECT_EQ(rig.MatLookup(1, t), 1);
+}
+
+// The tally, the reclaim masks and the home's vote deposit are 32-bit masks
+// over the acceptor group, so a paxos deployment needs 1 to 32 acceptors.
+TEST(PaxosDeploymentDeathTest, RejectsAcceptorGroupsOutside1To32) {
+  auto deploy_with = [](int acceptors) {
+    sim::Simulation sim(1);
+    Deployment deploy(&sim);
+    NodeSpec spec;
+    spec.id = 1;
+    spec.volumes = {VolumeSpec{"$DATA1", {FileSpec{"mark1"}}, {}}};
+    spec.tmp_config.commit_protocol = tmf::CommitProtocol::kPaxos;
+    for (int k = 0; k < acceptors; ++k) {
+      spec.tmp_config.acceptor_endpoints.emplace_back(
+          1, "$ACCEPT." + std::to_string(k));
+    }
+    deploy.AddNode(spec);
+  };
+  EXPECT_DEATH(deploy_with(33), "1 to 32 acceptor endpoints, got 33");
+  EXPECT_DEATH(deploy_with(0), "1 to 32 acceptor endpoints, got 0");
+}
+
 }  // namespace
 }  // namespace encompass::app
