@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "apps/banking/banking.h"
 #include "encompass/deployment.h"
 #include "encompass/tcp.h"
@@ -32,7 +34,8 @@ namespace encompass::bench {
 /// Headline numbers of one benchmark binary, written as BENCH_<name>.json in
 /// the working directory. Keys are emitted in sorted order and the simulated
 /// metrics are deterministic, so two runs of the same build diff cleanly; the
-/// only wall-clock-dependent field is "wall_ms" (total main() runtime).
+/// only host-timing fields are "wall_ms" (total main() runtime) and "cpu_ms"
+/// (process CPU time, all threads).
 class JsonReport {
  public:
   /// Schema version of the emitted JSON. Bump when the envelope changes;
@@ -43,8 +46,9 @@ class JsonReport {
   /// self-describing) next to a fast-path flag, which version 5 dropped
   /// when "paxos" came to name the one Paxos Commit protocol. Version 6
   /// added "build_type" (a RelWithDebInfo number next to a Release one is
-  /// not a comparison).
-  static constexpr int kSchemaVersion = 6;
+  /// not a comparison), version 7 "cpu_ms" (CPU/wall shows whether a
+  /// parallel run used its cores).
+  static constexpr int kSchemaVersion = 7;
 
   /// CMAKE_BUILD_TYPE this binary was compiled under, or "unspecified".
   static const char* BuildType() {
@@ -107,6 +111,9 @@ class JsonReport {
     double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start_).count();
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const double cpu_ms = TimevalMs(usage.ru_utime) + TimevalMs(usage.ru_stime);
     std::string path = "BENCH_" + name_ + ".json";
     FILE* f = fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -117,11 +124,12 @@ class JsonReport {
             "{\n  \"bench\": \"%s\",\n  \"version\": %d,\n  \"seed\": %llu,\n"
             "  \"parallel_workers\": %d,\n  \"hardware_threads\": %u,\n"
             "  \"git_rev\": \"%s\",\n  \"build_type\": \"%s\",\n"
-            "  \"commit_protocol\": \"%s\",\n  \"wall_ms\": %.3f",
+            "  \"commit_protocol\": \"%s\",\n  \"wall_ms\": %.3f,\n"
+            "  \"cpu_ms\": %.3f",
             name_.c_str(), kSchemaVersion,
             static_cast<unsigned long long>(seed_), parallel_workers_,
             std::thread::hardware_concurrency(), GitRev().c_str(),
-            BuildType(), commit_protocol_.c_str(), wall_ms);
+            BuildType(), commit_protocol_.c_str(), wall_ms, cpu_ms);
     for (const auto& [key, value] : values_) {
       if (std::fabs(value - std::llround(value)) < 1e-9) {
         fprintf(f, ",\n  \"%s\": %lld", key.c_str(),
@@ -136,6 +144,11 @@ class JsonReport {
   }
 
  private:
+  static double TimevalMs(const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) * 1e-3;
+  }
+
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   uint64_t seed_ = 0;

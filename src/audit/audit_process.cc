@@ -16,7 +16,11 @@ Bytes EncodeAuditBatch(const std::vector<AuditRecord>& records) {
   return out;
 }
 
-Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload) {
+namespace {
+
+/// Splits a batch into its length-prefixed record bodies (views into
+/// `payload`), without decoding them.
+Result<std::vector<Slice>> SplitAuditBatch(const Slice& payload) {
   Slice in = payload;
   uint32_t n;
   if (!GetVarint32(&in, &n)) return DecodeError("audit batch count");
@@ -26,11 +30,24 @@ Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload) {
   if (static_cast<uint64_t>(n) > in.size()) {
     return DecodeError("audit batch count exceeds payload");
   }
-  std::vector<AuditRecord> records;
-  records.reserve(n);
+  std::vector<Slice> bodies;
+  bodies.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Slice body;
     if (!GetLengthPrefixed(&in, &body)) return DecodeError("audit batch entry");
+    bodies.push_back(body);
+  }
+  return bodies;
+}
+
+}  // namespace
+
+Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload) {
+  auto bodies = SplitAuditBatch(payload);
+  if (!bodies.ok()) return bodies.status();
+  std::vector<AuditRecord> records;
+  records.reserve(bodies->size());
+  for (Slice body : *bodies) {
     auto rec = AuditRecord::Decode(&body);
     if (!rec.ok()) return rec.status();
     records.push_back(std::move(*rec));
@@ -81,15 +98,16 @@ void AuditProcess::OnRequest(const net::Message& msg) {
 }
 
 void AuditProcess::HandleAppend(const net::Message& msg) {
+  // Decode the whole batch first, so a malformed one appends nothing; the
+  // trail then keeps each record's bytes exactly as they arrived.
   auto batch = DecodeAuditBatch(Slice(msg.payload));
   if (!batch.ok()) {
     LOG_WARN << DebugName() << ": bad append batch: " << batch.status().ToString();
     Reply(msg, batch.status());
     return;
   }
-  for (auto& rec : *batch) {
-    config_.trail->Append(std::move(rec));
-  }
+  auto bodies = SplitAuditBatch(Slice(msg.payload));
+  for (const Slice& body : *bodies) config_.trail->AppendEncoded(body);
   stats().Incr(m_.appended, static_cast<int64_t>(batch->size()));
   if (msg.request_id != 0) Reply(msg, Status::Ok());
 }

@@ -6,6 +6,7 @@
 #include "audit/audit_process.h"
 #include "audit/audit_record.h"
 #include "audit/audit_trail.h"
+#include "common/coding.h"
 #include "os/cluster.h"
 #include "os/process_pair.h"
 #include "test_util.h"
@@ -152,6 +153,84 @@ TEST(AuditTrailTest, PurgeKeepsUnforcedFiles) {
   EXPECT_EQ(trail.Purge(100), 0u);
 }
 
+TEST(AuditTrailTest, DropVolatileAcrossFileBoundary) {
+  AuditTrailConfig cfg;
+  cfg.records_per_file = 4;
+  AuditTrail trail("AT1", cfg);
+  for (int i = 0; i < 3; ++i) trail.Append(MakeRecord(1, "d" + std::to_string(i)));
+  trail.Force();
+  // LSNs 4-7 are volatile and span files 1 (LSN 4) and 2 (LSNs 5-7).
+  for (int i = 0; i < 4; ++i) trail.Append(MakeRecord(2, "v" + std::to_string(i)));
+  ASSERT_EQ(trail.file_count(), 2u);
+  trail.DropVolatile();
+  EXPECT_EQ(trail.file_count(), 1u);
+  EXPECT_EQ(trail.record_count(), 3u);
+  EXPECT_EQ(trail.next_lsn(), 4u);
+  // LSN 4 refills file 1; LSN 5 starts file 2 again.
+  EXPECT_EQ(trail.Append(MakeRecord(3, "n4")), 4u);
+  EXPECT_EQ(trail.file_count(), 1u);
+  EXPECT_EQ(trail.Append(MakeRecord(3, "n5")), 5u);
+  EXPECT_EQ(trail.file_count(), 2u);
+  trail.Force();
+  auto recs = trail.DurableRecordsAfter(2);
+  ASSERT_EQ(recs.size(), 3u);
+  EXPECT_EQ(recs[0].lsn, 3u);
+  EXPECT_EQ(ToString(recs[0].key), "d2");
+  EXPECT_EQ(recs[1].lsn, 4u);
+  EXPECT_EQ(ToString(recs[1].key), "n4");
+  EXPECT_EQ(recs[2].lsn, 5u);
+  EXPECT_EQ(ToString(recs[2].key), "n5");
+  EXPECT_TRUE(trail.RecordsForTransaction(Transid{1, 0, 2}).empty());
+}
+
+TEST(AuditTrailTest, PurgedTrailKeepsPositionalLsns) {
+  AuditTrailConfig cfg;
+  cfg.records_per_file = 3;
+  AuditTrail trail("AT1", cfg);
+  // LSN n belongs to transaction 1 + n % 2 and has key "k<n>".
+  for (int lsn = 1; lsn <= 8; ++lsn) {
+    trail.Append(MakeRecord(1 + lsn % 2, "k" + std::to_string(lsn)));
+  }
+  trail.Force();
+  EXPECT_EQ(trail.Purge(6), 2u);  // files 1-3 and 4-6 go; 7-8 stay
+  EXPECT_EQ(trail.record_count(), 2u);
+  auto odd = trail.RecordsForTransaction(Transid{1, 0, 2});
+  ASSERT_EQ(odd.size(), 1u);
+  EXPECT_EQ(odd[0].lsn, 7u);
+  EXPECT_EQ(ToString(odd[0].key), "k7");
+  auto durable = trail.DurableRecordsAfter(0);
+  ASSERT_EQ(durable.size(), 2u);
+  EXPECT_EQ(durable[0].lsn, 7u);
+  EXPECT_EQ(durable[1].lsn, 8u);
+  EXPECT_EQ(ToString(durable[1].key), "k8");
+  EXPECT_EQ(trail.DurableRecordsAfter(7).size(), 1u);
+  EXPECT_EQ(trail.Append(MakeRecord(1, "k9")), 9u);
+}
+
+TEST(AuditTrailTest, EmptiedSingleFileIsReused) {
+  AuditTrailConfig cfg;
+  cfg.records_per_file = 2;
+  AuditTrail trail("AT1", cfg);
+  trail.Append(MakeRecord(1, "a"));
+  trail.Append(MakeRecord(1, "b"));
+  trail.Force();
+  trail.Append(MakeRecord(2, "lost"));  // LSN 3 opens file 2
+  ASSERT_EQ(trail.Purge(2), 1u);        // file 2 is now the only one
+  trail.DropVolatile();                 // ... and holds nothing
+  EXPECT_EQ(trail.file_count(), 1u);
+  EXPECT_EQ(trail.first_file_number(), 2u);
+  EXPECT_EQ(trail.record_count(), 0u);
+  EXPECT_EQ(trail.next_lsn(), 3u);
+  EXPECT_EQ(trail.Append(MakeRecord(3, "c")), 3u);
+  EXPECT_EQ(trail.file_count(), 1u);
+  trail.Force();
+  auto recs = trail.DurableRecordsAfter(0);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].lsn, 3u);
+  EXPECT_EQ(ToString(recs[0].key), "c");
+  EXPECT_TRUE(trail.RecordsForTransaction(Transid{1, 0, 2}).empty());
+}
+
 TEST(MonitorAuditTrailTest, CommitAndAbortLookup) {
   MonitorAuditTrail mat;
   EXPECT_EQ(mat.Lookup(Transid{1, 0, 1}), -1);
@@ -270,6 +349,40 @@ TEST_F(AuditGroupCommitTest, ForceCoversRecordsAppendedBeforeWriteStart) {
   EXPECT_TRUE(a->status.ok());
   EXPECT_TRUE(b->status.ok());
   EXPECT_EQ(trail_.durable_lsn(), 1u);
+}
+
+// -- AUDITPROCESS appends ---------------------------------------------------
+
+class AuditAppendTest : public AuditGroupCommitTest {};
+
+TEST_F(AuditAppendTest, TruncatedRecordRejectsTheWholeBatch) {
+  Start(/*window=*/0);
+  trail_.Append(MakeRecord(1, "before"));
+  // The framing is intact, but the second record's body is cut short.
+  Bytes second = MakeRecord(2, "b").Encode();
+  second.resize(second.size() / 2);
+  Bytes bad;
+  PutVarint32(&bad, 2);
+  PutLengthPrefixed(&bad, Slice(MakeRecord(2, "a").Encode()));
+  PutLengthPrefixed(&bad, Slice(second));
+  auto* rejected = client_->CallRaw(Audit(), kAuditAppend, bad);
+  sim_->Run();
+  ASSERT_TRUE(rejected->done);
+  EXPECT_TRUE(rejected->status.IsCorruption());
+  EXPECT_EQ(trail_.record_count(), 1u);
+  EXPECT_EQ(trail_.next_lsn(), 2u);
+
+  // A well-formed batch is appended as sent, with positional LSNs.
+  auto* accepted = client_->CallRaw(
+      Audit(), kAuditAppend, EncodeAuditBatch({MakeRecord(2, "a"), MakeRecord(2, "b")}));
+  sim_->Run();
+  ASSERT_TRUE(accepted->done);
+  EXPECT_TRUE(accepted->status.ok());
+  auto recs = trail_.RecordsForTransaction(Transid{1, 0, 2});
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].lsn, 2u);
+  EXPECT_EQ(ToString(recs[1].key), "b");
+  EXPECT_EQ(recs[1].lsn, 3u);
 }
 
 }  // namespace
