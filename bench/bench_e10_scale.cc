@@ -1,7 +1,7 @@
 // E10 — parallel simulation engine scaling. The PDES engine partitions the
 // event schedule across per-node loops and runs them round by round under
-// conservative synchronization (lookahead = minimum link latency); at every
-// thread count it fires exactly the events, in exactly the order, of the
+// conservative synchronization (lookahead = least link latency per pair); at
+// every thread count it fires exactly the events, in exactly the order, of the
 // Step() reference (one globally least event at a time). This binary
 // measures what the rounds and the parallelism buy: events/second on a
 // synthetic multi-node workload at 2/4/8/16 nodes for the Step() reference,
@@ -14,8 +14,6 @@
 // accumulators are summed at the end into an order-independent checksum the
 // bench asserts is identical across all runs, so the speedup table can never
 // be quoted from runs that diverged.
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
@@ -122,12 +120,18 @@ bool SameHistory(const std::string& what,
 EngineRun RunSynthetic(int nodes, int workers, SimDuration span,
                        const std::string& stats_prefix = "") {
   sim::Simulation sim(/*seed=*/42, workers);
-  // No Network in this bench, so declare the "link latency" ourselves: it is
-  // the engine's conservative lookahead, and the floor for every post above.
-  sim.NoteLinkLatency(Millis(15));
   std::vector<uint64_t> acc(static_cast<size_t>(nodes) + 1, 0);
   for (int n = 1; n <= nodes; ++n) {
     sim.EnsureNode(static_cast<uint16_t>(n));
+  }
+  // No Network in this bench, so declare the links ourselves: 15ms between
+  // every pair, the engine's conservative lookahead and the floor for every
+  // post above.
+  for (int a = 1; a <= nodes; ++a) {
+    for (int b = a + 1; b <= nodes; ++b) {
+      sim.NoteLinkLatency(static_cast<uint16_t>(a), static_cast<uint16_t>(b),
+                          Millis(15));
+    }
   }
   for (int n = 1; n <= nodes; ++n) {
     for (int c = 0; c < kChainsPerNode; ++c) {
@@ -156,14 +160,13 @@ EngineRun RunSynthetic(int nodes, int workers, SimDuration span,
 // The topology the per-link lookahead exists for: nodes 1 and 2 are a
 // "metro" pair joined by a 100us LAN link, exchanging sparse control
 // heartbeats (~25ms apart); nodes 3..8 are WAN satellites, 50ms from
-// everything, each running dense local chains (~50us apart). Under the old
-// global-min lookahead the 100us LAN link is everyone's lookahead, so every
-// satellite's horizon collapses to ~100us — a coordinator round per handful
-// of events. With per-link lookahead the satellites' horizons are bounded by
-// 50ms links instead, so rounds batch thousands of events. Both
-// configurations — and the Step() reference — must produce the same
-// executed count and checksum: the lookahead table changes batching, never
-// history.
+// everything, each running dense local chains (~50us apart). A single
+// global-min lookahead would make the 100us LAN link everyone's lookahead
+// and collapse every satellite's horizon to ~100us. With per-link lookahead
+// the satellites' horizons are bounded by 50ms links instead, so rounds
+// batch thousands of events. Every run — and the Step() reference — must
+// produce the same executed count and checksum: the lookahead table changes
+// batching, never history.
 
 constexpr int kHeteroNodes = 8;     // 1,2 = metro pair; 3..8 = satellites
 constexpr int kSatChains = 4;       // dense chains per satellite
@@ -195,27 +198,21 @@ void SatStep(sim::Simulation* sim, std::vector<uint64_t>* acc, uint16_t node,
                [sim, acc, node, step]() { SatStep(sim, acc, node, step + 1); });
 }
 
-EngineRun RunHetero(int workers, bool per_link, SimDuration span,
+EngineRun RunHetero(int workers, SimDuration span,
                     const std::string& stats_prefix = "") {
   sim::Simulation sim(/*seed=*/4242, workers);
   for (int n = 1; n <= kHeteroNodes; ++n) {
     sim.EnsureNode(static_cast<uint16_t>(n));
   }
-  if (per_link) {
-    // Declare the actual topology: the engine derives pairwise lookaheads.
-    sim.NoteLinkLatency(1, 2, Micros(100));
-    for (int s = 3; s <= kHeteroNodes; ++s) {
-      for (int o = 1; o <= kHeteroNodes; ++o) {
-        if (o != s) {
-          sim.NoteLinkLatency(static_cast<uint16_t>(s),
-                              static_cast<uint16_t>(o), Millis(50));
-        }
+  // Declare the actual topology: the engine derives pairwise lookaheads.
+  sim.NoteLinkLatency(1, 2, Micros(100));
+  for (int s = 3; s <= kHeteroNodes; ++s) {
+    for (int o = 1; o <= kHeteroNodes; ++o) {
+      if (o != s) {
+        sim.NoteLinkLatency(static_cast<uint16_t>(s), static_cast<uint16_t>(o),
+                            Millis(50));
       }
     }
-  } else {
-    // Pre-PR engine emulation: one scalar lookahead, the global minimum
-    // link latency — the metro pair's 100us LAN link throttles everyone.
-    sim.NoteLinkLatency(Micros(100));
   }
   std::vector<uint64_t> acc(kHeteroNodes + 1, 0);
   for (uint16_t n = 1; n <= 2; ++n) {
@@ -245,15 +242,12 @@ EngineRun RunHetero(int workers, bool per_link, SimDuration span,
 void TableHetero() {
   const int pool = PoolWorkers();
   const SimDuration span = Seconds(1);
-  Header("E10.c heterogeneous topology: per-link vs global-min lookahead "
+  Header("E10.c heterogeneous topology: per-link lookahead "
          "(metro pair @100us + 6 WAN satellites @50ms, seed 4242, 1 sim-sec)");
-  EngineRun step = RunHetero(kStepReference, true, span);
-  EngineRun single = RunHetero(1, true, span, "hetero.single");
-  EngineRun perlink = RunHetero(pool, true, span, "hetero.perlink");
-  EngineRun globalmin = RunHetero(pool, false, span, "hetero.globalmin");
-  EngineRun single_gm = RunHetero(1, false, span);
-  if (!SameHistory("on hetero topology",
-                   {&step, &single, &perlink, &globalmin, &single_gm})) {
+  EngineRun step = RunHetero(kStepReference, span);
+  EngineRun single = RunHetero(1, span, "hetero.single");
+  EngineRun perlink = RunHetero(pool, span, "hetero.perlink");
+  if (!SameHistory("on hetero topology", {&step, &single, &perlink})) {
     return;
   }
   printf("%22s %14s %9s %12s %12s %14s\n", "engine", "events/s", "rounds",
@@ -269,18 +263,11 @@ void TableHetero() {
            (long long)r.horizon_p50, (long long)r.horizon_p95);
   };
   row("single (workers=1)", single);
-  row("global-min lookahead", globalmin);
   row("per-link lookahead", perlink);
-  const double speedup = globalmin.events_per_sec > 0
-                             ? perlink.events_per_sec / globalmin.events_per_sec
-                             : 0;
-  printf("per-link speedup over global-min engine: %.2fx\n", speedup);
   ReportValue("hetero.events", static_cast<double>(perlink.executed));
   ReportValue("hetero.step_eps", step.events_per_sec);
   ReportValue("hetero.single_eps", single.events_per_sec);
   ReportValue("hetero.parallel_eps", perlink.events_per_sec);
-  ReportValue("hetero.globalmin_eps", globalmin.events_per_sec);
-  ReportValue("hetero.speedup", speedup);
 }
 
 void TableScaling() {
@@ -332,27 +319,10 @@ void TableWorkerSweep() {
   }
 }
 
-void BM_SyntheticEngine(benchmark::State& state) {
-  const int nodes = static_cast<int>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  uint64_t executed = 0;
-  for (auto _ : state) {
-    EngineRun r = RunSynthetic(nodes, workers, Millis(200));
-    benchmark::DoNotOptimize(r.checksum);
-    executed += r.executed;
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(executed), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SyntheticEngine)
-    ->Args({8, 1})
-    ->Args({8, 8})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e10_scale");
   encompass::bench::ReportMeta(/*seed=*/42);
   printf("E10: conservative-PDES engine scaling — per-node event loops on a "
@@ -360,8 +330,6 @@ int main(int argc, char** argv) {
   encompass::bench::TableScaling();
   encompass::bench::TableWorkerSweep();
   encompass::bench::TableHetero();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -16,8 +16,6 @@
 // counts {1,2,4} and refuses to report a "divergence"-free JSON unless
 // commits, aborts, and the balance checksum are identical everywhere.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -491,31 +489,16 @@ void TableDeterminism() {
   ReportValue("hw_limited", hw < 4 ? 1 : 0);
 }
 
-void BM_HotspotLane(benchmark::State& state) {
-  const bool queue = state.range(0) != 0;
-  uint64_t commits = 0;
-  for (auto _ : state) {
-    LaneRun r = RunLane(Shape::kHot, queue, 1, Millis(300));
-    benchmark::DoNotOptimize(r.checksum);
-    commits += r.commits;
-  }
-  state.counters["txn/s"] = benchmark::Counter(static_cast<double>(commits),
-                                               benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_HotspotLane)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e11_hotspot");
   encompass::bench::ReportMeta(/*seed=*/42);
   printf("E11: queue-oriented execution lane vs record locks under hotspot "
          "contention\n");
   encompass::bench::TableHotspot();
   encompass::bench::TableDeterminism();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

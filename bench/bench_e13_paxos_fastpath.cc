@@ -12,8 +12,6 @@
 // transaction, acceptor-log boundedness under GC, and engine identity at
 // every worker count.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <string>
 
@@ -213,26 +211,10 @@ void TableEngineIdentity() {
   ReportValue("divergence", static_cast<double>(divergence));
 }
 
-void BM_PaxosChaosCampaign(benchmark::State& state) {
-  uint64_t seed = 100;
-  for (auto _ : state) {
-    app::ChaosCampaignResult r =
-        app::RunChaosCampaign(CampaignConfig(seed++, CommitProtocol::kPaxos));
-    benchmark::DoNotOptimize(r.balance_sum);
-    if (!r.quiesced || !r.violations.empty()) {
-      state.SkipWithError("campaign failed");
-      break;
-    }
-  }
-}
-BENCHMARK(BM_PaxosChaosCampaign)
-    ->Iterations(2)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e13_paxos_fastpath");
   encompass::bench::ReportMeta(/*seed=*/1);
   encompass::bench::ReportCommitConfig(encompass::tmf::CommitProtocol::kPaxos);
@@ -240,8 +222,6 @@ int main(int argc, char** argv) {
          "commit-latency tax\n");
   encompass::bench::TableProtocolComparison();
   encompass::bench::TableEngineIdentity();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -6,8 +6,6 @@
 // backed out and restarted); the conventional system shows a total outage
 // whose length grows with the log to recover.
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/wal_engine.h"
 #include "bench_util.h"
 
@@ -97,36 +95,16 @@ void TableOutageVsLog() {
          " transactions on the failed module are backed out, online)\n");
 }
 
-void BM_TmfThroughFailure(benchmark::State& state) {
-  uint64_t committed = 0;
-  SimTime elapsed = 0;
-  for (auto _ : state) {
-    BankRig rig = MakeBankRig(/*seed=*/43, 4, 100, 8, 20);
-    rig.sim->RunFor(Millis(100));
-    rig.node->node()->FailCpu(1);
-    rig.sim->RunFor(Seconds(600));
-    rig.sim->Run();
-    committed += rig.Primary()->transactions_committed();
-    elapsed += rig.sim->Now();
-  }
-  state.counters["sim_txn_per_s"] =
-      benchmark::Counter(TxnPerSec(committed, elapsed));
-  state.SetItemsProcessed(static_cast<int64_t>(committed));
-}
-BENCHMARK(BM_TmfThroughFailure);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e1_online_recovery");
   encompass::bench::ReportMeta(/*seed=*/41);
   printf("E1: online recovery (TMF) vs halt-and-restart (conventional)\n");
   encompass::bench::TableTmfTimeline();
   encompass::bench::TableBaselineTimeline();
   encompass::bench::TableOutageVsLog();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

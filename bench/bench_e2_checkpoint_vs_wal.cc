@@ -10,8 +10,6 @@
 //   (c) strict write-through WAL: log forced on EVERY update (the cost the
 //       checkpoint mechanism avoids).
 
-#include <benchmark/benchmark.h>
-
 #include "baseline/wal_engine.h"
 #include "bench_util.h"
 
@@ -50,15 +48,25 @@ void TableUpdatePathCost() {
     sim.Run();
     const int kTxns = 100;
     tcp.primary->AttachTerminal("t", "p", kTxns);
+    // Per-transaction counts exclude set-up (deployment, seeding, spawn).
+    auto per_txn_since = [&sim](const char* counter, int64_t before) {
+      return static_cast<double>(sim.GetStats().Counter(counter) - before) /
+             kTxns;
+    };
+    const int64_t forces0 = sim.GetStats().Counter("audit.forces");
+    const int64_t checkpoints0 = sim.GetStats().Counter("os.checkpoints_sent");
     SimTime start = sim.Now();
     sim.Run();
     double per_txn = static_cast<double>(sim.Now() - start) / kTxns;
-    double forces = static_cast<double>(sim.GetStats().Counter("audit.forces")) /
-                    kTxns;
+    double forces = per_txn_since("audit.forces", forces0);
+    double checkpoints = per_txn_since("os.checkpoints_sent", checkpoints0);
     printf("%-44s %14.0f %12.1f\n",
            "TMF (checkpoint per update, force at phase 1)", per_txn, forces);
-    printf("    checkpoints sent: %lld; audit records unforced on update: yes\n",
-           (long long)sim.GetStats().Counter("os.checkpoints_sent"));
+    printf("    checkpoints sent per txn: %.1f; audit records unforced on "
+           "update: yes\n", checkpoints);
+    ReportValue("e2.a.tmf.us_per_txn", per_txn);
+    ReportValue("e2.a.tmf.forces_per_txn", forces);
+    ReportValue("e2.a.tmf.checkpoints_per_txn", checkpoints);
   }
 
   // (b) and (c): the WAL engine in its two modes.
@@ -77,11 +85,15 @@ void TableUpdatePathCost() {
       engine.Commit(txn, &cost);
       total += cost;
     }
+    const double per_txn = static_cast<double>(total) / kTxns;
+    const double forces = static_cast<double>(engine.forces()) / kTxns;
     printf("%-44s %14.0f %12.1f\n",
            eager ? "strict WAL (force each update)"
                  : "conventional WAL (force at commit)",
-           static_cast<double>(total) / kTxns,
-           static_cast<double>(engine.forces()) / kTxns);
+           per_txn, forces);
+    const std::string prefix = eager ? "e2.a.wal_eager" : "e2.a.wal";
+    ReportValue(prefix + ".us_per_txn", per_txn);
+    ReportValue(prefix + ".forces_per_txn", forces);
   }
 }
 
@@ -116,48 +128,26 @@ void TableForceBatching() {
     const int kTxns = 20;
     tcp.primary->AttachTerminal("t", "p", kTxns);
     sim.Run();
+    const double forces =
+        static_cast<double>(sim.GetStats().Counter("audit.forces")) / kTxns;
     printf("%14d %16lld %18.1f\n", updates,
-           (long long)sim.GetStats().Counter("audit.appended"),
-           static_cast<double>(sim.GetStats().Counter("audit.forces")) / kTxns);
+           (long long)sim.GetStats().Counter("audit.appended"), forces);
+    ReportValue("e2.b.updates" + std::to_string(updates) + ".forces_per_txn",
+                forces);
   }
   printf("(one force per transaction regardless of size — the WAL-eager\n"
          " design would pay one force per update)\n");
 }
 
-void BM_WalCommit(benchmark::State& state) {
-  const bool eager = state.range(0) != 0;
-  baseline::WalEngineConfig cfg;
-  cfg.force_log_each_update = eager;
-  baseline::WalEngine engine(cfg);
-  SimDuration total = 0;
-  int64_t txns = 0;
-  for (auto _ : state) {
-    SimDuration cost = 0;
-    baseline::TxnId t = engine.Begin();
-    for (int i = 0; i < 10; ++i) {
-      engine.Update(t, "k" + std::to_string(i), "v", &cost);
-    }
-    engine.Commit(t, &cost);
-    total += cost;
-    ++txns;
-  }
-  state.counters["sim_us_per_txn"] = benchmark::Counter(
-      static_cast<double>(total) / static_cast<double>(txns));
-  state.SetItemsProcessed(txns);
-}
-BENCHMARK(BM_WalCommit)->Arg(0)->Arg(1);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e2_checkpoint_vs_wal");
   encompass::bench::ReportMeta(/*seed=*/51);
   printf("E2: checkpoint-instead-of-WAL on the update path\n");
   encompass::bench::TableUpdatePathCost();
   encompass::bench::TableForceBatching();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -6,8 +6,6 @@
 // network heals). Also shows the broadcast-locally / targeted-remotely
 // design decision (ablation: what full network broadcast would cost).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "test_util.h"
 #include "tmf/tmf_protocol.h"
@@ -186,34 +184,16 @@ void TableAbortPaths() {
   }
 }
 
-void BM_DistributedCommit(benchmark::State& state) {
-  const int participants = static_cast<int>(state.range(0));
-  DistRig rig = MakeDistRig(79, 6);
-  SimDuration total = 0;
-  int64_t n = 0;
-  for (auto _ : state) {
-    SimDuration latency = RunDistributedTxn(rig, participants, static_cast<int>(n));
-    if (latency > 0) total += latency;
-    ++n;
-  }
-  state.counters["sim_ms_commit"] = benchmark::Counter(
-      static_cast<double>(total) / 1e3 / static_cast<double>(n));
-  state.SetItemsProcessed(n);
-}
-BENCHMARK(BM_DistributedCommit)->Arg(1)->Arg(2)->Arg(4)->Iterations(20);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e3_distributed_commit");
   encompass::bench::ReportMeta(/*seed=*/61);
   printf("E3: the distributed two-phase commit protocol\n");
   encompass::bench::TableCommitCostVsParticipants();
   encompass::bench::TableBroadcastAblation();
   encompass::bench::TableAbortPaths();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

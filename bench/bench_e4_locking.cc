@@ -4,8 +4,6 @@
 // shape: throughput degrades and restarts climb as contention concentrates;
 // shorter timeouts resolve deadlocks faster at the cost of false restarts.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace encompass::bench {
@@ -68,36 +66,16 @@ void TableTimeoutSweep() {
          " the timeout trades detection latency against false restarts)\n");
 }
 
-void BM_ContendedTransfer(benchmark::State& state) {
-  const int accounts = static_cast<int>(state.range(0));
-  uint64_t committed = 0;
-  SimTime elapsed = 0;
-  for (auto _ : state) {
-    BankRig rig = MakeBankRig(/*seed=*/89, 8, accounts, 8, 15, 0.0,
-                              Millis(200), 2000);
-    rig.sim->RunFor(Seconds(1800));
-    rig.sim->Run();
-    committed += rig.Primary()->transactions_committed();
-    elapsed += rig.sim->Now();
-  }
-  state.counters["sim_txn_per_s"] =
-      benchmark::Counter(TxnPerSec(committed, elapsed));
-  state.SetItemsProcessed(static_cast<int64_t>(committed));
-}
-BENCHMARK(BM_ContendedTransfer)->Arg(4)->Arg(100);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e4_locking");
   encompass::bench::ReportMeta(/*seed=*/81);
   printf("E4: decentralized locking and timeout deadlock resolution\n");
   encompass::bench::TableContentionSweep();
   encompass::bench::TableHotAccountSweep();
   encompass::bench::TableTimeoutSweep();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -4,8 +4,6 @@
 // of the rebuilt data base, and the negotiation path for transactions in
 // "ending" state at failure time.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "test_util.h"
 #include "tmf/rollforward.h"
@@ -150,29 +148,15 @@ void TableNegotiation() {
   ReportValue("e5.b.recovered", recovered ? 1 : 0);
 }
 
-void BM_Rollforward(benchmark::State& state) {
-  const int txns = static_cast<int>(state.range(0));
-  size_t redo = 0;
-  for (auto _ : state) {
-    RollforwardRun run = RunOne(txns);
-    redo += run.redo_applied;
-  }
-  state.counters["redo_images"] = benchmark::Counter(
-      static_cast<double>(redo) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_Rollforward)->Arg(50)->Arg(500)->Iterations(3);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e5_rollforward");
   encompass::bench::ReportMeta(/*seed=*/91);
   printf("E5: ROLLFORWARD — recovery from total node failure\n");
   encompass::bench::TableRecoveryVsAuditVolume();
   encompass::bench::TableNegotiation();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -2,8 +2,6 @@
 // multi-key access with automatic index maintenance, data and index
 // (prefix) compression, the main-memory cache, and key-range partitioning.
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cinttypes>
 
@@ -152,71 +150,62 @@ void TableIndexOverheadAndPartitioning() {
   }
 }
 
-// --------------------------------------------------------------------------
-// google-benchmark micro loops (wall-clock)
-// --------------------------------------------------------------------------
-
-void BM_BTreeInsert(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    BPlusTree tree(4096);
-    for (int i = 0; i < n; ++i) {
-      tree.Insert(Slice("key" + std::to_string(i)), Slice("value"));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_BTreeGet(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+/// Builds a 4 KB-block tree of `n` records "<prefix><i>" -> "value".
+BPlusTree MakeTree(int n, const std::string& prefix = "key") {
   BPlusTree tree(4096);
   for (int i = 0; i < n; ++i) {
-    tree.Insert(Slice("key" + std::to_string(i)), Slice("value"));
+    tree.Insert(Slice(prefix + std::to_string(i)), Slice("value"));
   }
-  Random rng(1);
-  for (auto _ : state) {
-    auto r = tree.Get(Slice("key" + std::to_string(rng.Uniform(n))));
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations());
+  return tree;
 }
-BENCHMARK(BM_BTreeGet)->Arg(10000)->Arg(100000);
 
-void BM_BTreeScan(benchmark::State& state) {
-  BPlusTree tree(4096);
-  for (int i = 0; i < 100000; ++i) {
-    tree.Insert(Slice("key" + std::to_string(i)), Slice("value"));
+void TableBTreeWallClock() {
+  Header("E6.e B+ tree throughput (wall clock, best of 3; not gated)");
+  printf("%-26s %16s\n", "operation", "per second");
+  auto row = [](const std::string& key, const char* unit, double rate) {
+    printf("%-26s %16.0f %s\n", key.c_str(), rate, unit);
+    ReportValue("wall.e6." + key + "." + unit + "_per_sec", rate);
+  };
+  for (int n : {1000, 10000, 100000}) {
+    row("insert.n" + std::to_string(n), "ops", OpsPerSec([n] {
+          return static_cast<int64_t>(MakeTree(n).size());
+        }, n));
   }
-  for (auto _ : state) {
-    size_t n = 0;
-    tree.ForEach([&n](const Slice&, const Slice&) { ++n; });
-    benchmark::DoNotOptimize(n);
+  constexpr int kGets = 100000;
+  for (int n : {10000, 100000}) {
+    BPlusTree tree = MakeTree(n);
+    row("get.n" + std::to_string(n), "ops", OpsPerSec([&tree, n] {
+          Random rng(1);
+          int64_t found = 0;
+          for (int i = 0; i < kGets; ++i) {
+            found += tree.Get(Slice("key" + std::to_string(rng.Uniform(n))))
+                         .ok() ? 1 : 0;
+          }
+          return found;
+        }, kGets));
   }
-  state.SetItemsProcessed(state.iterations() * 100000);
+  {
+    BPlusTree tree = MakeTree(100000);
+    row("scan.n100000", "records", OpsPerSec([&tree] {
+          int64_t n = 0;
+          tree.ForEach([&n](const Slice&, const Slice&) { ++n; });
+          return n;
+        }, 100000));
+  }
+  {
+    BPlusTree tree = MakeTree(50000, "shared/prefix/key");
+    row("serialize.n50000", "bytes", OpsPerSec([&tree] {
+          Bytes out;
+          tree.SerializeTo(&out);
+          return static_cast<int64_t>(out.size());
+        }, static_cast<int64_t>(tree.UncompressedDataSize())));
+  }
 }
-BENCHMARK(BM_BTreeScan);
-
-void BM_SerializeCompressed(benchmark::State& state) {
-  BPlusTree tree(4096);
-  for (int i = 0; i < 50000; ++i) {
-    tree.Insert(Slice("shared/prefix/key" + std::to_string(i)), Slice("value"));
-  }
-  for (auto _ : state) {
-    Bytes out;
-    tree.SerializeTo(&out);
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(tree.UncompressedDataSize()));
-}
-BENCHMARK(BM_SerializeCompressed);
 
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e6_storage");
   encompass::bench::ReportMeta(/*seed=*/97);
   printf("E6: storage — organizations, compression, cache, partitioning\n");
@@ -224,8 +213,7 @@ int main(int argc, char** argv) {
   encompass::bench::TableCompression();
   encompass::bench::TableCache();
   encompass::bench::TableIndexOverheadAndPartitioning();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+  encompass::bench::TableBTreeWallClock();
   encompass::bench::WriteReport();
   return 0;
 }

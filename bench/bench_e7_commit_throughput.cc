@@ -7,8 +7,6 @@
 // commit-latency percentiles. Also sweeps the batching window to show the
 // latency/throughput trade.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <vector>
 
@@ -286,32 +284,16 @@ void TableWindowSweep() {
   printf("(a small window trades commit latency for fewer physical writes)\n");
 }
 
-void BM_CommitThroughput(benchmark::State& state) {
-  const int drivers = static_cast<int>(state.range(0));
-  int64_t committed = 0;
-  for (auto _ : state) {
-    E7Rig rig = MakeE7Rig(719, drivers, /*txns=*/10);
-    E7Result r = RunE7(rig);
-    committed += r.committed;
-    state.counters["sim_txns_per_sec"] =
-        benchmark::Counter(r.txns_per_sec);
-  }
-  state.SetItemsProcessed(committed);
-}
-BENCHMARK(BM_CommitThroughput)->Arg(1)->Arg(8)->Iterations(2);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e7_commit_throughput");
   encompass::bench::ReportMeta(/*seed=*/701);
   printf("E7: commit hot path — group commit, route cache, concurrency\n");
   encompass::bench::TableThroughputVsConcurrency();
   encompass::bench::TableWindowSweep();
   encompass::bench::TableAcceptance();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

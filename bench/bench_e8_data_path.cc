@@ -18,10 +18,6 @@
 // Headline numbers land in BENCH_e8_data_path.json; CI enforces the
 // read-heavy speedup floor and the coalescing message-reduction floor.
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <functional>
 #include <list>
 #include <string>
 #include <string_view>
@@ -275,22 +271,6 @@ int64_t ReplayReference(const StringTables& tables,
     }
   }
   return acc;
-}
-
-/// Best-of-`rounds` wall-clock ops/s (best-of damps scheduler noise; CI
-/// thresholds ride on the ratio, which is far above the floor).
-double OpsPerSec(const std::function<int64_t()>& run, int64_t ops,
-                 int rounds = 3) {
-  double best = 0;
-  for (int r = 0; r < rounds; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    int64_t acc = run();
-    benchmark::DoNotOptimize(acc);
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0).count();
-    if (secs > 0) best = std::max(best, static_cast<double>(ops) / secs);
-  }
-  return best;
 }
 
 void TableEngineAB() {
@@ -556,44 +536,10 @@ void TableCheckpointCoalescing() {
   ReportValue("e8.ckpt.msg_reduction", reduction);
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark micro loops (wall clock)
-// ---------------------------------------------------------------------------
-
-void BM_DataPathReadHeavy(benchmark::State& state) {
-  const bool use_new = state.range(0) == 1;
-  StringTables tables = MakeTables(kReadHeavy);
-  std::vector<DataPathOp> stream = MakeStream(kReadHeavy, tables, 801, 50000);
-  for (auto _ : state) {
-    int64_t acc = use_new ? ReplayNew(tables, stream)
-                          : ReplayReference(tables, stream);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
-  state.SetLabel(use_new ? "new" : "pre-PR");
-}
-BENCHMARK(BM_DataPathReadHeavy)->Arg(1)->Arg(0);
-
-void BM_DataPathHotFile(benchmark::State& state) {
-  const bool use_new = state.range(0) == 1;
-  StringTables tables = MakeTables(kHotFile);
-  std::vector<DataPathOp> stream = MakeStream(kHotFile, tables, 809, 50000);
-  for (auto _ : state) {
-    int64_t acc = use_new ? ReplayNew(tables, stream)
-                          : ReplayReference(tables, stream);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
-  state.SetLabel(use_new ? "new" : "pre-PR");
-}
-BENCHMARK(BM_DataPathHotFile)->Arg(1)->Arg(0);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e8_data_path");
   encompass::bench::ReportMeta(/*seed=*/97);
   printf("E8: data path — lock table, cache, mirror schedule, coalescing\n");
@@ -601,8 +547,6 @@ int main(int argc, char** argv) {
   encompass::bench::TableMirrorScheduling();
   encompass::bench::TableCacheHitRate();
   encompass::bench::TableCheckpointCoalescing();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -5,8 +5,6 @@
 // quiesce rate, recovery work, and what the storms actually threw at the
 // cluster.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "encompass/chaos.h"
 
@@ -80,30 +78,15 @@ void TableStormShape() {
          " above replays bit-identically via ReplayChaosCampaign)\n");
 }
 
-void BM_ChaosCampaign(benchmark::State& state) {
-  uint64_t seed = 100;
-  for (auto _ : state) {
-    app::ChaosCampaignResult r = app::RunChaosCampaign(CampaignConfig(seed++));
-    benchmark::DoNotOptimize(r.balance_sum);
-    if (!r.quiesced || !r.violations.empty()) {
-      state.SkipWithError("campaign failed");
-      break;
-    }
-  }
-}
-BENCHMARK(BM_ChaosCampaign)->Iterations(2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("e9_chaos_campaign");
   encompass::bench::ReportMeta(/*seed=*/1);
   printf("E9: chaos recovery campaign — fault storms vs the atomicity oracle\n");
   encompass::bench::TableSurvival();
   encompass::bench::TableStormShape();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

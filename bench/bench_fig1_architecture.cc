@@ -4,8 +4,6 @@
 // service. Tables: message-path latencies; service continuity across each
 // single-module failure class; mirrored-disc failover/revive.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "net/network.h"
 #include "os/cluster.h"
@@ -106,7 +104,7 @@ void TableMirrorFailoverRevive() {
   }
   vol.Flush();
   printf("drives up: %d, usable: %s\n", vol.UpDrives(),
-         vol.Usable() ? "yes" : "yes");
+         vol.Usable() ? "yes" : "no");
   vol.FailDrive(0);
   auto r = vol.Mutate("f", storage::MutationOp::kUpdate, Slice("key1"),
                       Slice("v2"));
@@ -122,50 +120,16 @@ void TableMirrorFailoverRevive() {
          r2.status.ToString().c_str());
 }
 
-void BM_IpcRoundTrip(benchmark::State& state) {
-  sim::Simulation sim(1);
-  os::Cluster cluster(&sim);
-  os::Node* n1 = cluster.AddNode(1);
-  auto* echo = n1->Spawn<Echo>(1);
-  auto* client = n1->Spawn<TestClient>(0);
-  sim.Run();
-  int64_t done = 0;
-  for (auto _ : state) {
-    client->CallRaw(net::Address(echo->id()), kEcho, {});
-    sim.Run();
-    ++done;
-  }
-  state.counters["sim_us_per_rtt"] = benchmark::Counter(
-      static_cast<double>(sim.Now()) / static_cast<double>(done));
-  state.SetItemsProcessed(done);
-}
-BENCHMARK(BM_IpcRoundTrip);
-
-void BM_NetworkRouteRecompute(benchmark::State& state) {
-  sim::Simulation sim(1);
-  net::Network network(&sim);
-  const int n = static_cast<int>(state.range(0));
-  for (int i = 0; i < n; ++i) network.AddNode(i, [](net::Message) {});
-  for (int i = 0; i + 1 < n; ++i) network.AddLink(i, i + 1);
-  for (auto _ : state) {
-    auto route = network.Route(0, n - 1);
-    benchmark::DoNotOptimize(route);
-  }
-}
-BENCHMARK(BM_NetworkRouteRecompute)->Arg(4)->Arg(16)->Arg(50);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("fig1_architecture");
   encompass::bench::ReportMeta(/*seed=*/7);
   printf("F1: Figure 1 — NonStop architecture redundancy\n");
   encompass::bench::TableMessagePaths();
   encompass::bench::TableSingleModuleFailures();
   encompass::bench::TableMirrorFailoverRevive();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

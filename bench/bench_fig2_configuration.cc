@@ -3,8 +3,6 @@
 // terminals, and dynamically created servers; the server class expands
 // under load and contracts when idle.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace encompass::bench {
@@ -67,36 +65,16 @@ void TableDynamicServerClass() {
   }
 }
 
-void BM_TransferTransaction(benchmark::State& state) {
-  const int terminals = static_cast<int>(state.range(0));
-  uint64_t committed = 0;
-  SimTime sim_elapsed = 0;
-  for (auto _ : state) {
-    BankRig rig = MakeBankRig(/*seed=*/19, /*cpus=*/8, /*accounts=*/200,
-                              terminals, /*iterations=*/10);
-    rig.sim->RunFor(Seconds(600));
-    rig.sim->Run();
-    committed += rig.Primary()->transactions_committed();
-    sim_elapsed += rig.sim->Now();
-  }
-  state.counters["sim_txn_per_s"] =
-      benchmark::Counter(TxnPerSec(committed, sim_elapsed));
-  state.SetItemsProcessed(static_cast<int64_t>(committed));
-}
-BENCHMARK(BM_TransferTransaction)->Arg(1)->Arg(8)->Arg(32);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("fig2_configuration");
   encompass::bench::ReportMeta(/*seed=*/11);
   printf("F2: Figure 2 — ENCOMPASS configuration scaling\n");
   encompass::bench::TableThroughputVsCpus();
   encompass::bench::TableThroughputVsTerminals();
   encompass::bench::TableDynamicServerClass();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -4,8 +4,6 @@
 // transition census — every edge present, zero illegal transitions — plus
 // the latency of each protocol phase.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "test_util.h"
 #include "tmf/file_system.h"
@@ -116,6 +114,7 @@ void TableCommitAbortLatency() {
                      static_cast<double>(rig.Primary()->transactions_committed());
     printf("%-42s %10.0f us/txn\n", "BEGIN..2 SENDs..END (commit, phase1 force)",
            per_txn);
+    ReportValue("f3.c.commit_us_per_txn", per_txn);
   }
   // Abort path: program that always aborts voluntarily.
   {
@@ -138,36 +137,20 @@ void TableCommitAbortLatency() {
     double per_txn = static_cast<double>(rig.sim->Now() - start) / 50.0;
     printf("%-42s %10.0f us/txn\n", "BEGIN..SEND..ABORT (backout via images)",
            per_txn);
+    ReportValue("f3.c.abort_us_per_txn", per_txn);
   }
 }
-
-void BM_CommitPath(benchmark::State& state) {
-  uint64_t committed = 0;
-  SimTime elapsed = 0;
-  for (auto _ : state) {
-    BankRig rig = MakeBankRig(/*seed=*/3, 4, 100, 1, 20);
-    rig.sim->Run();
-    committed += rig.Primary()->transactions_committed();
-    elapsed += rig.sim->Now();
-  }
-  state.counters["sim_us_per_commit"] = benchmark::Counter(
-      static_cast<double>(elapsed) / static_cast<double>(committed));
-  state.SetItemsProcessed(static_cast<int64_t>(committed));
-}
-BENCHMARK(BM_CommitPath);
 
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("fig3_states");
   encompass::bench::ReportMeta(/*seed=*/5);
   printf("F3: Figure 3 — transaction state machine\n");
   encompass::bench::TableTransitionCensus();
   encompass::bench::TableStateMachineExhaustive();
   encompass::bench::TableCommitAbortLatency();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

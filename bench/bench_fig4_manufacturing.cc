@@ -3,8 +3,6 @@
 // suspense-file depth timeline across a partition, and post-heal
 // convergence time as a function of the accumulated deferred updates.
 
-#include <benchmark/benchmark.h>
-
 #include "apps/manufacturing/manufacturing.h"
 #include "bench_util.h"
 #include "test_util.h"
@@ -217,25 +215,10 @@ void TableReplicationAblation() {
   }
 }
 
-void BM_GlobalUpdateRoundTrip(benchmark::State& state) {
-  MfgRig rig = MakeMfgRig(31);
-  SeedGlobalRecord(rig.deploy.get(), kNodes, "item-master", "K", "v", 1);
-  int64_t n = 0;
-  SimTime start = rig.sim->Now();
-  for (auto _ : state) {
-    RunGlobalUpdate(rig, 1, "item-master", "K", "v" + std::to_string(n));
-    ++n;
-  }
-  state.counters["sim_us_per_update"] = benchmark::Counter(
-      static_cast<double>(rig.sim->Now() - start) / static_cast<double>(n));
-  state.SetItemsProcessed(n);
-}
-BENCHMARK(BM_GlobalUpdateRoundTrip)->Iterations(20);
-
 }  // namespace
 }  // namespace encompass::bench
 
-int main(int argc, char** argv) {
+int main() {
   encompass::bench::InitReport("fig4_manufacturing");
   encompass::bench::ReportMeta(/*seed=*/21);
   printf("F4: Figure 4 — the four-site manufacturing data base\n");
@@ -243,8 +226,6 @@ int main(int argc, char** argv) {
   encompass::bench::TableConvergenceVsBacklog();
   encompass::bench::TableMasterAvailability();
   encompass::bench::TableReplicationAblation();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -1,7 +1,8 @@
-// Shared helpers for the experiment/benchmark binaries. Each binary prints
-// the experiment tables that reproduce a figure or claim of the paper
-// (simulated-time metrics, deterministic seeds), then runs its
-// google-benchmark micro-loops (wall-clock metrics).
+// Shared helpers for the experiment/benchmark binaries. Each binary takes no
+// arguments, prints the experiment tables that reproduce a figure or claim
+// of the paper (simulated-time metrics, deterministic seeds), and writes its
+// headline numbers to BENCH_<name>.json. Wall-clock numbers go in the same
+// JSON; OpsPerSec below times a repeatable loop.
 
 #ifndef ENCOMPASS_BENCH_BENCH_UTIL_H_
 #define ENCOMPASS_BENCH_BENCH_UTIL_H_
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -309,6 +311,29 @@ inline SimTime RunUntilProgramsDone(BankRig& rig, uint64_t target,
     rig.sim->RunFor(Millis(100));
   }
   return rig.sim->Now();
+}
+
+/// Keeps `value` observable, so the optimizer cannot delete the work that
+/// computed it from a timed loop.
+template <typename T>
+inline void DoNotOptimize(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+/// Best-of-`rounds` wall-clock ops/s of `run`, which performs `ops`
+/// operations and returns a checksum (best-of damps scheduler noise).
+inline double OpsPerSec(const std::function<int64_t()>& run, int64_t ops,
+                        int rounds = 3) {
+  double best = 0;
+  for (int r = 0; r < rounds; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    int64_t acc = run();
+    DoNotOptimize(acc);
+    double secs = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0).count();
+    if (secs > 0) best = std::max(best, static_cast<double>(ops) / secs);
+  }
+  return best;
 }
 
 inline void Header(const std::string& title) {

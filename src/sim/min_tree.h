@@ -5,8 +5,7 @@
 // costs O(loops) per query through a pointer-chasing virtual-ish path
 // (queue heads live in separate allocations); the tree keeps a leaf per loop
 // shard in one contiguous array and repairs only the root path of leaves
-// whose queue actually changed — O(log loops) per update, O(1) for the min
-// and O(log loops) for the runner-up.
+// whose queue actually changed — O(log loops) per update, O(1) for the min.
 //
 // Leaves hold full EventKeys (not just times) so serial execution can break
 // time ties in canonical (time, origin, seq) order across loops, exactly as
@@ -65,22 +64,6 @@ class MinTree {
   /// Time of the smallest key; kNoDeadline if every leaf is empty.
   SimTime MinTime() const {
     return cap_ == 0 ? kNoDeadline : keys_[win_[1]].time;
-  }
-
-  /// Time of the second-smallest leaf (duplicates count separately: two
-  /// leaves at time T yield MinTime == SecondMinTime == T). kNoDeadline if
-  /// fewer than two non-empty leaves. O(log n): the runner-up is the best
-  /// of the siblings along the winner's root path.
-  SimTime SecondMinTime() const {
-    if (cap_ < 2) return kNoDeadline;
-    size_t j = cap_ + win_[1];  // the winner's leaf position
-    SimTime best = kNoDeadline;
-    while (j > 1) {
-      const SimTime t = keys_[win_[j ^ 1]].time;
-      if (t < best) best = t;
-      j /= 2;
-    }
-    return best;
   }
 
  private:

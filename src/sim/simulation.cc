@@ -74,7 +74,6 @@ void Simulation::NoteLinkLatency(uint16_t a, uint16_t b, SimDuration latency) {
   const uint32_t sa = EnsureLoop(a)->shard;
   const uint32_t sb = EnsureLoop(b)->shard;
   GrowDist(loops_.size());
-  per_link_ = true;
   // Relax the least-path table with the new edge. Any path improved by the
   // edge uses it exactly once (latencies are positive), so one pass over all
   // pairs is complete. The table is a static infimum over declared links:
@@ -107,9 +106,7 @@ void Simulation::NoteLinkLatency(uint16_t a, uint16_t b, SimDuration latency) {
 SimDuration Simulation::LookaheadBetween(uint16_t src, uint16_t dst) const {
   const auto is = loop_index_.find(src);
   const auto id = loop_index_.find(dst);
-  if (is == loop_index_.end() || id == loop_index_.end()) {
-    return uniform_lookahead_;
-  }
+  if (is == loop_index_.end() || id == loop_index_.end()) return kNoDeadline;
   return LookaheadShard(is->second, id->second);
 }
 
@@ -314,47 +311,26 @@ void Simulation::RunRounds(SimTime deadline) {
     if (min1 > deadline) break;  // no node work left within the deadline
 
     ready_.clear();
-    if (!per_link_) {
-      // Uniform lookahead: min over others of E_j + L collapses to
-      // (second-)smallest E + L, straight off the tree.
-      const SimTime min2 = tree_.SecondMinTime();
-      // Uniform echo floor: out to any peer and back is two lookaheads.
-      const SimTime uecho = SatAdd(uniform_lookahead_, uniform_lookahead_);
-      for (size_t i = 1; i < loops_.size(); ++i) {
-        const SimTime e = tree_.KeyAt(i).time;
-        if (e == kNoDeadline) continue;
-        const SimTime others = (e == min1) ? min2 : min1;
-        const SimTime h = std::min(
-            {cap, SatAdd(others, uniform_lookahead_), SatAdd(e, uecho)});
-        if (e < h) {
-          loops_[i]->horizon = h;
-          ready_.push_back(loops_[i].get());
-          if (h != kNoDeadline) horizon_width_.Add(h - e);
-        }
+    active.clear();
+    for (size_t i = 1; i < loops_.size(); ++i) {
+      if (tree_.KeyAt(i).time != kNoDeadline) {
+        active.push_back(static_cast<uint32_t>(i));
       }
-    } else {
-      active.clear();
-      for (size_t i = 1; i < loops_.size(); ++i) {
-        if (tree_.KeyAt(i).time != kNoDeadline) {
-          active.push_back(static_cast<uint32_t>(i));
-        }
+    }
+    for (uint32_t i : active) {
+      const SimTime e = tree_.KeyAt(i).time;
+      SimTime h = cap;
+      for (uint32_t j : active) {
+        if (j == i) continue;
+        const SimTime b = SatAdd(tree_.KeyAt(j).time, LookaheadShard(j, i));
+        if (b < h) h = b;
       }
-      for (uint32_t i : active) {
-        const SimTime e = tree_.KeyAt(i).time;
-        SimTime h = cap;
-        for (uint32_t j : active) {
-          if (j == i) continue;
-          const SimTime b =
-              SatAdd(tree_.KeyAt(j).time, LookaheadShard(j, i));
-          if (b < h) h = b;
-        }
-        const SimTime se = SatAdd(e, i < echo_.size() ? echo_[i] : kNoDeadline);
-        if (se < h) h = se;
-        if (e < h) {
-          loops_[i]->horizon = h;
-          ready_.push_back(loops_[i].get());
-          if (h != kNoDeadline) horizon_width_.Add(h - e);
-        }
+      const SimTime se = SatAdd(e, i < echo_.size() ? echo_[i] : kNoDeadline);
+      if (se < h) h = se;
+      if (e < h) {
+        loops_[i]->horizon = h;
+        ready_.push_back(loops_[i].get());
+        if (h != kNoDeadline) horizon_width_.Add(h - e);
       }
     }
     assert(!ready_.empty());

@@ -27,8 +27,8 @@
 // LAN link, and unlinked pairs contribute no bound at all. The table is a
 // static lower bound — it only ever admits latencies that some declared-link
 // path could achieve, so it stays valid when links flap down or routing
-// takes longer paths. The scalar NoteLinkLatency(l) overload remains as a
-// uniform all-pairs floor for topology-free tests and benches.
+// takes longer paths. Code with no Network (tests, benches) declares its
+// links the same way, pair by pair.
 //
 // Coordinator bookkeeping is incremental: a tournament tree (MinTree) over
 // the per-loop next-event keys replaces the every-round full rescan, and
@@ -195,17 +195,9 @@ class Simulation {
   /// affect another.
   void NoteLinkLatency(uint16_t a, uint16_t b, SimDuration latency);
 
-  /// Uniform fallback: shrinks the all-pairs lookahead floor to `latency`
-  /// if smaller. For call sites with no topology to declare.
-  void NoteLinkLatency(SimDuration latency) {
-    if (latency > 0 && latency < uniform_lookahead_) {
-      uniform_lookahead_ = latency;
-    }
-  }
-
-  /// Conservative bound on how soon an event on `src` can affect `dst`:
-  /// min(uniform floor, least declared-link path latency src→dst).
-  /// kNoDeadline if neither bound applies (the pair cannot interact).
+  /// Conservative bound on how soon an event on `src` can affect `dst`: the
+  /// least declared-link path latency src→dst. kNoDeadline if no path of
+  /// declared links joins them (the pair cannot interact).
   SimDuration LookaheadBetween(uint16_t src, uint16_t dst) const;
 
   /// Publishes the engine's coordinator metrics (sim.rounds,
@@ -262,16 +254,13 @@ class Simulation {
   }
   void GrowDist(size_t n);
   SimDuration LookaheadShard(uint32_t src_shard, uint32_t dst_shard) const {
-    const SimTime d = DistAt(src_shard, dst_shard);
-    return d < uniform_lookahead_ ? d : uniform_lookahead_;
+    return DistAt(src_shard, dst_shard);
   }
 
   SimTime now_ = 0;
   uint64_t seed_;
   int parallel_workers_;
 
-  SimDuration uniform_lookahead_ = kNoDeadline;  // scalar all-pairs floor
-  bool per_link_ = false;       // any per-pair latency declared?
   std::vector<SimTime> dist_;   // least path latency, dist_n_ x dist_n_ shards
   std::vector<SimTime> echo_;   // per shard: least round trip to any peer
   size_t dist_n_ = 0;

@@ -226,17 +226,35 @@ namespace engine_test {
 using testing::AdvanceTo;
 using testing::kStepReference;
 
+// Declares a `latency` link between every pair of nodes 1..`nodes`: a
+// uniform lookahead, stated pair by pair.
+void LinkFullMesh(Simulation& sim, uint16_t nodes, SimDuration latency) {
+  for (uint16_t a = 1; a <= nodes; ++a) {
+    for (uint16_t b = a + 1; b <= nodes; ++b) {
+      sim.NoteLinkLatency(a, b, latency);
+    }
+  }
+}
+
+// The coordinator rounds a run took (sim.rounds, published on demand).
+int64_t Rounds(Simulation& sim) {
+  sim.PublishEngineMetrics();
+  return sim.GetStats().Counter("sim.rounds");
+}
+
 // A micro-workload exercising everything the round loop must agree with the
 // Step() reference on: per-node timer chains (AfterOn), ring traffic with
 // lookahead-respecting delays (PostToNode), per-node PRNG draws, and a
 // cancellation. Each node appends to its own log (only that node's events
 // touch it, so logging is race-free on the worker pool); the per-node logs
-// must be identical at every thread count.
-std::vector<std::string> RunMicroWorkload(int workers) {
+// must be identical at every thread count. `rounds`, if set, receives the
+// run's coordinator round count.
+std::vector<std::string> RunMicroWorkload(int workers,
+                                          int64_t* rounds = nullptr) {
   constexpr int kNodes = 4;
   Simulation sim(/*seed=*/99, workers);
-  sim.NoteLinkLatency(Millis(2));
   for (int n = 1; n <= kNodes; ++n) sim.EnsureNode(static_cast<uint16_t>(n));
+  LinkFullMesh(sim, kNodes, Millis(2));
 
   std::vector<std::vector<std::string>> logs(kNodes + 1);
   struct Chain {
@@ -279,6 +297,7 @@ std::vector<std::string> RunMicroWorkload(int workers) {
                 });
   }
   AdvanceTo(sim, workers, Millis(30));
+  if (rounds != nullptr) *rounds = Rounds(sim);
   std::vector<std::string> flat;
   for (int n = 1; n <= kNodes; ++n) {
     flat.push_back("--- node " + std::to_string(n));
@@ -302,9 +321,9 @@ TEST(EngineTest, AllEnginesAgreeOnMicroWorkload) {
 // runs the same round loop as every other thread count.
 TEST(EngineTest, DefaultSimulationBreaksSameTimeTiesByKey) {
   Simulation sim;
-  sim.NoteLinkLatency(Millis(1));
   sim.EnsureNode(1);
   sim.EnsureNode(2);
+  sim.NoteLinkLatency(1, 2, Millis(1));
   std::vector<std::string> fired;
   sim.AfterOn(2, Millis(2), [&fired]() { fired.push_back("timer on 2"); });
   sim.AfterOn(1, Millis(1), [&sim, &fired]() {
@@ -317,9 +336,9 @@ TEST(EngineTest, DefaultSimulationBreaksSameTimeTiesByKey) {
 TEST(EngineTest, RunUntilAdvancesClockWithoutEvents) {
   for (int workers : {kStepReference, 1, 2}) {
     Simulation sim(1, workers);
-    sim.NoteLinkLatency(Millis(5));
     sim.EnsureNode(1);
     sim.EnsureNode(2);
+    sim.NoteLinkLatency(1, 2, Millis(5));
     AdvanceTo(sim, workers, Millis(10));
     EXPECT_EQ(sim.Now(), Millis(10)) << "workers=" << workers;
     bool fired = false;
@@ -333,12 +352,12 @@ TEST(EngineTest, RunUntilAdvancesClockWithoutEvents) {
 TEST(EngineTest, ExecutedEventsCountsAcrossLoops) {
   for (int workers : {kStepReference, 1, 4}) {
     Simulation sim(1, workers);
-    sim.NoteLinkLatency(Millis(5));
     for (uint16_t n = 1; n <= 3; ++n) {
       sim.EnsureNode(n);
       sim.AfterOn(n, Micros(n), []() {});
       sim.AfterOn(n, Micros(100 + n), []() {});
     }
+    LinkFullMesh(sim, 3, Millis(5));
     testing::Drain(sim, workers);
     EXPECT_EQ(sim.ExecutedEvents(), 6u) << "workers=" << workers;
     EXPECT_TRUE(sim.Idle());
@@ -350,7 +369,8 @@ TEST(EngineTest, ExecutedEventsCountsAcrossLoops) {
 // fast link trade frequent traffic, nodes 3-4 hang off 20ms WAN links and
 // run their own dense chains. Per-pair lookahead lets 3 and 4 batch far
 // ahead of the 1-2 pair; the logs must still match the Step() reference.
-std::vector<std::string> RunHeteroWorkload(int workers) {
+std::vector<std::string> RunHeteroWorkload(int workers,
+                                           int64_t* rounds = nullptr) {
   Simulation sim(/*seed=*/123, workers);
   for (uint16_t n = 1; n <= 4; ++n) sim.EnsureNode(n);
   sim.NoteLinkLatency(1, 2, Micros(250));
@@ -390,6 +410,7 @@ std::vector<std::string> RunHeteroWorkload(int workers) {
     });
   }
   AdvanceTo(sim, workers, Millis(25));
+  if (rounds != nullptr) *rounds = Rounds(sim);
   std::vector<std::string> flat;
   for (int n = 1; n <= 4; ++n) {
     flat.push_back("--- node " + std::to_string(n));
@@ -403,6 +424,22 @@ TEST(EngineTest, PerLinkLookaheadPreservesIdentityOnHeteroTopology) {
   ASSERT_GT(reference.size(), 8u);
   for (int workers : {1, 2, 4, 8}) {
     EXPECT_EQ(RunHeteroWorkload(workers), reference) << "workers=" << workers;
+  }
+}
+
+// Identity with the Step() reference does not show how events were batched:
+// a horizon that shrank to the next event would still fire the same history.
+// These round counts pin the horizons the lookahead table grants: the micro
+// workload's full 2ms mesh takes the 2 rounds a uniform 2ms lookahead took,
+// and the hetero topology's per-pair links their 20.
+TEST(EngineTest, RoundCountsPinLookaheadHorizons) {
+  for (int workers : {1, 4}) {
+    int64_t micro = 0;
+    int64_t hetero = 0;
+    RunMicroWorkload(workers, &micro);
+    RunHeteroWorkload(workers, &hetero);
+    EXPECT_EQ(micro, 2) << "workers=" << workers;
+    EXPECT_EQ(hetero, 20) << "workers=" << workers;
   }
 }
 
