@@ -17,7 +17,7 @@ void TableTmfTimeline() {
   BankRig rig = MakeBankRig(/*seed=*/41, /*cpus=*/4, /*accounts=*/100,
                             /*terminals=*/8, /*iterations=*/UINT64_MAX);
   printf("%10s %14s %10s\n", "t (s)", "commits/bucket", "event");
-  uint64_t last = 0;
+  uint64_t last = 0, min_commits = UINT64_MAX, max_commits = 0;
   for (int bucket = 0; bucket < 12; ++bucket) {
     if (bucket == 4) {
       rig.node->node()->FailCpu(1);  // DISCPROCESS primary dies
@@ -28,12 +28,19 @@ void TableTmfTimeline() {
            static_cast<double>(rig.sim->Now()) / 1e6,
            (unsigned long long)(now_committed - last),
            bucket == 4 ? "CPU FAIL" : "");
+    min_commits = std::min(min_commits, now_committed - last);
+    max_commits = std::max(max_commits, now_committed - last);
     last = now_committed;
   }
   printf("takeovers=%lld restarts=%llu failed=%llu (service never stopped)\n",
          (long long)rig.sim->GetStats().Counter("os.takeovers"),
          (unsigned long long)rig.Primary()->transactions_restarted(),
          (unsigned long long)rig.Primary()->programs_failed());
+  ReportValue("e1.a.bucket_commits.min", min_commits);
+  ReportValue("e1.a.bucket_commits.max", max_commits);
+  ReportValue("e1.a.takeovers", rig.sim->GetStats().Counter("os.takeovers"));
+  ReportValue("e1.a.restarts", rig.Primary()->transactions_restarted());
+  ReportValue("e1.a.programs_failed", rig.Primary()->programs_failed());
 }
 
 void TableBaselineTimeline() {
@@ -45,6 +52,7 @@ void TableBaselineTimeline() {
   SimTime crash_at = Seconds(2);
   bool crashed = false;
   SimTime recovered_at = 0;
+  uint64_t empty_buckets = 0, max_commits = 0;
   for (int bucket = 0; bucket < 12; ++bucket) {
     SimTime bucket_end = (bucket + 1) * Millis(500);
     uint64_t commits = 0;
@@ -73,7 +81,11 @@ void TableBaselineTimeline() {
     }
     printf("%10.1f %14llu %10s\n", static_cast<double>(bucket_end) / 1e6,
            (unsigned long long)commits, event);
+    empty_buckets += commits == 0;
+    max_commits = std::max(max_commits, commits);
   }
+  ReportValue("e1.b.empty_buckets", empty_buckets);
+  ReportValue("e1.b.bucket_commits.max", max_commits);
 }
 
 void TableOutageVsLog() {
@@ -90,6 +102,7 @@ void TableOutageVsLog() {
     engine.Crash();
     SimDuration outage = engine.Restart();
     printf("%16d %18.3f\n", txns, static_cast<double>(outage) / 1e6);
+    ReportValue("e1.c.outage_s.txns" + std::to_string(txns), outage / 1e6);
   }
   printf("(TMF's equivalent number is ~0: no restart pass exists; only the\n"
          " transactions on the failed module are backed out, online)\n");

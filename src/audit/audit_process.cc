@@ -144,7 +144,7 @@ void AuditProcess::StartForceWrite() {
   stats().Record(m_.group_commit_size, static_cast<int64_t>(batch.size()));
   // The force is a physical sequential write; reply to the whole batch when
   // it completes — each waiter under its own causal span.
-  SetTimer(config_.force_latency, [this, batch = std::move(batch)]() {
+  SetTimer(kDiscForceLatency, [this, batch = std::move(batch)]() {
     write_in_flight_ = false;
     for (const ForceWaiter& w : batch) {
       WithTraceContext(w.trace, [this, &w]() {

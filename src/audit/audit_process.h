@@ -33,7 +33,6 @@ Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload);
 /// Behaviour knobs for the audit process.
 struct AuditProcessConfig {
   AuditTrail* trail = nullptr;          ///< shared durable trail (disc state)
-  SimDuration force_latency = Millis(8);///< disc force (sequential write) cost
   /// Group commit: how long the first force request of a batch waits for
   /// company before the physical write starts. 0 (default) starts the write
   /// immediately; requests arriving while a write is in flight still
@@ -82,7 +81,7 @@ class AuditProcess : public os::PairedProcess {
   // file-system retry on takeover).
   std::vector<ForceWaiter> waiting_;   ///< force the *next* physical write
   bool gathering_ = false;             ///< window timer armed
-  bool write_in_flight_ = false;       ///< force_latency timer armed
+  bool write_in_flight_ = false;       ///< kDiscForceLatency timer armed
 };
 
 }  // namespace encompass::audit

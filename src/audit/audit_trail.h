@@ -24,8 +24,13 @@
 #include <vector>
 
 #include "audit/audit_record.h"
+#include "common/sim_time.h"
 
 namespace encompass::audit {
+
+/// One forced sequential disc write: an audit-trail force, the TMP's MAT
+/// commit-record force, and a $ACCEPT pair's acceptor-log force.
+constexpr SimDuration kDiscForceLatency = Millis(8);
 
 /// Configuration of one audit trail.
 struct AuditTrailConfig {

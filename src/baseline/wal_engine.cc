@@ -15,13 +15,13 @@ Result<std::string> WalEngine::Read(TxnId txn, const std::string& key,
                                     SimDuration* cost) {
   if (halted_) return Status::Unavailable("system halted");
   if (!active_.count(txn)) return Status::InvalidArgument("unknown txn");
-  *cost += config_.record_cpu_cost;
+  *cost += kRecordCpuCost;
   if (deleted_in_buffer_.count(key)) return Status::NotFound();
   auto it = buffer_.find(key);
   if (it != buffer_.end()) return it->second;
   auto dit = disk_.find(key);
   if (dit == disk_.end()) return Status::NotFound();
-  *cost += config_.page_io_latency;  // page fault
+  *cost += kPageIoLatency;  // page fault
   buffer_[key] = dit->second;        // cache it
   return dit->second;
 }
@@ -52,7 +52,7 @@ Status WalEngine::Update(TxnId txn, const std::string& key,
   Append(std::move(rec));
   buffer_[key] = value;
   deleted_in_buffer_.erase(key);
-  *cost += config_.record_cpu_cost;
+  *cost += kRecordCpuCost;
   if (config_.force_log_each_update) {
     *cost += ForceLog();
   }
@@ -88,13 +88,13 @@ Status WalEngine::Abort(TxnId txn, SimDuration* cost) {
   for (auto it = log_buffer_.rbegin(); it != log_buffer_.rend(); ++it) {
     if (it->txn == txn && it->kind == LogRecord::Kind::kUpdate) {
       undo_one(*it);
-      *cost += config_.record_cpu_cost;
+      *cost += kRecordCpuCost;
     }
   }
   for (auto it = durable_log_.rbegin(); it != durable_log_.rend(); ++it) {
     if (it->txn == txn && it->kind == LogRecord::Kind::kUpdate) {
       undo_one(*it);
-      *cost += config_.record_cpu_cost;
+      *cost += kRecordCpuCost;
     }
   }
   LogRecord rec;
@@ -112,7 +112,7 @@ SimDuration WalEngine::ForceLog() {
   for (auto& rec : log_buffer_) durable_log_.push_back(std::move(rec));
   log_buffer_.clear();
   ++forces_;
-  return config_.log_force_latency;
+  return kLogForceLatency;
 }
 
 SimDuration WalEngine::TakeCheckpoint() {
@@ -132,7 +132,7 @@ SimDuration WalEngine::TakeCheckpoint() {
     dirty += disk_.erase(key);
   }
   deleted_in_buffer_.clear();
-  cost += static_cast<SimDuration>(dirty) * config_.page_io_latency;
+  cost += static_cast<SimDuration>(dirty) * kPageIoLatency;
 
   LogRecord rec;
   rec.txn = 0;
@@ -141,7 +141,7 @@ SimDuration WalEngine::TakeCheckpoint() {
   durable_log_.push_back(std::move(rec));
   checkpoint_index_ = durable_log_.size();
   ++forces_;
-  cost += config_.log_force_latency;
+  cost += kLogForceLatency;
   return cost;
 }
 
@@ -170,7 +170,7 @@ SimDuration WalEngine::Restart() {
   }
   for (size_t i = checkpoint_index_; i < durable_log_.size(); ++i) {
     const LogRecord& rec = durable_log_[i];
-    cost += config_.record_cpu_cost;
+    cost += kRecordCpuCost;
     if (rec.kind == LogRecord::Kind::kCommit) committed.insert(rec.txn);
     if (rec.kind == LogRecord::Kind::kAbort) aborted.insert(rec.txn);
     if (rec.kind == LogRecord::Kind::kUpdate) seen.insert(rec.txn);
@@ -186,7 +186,7 @@ SimDuration WalEngine::Restart() {
   for (size_t i = checkpoint_index_; i < durable_log_.size(); ++i) {
     const LogRecord& rec = durable_log_[i];
     if (rec.kind != LogRecord::Kind::kUpdate) continue;
-    cost += config_.record_cpu_cost;
+    cost += kRecordCpuCost;
     disk_[rec.key] = rec.after;
     touched.insert(rec.key);
   }
@@ -194,12 +194,12 @@ SimDuration WalEngine::Restart() {
   // the checkpoint may have updates before it).
   for (auto it = durable_log_.rbegin(); it != durable_log_.rend(); ++it) {
     if (it->kind != LogRecord::Kind::kUpdate || !losers.count(it->txn)) continue;
-    cost += config_.record_cpu_cost;
+    cost += kRecordCpuCost;
     if (it->had_before) disk_[it->key] = it->before;
     else disk_.erase(it->key);
     touched.insert(it->key);
   }
-  cost += static_cast<SimDuration>(touched.size()) * config_.page_io_latency;
+  cost += static_cast<SimDuration>(touched.size()) * kPageIoLatency;
 
   // Recovery complete: warm state is gone, but the system is available.
   buffer_.clear();

@@ -27,11 +27,12 @@
 
 namespace encompass::baseline {
 
-/// Cost/behaviour knobs.
+constexpr SimDuration kLogForceLatency = Millis(8);  ///< one sequential force
+constexpr SimDuration kPageIoLatency = Millis(10);   ///< one random page I/O
+constexpr SimDuration kRecordCpuCost = Micros(20);   ///< per log record
+
+/// Behaviour knobs.
 struct WalEngineConfig {
-  SimDuration log_force_latency = Millis(8);  ///< one sequential force
-  SimDuration page_io_latency = Millis(10);   ///< one random page I/O
-  SimDuration record_cpu_cost = Micros(20);   ///< per log record processed
   /// Ablation: force the log on EVERY update (strict write-through WAL)
   /// instead of only at commit. This is the cost the paper's checkpoint
   /// mechanism eliminates.

@@ -623,14 +623,14 @@ void DiscProcess::FinishWithReply(const net::Message& msg, const Status& status,
     // Charge from the drive model: reads take the mirror that frees first
     // (read-either), volume flushes occupy both drives (write-both).
     const SimTime now = sim()->Now();
-    const SimDuration service = disc_ios * config_.io_latency;
+    const SimDuration service = disc_ios * kDiscIoLatency;
     storage::DriveSchedule sched = (msg.tag == kDiscFlushVolume)
                                        ? config_.volume->ScheduleWrite(now, service)
                                        : config_.volume->ScheduleRead(now, service);
     stats().Record(m_.queue_depth, sched.queue_depth);
-    latency = config_.base_latency + (sched.complete - now);
+    latency = kRequestLatency + (sched.complete - now);
   } else {
-    latency = config_.base_latency + disc_ios * config_.io_latency;
+    latency = kRequestLatency + disc_ios * kDiscIoLatency;
   }
   stats().Record(m_.op_latency, latency);
   net::ProcessId requester = msg.src;
@@ -660,7 +660,7 @@ void DiscProcess::CacheReply(const RequestKey& rk, uint32_t tag,
   reply_cache_[rk] =
       CachedReply{tag, status.code(), status.message(), std::move(payload)};
   reply_cache_order_.push_back(rk);
-  while (reply_cache_order_.size() > config_.reply_cache_capacity) {
+  while (reply_cache_order_.size() > kReplyCacheCapacity) {
     reply_cache_.erase(reply_cache_order_.front());
     reply_cache_order_.pop_front();
   }

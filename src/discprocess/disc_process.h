@@ -30,17 +30,18 @@
 
 namespace encompass::discprocess {
 
+constexpr SimDuration kRequestLatency = Micros(300);  ///< request processing
+constexpr SimDuration kDiscIoLatency = Millis(10);     ///< per physical read
+constexpr size_t kReplyCacheCapacity = 4096;  ///< replies kept for retries
+
 /// Configuration of one DISCPROCESS pair.
 struct DiscProcessConfig {
   storage::Volume* volume = nullptr;   ///< shared durable volume (the discs)
   std::string audit_process;           ///< AUDITPROCESS name; "" = unaudited volume
-  SimDuration base_latency = Micros(300);   ///< request processing cost
-  SimDuration io_latency = Millis(10);      ///< per physical disc read
   SimDuration default_lock_timeout = Seconds(1);  ///< deadlock detection
-  size_t reply_cache_capacity = 4096;
   /// Charge read latency from the volume's per-drive schedule (the paper's
   /// write-both / read-either rule: concurrent reads overlap across the
-  /// mirror) instead of a flat disc_ios * io_latency. Default off preserves
+  /// mirror) instead of a flat disc_ios * kDiscIoLatency. Default off keeps
   /// the legacy timing exactly (same convention as group_commit_window=0).
   bool overlap_mirror_reads = false;
   /// Piggyback consecutive operations' checkpoint deltas into one backup

@@ -14,6 +14,11 @@ namespace encompass::app {
 
 namespace {
 
+constexpr int64_t kInitialBalance = 1000;  // every account's opening balance
+// Max quiesce time after the storm for transactions, safe deliveries, and
+// recoveries to drain.
+constexpr SimDuration kMaxDrain = Seconds(120);
+
 std::string VolName(int n) { return "$DATA" + std::to_string(n); }
 std::string MarkerFile(int n) { return "mark" + std::to_string(n); }
 
@@ -350,7 +355,7 @@ ChaosCampaign::ChaosCampaign(const ChaosCampaignConfig& config,
   res_.schedule_dump = schedule.Dump();
   res_.node_crashes = schedule.CountOf(sim::FaultClass::kNodeCrash);
   res_.expected_sum = static_cast<long long>(config.nodes) *
-                      config.accounts_per_node * config.initial_balance;
+                      config.accounts_per_node * kInitialBalance;
 
   for (int n = 1; n <= config.nodes; ++n) {
     NodeSpec spec;
@@ -400,7 +405,7 @@ ChaosCampaign::ChaosCampaign(const ChaosCampaignConfig& config,
     for (int i = (n - 1) * config.accounts_per_node;
          i < n * config.accounts_per_node; ++i) {
       storage::Record rec;
-      rec.Set("balance", std::to_string(config.initial_balance));
+      rec.Set("balance", std::to_string(kInitialBalance));
       vol->Mutate("acct", storage::MutationOp::kInsert, Slice(AcctKey(i)),
                   Slice(rec.Encode()));
     }
@@ -422,7 +427,7 @@ ChaosCampaignResult ChaosCampaign::Run(const Advance& advance) {
 
   // ---- the storm, then the drain -------------------------------------------
   advance(sim_, stop_at_);
-  const int max_spins = static_cast<int>(config_.max_drain / Seconds(1)) + 1;
+  const int max_spins = static_cast<int>(kMaxDrain / Seconds(1)) + 1;
   for (int spin = 0; spin < max_spins && !res_.quiesced; ++spin) {
     advance(sim_, sim_.Now() + Seconds(1));
     res_.quiesced = Quiet();
@@ -705,7 +710,7 @@ void ChaosCampaign::JournalLeftovers() {
 // ambiguity from corruption.
 void ChaosCampaign::JournalDrift() {
   const int total = config_.nodes * config_.accounts_per_node;
-  std::vector<long long> expect(total, config_.initial_balance);
+  std::vector<long long> expect(total, kInitialBalance);
   for (const auto& [id, in] : oracle_.all()) {
     if (in.outcome != AtomicityOracle::Outcome::kCommitted) continue;
     if (in.from_acct < 0) continue;

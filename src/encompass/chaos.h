@@ -155,13 +155,9 @@ struct ChaosCampaignConfig {
   uint64_t seed = 1;
   int nodes = 3;
   int accounts_per_node = 20;
-  int64_t initial_balance = 1000;
   int clients_per_node = 2;
   sim::FaultScheduleConfig schedule;  ///< nodes/cpus overwritten from above
   SimDuration client_think = Millis(25);
-  /// Max quiesce time after the storm for transactions, safe deliveries,
-  /// and recoveries to drain.
-  SimDuration max_drain = Seconds(120);
   /// Threads forwarded to sim::Simulation: 1 runs the round loop inline,
   /// N >= 2 adds a worker pool. Same-seed results are byte-identical at
   /// every count.
@@ -203,7 +199,7 @@ struct ChaosCampaignResult {
   /// number — 2PC participants wait out the whole outage, Paxos Commit
   /// participants resolve against the acceptor majority mid-outage.
   size_t indoubt_at_recovery = 0;
-  bool quiesced = false;            ///< everything drained within max_drain
+  bool quiesced = false;            ///< everything drained in time
   std::vector<AtomicityOracle::Violation> violations;
   long long balance_sum = 0;
   long long expected_sum = 0;

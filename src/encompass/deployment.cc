@@ -132,9 +132,7 @@ void NodeDeployment::StartServices() {
     const std::string& accept_name = tcfg.acceptor_endpoints[ca.index].second;
     tmf::CommitAcceptorConfig ccfg;
     ccfg.log = ca.log;
-    ccfg.force_latency = tcfg.mat_force_latency;
     ccfg.index = static_cast<uint8_t>(ca.index);
-    ccfg.sweep_interval = tcfg.acceptor_sweep_interval;
     two_cpus(&a, &b);
     os::SpawnPair<tmf::CommitAcceptor>(node_, accept_name, a, b, ccfg);
     RegisterRepairablePair<tmf::CommitAcceptor>(accept_name, ccfg);

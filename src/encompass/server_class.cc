@@ -8,6 +8,12 @@ namespace encompass::app {
 namespace {
 constexpr uint8_t kCkptPoolAdd = 1;
 constexpr uint8_t kCkptPoolRemove = 2;
+constexpr int kMinServers = 1;
+// Queue depth that triggers creation of an additional server.
+constexpr size_t kSpawnQueueDepth = 2;
+// An idle server beyond kMinServers is deleted after this long.
+constexpr SimDuration kIdleShutdown = Seconds(5);
+constexpr SimDuration kRequestTimeout = Seconds(10);
 }  // namespace
 
 void ServerClassRouter::OnPairAttach() {
@@ -18,7 +24,7 @@ void ServerClassRouter::OnPairAttach() {
 
 void ServerClassRouter::OnPairStart() {
   if (!IsPrimary()) return;
-  for (int i = 0; i < config_.min_servers; ++i) {
+  for (int i = 0; i < kMinServers; ++i) {
     SpawnServer();
   }
 }
@@ -27,10 +33,10 @@ void ServerClassRouter::EnsureReapTimer() {
   // Armed only while the class is above its floor, so an idle system
   // quiesces (and the simulation's run-to-idle terminates).
   if (reap_timer_ != 0 ||
-      static_cast<int>(servers_.size()) <= config_.min_servers) {
+      static_cast<int>(servers_.size()) <= kMinServers) {
     return;
   }
-  reap_timer_ = SetTimer(config_.idle_shutdown, [this]() {
+  reap_timer_ = SetTimer(kIdleShutdown, [this]() {
     reap_timer_ = 0;
     ReapIdleServers();
   });
@@ -79,7 +85,7 @@ void ServerClassRouter::Dispatch() {
     }
     if (idle == nullptr) {
       // All busy: grow the class under load, else leave queued.
-      if (queue_.size() >= config_.spawn_queue_depth &&
+      if (queue_.size() >= kSpawnQueueDepth &&
           static_cast<int>(servers_.size()) < config_.max_servers) {
         if (SpawnServer() != 0) continue;
       }
@@ -96,7 +102,7 @@ void ServerClassRouter::ForwardTo(ServerSlot* slot, const net::Message& request)
   net::Pid pid = slot->pid;
   set_current_transid(request.transid);
   os::CallOptions opt;
-  opt.timeout = config_.request_timeout;
+  opt.timeout = kRequestTimeout;
   Call(net::Address(net::ProcessId{node()->id(), pid}), kServerRequest,
        request.payload,
        [this, pid, request](const Status& s, const net::Message& reply) {
@@ -117,10 +123,10 @@ void ServerClassRouter::ForwardTo(ServerSlot* slot, const net::Message& request)
 }
 
 void ServerClassRouter::ReapIdleServers() {
-  SimTime cutoff = sim()->Now() - config_.idle_shutdown;
+  SimTime cutoff = sim()->Now() - kIdleShutdown;
   for (auto it = servers_.begin();
        it != servers_.end() &&
-       static_cast<int>(servers_.size()) > config_.min_servers;) {
+       static_cast<int>(servers_.size()) > kMinServers;) {
     if (!it->busy && it->idle_since < cutoff &&
         node()->Find(it->pid) != nullptr) {
       node()->Kill(it->pid);
@@ -139,7 +145,7 @@ void ServerClassRouter::OnPairCpuDown(int) {
   // Drop dead servers and re-dispatch queued work; in-flight requests to
   // dead servers resolve via their call timeouts.
   Dispatch();
-  while (static_cast<int>(servers_.size()) < config_.min_servers &&
+  while (static_cast<int>(servers_.size()) < kMinServers &&
          SpawnServer() != 0) {
   }
 }
@@ -183,7 +189,7 @@ void ServerClassRouter::OnTakeover() {
       ++it;
     }
   }
-  while (static_cast<int>(servers_.size()) < config_.min_servers &&
+  while (static_cast<int>(servers_.size()) < kMinServers &&
          SpawnServer() != 0) {
   }
   EnsureReapTimer();

@@ -6,7 +6,7 @@
 // the surviving servers (in-flight requests resolve via requester retries).
 // The router forwards each request to an idle server (spawning up to
 // max_servers under load), queues excess work, and retires idle servers
-// beyond min_servers.
+// beyond the floor of kMinServers (server_class.cc).
 
 #ifndef ENCOMPASS_ENCOMPASS_SERVER_CLASS_H_
 #define ENCOMPASS_ENCOMPASS_SERVER_CLASS_H_
@@ -26,13 +26,7 @@ namespace encompass::app {
 /// Configuration of one server class.
 struct ServerClassConfig {
   std::string name;          ///< pair name, e.g. "$SC.TRANSFER"
-  int min_servers = 1;
   int max_servers = 8;
-  /// Queue depth that triggers creation of an additional server.
-  size_t spawn_queue_depth = 2;
-  /// An idle server beyond min_servers is deleted after this long.
-  SimDuration idle_shutdown = Seconds(5);
-  SimDuration request_timeout = Seconds(10);
   /// Creates one server instance on the given CPU (returns its pid, 0 on
   /// failure). The router owns placement via `cpus`.
   std::function<net::Pid(os::Node*, int cpu)> factory;

@@ -6,6 +6,8 @@
 
 namespace encompass::app {
 
+constexpr SimDuration kVerbTimeout = Seconds(10);  // BEGIN/END/ABORT calls
+
 SendDirective DefaultReplyPolicy(Fields&, const Status& status, const Slice&) {
   if (status.ok()) return SendDirective::kContinue;
   LOG_DEBUG << "SEND reply error: " << status.ToString();
@@ -100,7 +102,7 @@ void Tcp::RunBegin(size_t idx) {
   term.begin_pc = term.pc;
   CheckpointTerminal(term);
   os::CallOptions opt;
-  opt.timeout = config_.verb_timeout;
+  opt.timeout = kVerbTimeout;
   opt.retries = 2;
   Call(Tmp(), tmf::kTmfBegin, {},
        [this, idx](const Status& s, const net::Message& m) {
@@ -154,7 +156,7 @@ void Tcp::RunSend(size_t idx, const ScreenProgram::Verb& verb) {
     // First transmission of the transid to another node must be preceded by
     // remote-transaction-begin via the TMPs.
     os::CallOptions opt;
-    opt.timeout = config_.verb_timeout;
+    opt.timeout = kVerbTimeout;
     Call(Tmp(), tmf::kTmfEnsureRemote,
          tmf::EncodeEnsureRemote(Transid::Unpack(term.transid), dest),
          [this, idx, issue_send](const Status& s, const net::Message&) {
@@ -198,7 +200,7 @@ void Tcp::RunEnd(size_t idx) {
   }
   term.waiting = true;
   os::CallOptions opt;
-  opt.timeout = config_.verb_timeout;
+  opt.timeout = kVerbTimeout;
   opt.retries = 2;
   Call(Tmp(), tmf::kTmfEnd,
        tmf::EncodeTransidPayload(Transid::Unpack(term.transid)),
@@ -241,7 +243,7 @@ void Tcp::RunAbort(size_t idx, bool then_restart, bool voluntary) {
   uint64_t transid = term.transid;
   term.transid = 0;
   os::CallOptions opt;
-  opt.timeout = config_.verb_timeout;
+  opt.timeout = kVerbTimeout;
   opt.retries = 2;
   Call(Tmp(), tmf::kTmfAbort,
        tmf::EncodeTransidPayload(Transid::Unpack(transid)),
@@ -422,7 +424,7 @@ void Tcp::OnTakeover() {
       uint64_t transid = term.transid;
       term.transid = 0;
       os::CallOptions opt;
-      opt.timeout = config_.verb_timeout;
+      opt.timeout = kVerbTimeout;
       opt.retries = 2;
       Call(Tmp(), tmf::kTmfAbort,
            tmf::EncodeTransidPayload(Transid::Unpack(transid)),

@@ -28,7 +28,6 @@ struct TcpConfig {
   std::map<std::string, const ScreenProgram*> programs;
   int restart_limit = 3;          ///< configurable transaction restart limit
   SimDuration send_timeout = Seconds(10);
-  SimDuration verb_timeout = Seconds(10);   ///< BEGIN/END/ABORT round trips
   SimDuration think_time = 0;     ///< pause between program iterations
   size_t max_terminals = 32;      ///< per the paper
 };

@@ -32,7 +32,7 @@ void Network::AddNode(NodeId id, DeliverFn deliver) {
 
 void Network::AddLink(NodeId a, NodeId b, SimDuration latency) {
   assert(nodes_.count(a) && nodes_.count(b) && a != b);
-  const SimDuration l = latency > 0 ? latency : config_.link_latency;
+  const SimDuration l = latency > 0 ? latency : kLinkLatency;
   links_[Key(a, b)] = Link{l, true};
   // Feed the conservative engine's per-pair lookahead table: no cross-node
   // interaction between two nodes can take effect sooner than the least
@@ -173,8 +173,8 @@ void Network::Transmit(Message msg, int attempt) {
       (config_.loss_probability > 0 &&
        sim_->RngFor(msg.src.node).Bernoulli(config_.loss_probability))) {
     // No route now (or the transmission was lost): the end-to-end protocol
-    // retries with pacing; after max_retries the sender is notified.
-    if (attempt >= config_.max_retries) {
+    // retries with pacing; after kMaxRetransmits the sender is notified.
+    if (attempt >= kMaxRetransmits) {
       sim_->GetStats().Incr(metrics_.undeliverable);
       if (msg.request_id != 0) {
         Message fail;
@@ -192,7 +192,7 @@ void Network::Transmit(Message msg, int attempt) {
       return;
     }
     sim_->GetStats().Incr(metrics_.retransmits);
-    sim_->After(config_.retry_interval,
+    sim_->After(kRetransmitInterval,
                 [this, msg = std::move(msg), attempt]() mutable {
                   Transmit(std::move(msg), attempt + 1);
                 });
@@ -202,7 +202,7 @@ void Network::Transmit(Message msg, int attempt) {
   SimDuration latency = 0;
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     auto it = links_.find(Key(path[i], path[i + 1]));
-    latency += (it != links_.end()) ? it->second.latency : config_.link_latency;
+    latency += (it != links_.end()) ? it->second.latency : kLinkLatency;
   }
   sim_->GetStats().Record(metrics_.route_hops, static_cast<int64_t>(path.size() - 1));
 

@@ -22,11 +22,12 @@
 
 namespace encompass::net {
 
+constexpr SimDuration kLinkLatency = Millis(15);  ///< default one-way per hop
+constexpr SimDuration kRetransmitInterval = Millis(50);  ///< end-to-end pacing
+constexpr int kMaxRetransmits = 6;  ///< retransmits before giving up
+
 /// Tunables for the simulated network.
 struct NetworkConfig {
-  SimDuration link_latency = Millis(15);   ///< one-way latency per hop
-  SimDuration retry_interval = Millis(50); ///< end-to-end retransmit pacing
-  int max_retries = 6;                     ///< retransmits before giving up
   double loss_probability = 0.0;           ///< per-transmission random loss
   /// Per-transaction / per-verb message accounting (PerTxnMessages /
   /// PerTagMessages). Off by default: benches turn it on to price a commit
@@ -51,7 +52,7 @@ class Network {
   /// link touching `id` is added.
   void AddNode(NodeId id, DeliverFn deliver);
 
-  /// Adds a bidirectional link (initially up). latency <= 0 uses the default.
+  /// Adds a bidirectional link (initially up). latency <= 0 uses kLinkLatency.
   void AddLink(NodeId a, NodeId b, SimDuration latency = 0);
 
   /// Cuts or restores a link, triggering rerouting and reachability events.

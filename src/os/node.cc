@@ -113,7 +113,7 @@ void Node::FailCpu(int cpu) {
   slot.processes.clear();
   sim()->GetStats().Incr(metrics_.cpu_failures);
   // Survivors learn about it after the regroup (failure-detection) delay.
-  sim()->AfterOn(id_, config_.regroup_delay, [this, cpu]() {
+  sim()->AfterOn(id_, kRegroupDelay, [this, cpu]() {
     Broadcast([cpu](Process* p) { p->OnCpuDown(cpu); });
   });
 }
@@ -122,7 +122,7 @@ void Node::ReloadCpu(int cpu) {
   if (cpu < 0 || cpu >= static_cast<int>(cpus_.size()) || cpus_[cpu].up) return;
   cpus_[cpu].up = true;
   sim()->GetStats().Incr(metrics_.cpu_reloads);
-  sim()->AfterOn(id_, config_.regroup_delay, [this, cpu]() {
+  sim()->AfterOn(id_, kRegroupDelay, [this, cpu]() {
     Broadcast([cpu](Process* p) { p->OnCpuUp(cpu); });
   });
 }
@@ -150,7 +150,7 @@ void Node::Route(net::Message msg) {
 
     SimDuration latency;
     if (dst_cpu >= 0 && dst_cpu == src_cpu) {
-      latency = config_.same_cpu_latency;
+      latency = kSameCpuLatency;
     } else {
       // Pick the first up bus (X preferred). Both down: cross-CPU messages
       // cannot be delivered — counted, and requests get a failure notice.
@@ -160,7 +160,7 @@ void Node::Route(net::Message msg) {
         return;
       }
       sim()->GetStats().Incr(bus_up_[0] ? metrics_.bus_x_msgs : metrics_.bus_y_msgs);
-      latency = config_.bus_latency;
+      latency = kBusLatency;
     }
     ScheduleDelivery(std::move(msg), latency);
     return;
@@ -207,7 +207,7 @@ void Node::SendFailureNotice(const net::Message& request, Status::Code code) {
   fail.reply_to = request.request_id;
   fail.status = code;
   if (request.src.node == id_) {
-    sim()->AfterOn(id_, config_.same_cpu_latency,
+    sim()->AfterOn(id_, kSameCpuLatency,
                    [this, fail = std::move(fail)]() mutable {
                      DeliverLocal(std::move(fail));
                    });

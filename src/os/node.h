@@ -19,12 +19,13 @@ namespace encompass::os {
 
 class Cluster;
 
+constexpr SimDuration kSameCpuLatency = Micros(2);
+constexpr SimDuration kBusLatency = Micros(10);   ///< dual 13.5 MB/s IPC bus
+constexpr SimDuration kRegroupDelay = Millis(5);  ///< CPU-failure detection
+
 /// Per-node tunables.
 struct NodeConfig {
   int num_cpus = 4;                      ///< 2..16 per the paper
-  SimDuration same_cpu_latency = Micros(2);
-  SimDuration bus_latency = Micros(10);  ///< dual 13.5 MB/s interprocessor bus
-  SimDuration regroup_delay = Millis(5); ///< CPU-failure detection latency
   /// CPU time charged per delivered message (handler execution). Messages
   /// queue when their destination CPU is busy — this is what makes adding
   /// processors increase throughput.

@@ -13,6 +13,15 @@ namespace encompass::sim {
 namespace {
 
 constexpr int kNumClasses = 6;
+// The dual X/Y interprocessor buses, and the mirrored pair of drives.
+constexpr int kBusesPerNode = 2;
+constexpr int kDrivesPerVolume = 2;
+// Relative draw weights of the classes other than kNodeCrash.
+constexpr double kCpuWeight = 1.0;
+constexpr double kBusWeight = 0.5;
+constexpr double kDriveWeight = 0.8;
+constexpr double kLinkWeight = 1.0;
+constexpr double kPartitionWeight = 0.6;
 
 /// A closed interval of simulated time during which a module is unavailable.
 struct Interval {
@@ -146,9 +155,9 @@ FaultSchedule FaultScheduleGenerator::Generate(uint64_t seed) const {
   sched.seed = seed;
 
   const int nodes = std::max(1, config_.nodes);
-  double weights[kNumClasses] = {config_.w_cpu,       config_.w_bus,
-                                 config_.w_drive,     config_.w_link,
-                                 config_.w_partition, config_.w_crash};
+  double weights[kNumClasses] = {kCpuWeight,       kBusWeight,
+                                 kDriveWeight,     kLinkWeight,
+                                 kPartitionWeight, config_.w_crash};
   if (nodes < 2) {
     // Link and partition faults need a peer; crashes need a survivor to
     // negotiate ROLLFORWARD dispositions with.
@@ -259,12 +268,10 @@ FaultSchedule FaultScheduleGenerator::Generate(uint64_t seed) const {
             static_cast<uint64_t>(std::max(1, config_.cpus_per_node))));
         break;
       case FaultClass::kBusCut:
-        spec.unit = static_cast<int>(
-            rng.Uniform(static_cast<uint64_t>(std::max(1, config_.buses))));
+        spec.unit = static_cast<int>(rng.Uniform(kBusesPerNode));
         break;
       case FaultClass::kDriveDrop:
-        spec.unit = static_cast<int>(rng.Uniform(
-            static_cast<uint64_t>(std::max(1, config_.drives_per_volume))));
+        spec.unit = static_cast<int>(rng.Uniform(kDrivesPerVolume));
         break;
       case FaultClass::kLinkFlap: {
         uint16_t peer = spec.node;

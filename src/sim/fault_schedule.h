@@ -83,8 +83,6 @@ struct FaultSchedule {
 struct FaultScheduleConfig {
   int nodes = 3;          ///< node ids are 1..nodes
   int cpus_per_node = 4;
-  int buses = 2;
-  int drives_per_volume = 2;
 
   int faults = 8;               ///< total faults to draw
   int min_node_crashes = 1;     ///< floor on kNodeCrash draws
@@ -96,12 +94,8 @@ struct FaultScheduleConfig {
   /// covers reload + ROLLFORWARD negotiation with survivors.
   SimDuration crash_recovery_pad = 3'000'000;
 
-  /// Relative draw weights; a class with weight 0 is never drawn.
-  double w_cpu = 1.0;
-  double w_bus = 0.5;
-  double w_drive = 0.8;
-  double w_link = 1.0;
-  double w_partition = 0.6;
+  /// Relative draw weight of total node crashes; 0 never draws one. The
+  /// other classes draw with the fixed weights in fault_schedule.cc.
   double w_crash = 0.6;
 };
 

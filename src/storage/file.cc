@@ -93,7 +93,7 @@ Result<std::vector<Bytes>> StructuredFile::LookupAlternate(
 // ---------------------------------------------------------------------------
 
 KeySequencedFile::KeySequencedFile(std::string name, FileOptions options)
-    : StructuredFile(std::move(name), options), tree_(options.block_size) {}
+    : StructuredFile(std::move(name), options), tree_(kBlockSize) {}
 
 Status KeySequencedFile::Insert(const Slice& key, const Slice& record,
                                 Bytes* assigned_key) {
@@ -144,7 +144,7 @@ void KeySequencedFile::ForEach(
 void KeySequencedFile::ArchiveTo(Bytes* out) const { tree_.SerializeTo(out); }
 
 Status KeySequencedFile::RestoreFrom(Slice* in) {
-  auto restored = BPlusTree::Deserialize(in, options_.block_size);
+  auto restored = BPlusTree::Deserialize(in, kBlockSize);
   if (!restored.ok()) return restored.status();
   tree_ = std::move(**restored);
   RebuildIndices();

@@ -39,11 +39,13 @@ Bytes EncodeRecnum(uint64_t n);
 /// Decodes a big-endian record-number key; false if not 8 bytes.
 bool DecodeRecnum(const Slice& key, uint64_t* n);
 
+/// B+-tree node size of key-sequenced files.
+constexpr size_t kBlockSize = 4096;
+
 /// Options fixed at file creation.
 struct FileOptions {
   bool audited = false;   ///< TMF protects this file (audit images generated)
   FileSchema schema;      ///< alternate-key declaration
-  size_t block_size = 4096;
 };
 
 /// Abstract structured file. Keys and records are byte strings; for relative

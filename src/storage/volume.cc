@@ -22,7 +22,6 @@ void Volume::BindStats(sim::Stats* stats) {
 Status Volume::CreateFile(const std::string& fname, FileOrganization org,
                           FileOptions options) {
   if (files_.count(fname)) return Status::AlreadyExists("file exists: " + fname);
-  options.block_size = config_.block_size;
   files_[fname] = MakeFile(org, fname, std::move(options));
   return Status::Ok();
 }
@@ -541,7 +540,6 @@ Status Volume::RestoreFromArchive(const Slice& archive) {
     if (!GetVarint32(&in, &nalt)) return DecodeError("schema");
     FileOptions options;
     options.audited = audited != 0;
-    options.block_size = config_.block_size;
     for (uint32_t k = 0; k < nalt; ++k) {
       std::string field;
       if (!GetLengthPrefixedString(&in, &field)) return DecodeError("alt key");

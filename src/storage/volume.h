@@ -9,7 +9,7 @@
 //   * whole-volume archives for ROLLFORWARD.
 //
 // A Volume is passive hardware: latency is charged by the DISCPROCESS. It
-// either charges a flat disc_ios * io_latency (legacy model), or — with
+// either charges a flat disc_ios * kDiscIoLatency (legacy model), or — with
 // overlap_mirror_reads — consults the volume's per-drive schedule, which
 // implements the paper's write-both / read-either rule: reads occupy the
 // drive that frees first, writes occupy every up drive.
@@ -34,8 +34,6 @@ namespace encompass::storage {
 
 /// Volume creation parameters.
 struct VolumeConfig {
-  bool mirrored = true;        ///< two physical drives
-  size_t block_size = 4096;    ///< node size for key-sequenced files
   size_t cache_capacity = 4096;///< cached records ("most recently referenced
                                ///  blocks of data in main memory")
 };
@@ -111,7 +109,7 @@ class Volume {
 
   // -- Mirrored drives ---------------------------------------------------------------
 
-  int drive_count() const { return config_.mirrored ? 2 : 1; }
+  int drive_count() const { return 2; }  ///< every volume is a mirrored pair
   bool DriveUp(int drive) const;
   /// Fails one physical drive. Service continues on the mirror.
   void FailDrive(int drive);

@@ -9,6 +9,9 @@
 
 namespace encompass::tmf {
 
+constexpr SimDuration kFetchTimeout = Seconds(2);  // one audit-image fetch
+constexpr SimDuration kUndoTimeout = Seconds(2);   // one compensating update
+
 void BackoutProcess::OnRequest(const net::Message& msg) {
   if (!IsPrimary()) {
     Reply(msg, Status::Unavailable("backup backout process"));
@@ -77,7 +80,7 @@ void BackoutProcess::RunBackout(const net::Message& request,
       undo.record = rec.before;
       undo.undo_op = rec.op;
       os::CallOptions opt;
-      opt.timeout = config_.undo_timeout;
+      opt.timeout = kUndoTimeout;
       opt.retries = 2;
       uint64_t saved = current_transid();
       set_current_transid(transid.Pack());
@@ -101,7 +104,7 @@ void BackoutProcess::RunBackout(const net::Message& request,
   }
   for (const auto& name : config_.audit_processes) {
     os::CallOptions opt;
-    opt.timeout = config_.fetch_timeout;
+    opt.timeout = kFetchTimeout;
     opt.retries = 2;
     Bytes payload;
     PutFixed64(&payload, transid.Pack());

@@ -19,8 +19,6 @@ namespace encompass::tmf {
 /// Configuration of one node's BACKOUTPROCESS.
 struct BackoutConfig {
   std::vector<std::string> audit_processes;  ///< local AUDITPROCESS names
-  SimDuration fetch_timeout = Seconds(2);
-  SimDuration undo_timeout = Seconds(2);
 };
 
 /// The BACKOUTPROCESS pair.

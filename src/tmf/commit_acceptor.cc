@@ -2,9 +2,16 @@
 
 #include <memory>
 
+#include "audit/audit_trail.h"
 #include "common/logging.h"
 
 namespace encompass::tmf {
+
+// Orphan sweep cadence (also each sweep query's deadline) and the age at
+// which an instance counts as orphaned; one recovery-round call's deadline.
+constexpr SimDuration kSweepInterval = Seconds(1);
+constexpr SimDuration kSweepAge = Seconds(4);
+constexpr SimDuration kRoundCallTimeout = Seconds(2);
 
 AcceptOutcome CommitAcceptorLog::Accept(
     const Transid& t, uint16_t voter, uint32_t ballot, Disposition value,
@@ -33,7 +40,7 @@ void CommitAcceptor::OnPairAttach() {
   m_reclaims_ = stats().RegisterCounter("acceptor.reclaims");
   m_sealed_answers_ = stats().RegisterCounter("acceptor.sealed_answers");
   m_log_instances_ = stats().RegisterHistogram("tmf.acceptor_log_instances");
-  if (config_.sweep_interval > 0 && IsPrimary()) ArmSweep();
+  if (IsPrimary()) ArmSweep();
 }
 
 void CommitAcceptor::OnRequest(const net::Message& msg) {
@@ -164,11 +171,8 @@ void CommitAcceptor::HandleVote(const net::Message& msg) {
     case AcceptOutcome::kAccepted:
       break;
   }
-  if (config_.force_latency <= 0) {
-    QueueVoteAck(t, voter);
-    return;
-  }
-  SetTimer(config_.force_latency, [this, t, voter]() { QueueVoteAck(t, voter); });
+  SetTimer(audit::kDiscForceLatency,
+           [this, t, voter]() { QueueVoteAck(t, voter); });
 }
 
 void CommitAcceptor::HandleReclaim(const net::Message& msg) {
@@ -210,7 +214,7 @@ void CommitAcceptor::FlushVoteAcks() {
 }
 
 void CommitAcceptor::ArmSweep() {
-  SetTimer(config_.sweep_interval, [this]() {
+  SetTimer(kSweepInterval, [this]() {
     if (IsPrimary()) Sweep();
     ArmSweep();
   });
@@ -228,11 +232,11 @@ void CommitAcceptor::Sweep() {
     if (have_last && packed == last) continue;
     last = packed;
     have_last = true;
-    if (e.born == 0 || now - e.born < config_.sweep_age) continue;
+    if (e.born == 0 || now - e.born < kSweepAge) continue;
     if (!sweep_in_flight_.insert(packed).second) continue;
     Transid t = Transid::Unpack(packed);
     os::CallOptions opt;
-    opt.timeout = config_.sweep_interval;
+    opt.timeout = kSweepInterval;
     Call(net::Address(t.home_node, "$TMP"), kTmfResolveTxn,
          EncodeResolveTxn(t, /*recovering=*/false),
          [this, packed](const Status& s, const net::Message& reply) {
@@ -252,12 +256,8 @@ void CommitAcceptor::ReplyForced(const net::Message& msg, Bytes payload) {
   // The log mutation above is already applied — the log object IS the
   // durable medium — so a takeover mid-force loses only the reply; the
   // caller times out and retries against state that never regresses.
-  if (config_.force_latency <= 0) {
-    Reply(msg, Status::Ok(), std::move(payload));
-    return;
-  }
   net::Message request = msg;
-  SetTimer(config_.force_latency,
+  SetTimer(audit::kDiscForceLatency,
            [this, request, payload = std::move(payload)]() mutable {
              Reply(request, Status::Ok(), std::move(payload));
            });
@@ -295,10 +295,10 @@ struct PaxosRoundOutcome {
 /// when the round failed (majority unreachable or outpaced by a higher
 /// ballot). A sealed reply from any acceptor short-circuits the round with
 /// the final transaction disposition.
-void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
-              uint16_t voter, uint32_t attempt,
+void RunRound(os::Process* proc,
+              const std::vector<std::pair<net::NodeId, std::string>>& endpoints,
+              const Transid& t, uint16_t voter, uint32_t attempt,
               std::function<void(const PaxosRoundOutcome&)> done) {
-  const auto& endpoints = cfg.endpoints;
   const int n = static_cast<int>(endpoints.size());
   const int majority = n / 2 + 1;
   if (n == 0) {
@@ -307,7 +307,7 @@ void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
   }
   const uint32_t ballot = MakePaxosBallot(attempt, proc->node()->id());
   os::CallOptions opt;
-  opt.timeout = cfg.call_timeout;
+  opt.timeout = kRoundCallTimeout;
 
   auto start_accept = [proc, endpoints, t, ballot, voter, n, majority, opt,
                        done](Disposition value,
@@ -408,12 +408,13 @@ void RunRound(os::Process* proc, const PaxosRoundConfig& cfg, const Transid& t,
 
 }  // namespace
 
-void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
-                         const Transid& t, uint32_t attempt,
-                         std::function<void(Disposition)> done) {
+void ResolvePaxosOutcome(
+    os::Process* proc,
+    const std::vector<std::pair<net::NodeId, std::string>>& endpoints,
+    const Transid& t, uint32_t attempt, std::function<void(Disposition)> done) {
   RunRound(
-      proc, cfg, t, t.home_node, attempt,
-      [proc, cfg, t, attempt, done](const PaxosRoundOutcome& o) {
+      proc, endpoints, t, t.home_node, attempt,
+      [proc, endpoints, t, attempt, done](const PaxosRoundOutcome& o) {
         if (o.sealed || o.value != Disposition::kCommitted) {
           done(o.value);
           return;
@@ -435,7 +436,7 @@ void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
         tally->remaining = static_cast<int>(o.participants.size());
         for (net::NodeId p : o.participants) {
           RunRound(
-              proc, cfg, t, p, attempt,
+              proc, endpoints, t, p, attempt,
               [tally, done](const PaxosRoundOutcome& vo) {
                 if (tally->fired) return;
                 if (vo.sealed) {

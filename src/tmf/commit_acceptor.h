@@ -106,23 +106,19 @@ struct CommitAcceptorLog {
 
 struct CommitAcceptorConfig {
   CommitAcceptorLog* log = nullptr;
-  /// Latency of the forced log write preceding every granting reply (the
-  /// durability the commit point leans on). Rejections touch no state and
-  /// reply immediately.
-  SimDuration force_latency = Millis(8);
   /// Index k of this $ACCEPT.<k> pair within the acceptor group — the bit
   /// this acceptor sets in the home's vote tally.
   uint8_t index = 0;
-  /// Orphan sweep: > 0 arms a periodic scan that asks the home TMP for the
-  /// disposition of instances older than `sweep_age` (reclaims whose
-  /// broadcast this acceptor missed). 0 = off.
-  SimDuration sweep_interval = 0;
-  SimDuration sweep_age = Seconds(4);
 };
 
 /// The `$ACCEPT.<k>` process pairs of a paxos deployment, placed by the
 /// TMP's `acceptor_endpoints` list (a node may host several, so the group
-/// may outnumber the nodes).
+/// may outnumber the nodes). Every granting reply waits for a forced log
+/// write (audit::kDiscForceLatency, the durability the commit point leans
+/// on); rejections touch no state and reply immediately. The primary runs
+/// an orphan sweep every kSweepInterval that asks the home TMP for the
+/// disposition of instances older than kSweepAge (reclaims whose broadcast
+/// this acceptor missed).
 class CommitAcceptor : public os::PairedProcess {
  public:
   explicit CommitAcceptor(CommitAcceptorConfig config) : config_(config) {}
@@ -156,25 +152,21 @@ class CommitAcceptor : public os::PairedProcess {
   std::set<uint64_t> sweep_in_flight_;
 };
 
-/// Where a resolver finds the acceptor group: the (node, pair name) of every
-/// `$ACCEPT.<k>` pair, in tally-index order.
-struct PaxosRoundConfig {
-  std::vector<std::pair<net::NodeId, std::string>> endpoints;
-  SimDuration call_timeout = Seconds(2);
-};
-
 /// In-doubt resolution against the acceptors, shared by in-doubt
 /// participants, ROLLFORWARD, a respawned home, and the home's own stall
-/// fallback. Runs an abort-proposing round at ballot
+/// fallback. `endpoints` is the acceptor group: the (node, pair name) of
+/// every `$ACCEPT.<k>` pair, in tally-index order. Runs an abort-proposing
+/// round at ballot
 /// MakePaxosBallot(attempt, proc's node) on the home-voter instance first —
 /// a chosen Prepared there reveals the participant set, whose voter
 /// instances are then settled in parallel (all Prepared => committed, any
 /// Aborted => aborted, any failed round => kUnknown: majority unreachable or
 /// outpaced, the caller retries at a higher attempt). A sealed answer from
 /// any acceptor short-circuits everything with the final disposition.
-void ResolvePaxosOutcome(os::Process* proc, const PaxosRoundConfig& cfg,
-                         const Transid& t, uint32_t attempt,
-                         std::function<void(Disposition)> done);
+void ResolvePaxosOutcome(
+    os::Process* proc,
+    const std::vector<std::pair<net::NodeId, std::string>>& endpoints,
+    const Transid& t, uint32_t attempt, std::function<void(Disposition)> done);
 
 }  // namespace encompass::tmf
 

@@ -3,7 +3,14 @@
 #include <algorithm>
 #include <bit>
 
+#include "audit/audit_trail.h"
+
 namespace encompass::tmf {
+
+constexpr SimDuration kFallbackInterval = Millis(200);  // pacing between rounds
+// How long the home batches decided-instance reclamations before flushing
+// kTmfPaxosReclaim (fewer messages, higher acceptor-log peak).
+constexpr SimDuration kReclaimInterval = Millis(250);
 
 void PaxosTmp::OnPairAttach() {
   TmpProcess::OnPairAttach();
@@ -128,7 +135,7 @@ void PaxosTmp::OnChildPrepared(const Transid& transid, net::NodeId child) {
     }
   }
   if (bits == 0) return;
-  SetTimer(config().mat_force_latency, [this, transid, child, bits]() {
+  SetTimer(audit::kDiscForceLatency, [this, transid, child, bits]() {
     TxnEntry* t = FindTxn(transid);
     if (t == nullptr || t->state != TxnState::kEnding || !t->is_home) return;
     rounds_[transid].vote_acks[child] |= bits;
@@ -214,7 +221,7 @@ void PaxosTmp::CompleteCommit(const Transid& transid) {
   Round& round = rounds_[transid];
   if (round.fallback_timer != 0) return;
   round.fallback_timer =
-      SetTimer(config().paxos_retry_interval, [this, transid]() {
+      SetTimer(kFallbackInterval, [this, transid]() {
         TxnEntry* txn = FindTxn(transid);
         if (txn == nullptr) return;
         rounds_[transid].fallback_timer = 0;
@@ -252,7 +259,7 @@ void PaxosTmp::StartFallback(const Transid& transid) {
       // roughly the shortest heal window worth waiting for).
       ++round->attempt;
       const uint32_t shift = std::min(round->attempt, 4u);
-      SimDuration delay = config().paxos_retry_interval << shift;
+      SimDuration delay = kFallbackInterval << shift;
       if (delay > Seconds(2)) delay = Seconds(2);
       SetTimer(delay, [this, transid]() { StartFallback(transid); });
     }
@@ -270,7 +277,7 @@ void PaxosTmp::RunRound(
   if (round.attempt == 0) round.attempt = 1;
   stats().Incr(pm_.rounds);
   ResolvePaxosOutcome(
-      this, round_config_, transid, round.attempt,
+      this, config().acceptor_endpoints, transid, round.attempt,
       [this, transid, settle = std::move(settle)](Disposition chosen) {
         TxnEntry* txn = FindTxn(transid);
         if (txn == nullptr) return;
@@ -332,7 +339,8 @@ void PaxosTmp::SealDecision(const Transid& t) {
   seal.in_flight = true;
   stats().Incr(pm_.rounds);
   ResolvePaxosOutcome(
-      this, round_config_, t, seal.attempt++, [this, t](Disposition chosen) {
+      this, config().acceptor_endpoints, t, seal.attempt++,
+      [this, t](Disposition chosen) {
         if (chosen == Disposition::kUnknown) {
           seals_[t].in_flight = false;  // resealed on the next query
           return;
@@ -405,7 +413,7 @@ void PaxosTmp::OnSafeDelivered(const Transid& transid) {
   reclaim_waiting_.erase(it);
   if (reclaim_flush_armed_) return;
   reclaim_flush_armed_ = true;
-  SetTimer(config().paxos_reclaim_interval, [this]() { FlushReclaims(); });
+  SetTimer(kReclaimInterval, [this]() { FlushReclaims(); });
 }
 
 void PaxosTmp::FlushReclaims() {

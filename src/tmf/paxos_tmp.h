@@ -30,10 +30,7 @@ namespace encompass::tmf {
 
 class PaxosTmp : public TmpProcess {
  public:
-  explicit PaxosTmp(TmpConfig config)
-      : TmpProcess(std::move(config)),
-        round_config_{this->config().acceptor_endpoints,
-                      this->config().paxos_round_timeout} {}
+  explicit PaxosTmp(TmpConfig config) : TmpProcess(std::move(config)) {}
 
  protected:
   void OnPairAttach() override;
@@ -103,7 +100,6 @@ class PaxosTmp : public TmpProcess {
     sim::MetricId fallbacks, reclaims_sent, bad_vote_acks;
   };
   Metrics pm_;
-  const PaxosRoundConfig round_config_;  ///< where recovery rounds go
   std::map<Transid, Round> rounds_;
 
   /// SealDecision state of untracked transids: the next ballot attempt (a

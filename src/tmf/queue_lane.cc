@@ -7,6 +7,14 @@ namespace encompass::tmf {
 
 namespace {
 
+// Epoch batch window: submits arriving within it share one plan.
+constexpr SimDuration kEpochWindow = Millis(1);
+constexpr uint32_t kLanesPerFile = 8;  // key-range buckets per interned file
+constexpr size_t kMaxBatchOps = 32;    // ops per kDiscPlannedOps message
+constexpr SimDuration kDiscTimeout = Seconds(2);
+constexpr int kDiscRetries = 3;
+constexpr SimDuration kTmpTimeout = Seconds(5);
+
 // Deterministic 32-bit FNV-1a over key bytes: lane bucketing must not depend
 // on std::hash (implementation-defined and not stable across runs/builds).
 uint32_t KeyHash(const Bytes& key) {
@@ -152,7 +160,7 @@ void QueuePlanner::OnRequest(const net::Message& msg) {
 
   if (!epoch_timer_armed_) {
     epoch_timer_armed_ = true;
-    SetTimer(config_.epoch_window, [this]() { SealEpoch(); });
+    SetTimer(kEpochWindow, [this]() { SealEpoch(); });
   }
 }
 
@@ -199,7 +207,7 @@ void QueuePlanner::SealEpoch() {
   auto pending = std::make_shared<size_t>(seqs->size());
   for (uint64_t seq : *seqs) {
     os::CallOptions opt;
-    opt.timeout = config_.tmp_timeout;
+    opt.timeout = kTmpTimeout;
     opt.retries = 2;
     Call(net::Address(node()->id(), config_.tmp_process), kTmfBegin, {},
          [this, seq, epoch, pending, seqs](const Status& s,
@@ -249,8 +257,8 @@ uint64_t QueuePlanner::LaneFor(const std::string& file, const Bytes& key) {
   // Interned in first-use order — plan order, hence deterministic.
   auto [it, inserted] =
       file_ids_.try_emplace(file, static_cast<uint32_t>(file_ids_.size()));
-  const uint32_t buckets = config_.lanes_per_file == 0 ? 1 : config_.lanes_per_file;
-  return (static_cast<uint64_t>(it->second) << 32) | (KeyHash(key) % buckets);
+  return (static_cast<uint64_t>(it->second) << 32) |
+         (KeyHash(key) % kLanesPerFile);
 }
 
 void QueuePlanner::PumpLane(uint64_t lane_id) {
@@ -264,7 +272,7 @@ void QueuePlanner::PumpLane(uint64_t lane_id) {
   batch.lane = static_cast<uint32_t>(lane_id ^ (lane_id >> 32));
   std::string dest_volume;
   std::vector<LaneOp> taken;
-  while (!lane.queue.empty() && taken.size() < config_.max_batch_ops) {
+  while (!lane.queue.empty() && taken.size() < kMaxBatchOps) {
     const LaneOp lo = lane.queue.front();
     auto it = txns_.find(lo.txn);
     if (it == txns_.end()) {
@@ -299,8 +307,8 @@ void QueuePlanner::PumpLane(uint64_t lane_id) {
   stats().Incr(m_.lane_batches);
   stats().Record(m_.lane_ops, static_cast<int64_t>(batch.ops.size()));
   os::CallOptions opt;
-  opt.timeout = config_.disc_timeout;
-  opt.retries = config_.disc_retries;
+  opt.timeout = kDiscTimeout;
+  opt.retries = kDiscRetries;
   auto ops = std::make_shared<std::vector<LaneOp>>(std::move(taken));
   Call(net::Address(node()->id(), dest_volume), discprocess::kDiscPlannedOps,
        batch.Encode(),
@@ -359,7 +367,7 @@ void QueuePlanner::FinishTxn(uint64_t seq) {
   const uint32_t verb = txn.failed ? kTmfAbort : kTmfEnd;
   const bool failed = txn.failed;
   os::CallOptions opt;
-  opt.timeout = config_.tmp_timeout;
+  opt.timeout = kTmpTimeout;
   opt.retries = 0;  // an END retry could not distinguish commit from abort
   Call(net::Address(node()->id(), config_.tmp_process), verb,
        EncodeTransidPayload(txn.transid),

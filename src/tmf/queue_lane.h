@@ -86,14 +86,6 @@ struct QueueTxnReply {
 struct QueuePlannerConfig {
   const storage::Catalog* catalog = nullptr;  ///< routing + locality checks
   std::string tmp_process = "$TMP";
-  /// Epoch batch window: submits arriving within it share one plan. 0 seals
-  /// on the next event (per-transaction epochs, lowest latency).
-  SimDuration epoch_window = Millis(1);
-  uint32_t lanes_per_file = 8;   ///< key-range buckets per interned file
-  size_t max_batch_ops = 32;     ///< ops per kDiscPlannedOps message
-  SimDuration disc_timeout = Seconds(2);
-  int disc_retries = 3;
-  SimDuration tmp_timeout = Seconds(5);
 };
 
 /// The planner/executor pair ($QPLAN).

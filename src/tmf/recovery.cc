@@ -90,7 +90,7 @@ void NodeRecoveryProcess::Negotiate(const Transid& t) {
   }
   it->second.in_flight = true;
   os::CallOptions opt;
-  opt.timeout = config_.resolve_timeout;
+  opt.timeout = kNegotiationTimeout;
   Call(net::Address(t.home_node, "$TMP"), kTmfResolveTxn,
        EncodeResolveTxn(t, /*recovering=*/true),
        [this, t](const Status& s, const net::Message& reply) {
@@ -121,10 +121,8 @@ void NodeRecoveryProcess::ResolvePaxos(const Transid& t) {
   auto it = pending_.find(t);
   if (it == pending_.end() || it->second.in_flight) return;
   it->second.in_flight = true;
-  PaxosRoundConfig cfg;
-  cfg.endpoints = config_.acceptor_endpoints;
-  cfg.call_timeout = config_.resolve_timeout;
-  ResolvePaxosOutcome(this, cfg, t, it->second.paxos_attempt++,
+  ResolvePaxosOutcome(this, config_.acceptor_endpoints, t,
+                      it->second.paxos_attempt++,
                       [this, t](Disposition chosen) {
                         auto it = pending_.find(t);
                         if (it == pending_.end()) return;
@@ -173,11 +171,11 @@ SimDuration NodeRecoveryProcess::BackoffDelay(const Transid& t,
   // schedules replay bit-identically at any worker count, yet concurrent
   // negotiations de-synchronise instead of hammering a dead home in
   // lockstep.
-  const SimDuration base = config_.retry_interval;
+  const SimDuration base = kNegotiationRetryInterval;
   uint32_t shift = attempts > 0 ? attempts - 1 : 0;
   if (shift > 6) shift = 6;
   SimDuration delay = base << shift;
-  if (delay > config_.retry_backoff_cap) delay = config_.retry_backoff_cap;
+  if (delay > kNegotiationBackoffCap) delay = kNegotiationBackoffCap;
   uint64_t h = config_.jitter_seed ^ (t.Pack() * 0x9e3779b97f4a7c15ull) ^
                (static_cast<uint64_t>(attempts) * 0xbf58476d1ce4e5b9ull);
   h ^= h >> 31;

@@ -42,6 +42,12 @@
 
 namespace encompass::tmf {
 
+/// ROLLFORWARD's negotiation with a home: per-attempt deadline, base pacing
+/// between attempts, and the cap of the per-transid exponential backoff.
+constexpr SimDuration kNegotiationTimeout = Seconds(2);
+constexpr SimDuration kNegotiationRetryInterval = Millis(500);
+constexpr SimDuration kNegotiationBackoffCap = Seconds(8);
+
 /// One volume to roll forward.
 struct VolumeRecoveryTask {
   storage::Volume* volume = nullptr;
@@ -55,10 +61,6 @@ struct VolumeRecoveryTask {
 struct NodeRecoveryConfig {
   std::vector<VolumeRecoveryTask> tasks;
   audit::MonitorAuditTrail* monitor_trail = nullptr;  ///< local durable MAT
-  SimDuration resolve_timeout = Seconds(2);   ///< per negotiation attempt
-  SimDuration retry_interval = Millis(500);   ///< base pacing between attempts
-  /// Cap of the per-transid exponential backoff between attempts.
-  SimDuration retry_backoff_cap = Seconds(8);
   /// Seed of the deterministic per-(transid, attempt) retry jitter.
   /// Deployments derive it from the simulation seed and node id, so the
   /// schedule de-synchronises across recovering nodes yet replays

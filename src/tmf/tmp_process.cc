@@ -18,6 +18,15 @@ constexpr uint8_t kCkptSafeAdd = 3;
 constexpr uint8_t kCkptSafeRemove = 4;
 constexpr uint8_t kCkptSeq = 5;
 
+constexpr SimDuration kPhase1Timeout = Seconds(2);  // critical responses
+constexpr SimDuration kForceTimeout = Seconds(2);   // local audit force
+constexpr SimDuration kSafeRetryInterval = Millis(500);  // safe-delivery pacing
+constexpr SimDuration kSafeCallTimeout = Seconds(2);  // one safe-delivery try
+constexpr SimDuration kBackoutTimeout = Seconds(5);
+// Retried DISCPROCESS state-change notifications (phase 2 / abort release).
+constexpr SimDuration kDiscNotifyTimeout = Millis(500);
+constexpr int kDiscNotifyRetries = 6;
+
 }  // namespace
 
 void TmpProcess::OnPairAttach() {
@@ -248,8 +257,8 @@ void TmpProcess::NotifyLocalDiscs(const Transid& t,
     // locks held forever. The retried call re-resolves the name and reaches
     // the new primary.
     os::CallOptions opt;
-    opt.timeout = config_.disc_notify_timeout;
-    opt.retries = config_.disc_notify_retries;
+    opt.timeout = kDiscNotifyTimeout;
+    opt.retries = kDiscNotifyRetries;
     Call(net::Address(node()->id(), name), discprocess::kDiscTxnStateChange,
          change.Encode(), [](const Status&, const net::Message&) {}, opt);
   }
@@ -351,7 +360,7 @@ void TmpProcess::HandleEnsureRemote(const net::Message& msg) {
   stats().Incr(m_.remote_begins);
   net::Message request = msg;
   os::CallOptions opt;
-  opt.timeout = config_.phase1_timeout;
+  opt.timeout = kPhase1Timeout;
   Call(Tmp(dest), kTmfRemoteBegin, EncodeTransidPayload(t),
        [this, request, t, dest](const Status& s, const net::Message&) {
          TxnEntry* txn = FindTxn(t);
@@ -451,7 +460,7 @@ void TmpProcess::RunPhase1(TxnEntry* txn, std::function<void(bool)> done) {
       static_cast<int>(config_.audit_processes.size()));
   if (*audit_left == 0) OnAuditForced(transid);
   os::CallOptions force_opt;
-  force_opt.timeout = config_.force_timeout;
+  force_opt.timeout = kForceTimeout;
   force_opt.retries = 2;
   for (const auto& name : config_.audit_processes) {
     stats().Incr(m_.audit_forces);
@@ -466,7 +475,7 @@ void TmpProcess::RunPhase1(TxnEntry* txn, std::function<void(bool)> done) {
          force_opt);
   }
   os::CallOptions p1_opt;
-  p1_opt.timeout = config_.phase1_timeout;
+  p1_opt.timeout = kPhase1Timeout;
   Bytes p1_payload = Phase1Request(*txn);
   for (net::NodeId child : txn->children) {
     stats().Incr(m_.phase1_sent);
@@ -528,7 +537,7 @@ void TmpProcess::StartMatWrite() {
   mat_waiting_.clear();
   stats().Incr(m_.mat_forces);
   stats().Record(m_.mat_group_commit_size, static_cast<int64_t>(batch.size()));
-  SetTimer(config_.mat_force_latency, [this, batch = std::move(batch)]() {
+  SetTimer(audit::kDiscForceLatency, [this, batch = std::move(batch)]() {
     mat_write_in_flight_ = false;
     for (const MatWaiter& w : batch) {
       WithTraceContext(w.trace,
@@ -630,7 +639,7 @@ void TmpProcess::StartAbort(const Transid& transid, const std::string& reason) {
 
 void TmpProcess::RunBackout(const Transid& transid) {
   os::CallOptions opt;
-  opt.timeout = config_.backout_timeout;
+  opt.timeout = kBackoutTimeout;
   opt.retries = 2;
   Call(net::Address(node()->id(), config_.backout_process), kBackoutTxn,
        EncodeTransidPayload(transid),
@@ -789,7 +798,7 @@ void TmpProcess::ResolveIndoubt(const Transid& t, TxnEntry* txn) {
   // Diagnose a dead home within one resolve tick, not after the full
   // safe-call timeout: a blocked participant should re-ask on every tick
   // rather than stack timeouts.
-  opt.timeout = config_.safe_call_timeout;
+  opt.timeout = kSafeCallTimeout;
   if (config_.indoubt_resolve_interval > 0 &&
       config_.indoubt_resolve_interval < opt.timeout) {
     opt.timeout = config_.indoubt_resolve_interval;
@@ -832,7 +841,7 @@ void TmpProcess::ResolveIndoubt(const Transid& t, TxnEntry* txn) {
 void TmpProcess::SweepOrphanLocks() {
   for (const auto& name : config_.disc_processes) {
     os::CallOptions opt;
-    opt.timeout = config_.safe_call_timeout;
+    opt.timeout = kSafeCallTimeout;
     Call(net::Address(node()->id(), name), discprocess::kDiscListLockOwners,
          {},
          [this](const Status& s, const net::Message& reply) {
@@ -865,14 +874,16 @@ void TmpProcess::ResolveOrphanLock(const Transid& t) {
     return;
   }
   if (t.home_node == node()->id()) {
-    // We are the home TMP, we do not track it, and the MAT has no record:
-    // the transaction never reached its commit point. Presumed abort.
-    ApplyOrphanDisposition(t, Disposition::kAborted);
+    // We are the home TMP, we do not track it, and the MAT has no record.
+    // The commit protocol decides what that proves (2PC: presumed abort).
+    // kUnknown keeps the suspect: the next tick reads the MAT again.
+    d = DecideAtHome(t, nullptr);
+    if (d != Disposition::kUnknown) ApplyOrphanDisposition(t, d);
     return;
   }
   stats().Incr(m_.resolves_sent);
   os::CallOptions opt;
-  opt.timeout = config_.safe_call_timeout;
+  opt.timeout = kSafeCallTimeout;
   Call(Tmp(t.home_node), kTmfResolveTxn, EncodeResolveTxn(t, /*recovering=*/false),
        [this, t](const Status& s, const net::Message& reply) {
          Disposition d;
@@ -958,7 +969,7 @@ void TmpProcess::TrySafeDeliveries() {
     uint32_t tag = it->tag;
     Transid transid = it->transid;
     os::CallOptions opt;
-    opt.timeout = config_.safe_call_timeout;
+    opt.timeout = kSafeCallTimeout;
     Call(Tmp(dest), tag, EncodeTransidPayload(transid),
          [this, dest, tag, transid](const Status& s, const net::Message&) {
            for (auto qit = safe_queue_.begin(); qit != safe_queue_.end(); ++qit) {
@@ -977,7 +988,7 @@ void TmpProcess::TrySafeDeliveries() {
              }
            }
            if (!safe_queue_.empty() && safe_timer_ == 0) {
-             safe_timer_ = SetTimer(config_.safe_retry_interval, [this]() {
+             safe_timer_ = SetTimer(kSafeRetryInterval, [this]() {
                safe_timer_ = 0;
                TrySafeDeliveries();
              });

@@ -53,23 +53,11 @@ struct TmpConfig {
   std::vector<std::string> audit_processes;  ///< local AUDITPROCESS names
   std::string backout_process = "$BACKOUT";  ///< local BACKOUTPROCESS name
   audit::MonitorAuditTrail* monitor_trail = nullptr;  ///< durable, per node
-  SimDuration mat_force_latency = Millis(8);   ///< commit-record force cost
   /// Group commit for the commit-point force: how long the first committer
   /// of a batch waits for company before the physical MAT write starts.
   /// 0 (default) starts immediately; commits arriving while a write is in
   /// flight still coalesce into the next write either way.
   SimDuration mat_group_commit_window = 0;
-  SimDuration phase1_timeout = Seconds(2);     ///< critical-response deadline
-  SimDuration force_timeout = Seconds(2);      ///< local audit force deadline
-  SimDuration safe_retry_interval = Millis(500);  ///< safe-delivery pacing
-  /// Per-attempt deadline of one safe-delivery call (the queue as a whole
-  /// retries forever; this only bounds how long a single attempt waits).
-  SimDuration safe_call_timeout = Seconds(2);
-  SimDuration backout_timeout = Seconds(5);
-  /// Per-attempt deadline and retry budget for the retried DISCPROCESS
-  /// state-change notifications (phase 2 / abort lock release).
-  SimDuration disc_notify_timeout = Millis(500);
-  int disc_notify_retries = 6;
   /// How often a participant holding in-doubt (ending, non-home)
   /// transactions queries the home TMP for their disposition. Recovers
   /// in-doubt locks after the home TMP lost its volatile state (both pair
@@ -99,8 +87,6 @@ struct TmpConfig {
   /// and in-doubt parties may learn the outcome from any live acceptor
   /// majority. Requires 1 to 32 `acceptor_endpoints`.
   CommitProtocol commit_protocol = CommitProtocol::kTwoPhase;
-  SimDuration paxos_round_timeout = Seconds(2);    ///< per acceptor call
-  SimDuration paxos_retry_interval = Millis(200);  ///< pacing between rounds
   /// Acceptor placement: (node, pair name) of every $ACCEPT.<k> pair, in
   /// tally-bit order k; the group size is 2F+1. A node may host several.
   std::vector<std::pair<net::NodeId, std::string>> acceptor_endpoints;
@@ -114,12 +100,6 @@ struct TmpConfig {
     CommitAcceptorLog* log = nullptr;
   };
   std::vector<ColocatedAcceptor> colocated_acceptors;
-  /// How long the home batches decided-instance reclamations before
-  /// flushing kTmfPaxosReclaim (fewer messages, higher acceptor-log peak).
-  SimDuration paxos_reclaim_interval = Millis(250);
-  /// Orphan-sweep cadence handed to the CommitAcceptor pairs by the
-  /// deployment (0 disables the sweep).
-  SimDuration acceptor_sweep_interval = Seconds(1);
   /// Record how long non-home participants keep locks in-doubt (the
   /// `tmf.indoubt_hold_us` histogram). Off by default so deployments that
   /// don't ask for it keep byte-identical stats snapshots; the chaos
@@ -213,8 +193,9 @@ class TmpProcess : public os::PairedProcess {
   virtual void OnDecided(TxnEntry*, Disposition) {}
   /// A safe delivery of the transaction was acknowledged.
   virtual void OnSafeDelivered(const Transid&) {}
-  /// The home answers a resolver its MAT cannot: `txn` is null if `t` is
-  /// untracked, else a recovering participant asks. 2PC presumes abort.
+  /// The home decides what its MAT cannot answer, for a resolver or for an
+  /// orphaned local lock: `txn` is null if `t` is untracked, else a
+  /// recovering participant asks. 2PC presumes abort.
   virtual Disposition DecideAtHome(const Transid& t, TxnEntry* txn);
   /// One resolve tick of an in-doubt participant: 2PC probes the home.
   virtual void ResolveIndoubt(const Transid& t, TxnEntry* txn);
@@ -297,9 +278,9 @@ class TmpProcess : public os::PairedProcess {
   // resolve tick) asks every local DISCPROCESS who holds locks, and any
   // transid unknown to this TMP on two consecutive ticks (grace for
   // in-flight remote-begin registration) is resolved against the durable
-  // record — local MAT, else the home TMP — and then run through the
-  // ordinary orphan commit/abort pipeline so backout also undoes the
-  // re-applied images.
+  // record — local MAT, else the home TMP (DecideAtHome when this node is
+  // the home) — and then run through the ordinary orphan commit/abort
+  // pipeline so backout also undoes the re-applied images.
   void SweepOrphanLocks();
   void ResolveOrphanLock(const Transid& t);
   void ApplyOrphanDisposition(const Transid& t, Disposition d);
@@ -371,7 +352,7 @@ class TmpProcess : public os::PairedProcess {
   // for ending transactions, which re-enters CompleteCommit).
   std::vector<MatWaiter> mat_waiting_;
   bool mat_gathering_ = false;        ///< window timer armed
-  bool mat_write_in_flight_ = false;  ///< mat_force_latency timer armed
+  bool mat_write_in_flight_ = false;  ///< MAT force timer armed
 };
 
 }  // namespace encompass::tmf

@@ -92,7 +92,7 @@ TEST_F(EncompassTest, ServerHandlesRequestInTransaction) {
 TEST_F(EncompassTest, ServerClassGrowsUnderLoadAndReapsWhenIdle) {
   auto* client = node1_->node()->Spawn<TestClient>(5);
   sim_.Run();
-  EXPECT_EQ(router_->server_count(), 1);  // min_servers
+  EXPECT_EQ(router_->server_count(), 1);  // kMinServers
   // A burst of non-transactional reads saturates the single server.
   std::vector<TestClient::Outcome*> outcomes;
   for (int i = 0; i < 24; ++i) {

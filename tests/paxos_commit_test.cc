@@ -49,7 +49,7 @@ TEST(PaxosDefaultsTest, TwoPhaseRemainsTheDefault) {
   EXPECT_FALSE(net::NetworkConfig{}.track_messages);
 
   tmf::NodeRecoveryConfig rcfg;
-  EXPECT_EQ(rcfg.retry_backoff_cap, Seconds(8));
+  EXPECT_EQ(tmf::kNegotiationBackoffCap, Seconds(8));
   EXPECT_TRUE(rcfg.acceptor_endpoints.empty());
 
   ChaosCampaignConfig ccfg;
@@ -182,17 +182,22 @@ bool VotesLogged(Rig& rig, uint64_t t) {
   return voted(1) && voted(2);
 }
 
+// CrashNode, or both CPUs of the $TMP pair fail in one step (node stays up).
+enum class HomeDeath { kNode, kTmpPair };
+
 // The window Paxos Commit exists for: the coordinator's commit point is
 // fixed and it dies before any phase-2 message leaves — the exact "crashed
 // between phase 1 and phase 2" schedule. A two-participant transaction
-// homed on node 1 ENDs, and the home crashes once VotesLogged holds: the
+// homed on node 1 ENDs, and the home dies once VotesLogged holds: the
 // acceptors hold the commit, the home's MAT does not. Under 2PC the
 // participant blocks until the home is repaired; here it settles against
 // the acceptors — the home instance first (it names the voters), then each
-// voter's — while the home is still down, and the home's own recovery later
-// adopts the same decision from the acceptors. Run at a thread count or the
-// Step() reference; *digest gets the stats registry for byte-comparison.
-void CrashHomeInWindow(int workers, std::string* digest) {
+// voter's — while the home is still down, and the home later adopts the
+// same decision from the acceptors: through ROLLFORWARD after a node crash,
+// through the orphaned-lock sweep of the respawned TMP after a pair death.
+// Run at a thread count or the Step() reference; *digest gets the stats
+// registry for byte-comparison.
+void CrashHomeInWindow(HomeDeath death, int workers, std::string* digest) {
   Rig rig(11, 3, /*paxos=*/true, /*resolve_interval=*/Millis(500),
           /*replication=*/3, workers);
   rig.SpawnClient(1);
@@ -211,7 +216,16 @@ void CrashHomeInWindow(int workers, std::string* digest) {
   ASSERT_TRUE(VotesLogged(rig, t));
   ASSERT_EQ(rig.MatLookup(1, t), -1) << "home reached its MAT before crash; "
                                        "the window closed too late";
-  rig.deploy.CrashNode(1);
+  if (death == HomeDeath::kNode) {
+    rig.deploy.CrashNode(1);
+  } else {
+    os::Node* home = rig.deploy.GetNode(1)->node();
+    tmf::TmpProcess* tmp = rig.deploy.GetNode(1)->tmp();
+    ASSERT_TRUE(tmp != nullptr && tmp->HasBackup());
+    const int backup_cpu = home->Find(tmp->peer().pid)->cpu();
+    home->FailCpu(tmp->cpu());
+    home->FailCpu(backup_cpu);
+  }
 
   // With the coordinator dead, the participant's in-doubt resolve tick
   // fails over to the acceptors and applies the committed outcome.
@@ -220,17 +234,25 @@ void CrashHomeInWindow(int workers, std::string* digest) {
   EXPECT_EQ(rig.deploy.GetNode(2)->disc("$DATA2")->locks().held_count(), 0u);
   EXPECT_GE(rig.sim.GetStats().Counter("tmf.paxos_resolved_commits"), 1);
 
-  // Home recovery: its MAT has no record, but presumed abort would be
-  // unsound now — ROLLFORWARD seals the instance at the acceptors and
-  // redoes the home's own forced writes under the adopted commit.
-  bool recovered = false;
-  rig.deploy.RecoverNode(1, [&](const std::vector<tmf::RollforwardReport>&) {
-    recovered = true;
-  });
-  rig.RunFor(Seconds(10));
-  ASSERT_TRUE(recovered);
+  // The home's MAT has no record, but presumed abort would be unsound now.
+  if (death == HomeDeath::kNode) {
+    // ROLLFORWARD seals the instance at the acceptors and redoes the
+    // home's own forced writes under the adopted commit.
+    bool recovered = false;
+    rig.deploy.RecoverNode(1, [&](const std::vector<tmf::RollforwardReport>&) {
+      recovered = true;
+    });
+    rig.RunFor(Seconds(10));
+    ASSERT_TRUE(recovered);
+    EXPECT_GE(rig.sim.GetStats().Counter("recovery.paxos_resolves"), 1);
+  } else {
+    // The respawned TMP finds t's locks on $DATA1 held by a transaction it
+    // does not track; it seals the outcome at the acceptors and commits.
+    rig.RunFor(Seconds(5));
+    EXPECT_GE(rig.sim.GetStats().Counter("tmf.orphan_lock_commits"), 1);
+    EXPECT_EQ(rig.sim.GetStats().Counter("tmf.orphan_lock_aborts"), 0);
+  }
   EXPECT_EQ(rig.MatLookup(1, t), 1);
-  EXPECT_GE(rig.sim.GetStats().Counter("recovery.paxos_resolves"), 1);
 
   // Unknown to the client (it died with the home): the oracle demands
   // all-or-nothing, and "all" is what the acceptors chose.
@@ -244,11 +266,14 @@ void CrashHomeInWindow(int workers, std::string* digest) {
 class FastPathOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FastPathOracleTest, CoordinatorCrashMidFastPathResolvesViaAcceptors) {
-  std::string reference;
-  std::string actual;
-  CrashHomeInWindow(sim::testing::kStepReference, &reference);
-  CrashHomeInWindow(GetParam(), &actual);
-  EXPECT_EQ(actual, reference) << "workers=" << GetParam();
+  for (HomeDeath death : {HomeDeath::kNode, HomeDeath::kTmpPair}) {
+    SCOPED_TRACE(death == HomeDeath::kNode ? "node crash" : "$TMP pair death");
+    std::string reference;
+    std::string actual;
+    CrashHomeInWindow(death, sim::testing::kStepReference, &reference);
+    CrashHomeInWindow(death, GetParam(), &actual);
+    EXPECT_EQ(actual, reference) << "workers=" << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, FastPathOracleTest,
@@ -294,13 +319,14 @@ TEST(FastPathGcTest, SealedDecisionAnswersLateResolver) {
   EXPECT_TRUE(sealed_somewhere);
 
   // The race's losing side: a resolver that shows up after GC.
-  tmf::PaxosRoundConfig cfg;
+  std::vector<std::pair<net::NodeId, std::string>> endpoints;
   for (int k = 0; k < 3; ++k) {
-    cfg.endpoints.emplace_back(static_cast<net::NodeId>(k % 3 + 1),
-                               "$ACCEPT." + std::to_string(k));
+    endpoints.emplace_back(static_cast<net::NodeId>(k % 3 + 1),
+                           "$ACCEPT." + std::to_string(k));
   }
   tmf::Disposition chosen = tmf::Disposition::kUnknown;
-  tmf::ResolvePaxosOutcome(rig.client, cfg, Transid::Unpack(t), /*attempt=*/5,
+  tmf::ResolvePaxosOutcome(rig.client, endpoints, Transid::Unpack(t),
+                           /*attempt=*/5,
                            [&](tmf::Disposition d) { chosen = d; });
   rig.sim.RunFor(Seconds(2));
   EXPECT_EQ(chosen, tmf::Disposition::kCommitted)
@@ -468,8 +494,9 @@ TEST(RecoveryNegotiationTest, BackoffIsDeterministicCappedAndJittered) {
   for (uint32_t attempt = 1; attempt <= 12; ++attempt) {
     SimDuration d = a.BackoffDelayForTest(t1, attempt);
     EXPECT_EQ(d, b.BackoffDelayForTest(t1, attempt)) << attempt;
-    EXPECT_GE(d, cfg.retry_interval);
-    EXPECT_LE(d, cfg.retry_backoff_cap + cfg.retry_interval) << attempt;
+    EXPECT_GE(d, tmf::kNegotiationRetryInterval);
+    EXPECT_LE(d, tmf::kNegotiationBackoffCap + tmf::kNegotiationRetryInterval)
+        << attempt;
   }
   // Different transids de-synchronise: not every attempt waits identically.
   bool differs = false;
