@@ -156,20 +156,20 @@ class Driver : public os::Process {
   void SubmitQueue() {
     tmf::QueueTxn txn;
     txn.declared = {"acct"};
-    tmf::QueueOp debit;
-    debit.kind = tmf::QueueOp::Kind::kDelta;
+    discprocess::PlannedOp debit;
+    debit.kind = discprocess::PlannedOp::Kind::kDelta;
     debit.file = "acct";
     debit.key = ToBytes(AcctKey(from_));
     debit.field = "balance";
     debit.delta = -amount_;
-    tmf::QueueOp credit = debit;
+    discprocess::PlannedOp credit = debit;
     credit.key = ToBytes(AcctKey(to_));
     credit.delta = amount_;
     txn.ops = {debit, credit};
     if (cfg_.shape == Shape::kTpcb) {
       const std::string branch = BranchFile(static_cast<int>(node()->id()));
       txn.declared.push_back(branch);
-      tmf::QueueOp b = debit;
+      discprocess::PlannedOp b = debit;
       b.file = branch;
       b.key = ToBytes(std::string("b"));
       b.delta = amount_;

@@ -16,6 +16,13 @@ Bytes EncodeAuditBatch(const std::vector<AuditRecord>& records) {
   return out;
 }
 
+Bytes FrameAuditRecord(const Slice& encoded) {
+  Bytes out;
+  PutVarint32(&out, 1);
+  PutLengthPrefixed(&out, encoded);
+  return out;
+}
+
 namespace {
 
 /// Splits a batch into its length-prefixed record bodies (views into
@@ -98,17 +105,21 @@ void AuditProcess::OnRequest(const net::Message& msg) {
 }
 
 void AuditProcess::HandleAppend(const net::Message& msg) {
-  // Decode the whole batch first, so a malformed one appends nothing; the
+  // Validate every record first, so a malformed batch appends nothing; the
   // trail then keeps each record's bytes exactly as they arrived.
-  auto batch = DecodeAuditBatch(Slice(msg.payload));
-  if (!batch.ok()) {
-    LOG_WARN << DebugName() << ": bad append batch: " << batch.status().ToString();
-    Reply(msg, batch.status());
+  auto bodies = SplitAuditBatch(Slice(msg.payload));
+  Status status = bodies.status();
+  for (size_t i = 0; status.ok() && i < bodies->size(); ++i) {
+    Slice body = (*bodies)[i];
+    status = AuditRecord::Decode(&body).status();
+  }
+  if (!status.ok()) {
+    LOG_WARN << DebugName() << ": bad append batch: " << status.ToString();
+    Reply(msg, status);
     return;
   }
-  auto bodies = SplitAuditBatch(Slice(msg.payload));
   for (const Slice& body : *bodies) config_.trail->AppendEncoded(body);
-  stats().Incr(m_.appended, static_cast<int64_t>(batch->size()));
+  stats().Incr(m_.appended, static_cast<int64_t>(bodies->size()));
   if (msg.request_id != 0) Reply(msg, Status::Ok());
 }
 

@@ -27,6 +27,9 @@ enum AuditTag : uint32_t {
 
 /// Encodes a batch of audit records for a kAuditAppend payload.
 Bytes EncodeAuditBatch(const std::vector<AuditRecord>& records);
+/// Frames one already-encoded AuditRecord as a one-record kAuditAppend
+/// batch: the bytes EncodeAuditBatch produces for the decoded record.
+Bytes FrameAuditRecord(const Slice& encoded);
 /// Decodes a batch; Corruption on malformed input.
 Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload);
 

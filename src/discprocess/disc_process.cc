@@ -4,6 +4,7 @@
 
 #include "audit/audit_process.h"
 #include "common/coding.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "storage/record.h"
 
@@ -16,7 +17,6 @@ constexpr uint8_t kCkptGrantEntry = 1;
 constexpr uint8_t kCkptReleaseEntry = 2;
 constexpr uint8_t kCkptAbortingEntry = 3;
 constexpr uint8_t kCkptReplyEntry = 4;
-constexpr uint8_t kCkptClearAbortingEntry = 5;
 constexpr uint8_t kCkptAuditPush = 6;
 constexpr uint8_t kCkptAuditPop = 7;
 
@@ -30,13 +30,9 @@ bool GetLockKey(Slice* in, LockKey* key) {
          GetLengthPrefixedBytes(in, &key->record);
 }
 
-// Deterministic 32-bit FNV-1a over lock-key bytes, used to tag lock trace
-// events without storing strings in the ring.
-uint32_t LockHash(const std::string& file, const Bytes& record) {
-  uint32_t h = 2166136261u;
-  for (char c : file) h = (h ^ static_cast<uint8_t>(c)) * 16777619u;
-  for (uint8_t c : record) h = (h ^ c) * 16777619u;
-  return h;
+// Tags lock trace events without storing strings in the ring.
+uint32_t LockHash(const LockKey& key) {
+  return Fnv1a(Slice(key.record), Fnv1a(Slice(key.file)));
 }
 
 }  // namespace
@@ -87,27 +83,10 @@ void DiscProcess::OnRequest(const net::Message& msg) {
   }
 
   if (msg.tag == kDiscPlannedOps) {
-    // Queue-lane lane batch: same duplicate suppression as the lock path
-    // (the planner's Call retries reuse the request id, and after takeover
-    // the mirrored reply cache answers retried batches without re-applying
-    // their mutations).
-    RequestKey rk{msg.src, msg.request_id};
-    if (msg.request_id != 0) {
-      auto cached = reply_cache_.find(rk);
-      if (cached != reply_cache_.end()) {
-        stats().Incr(m_.dedup_replays);
-        SendReply(msg.src, cached->second.tag, msg.request_id,
-                  Status(cached->second.status, cached->second.message),
-                  *cached->second.payload);
-        return;
-      }
-      if (in_flight_.count(rk)) {
-        stats().Incr(m_.dedup_inflight_drops);
-        return;
-      }
-      in_flight_.insert(rk);
-    }
-    HandlePlannedBatch(msg);
+    // Queue-lane batch: the planner's Call retries reuse the request id, and
+    // after takeover the mirrored reply cache answers retried batches without
+    // re-applying their mutations.
+    if (AdmitRequest(msg)) HandlePlannedBatch(msg);
     return;
   }
 
@@ -116,27 +95,26 @@ void DiscProcess::OnRequest(const net::Message& msg) {
     Reply(msg, req.status());
     return;
   }
+  if (AdmitRequest(msg)) HandleOperation(msg, *req);
+}
 
-  // Duplicate suppression: answered requests are replayed from the cache;
-  // requests still being processed (e.g. parked on a lock) are dropped —
-  // the eventual reply answers the retry too (same request id).
+bool DiscProcess::AdmitRequest(const net::Message& msg) {
+  if (msg.request_id == 0) return true;
   RequestKey rk{msg.src, msg.request_id};
-  if (msg.request_id != 0) {
-    auto cached = reply_cache_.find(rk);
-    if (cached != reply_cache_.end()) {
-      stats().Incr(m_.dedup_replays);
-      SendReply(msg.src, cached->second.tag, msg.request_id,
-                Status(cached->second.status, cached->second.message),
-                *cached->second.payload);
-      return;
-    }
-    if (in_flight_.count(rk)) {
-      stats().Incr(m_.dedup_inflight_drops);
-      return;
-    }
-    in_flight_.insert(rk);
+  auto cached = reply_cache_.find(rk);
+  if (cached != reply_cache_.end()) {
+    stats().Incr(m_.dedup_replays);
+    SendReply(msg.src, cached->second.tag, msg.request_id,
+              Status(cached->second.status, cached->second.message),
+              *cached->second.payload);
+    return false;
   }
-  HandleOperation(msg, *req);
+  if (in_flight_.count(rk)) {
+    stats().Incr(m_.dedup_inflight_drops);
+    return false;
+  }
+  in_flight_.insert(rk);
+  return true;
 }
 
 void DiscProcess::HandleOperation(const net::Message& msg, const DiscRequest& req) {
@@ -214,7 +192,7 @@ bool DiscProcess::EnsureLock(const net::Message& msg, const DiscRequest& req,
   auto result = locks_.Acquire(owner, key);
   if (result == LockManager::AcquireResult::kGranted) {
     Trace(sim::TraceEventKind::kLockAcquire, owner.Pack(),
-          LockHash(key.file, key.record));
+          LockHash(key));
     CheckpointBatch batch;
     CkptGrant(&batch, owner, key);
     FlushCheckpoint(&batch);
@@ -255,7 +233,7 @@ void DiscProcess::ResumeGranted(const std::vector<LockGrant>& grants) {
         net::Message msg = std::move(it->msg);
         parked_.erase(it);
         Trace(sim::TraceEventKind::kLockAcquire, grant.owner.Pack(),
-              LockHash(grant.key.file, grant.key.record));
+              LockHash(grant.key));
         CheckpointBatch batch;
         CkptGrant(&batch, grant.owner, grant.key);
         FlushCheckpoint(&batch);
@@ -335,39 +313,24 @@ void DiscProcess::Execute(const net::Message& msg, const DiscRequest& req) {
       return;
     }
     case kDiscInsert: {
-      auto r = vol->Mutate(req.file, storage::MutationOp::kInsert, Slice(req.key),
-                           Slice(req.record));
-      if (r.status.ok()) {
-        if (transid.valid() && req.key.empty()) {
-          // Entry-sequenced append: lock the assigned key now. The key is
-          // fresh, so the grant cannot conflict.
-          locks_.ForceGrant(transid, LockKey{req.file, r.key});
-          CkptGrant(&batch, transid, LockKey{req.file, r.key});
-        }
-        EmitAudit(transid, storage::MutationOp::kInsert, Slice(r.key), r,
-                  Slice(req.record), req.file);
+      auto r = MutateAudited(transid, req.file, storage::MutationOp::kInsert,
+                             Slice(req.key), Slice(req.record));
+      if (r.status.ok() && transid.valid() && req.key.empty()) {
+        // Entry-sequenced append: lock the assigned key now. The key is
+        // fresh, so the grant cannot conflict.
+        locks_.ForceGrant(transid, LockKey{req.file, r.key});
+        CkptGrant(&batch, transid, LockKey{req.file, r.key});
       }
-      Bytes assigned = r.key;
-      FinishWithReply(msg, r.status, std::move(assigned), r.disc_ios, &batch);
+      FinishWithReply(msg, r.status, std::move(r.key), r.disc_ios, &batch);
       return;
     }
-    case kDiscUpdate: {
-      auto r = vol->Mutate(req.file, storage::MutationOp::kUpdate, Slice(req.key),
-                           Slice(req.record));
-      if (r.status.ok()) {
-        EmitAudit(transid, storage::MutationOp::kUpdate, Slice(req.key), r,
-                  Slice(req.record), req.file);
-      }
-      FinishWithReply(msg, r.status, {}, r.disc_ios, &batch);
-      return;
-    }
+    case kDiscUpdate:
     case kDiscDelete: {
-      auto r = vol->Mutate(req.file, storage::MutationOp::kDelete, Slice(req.key),
-                           Slice());
-      if (r.status.ok()) {
-        EmitAudit(transid, storage::MutationOp::kDelete, Slice(req.key), r,
-                  Slice(), req.file);
-      }
+      const bool update = msg.tag == kDiscUpdate;
+      auto r = MutateAudited(
+          transid, req.file,
+          update ? storage::MutationOp::kUpdate : storage::MutationOp::kDelete,
+          Slice(req.key), update ? Slice(req.record) : Slice());
       FinishWithReply(msg, r.status, {}, r.disc_ios, &batch);
       return;
     }
@@ -427,6 +390,9 @@ PlannedBatchReply::OpResult DiscProcess::ExecutePlannedOp(const PlannedOp& op,
   }
 
   storage::Volume* vol = config_.volume;
+  storage::MutationOp mutation = storage::MutationOp::kUpdate;  // and kDelta
+  Slice after;
+  Bytes image;  // kDelta: the computed after-image
   switch (op.kind) {
     case PlannedOp::Kind::kRead: {
       auto r = vol->ReadRecord(op.file, Slice(op.key));
@@ -435,40 +401,16 @@ PlannedBatchReply::OpResult DiscProcess::ExecutePlannedOp(const PlannedOp& op,
       out.value = std::move(r.value);
       return out;
     }
-    case PlannedOp::Kind::kInsert: {
-      auto r = vol->Mutate(op.file, storage::MutationOp::kInsert, Slice(op.key),
-                           Slice(op.record));
-      *disc_ios += r.disc_ios;
-      out.status = r.status.code();
-      if (r.status.ok()) {
-        EmitAudit(op.transid, storage::MutationOp::kInsert, Slice(r.key), r,
-                  Slice(op.record), op.file);
-        out.value = r.key;  // entry-sequenced files: the assigned key
-      }
-      return out;
-    }
-    case PlannedOp::Kind::kUpdate: {
-      auto r = vol->Mutate(op.file, storage::MutationOp::kUpdate, Slice(op.key),
-                           Slice(op.record));
-      *disc_ios += r.disc_ios;
-      out.status = r.status.code();
-      if (r.status.ok()) {
-        EmitAudit(op.transid, storage::MutationOp::kUpdate, Slice(op.key), r,
-                  Slice(op.record), op.file);
-      }
-      return out;
-    }
-    case PlannedOp::Kind::kDelete: {
-      auto r = vol->Mutate(op.file, storage::MutationOp::kDelete, Slice(op.key),
-                           Slice());
-      *disc_ios += r.disc_ios;
-      out.status = r.status.code();
-      if (r.status.ok()) {
-        EmitAudit(op.transid, storage::MutationOp::kDelete, Slice(op.key), r,
-                  Slice(), op.file);
-      }
-      return out;
-    }
+    case PlannedOp::Kind::kInsert:
+      mutation = storage::MutationOp::kInsert;
+      after = Slice(op.record);
+      break;
+    case PlannedOp::Kind::kUpdate:
+      after = Slice(op.record);
+      break;
+    case PlannedOp::Kind::kDelete:
+      mutation = storage::MutationOp::kDelete;
+      break;
     case PlannedOp::Kind::kDelta: {
       // Read-modify-write resolved here, under plan order: by construction a
       // record's operations all ride one lane with a single batch in flight,
@@ -486,35 +428,44 @@ PlannedBatchReply::OpResult DiscProcess::ExecutePlannedOp(const PlannedOp& op,
       }
       const int64_t current = strtoll(rec->Get(op.field).c_str(), nullptr, 10);
       rec->Set(op.field, std::to_string(current + op.delta));
-      Bytes image = rec->Encode();
-      auto m = vol->Mutate(op.file, storage::MutationOp::kUpdate, Slice(op.key),
-                           Slice(image));
-      *disc_ios += m.disc_ios;
-      out.status = m.status.code();
-      if (m.status.ok()) {
-        EmitAudit(op.transid, storage::MutationOp::kUpdate, Slice(op.key), m,
-                  Slice(image), op.file);
-        out.value = std::move(image);
-      }
-      return out;
+      image = rec->Encode();
+      after = Slice(image);
+      break;
     }
+    default:
+      out.status = Status::Code::kInvalidArgument;
+      return out;
   }
-  out.status = Status::Code::kInvalidArgument;
+  auto r = MutateAudited(op.transid, op.file, mutation, Slice(op.key), after);
+  *disc_ios += r.disc_ios;
+  out.status = r.status.code();
+  if (r.status.ok() && mutation == storage::MutationOp::kInsert) {
+    out.value = std::move(r.key);  // entry-sequenced files: the assigned key
+  } else if (r.status.ok() && op.kind == PlannedOp::Kind::kDelta) {
+    out.value = std::move(image);
+  }
   return out;
 }
 
-void DiscProcess::EmitAudit(const Transid& transid, storage::MutationOp op,
-                            const Slice& key, const storage::OpResult& result,
-                            const Slice& after, const std::string& file) {
-  if (!transid.valid() || config_.audit_process.empty()) return;
+storage::OpResult DiscProcess::MutateAudited(const Transid& transid,
+                                             const std::string& file,
+                                             storage::MutationOp op,
+                                             const Slice& key,
+                                             const Slice& after) {
+  storage::OpResult result = config_.volume->Mutate(file, op, key, after);
+  if (!result.status.ok() || !transid.valid() ||
+      config_.audit_process.empty()) {
+    return result;
+  }
   storage::StructuredFile* f = config_.volume->Find(file);
-  if (f == nullptr || !f->audited()) return;
+  if (f == nullptr || !f->audited()) return result;
   audit::AuditRecord rec;
   rec.transid = transid;
   rec.volume = config_.volume->name();
   rec.file = file;
   rec.op = op;
-  rec.key = key.ToBytes();
+  // An insert is audited under its assigned key (entry-sequenced appends).
+  rec.key = op == storage::MutationOp::kInsert ? result.key : key.ToBytes();
   rec.before = result.before;
   rec.after = after.ToBytes();
   stats().Incr(m_.audit_records);
@@ -530,24 +481,17 @@ void DiscProcess::EmitAudit(const Transid& transid, storage::MutationOp op,
   }
   audit_queue_.push_back(std::move(encoded));
   PumpAuditQueue();
+  return result;
 }
 
 void DiscProcess::PumpAuditQueue() {
   if (audit_in_flight_ || audit_queue_.empty() || !IsPrimary()) return;
   audit_in_flight_ = true;
-  Slice head(audit_queue_.front());
-  auto rec = audit::AuditRecord::Decode(&head);
-  if (!rec.ok()) {  // cannot happen; drop defensively
-    audit_queue_.pop_front();
-    audit_in_flight_ = false;
-    PumpAuditQueue();
-    return;
-  }
   os::CallOptions opt;
   opt.timeout = Millis(500);
   opt.retries = 4;
   Call(net::Address(node()->id(), config_.audit_process), audit::kAuditAppend,
-       audit::EncodeAuditBatch({*rec}),
+       audit::FrameAuditRecord(Slice(audit_queue_.front())),
        [this](const Status& s, const net::Message&) {
          audit_in_flight_ = false;
          if (s.ok()) {
@@ -787,12 +731,6 @@ void DiscProcess::OnCheckpoint(const Slice& delta) {
         uint64_t packed;
         if (!GetFixed64(&in, &packed)) return;
         aborting_.insert(Transid::Unpack(packed));
-        break;
-      }
-      case kCkptClearAbortingEntry: {
-        uint64_t packed;
-        if (!GetFixed64(&in, &packed)) return;
-        aborting_.erase(Transid::Unpack(packed));
         break;
       }
       case kCkptReplyEntry: {

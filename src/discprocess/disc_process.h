@@ -87,6 +87,12 @@ class DiscProcess : public os::PairedProcess {
     int entries = 0;
   };
 
+  /// Duplicate suppression, ahead of both execution lanes: an answered
+  /// request is replayed from the reply cache and one still being processed
+  /// (e.g. parked on a lock) is dropped — the eventual reply answers the
+  /// retry too (same request id). Returns true, marking the request in
+  /// flight, when it is new.
+  bool AdmitRequest(const net::Message& msg);
   void HandleOperation(const net::Message& msg, const DiscRequest& req);
   /// Queue-lane path: executes one lane batch in plan order, without lock
   /// acquisition. Mutations are audited per-op under the op's own transid,
@@ -107,9 +113,13 @@ class DiscProcess : public os::PairedProcess {
   void HandleStateChange(const net::Message& msg);
   void FinishWithReply(const net::Message& msg, const Status& status,
                        Bytes payload, int disc_ios, CheckpointBatch* batch);
-  void EmitAudit(const Transid& transid, storage::MutationOp op, const Slice& key,
-                 const storage::OpResult& result, const Slice& after,
-                 const std::string& file);
+  /// The one mutate step of both lanes: applies the mutation and, when it
+  /// succeeds on an audited file under a transaction, queues its audit image
+  /// for the AUDITPROCESS.
+  storage::OpResult MutateAudited(const Transid& transid,
+                                  const std::string& file,
+                                  storage::MutationOp op, const Slice& key,
+                                  const Slice& after);
   /// Drives the reliable, ordered delivery of queued audit records to the
   /// AUDITPROCESS (one in-flight batch; retried until acknowledged).
   void PumpAuditQueue();

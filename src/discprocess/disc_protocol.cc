@@ -104,6 +104,7 @@ Result<LockOwnersReply> LockOwnersReply::Decode(const Slice& payload) {
   LockOwnersReply rep;
   uint64_t n;
   if (!GetVarint64(&in, &n)) return DecodeError("lock owners reply");
+  if (n > in.size() / 8) return DecodeError("lock owner count exceeds payload");
   rep.owners.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t packed;
@@ -113,20 +114,36 @@ Result<LockOwnersReply> LockOwnersReply::Decode(const Slice& payload) {
   return rep;
 }
 
+void PutPlannedOp(Bytes* out, const PlannedOp& op) {
+  PutFixed8(out, static_cast<uint8_t>(op.kind));
+  PutFixed64(out, op.transid.Pack());
+  PutLengthPrefixed(out, Slice(op.file));
+  PutLengthPrefixed(out, Slice(op.key));
+  PutLengthPrefixed(out, Slice(op.record));
+  PutLengthPrefixed(out, Slice(op.field));
+  PutFixed64(out, static_cast<uint64_t>(op.delta));
+}
+
+bool GetPlannedOp(Slice* in, PlannedOp* op) {
+  uint8_t kind;
+  uint64_t packed, delta;
+  if (!GetFixed8(in, &kind) || !GetFixed64(in, &packed) ||
+      !GetLengthPrefixedString(in, &op->file) ||
+      !GetLengthPrefixedBytes(in, &op->key) ||
+      !GetLengthPrefixedBytes(in, &op->record) ||
+      !GetLengthPrefixedString(in, &op->field) || !GetFixed64(in, &delta)) {
+    return false;
+  }
+  op->kind = static_cast<PlannedOp::Kind>(kind);
+  op->transid = Transid::Unpack(packed);
+  op->delta = static_cast<int64_t>(delta);
+  return true;
+}
+
 Bytes PlannedBatch::Encode() const {
   Bytes out;
-  PutVarint64(&out, epoch);
-  PutVarint32(&out, lane);
   PutVarint32(&out, static_cast<uint32_t>(ops.size()));
-  for (const PlannedOp& op : ops) {
-    PutFixed8(&out, static_cast<uint8_t>(op.kind));
-    PutFixed64(&out, op.transid.Pack());
-    PutLengthPrefixed(&out, Slice(op.file));
-    PutLengthPrefixed(&out, Slice(op.key));
-    PutLengthPrefixed(&out, Slice(op.record));
-    PutLengthPrefixed(&out, Slice(op.field));
-    PutFixed64(&out, static_cast<uint64_t>(op.delta));
-  }
+  for (const PlannedOp& op : ops) PutPlannedOp(&out, op);
   return out;
 }
 
@@ -134,29 +151,13 @@ Result<PlannedBatch> PlannedBatch::Decode(const Slice& payload) {
   Slice in = payload;
   PlannedBatch batch;
   uint32_t n;
-  if (!GetVarint64(&in, &batch.epoch) || !GetVarint32(&in, &batch.lane) ||
-      !GetVarint32(&in, &n)) {
-    return DecodeError("planned batch");
-  }
-  if (static_cast<uint64_t>(n) * 21 > in.size()) {
+  if (!GetVarint32(&in, &n)) return DecodeError("planned batch");
+  if (static_cast<uint64_t>(n) * kPlannedOpMinBytes > in.size()) {
     return DecodeError("planned op count exceeds payload");
   }
-  batch.ops.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PlannedOp op;
-    uint8_t kind;
-    uint64_t packed, delta;
-    if (!GetFixed8(&in, &kind) || !GetFixed64(&in, &packed) ||
-        !GetLengthPrefixedString(&in, &op.file) ||
-        !GetLengthPrefixedBytes(&in, &op.key) ||
-        !GetLengthPrefixedBytes(&in, &op.record) ||
-        !GetLengthPrefixedString(&in, &op.field) || !GetFixed64(&in, &delta)) {
-      return DecodeError("planned op");
-    }
-    op.kind = static_cast<PlannedOp::Kind>(kind);
-    op.transid = Transid::Unpack(packed);
-    op.delta = static_cast<int64_t>(delta);
-    batch.ops.push_back(std::move(op));
+  batch.ops.resize(n);
+  for (PlannedOp& op : batch.ops) {
+    if (!GetPlannedOp(&in, &op)) return DecodeError("planned op");
   }
   return batch;
 }

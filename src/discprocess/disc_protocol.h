@@ -115,10 +115,15 @@ struct PlannedOp {
   int64_t delta = 0;  ///< kDelta: signed amount to add
 };
 
+/// Op codec shared by PlannedBatch and the queue lane's QueueTxn. An encoded
+/// op takes at least kPlannedOpMinBytes (kind, transid, four empty
+/// length-prefixed fields, delta), which bounds a decoded op count.
+constexpr size_t kPlannedOpMinBytes = 21;
+void PutPlannedOp(Bytes* out, const PlannedOp& op);
+bool GetPlannedOp(Slice* in, PlannedOp* op);
+
 /// Payload of kDiscPlannedOps: one lane's next batch, in plan order.
 struct PlannedBatch {
-  uint64_t epoch = 0;  ///< planner epoch that sealed these ops (reporting)
-  uint32_t lane = 0;   ///< lane id (reporting; ordering is the message order)
   std::vector<PlannedOp> ops;
 
   Bytes Encode() const;

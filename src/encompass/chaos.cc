@@ -285,17 +285,17 @@ void ChaosClient::StartQueueTxn() {
 
   tmf::QueueTxn txn;
   txn.declared = {"acct", MarkerFile(n)};
-  tmf::QueueOp debit;
-  debit.kind = tmf::QueueOp::Kind::kDelta;
+  discprocess::PlannedOp debit;
+  debit.kind = discprocess::PlannedOp::Kind::kDelta;
   debit.file = "acct";
   debit.key = ToBytes(AcctKey(from_));
   debit.field = "balance";
   debit.delta = -amount_;
-  tmf::QueueOp credit = debit;
+  discprocess::PlannedOp credit = debit;
   credit.key = ToBytes(AcctKey(to_));
   credit.delta = amount_;
-  tmf::QueueOp marker;
-  marker.kind = tmf::QueueOp::Kind::kInsert;
+  discprocess::PlannedOp marker;
+  marker.kind = discprocess::PlannedOp::Kind::kInsert;
   marker.file = MarkerFile(n);
   marker.key = ToBytes(marker_key_);
   storage::Record rec;

@@ -1,6 +1,7 @@
 #include "tmf/queue_lane.h"
 
 #include "common/coding.h"
+#include "common/hash.h"
 #include "tmf/tmf_protocol.h"
 
 namespace encompass::tmf {
@@ -15,14 +16,6 @@ constexpr SimDuration kDiscTimeout = Seconds(2);
 constexpr int kDiscRetries = 3;
 constexpr SimDuration kTmpTimeout = Seconds(5);
 
-// Deterministic 32-bit FNV-1a over key bytes: lane bucketing must not depend
-// on std::hash (implementation-defined and not stable across runs/builds).
-uint32_t KeyHash(const Bytes& key) {
-  uint32_t h = 2166136261u;
-  for (uint8_t c : key) h = (h ^ c) * 16777619u;
-  return h;
-}
-
 }  // namespace
 
 Bytes QueueTxn::Encode() const {
@@ -30,13 +23,8 @@ Bytes QueueTxn::Encode() const {
   PutVarint32(&out, static_cast<uint32_t>(declared.size()));
   for (const std::string& f : declared) PutLengthPrefixed(&out, Slice(f));
   PutVarint32(&out, static_cast<uint32_t>(ops.size()));
-  for (const QueueOp& op : ops) {
-    PutFixed8(&out, static_cast<uint8_t>(op.kind));
-    PutLengthPrefixed(&out, Slice(op.file));
-    PutLengthPrefixed(&out, Slice(op.key));
-    PutLengthPrefixed(&out, Slice(op.record));
-    PutLengthPrefixed(&out, Slice(op.field));
-    PutFixed64(&out, static_cast<uint64_t>(op.delta));
+  for (const discprocess::PlannedOp& op : ops) {
+    discprocess::PutPlannedOp(&out, op);
   }
   return out;
 }
@@ -56,23 +44,15 @@ Result<QueueTxn> QueueTxn::Decode(const Slice& payload) {
     txn.declared.push_back(std::move(f));
   }
   if (!GetVarint32(&in, &n)) return DecodeError("queue txn");
-  if (static_cast<uint64_t>(n) * 13 > in.size()) {
+  if (static_cast<uint64_t>(n) * discprocess::kPlannedOpMinBytes >
+      in.size()) {
     return DecodeError("queue txn op count exceeds payload");
   }
-  txn.ops.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    QueueOp op;
-    uint8_t kind;
-    uint64_t delta;
-    if (!GetFixed8(&in, &kind) || !GetLengthPrefixedString(&in, &op.file) ||
-        !GetLengthPrefixedBytes(&in, &op.key) ||
-        !GetLengthPrefixedBytes(&in, &op.record) ||
-        !GetLengthPrefixedString(&in, &op.field) || !GetFixed64(&in, &delta)) {
+  txn.ops.resize(n);
+  for (discprocess::PlannedOp& op : txn.ops) {
+    if (!discprocess::GetPlannedOp(&in, &op)) {
       return DecodeError("queue txn op");
     }
-    op.kind = static_cast<QueueOp::Kind>(kind);
-    op.delta = static_cast<int64_t>(delta);
-    txn.ops.push_back(std::move(op));
   }
   return txn;
 }
@@ -80,34 +60,18 @@ Result<QueueTxn> QueueTxn::Decode(const Slice& payload) {
 Bytes QueueTxnReply::Encode() const {
   Bytes out;
   PutFixed64(&out, transid);
-  PutVarint32(&out, static_cast<uint32_t>(results.size()));
-  for (const auto& r : results) {
-    PutFixed8(&out, static_cast<uint8_t>(r.status));
-    PutLengthPrefixed(&out, Slice(r.value));
-  }
+  Bytes results = ops.Encode();
+  out.insert(out.end(), results.begin(), results.end());
   return out;
 }
 
 Result<QueueTxnReply> QueueTxnReply::Decode(const Slice& payload) {
   Slice in = payload;
   QueueTxnReply rep;
-  uint32_t n;
-  if (!GetFixed64(&in, &rep.transid) || !GetVarint32(&in, &n)) {
-    return DecodeError("queue txn reply");
-  }
-  if (static_cast<uint64_t>(n) * 2 > in.size()) {
-    return DecodeError("queue txn reply count exceeds payload");
-  }
-  rep.results.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    discprocess::PlannedBatchReply::OpResult r;
-    uint8_t code;
-    if (!GetFixed8(&in, &code) || !GetLengthPrefixedBytes(&in, &r.value)) {
-      return DecodeError("queue txn reply entry");
-    }
-    r.status = static_cast<Status::Code>(code);
-    rep.results.push_back(std::move(r));
-  }
+  if (!GetFixed64(&in, &rep.transid)) return DecodeError("queue txn reply");
+  auto ops = discprocess::PlannedBatchReply::Decode(in);
+  if (!ops.ok()) return ops.status();
+  rep.ops = std::move(*ops);
   return rep;
 }
 
@@ -168,7 +132,7 @@ Status QueuePlanner::ValidateTxn(const QueueTxn& txn) const {
   if (txn.ops.empty()) {
     return Status::InvalidArgument("queue txn has no operations");
   }
-  for (const QueueOp& op : txn.ops) {
+  for (const discprocess::PlannedOp& op : txn.ops) {
     bool declared = false;
     for (const std::string& f : txn.declared) {
       if (f == op.file) {
@@ -195,7 +159,6 @@ Status QueuePlanner::ValidateTxn(const QueueTxn& txn) const {
 void QueuePlanner::SealEpoch() {
   epoch_timer_armed_ = false;
   if (open_epoch_.empty()) return;
-  const uint64_t epoch = ++epoch_seq_;
   auto seqs = std::make_shared<std::vector<uint64_t>>(std::move(open_epoch_));
   open_epoch_.clear();
   stats().Incr(m_.epochs);
@@ -210,17 +173,15 @@ void QueuePlanner::SealEpoch() {
     opt.timeout = kTmpTimeout;
     opt.retries = 2;
     Call(net::Address(node()->id(), config_.tmp_process), kTmfBegin, {},
-         [this, seq, epoch, pending, seqs](const Status& s,
-                                           const net::Message& reply) {
+         [this, seq, pending, seqs](const Status& s,
+                                    const net::Message& reply) {
            auto it = txns_.find(seq);
            if (it != txns_.end()) {
              if (s.ok()) {
                auto t = DecodeTransidPayload(Slice(reply.payload));
                if (t.ok()) it->second.transid = *t;
              }
-             if (it->second.transid.valid()) {
-               it->second.epoch = epoch;
-             } else {
+             if (!it->second.transid.valid()) {
                // BEGIN failed: nothing executed, nothing to undo.
                ActiveTxn dead = std::move(it->second);
                txns_.erase(it);
@@ -229,22 +190,20 @@ void QueuePlanner::SealEpoch() {
                      s.ok() ? Status::Unavailable("begin failed") : s);
              }
            }
-           if (--*pending == 0) EnqueueEpoch(epoch, *seqs);
+           if (--*pending == 0) EnqueueEpoch(*seqs);
          },
          opt);
   }
 }
 
-void QueuePlanner::EnqueueEpoch(uint64_t epoch,
-                                const std::vector<uint64_t>& seqs) {
-  (void)epoch;
+void QueuePlanner::EnqueueEpoch(const std::vector<uint64_t>& seqs) {
   std::set<uint64_t> touched;
   for (uint64_t seq : seqs) {
     auto it = txns_.find(seq);
     if (it == txns_.end()) continue;  // begin failed, already answered
     ActiveTxn& txn = it->second;
     for (uint32_t i = 0; i < txn.txn.ops.size(); ++i) {
-      const QueueOp& op = txn.txn.ops[i];
+      const discprocess::PlannedOp& op = txn.txn.ops[i];
       const uint64_t lane = LaneFor(op.file, op.key);
       lanes_[lane].queue.push_back(LaneOp{seq, i});
       touched.insert(lane);
@@ -258,7 +217,7 @@ uint64_t QueuePlanner::LaneFor(const std::string& file, const Bytes& key) {
   auto [it, inserted] =
       file_ids_.try_emplace(file, static_cast<uint32_t>(file_ids_.size()));
   return (static_cast<uint64_t>(it->second) << 32) |
-         (KeyHash(key) % kLanesPerFile);
+         (Fnv1a(Slice(key)) % kLanesPerFile);
 }
 
 void QueuePlanner::PumpLane(uint64_t lane_id) {
@@ -269,7 +228,6 @@ void QueuePlanner::PumpLane(uint64_t lane_id) {
   // of a partitioned file can span volumes; order within the lane still
   // holds because only one batch is ever in flight).
   discprocess::PlannedBatch batch;
-  batch.lane = static_cast<uint32_t>(lane_id ^ (lane_id >> 32));
   std::string dest_volume;
   std::vector<LaneOp> taken;
   while (!lane.queue.empty() && taken.size() < kMaxBatchOps) {
@@ -280,7 +238,7 @@ void QueuePlanner::PumpLane(uint64_t lane_id) {
       continue;
     }
     ActiveTxn& txn = it->second;
-    const QueueOp& op = txn.txn.ops[lo.op];
+    const discprocess::PlannedOp& op = txn.txn.ops[lo.op];
     const storage::FileDefinition* def = config_.catalog->Find(op.file);
     const storage::PartitionEntry& part = def->partitions.Locate(Slice(op.key));
     if (dest_volume.empty()) {
@@ -288,16 +246,8 @@ void QueuePlanner::PumpLane(uint64_t lane_id) {
     } else if (part.volume_process != dest_volume) {
       break;
     }
-    batch.epoch = txn.epoch;
-    discprocess::PlannedOp pop;
-    pop.kind = op.kind;
-    pop.transid = txn.transid;
-    pop.file = op.file;
-    pop.key = op.key;
-    pop.record = op.record;
-    pop.field = op.field;
-    pop.delta = op.delta;
-    batch.ops.push_back(std::move(pop));
+    batch.ops.push_back(op);
+    batch.ops.back().transid = txn.transid;
     taken.push_back(lo);
     lane.queue.pop_front();
   }
@@ -378,7 +328,7 @@ void QueuePlanner::FinishTxn(uint64_t seq) {
          txns_.erase(it);
          QueueTxnReply rep;
          rep.transid = done.transid.Pack();
-         rep.results = std::move(done.results);
+         rep.ops.results = std::move(done.results);
          Status final;
          if (failed) {
            final = Status::Aborted(

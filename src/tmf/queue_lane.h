@@ -46,26 +46,14 @@ enum QueueLaneTag : uint32_t {
   kTmfQueueSubmit = net::kTagTmf + 14,  ///< client -> $QPLAN: whole txn
 };
 
-/// One operation of a queue transaction; kinds are shared with the
-/// DISCPROCESS planned-op protocol (the planner forwards them verbatim,
-/// stamped with the transaction's transid).
-struct QueueOp {
-  using Kind = discprocess::PlannedOp::Kind;
-
-  Kind kind = Kind::kRead;
-  std::string file;
-  Bytes key;
-  Bytes record;       ///< kInsert / kUpdate image
-  std::string field;  ///< kDelta: integer field name
-  int64_t delta = 0;  ///< kDelta: signed amount to add
-};
-
 /// Payload of kTmfQueueSubmit: a whole transaction with its predeclared
 /// file set. Any operation naming a file outside `declared` is rejected
-/// with Status::PlanViolation before anything executes.
+/// with Status::PlanViolation before anything executes. The ops are the
+/// DISCPROCESS's planned ops; the planner stamps each with the transaction's
+/// transid when it forwards it, so a submitted transid is ignored.
 struct QueueTxn {
   std::vector<std::string> declared;
-  std::vector<QueueOp> ops;
+  std::vector<discprocess::PlannedOp> ops;
 
   Bytes Encode() const;
   static Result<QueueTxn> Decode(const Slice& payload);
@@ -76,7 +64,7 @@ struct QueueTxn {
 /// committed, Aborted = backed out, PlanViolation = rejected unexecuted.
 struct QueueTxnReply {
   uint64_t transid = 0;
-  std::vector<discprocess::PlannedBatchReply::OpResult> results;
+  discprocess::PlannedBatchReply ops;  ///< one result per op, in txn order
 
   Bytes Encode() const;
   static Result<QueueTxnReply> Decode(const Slice& payload);
@@ -106,7 +94,6 @@ class QueuePlanner : public os::PairedProcess {
     net::Message msg;  ///< the submit; replied once committed or backed out
     QueueTxn txn;
     Transid transid;
-    uint64_t epoch = 0;
     std::vector<discprocess::PlannedBatchReply::OpResult> results;
     size_t outstanding = 0;  ///< ops not yet acknowledged by a lane batch
     bool failed = false;
@@ -126,7 +113,7 @@ class QueuePlanner : public os::PairedProcess {
 
   Status ValidateTxn(const QueueTxn& txn) const;
   void SealEpoch();
-  void EnqueueEpoch(uint64_t epoch, const std::vector<uint64_t>& seqs);
+  void EnqueueEpoch(const std::vector<uint64_t>& seqs);
   uint64_t LaneFor(const std::string& file, const Bytes& key);
   void PumpLane(uint64_t lane_id);
   void OnBatchReply(uint64_t lane_id, const std::vector<LaneOp>& ops,
@@ -143,7 +130,6 @@ class QueuePlanner : public os::PairedProcess {
   Metrics m_;
 
   uint64_t next_seq_ = 1;   ///< plan order: assigned at admission
-  uint64_t epoch_seq_ = 0;
   std::map<uint64_t, ActiveTxn> txns_;
   std::vector<uint64_t> open_epoch_;  ///< admitted, awaiting the seal timer
   bool epoch_timer_armed_ = false;

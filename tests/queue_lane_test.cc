@@ -77,13 +77,13 @@ QueueRig MakeRig(uint64_t seed, ExecLane lane) {
 tmf::QueueTxn TransferTxn(int from, int to, int64_t amount) {
   tmf::QueueTxn t;
   t.declared = {"acct"};
-  tmf::QueueOp debit;
-  debit.kind = tmf::QueueOp::Kind::kDelta;
+  discprocess::PlannedOp debit;
+  debit.kind = discprocess::PlannedOp::Kind::kDelta;
   debit.file = "acct";
   debit.key = ToBytes(AcctKey(from));
   debit.field = "balance";
   debit.delta = -amount;
-  tmf::QueueOp credit = debit;
+  discprocess::PlannedOp credit = debit;
   credit.key = ToBytes(AcctKey(to));
   credit.delta = amount;
   t.ops = {debit, credit};
@@ -112,9 +112,9 @@ TEST(QueueLaneTest, CommitsTransferLockFree) {
   auto rep = tmf::QueueTxnReply::Decode(Slice(out->payload));
   ASSERT_TRUE(rep.ok());
   EXPECT_NE(rep->transid, 0u);
-  ASSERT_EQ(rep->results.size(), 2u);
-  EXPECT_EQ(rep->results[0].status, Status::Code::kOk);
-  EXPECT_EQ(rep->results[1].status, Status::Code::kOk);
+  ASSERT_EQ(rep->ops.results.size(), 2u);
+  EXPECT_EQ(rep->ops.results[0].status, Status::Code::kOk);
+  EXPECT_EQ(rep->ops.results[1].status, Status::Code::kOk);
 
   EXPECT_EQ(Balance(rig.volume, 0), 900);
   EXPECT_EQ(Balance(rig.volume, 1), 1100);
@@ -131,8 +131,8 @@ TEST(QueueLaneTest, CommitsTransferLockFree) {
 TEST(QueueLaneTest, PlanViolationRejectedBeforeExecution) {
   QueueRig rig = MakeRig(5, ExecLane::kQueue);
   tmf::QueueTxn t = TransferTxn(0, 1, 50);
-  tmf::QueueOp stray;
-  stray.kind = tmf::QueueOp::Kind::kInsert;
+  discprocess::PlannedOp stray;
+  stray.kind = discprocess::PlannedOp::Kind::kInsert;
   stray.file = "other";  // not in t.declared
   stray.key = ToBytes(std::string("k1"));
   storage::Record rec;
@@ -225,14 +225,14 @@ TEST(QueueLaneTest, RuntimeFailureAbortsAndBacksOut) {
   QueueRig rig = MakeRig(13, ExecLane::kQueue);
   tmf::QueueTxn t;
   t.declared = {"acct"};
-  tmf::QueueOp debit;
-  debit.kind = tmf::QueueOp::Kind::kDelta;
+  discprocess::PlannedOp debit;
+  debit.kind = discprocess::PlannedOp::Kind::kDelta;
   debit.file = "acct";
   debit.key = ToBytes(AcctKey(0));
   debit.field = "balance";
   debit.delta = -50;
-  tmf::QueueOp bad;
-  bad.kind = tmf::QueueOp::Kind::kUpdate;
+  discprocess::PlannedOp bad;
+  bad.kind = discprocess::PlannedOp::Kind::kUpdate;
   bad.file = "acct";
   bad.key = ToBytes(std::string("no-such-account"));
   storage::Record rec;
@@ -247,8 +247,8 @@ TEST(QueueLaneTest, RuntimeFailureAbortsAndBacksOut) {
 
   auto rep = tmf::QueueTxnReply::Decode(Slice(out->payload));
   ASSERT_TRUE(rep.ok());
-  ASSERT_EQ(rep->results.size(), 2u);
-  EXPECT_NE(rep->results[1].status, Status::Code::kOk);
+  ASSERT_EQ(rep->ops.results.size(), 2u);
+  EXPECT_NE(rep->ops.results[1].status, Status::Code::kOk);
 
   EXPECT_EQ(Balance(rig.volume, 0), 1000);  // the debit was undone
   EXPECT_EQ(rig.sim->GetStats().Counter("queue.aborts"), 1);

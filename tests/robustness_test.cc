@@ -14,6 +14,7 @@
 #include "discprocess/disc_protocol.h"
 #include "discprocess/lock_manager.h"
 #include "storage/record.h"
+#include "tmf/queue_lane.h"
 #include "tmf/rollforward.h"
 #include "tmf/tmf_protocol.h"
 
@@ -150,6 +151,11 @@ TEST(DecoderFuzzTest, RandomBytesNeverCrashDecoders) {
     (void)discprocess::SeekReply::Decode(Slice(soup));
     (void)discprocess::ScanReply::Decode(Slice(soup));
     (void)discprocess::TxnStateChange::Decode(Slice(soup));
+    (void)discprocess::LockOwnersReply::Decode(Slice(soup));
+    (void)discprocess::PlannedBatch::Decode(Slice(soup));
+    (void)discprocess::PlannedBatchReply::Decode(Slice(soup));
+    (void)tmf::QueueTxn::Decode(Slice(soup));
+    (void)tmf::QueueTxnReply::Decode(Slice(soup));
     (void)audit::DecodeAuditBatch(Slice(soup));
     (void)tmf::DecodeTxnList(Slice(soup));
     (void)tmf::DecodeTransidPayload(Slice(soup));
@@ -157,6 +163,48 @@ TEST(DecoderFuzzTest, RandomBytesNeverCrashDecoders) {
     (void)audit::AuditRecord::Decode(&in1);
     Slice in2(soup);
     (void)audit::CompletionRecord::Decode(&in2);
+  }
+}
+
+// Every proper prefix of `full` must fail to decode.
+template <typename Msg>
+void ExpectTruncationsRejected(const Bytes& full) {
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    Bytes truncated(full.begin(), full.begin() + cut);
+    EXPECT_FALSE(Msg::Decode(Slice(truncated)).ok()) << "cut at " << cut;
+  }
+}
+
+// One planned op of every kind, each with every field set.
+std::vector<discprocess::PlannedOp> OneOpOfEveryKind() {
+  using Kind = discprocess::PlannedOp::Kind;
+  std::vector<discprocess::PlannedOp> ops;
+  for (Kind kind : {Kind::kRead, Kind::kInsert, Kind::kUpdate, Kind::kDelete,
+                    Kind::kDelta}) {
+    discprocess::PlannedOp op;
+    op.kind = kind;
+    op.transid = Transid{3, 1, 40 + ops.size()};
+    op.file = "acct";
+    op.key = ToBytes("key-" + std::to_string(ops.size()));
+    op.record = ToBytes("record-image");
+    op.field = "balance";
+    op.delta = -17 - static_cast<int64_t>(ops.size());
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+void ExpectSameOps(const std::vector<discprocess::PlannedOp>& got,
+                   const std::vector<discprocess::PlannedOp>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].transid, want[i].transid) << i;
+    EXPECT_EQ(got[i].file, want[i].file) << i;
+    EXPECT_EQ(got[i].key, want[i].key) << i;
+    EXPECT_EQ(got[i].record, want[i].record) << i;
+    EXPECT_EQ(got[i].field, want[i].field) << i;
+    EXPECT_EQ(got[i].delta, want[i].delta) << i;
   }
 }
 
@@ -170,11 +218,26 @@ TEST(DecoderFuzzTest, TruncationsOfValidMessagesAreRejectedCleanly) {
   req.max_records = 99;
   Bytes full = req.Encode();
   ASSERT_TRUE(discprocess::DiscRequest::Decode(Slice(full)).ok());
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    Bytes truncated(full.begin(), full.begin() + cut);
-    EXPECT_FALSE(discprocess::DiscRequest::Decode(Slice(truncated)).ok())
-        << "cut at " << cut;
-  }
+  ExpectTruncationsRejected<discprocess::DiscRequest>(full);
+
+  // The op codec shared by the DISCPROCESS batch and the queue-lane submit.
+  discprocess::PlannedBatch batch;
+  batch.ops = OneOpOfEveryKind();
+  full = batch.Encode();
+  auto decoded_batch = discprocess::PlannedBatch::Decode(Slice(full));
+  ASSERT_TRUE(decoded_batch.ok());
+  ExpectSameOps(decoded_batch->ops, batch.ops);
+  ExpectTruncationsRejected<discprocess::PlannedBatch>(full);
+
+  tmf::QueueTxn txn;
+  txn.declared = {"acct", "markers"};
+  txn.ops = OneOpOfEveryKind();
+  full = txn.Encode();
+  auto decoded_txn = tmf::QueueTxn::Decode(Slice(full));
+  ASSERT_TRUE(decoded_txn.ok());
+  EXPECT_EQ(decoded_txn->declared, txn.declared);
+  ExpectSameOps(decoded_txn->ops, txn.ops);
+  ExpectTruncationsRejected<tmf::QueueTxn>(full);
 }
 
 // ---------------------------------------------------------------------------
