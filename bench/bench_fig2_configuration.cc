@@ -20,10 +20,11 @@ void TableThroughputVsCpus() {
                               /*cpu_service=*/Micros(400));
     SimTime makespan = RunUntilProgramsDone(rig, 24 * 30);
     auto* tcp = rig.Primary();
-    printf("%6d %12.1f %12llu %12llu\n", cpus,
-           TxnPerSec(tcp->transactions_committed(), makespan),
+    const double tps = TxnPerSec(tcp->transactions_committed(), makespan);
+    printf("%6d %12.1f %12llu %12llu\n", cpus, tps,
            (unsigned long long)tcp->transactions_committed(),
            (unsigned long long)tcp->programs_failed());
+    ReportValue("f2.a.cpus" + std::to_string(cpus) + ".txns_per_sec", tps);
   }
 }
 
@@ -37,10 +38,13 @@ void TableThroughputVsTerminals() {
     SimTime makespan =
         RunUntilProgramsDone(rig, static_cast<uint64_t>(terminals) * 30);
     auto* tcp = rig.Primary();
-    printf("%10d %12.1f %14lld %16llu\n", terminals,
-           TxnPerSec(tcp->transactions_committed(), makespan),
-           (long long)rig.sim->GetStats().Counter("serverclass.spawned"),
+    const double tps = TxnPerSec(tcp->transactions_committed(), makespan);
+    const int64_t peak = rig.sim->GetStats().Counter("serverclass.spawned");
+    printf("%10d %12.1f %14lld %16llu\n", terminals, tps, (long long)peak,
            (unsigned long long)tcp->transactions_restarted());
+    const std::string key = "f2.b.terminals" + std::to_string(terminals);
+    ReportValue(key + ".txns_per_sec", tps);
+    ReportValue(key + ".peak_servers", static_cast<double>(peak));
   }
 }
 
@@ -51,12 +55,14 @@ void TableDynamicServerClass() {
   rig.sim->RunFor(Seconds(600));
   rig.sim->Run();
   auto& stats = rig.sim->GetStats();
-  printf("servers created under load : %lld\n",
-         (long long)stats.Counter("serverclass.spawned"));
+  const int64_t spawned = stats.Counter("serverclass.spawned");
+  printf("servers created under load : %lld\n", (long long)spawned);
+  ReportValue("f2.c.spawned", static_cast<double>(spawned));
   // Idle period: the class contracts back to its floor.
   rig.sim->RunFor(Seconds(30));
-  printf("servers deleted when idle  : %lld\n",
-         (long long)stats.Counter("serverclass.reaped"));
+  const int64_t reaped = stats.Counter("serverclass.reaped");
+  printf("servers deleted when idle  : %lld\n", (long long)reaped);
+  ReportValue("f2.c.reaped", static_cast<double>(reaped));
   const auto* depth = stats.FindHistogram("serverclass.queue_depth");
   if (depth != nullptr) {
     printf("request queue depth        : p50=%lld p99=%lld max=%lld\n",

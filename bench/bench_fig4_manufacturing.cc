@@ -124,8 +124,13 @@ void TableConvergenceVsBacklog() {
       rig.sim->RunFor(Millis(250));
     }
     bool converged = Converged(rig.deploy.get(), kNodes, "bom", "B");
+    const double converge_s =
+        static_cast<double>(rig.sim->Now() - heal_at) / 1e6;
     printf("%10d %16s %14.2f\n", updates, converged ? "yes" : "NO",
-           static_cast<double>(rig.sim->Now() - heal_at) / 1e6);
+           converge_s);
+    const std::string key = "f4.b.updates" + std::to_string(updates);
+    ReportValue(key + ".converge_s", converge_s);
+    ReportValue(key + ".converged", converged ? 1 : 0);
   }
 }
 

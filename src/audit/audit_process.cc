@@ -62,6 +62,15 @@ Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload) {
   return records;
 }
 
+AuditProcess::AuditProcess(AuditProcessConfig config)
+    : config_(config),
+      force_(this, config.group_commit_window, [this](size_t batch) {
+        size_t forced = config_.trail->Force();
+        stats().Incr(m_.forces);
+        stats().Incr(m_.forced_records, static_cast<int64_t>(forced));
+        stats().Record(m_.group_commit_size, static_cast<int64_t>(batch));
+      }) {}
+
 void AuditProcess::OnPairAttach() {
   m_.appended = stats().RegisterCounter("audit.appended");
   m_.forces = stats().RegisterCounter("audit.forces");
@@ -124,45 +133,9 @@ void AuditProcess::HandleAppend(const net::Message& msg) {
 }
 
 void AuditProcess::HandleForce(const net::Message& msg) {
-  // Group commit: one physical write satisfies every force request that
-  // arrived before it started. A request arriving while a write is already
-  // in flight may cover records the running write does not, so it joins the
-  // batch for the *next* write.
-  waiting_.push_back(
-      ForceWaiter{msg.src, msg.request_id, msg.tag, current_trace()});
-  if (write_in_flight_ || gathering_) return;
-  ArmForceWrite();
-}
-
-void AuditProcess::ArmForceWrite() {
-  if (config_.group_commit_window > 0) {
-    gathering_ = true;
-    SetTimer(config_.group_commit_window, [this]() { StartForceWrite(); });
-  } else {
-    StartForceWrite();
-  }
-}
-
-void AuditProcess::StartForceWrite() {
-  gathering_ = false;
-  if (waiting_.empty()) return;
-  write_in_flight_ = true;
-  std::vector<ForceWaiter> batch = std::move(waiting_);
-  waiting_.clear();
-  size_t forced = config_.trail->Force();
-  stats().Incr(m_.forces);
-  stats().Incr(m_.forced_records, static_cast<int64_t>(forced));
-  stats().Record(m_.group_commit_size, static_cast<int64_t>(batch.size()));
-  // The force is a physical sequential write; reply to the whole batch when
-  // it completes — each waiter under its own causal span.
-  SetTimer(kDiscForceLatency, [this, batch = std::move(batch)]() {
-    write_in_flight_ = false;
-    for (const ForceWaiter& w : batch) {
-      WithTraceContext(w.trace, [this, &w]() {
-        SendReply(w.requester, w.tag, w.reply_to, Status::Ok());
-      });
-    }
-    if (!waiting_.empty()) ArmForceWrite();
+  force_.Join([this, requester = msg.src, tag = msg.tag,
+               reply_to = msg.request_id]() {
+    SendReply(requester, tag, reply_to, Status::Ok());
   });
 }
 

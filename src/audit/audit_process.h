@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "audit/audit_trail.h"
+#include "audit/group_commit.h"
 #include "os/process_pair.h"
 
 namespace encompass::audit {
@@ -36,17 +37,15 @@ Result<std::vector<AuditRecord>> DecodeAuditBatch(const Slice& payload);
 /// Behaviour knobs for the audit process.
 struct AuditProcessConfig {
   AuditTrail* trail = nullptr;          ///< shared durable trail (disc state)
-  /// Group commit: how long the first force request of a batch waits for
-  /// company before the physical write starts. 0 (default) starts the write
-  /// immediately; requests arriving while a write is in flight still
-  /// coalesce into the next write either way.
+  /// Group commit (GroupCommit's `window`): how long the first force of a
+  /// batch waits for company before the write starts; 0 starts it at once.
   SimDuration group_commit_window = 0;
 };
 
 /// The AUDITPROCESS pair.
 class AuditProcess : public os::PairedProcess {
  public:
-  explicit AuditProcess(AuditProcessConfig config) : config_(config) {}
+  explicit AuditProcess(AuditProcessConfig config);
 
   std::string DebugName() const override { return pair_name() + "/audit"; }
 
@@ -59,20 +58,6 @@ class AuditProcess : public os::PairedProcess {
   void HandleForce(const net::Message& msg);
   void HandleFetch(const net::Message& msg);
 
-  /// One coalesced force requester, remembered until its write lands.
-  struct ForceWaiter {
-    net::ProcessId requester;
-    uint64_t reply_to = 0;
-    uint32_t tag = 0;
-    sim::TraceContext trace;  ///< reply under the waiter's own causal span
-  };
-
-  /// Starts the physical write for everything in waiting_; replies to the
-  /// whole batch when it lands and begins the next cycle if more arrived.
-  void StartForceWrite();
-  /// Schedules the next write cycle (honouring the batching window).
-  void ArmForceWrite();
-
   struct Metrics {
     sim::MetricId appended, forces, forced_records, files_purged;
     sim::MetricId group_commit_size;  // histogram
@@ -80,11 +65,7 @@ class AuditProcess : public os::PairedProcess {
 
   AuditProcessConfig config_;
   Metrics m_;
-  // Group-commit state (primary-only, volatile: waiters re-drive via the
-  // file-system retry on takeover).
-  std::vector<ForceWaiter> waiting_;   ///< force the *next* physical write
-  bool gathering_ = false;             ///< window timer armed
-  bool write_in_flight_ = false;       ///< kDiscForceLatency timer armed
+  GroupCommit force_;  ///< the trail's physical force writes
 };
 
 }  // namespace encompass::audit

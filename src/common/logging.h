@@ -23,7 +23,6 @@ enum class LogLevel : int {
 class Logger {
  public:
   static LogLevel level() { return level_; }
-  static void SetLevel(LogLevel level) { level_ = level; }
 
   /// Emits one line to stderr: "[LEVEL] message".
   static void Write(LogLevel level, const std::string& msg);

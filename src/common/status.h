@@ -69,9 +69,6 @@ class Status {
   static Status Partitioned(std::string m = "") {
     return {Code::kPartitioned, std::move(m)};
   }
-  static Status LockConflict(std::string m = "") {
-    return {Code::kLockConflict, std::move(m)};
-  }
   static Status RestartRequested(std::string m = "") {
     return {Code::kRestartRequested, std::move(m)};
   }
@@ -94,11 +91,9 @@ class Status {
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsUnavailable() const { return code_ == Code::kUnavailable; }
   bool IsPartitioned() const { return code_ == Code::kPartitioned; }
-  bool IsLockConflict() const { return code_ == Code::kLockConflict; }
   bool IsRestartRequested() const { return code_ == Code::kRestartRequested; }
   bool IsInDoubt() const { return code_ == Code::kInDoubt; }
   bool IsEndOfFile() const { return code_ == Code::kEndOfFile; }
-  bool IsFull() const { return code_ == Code::kFull; }
   bool IsPlanViolation() const { return code_ == Code::kPlanViolation; }
 
   Code code() const { return code_; }

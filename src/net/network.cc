@@ -83,11 +83,6 @@ void Network::ReconnectNode(NodeId id) {
   }
 }
 
-bool Network::LinkUp(NodeId a, NodeId b) const {
-  auto it = links_.find(Key(a, b));
-  return it != links_.end() && it->second.up;
-}
-
 bool Network::Reachable(NodeId from, NodeId to) const {
   if (from == to) return nodes_.count(from) > 0;
   if (!nodes_.count(from) || !nodes_.count(to)) return false;

@@ -64,8 +64,6 @@ class Network {
   /// Restores every link touching `id`.
   void ReconnectNode(NodeId id);
 
-  bool LinkUp(NodeId a, NodeId b) const;
-
   /// True if a path of up links exists between the nodes (a == b is true).
   bool Reachable(NodeId from, NodeId to) const;
 

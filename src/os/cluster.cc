@@ -31,16 +31,6 @@ Node* Cluster::GetNode(net::NodeId id) const {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-std::vector<net::NodeId> Cluster::NodeIds() const {
-  std::vector<net::NodeId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) {
-    (void)node;
-    ids.push_back(id);
-  }
-  return ids;
-}
-
 void Cluster::Link(net::NodeId a, net::NodeId b, SimDuration latency) {
   network_.AddLink(a, b, latency);
 }

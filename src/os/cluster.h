@@ -25,7 +25,6 @@ class Cluster {
   /// Creates a node. Node ids must be unique; typical configs use 1..N.
   Node* AddNode(net::NodeId id, NodeConfig config = {});
   Node* GetNode(net::NodeId id) const;
-  std::vector<net::NodeId> NodeIds() const;
 
   /// Adds a bidirectional network link between two existing nodes.
   void Link(net::NodeId a, net::NodeId b, SimDuration latency = 0);

@@ -80,8 +80,6 @@ void Node::RegisterName(const std::string& name, net::Pid pid) {
   names_[name] = pid;
 }
 
-void Node::UnregisterName(const std::string& name) { names_.erase(name); }
-
 net::Pid Node::LookupName(const std::string& name) const {
   auto it = names_.find(name);
   return it == names_.end() ? 0 : it->second;

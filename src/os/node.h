@@ -70,7 +70,6 @@ class Node {
   /// Binds a symbolic name ("$DATA1") to a pid, replacing any prior binding.
   /// Process-pair takeover re-binds the name to the new primary.
   void RegisterName(const std::string& name, net::Pid pid);
-  void UnregisterName(const std::string& name);
   /// 0 if unbound.
   net::Pid LookupName(const std::string& name) const;
 
@@ -90,7 +89,6 @@ class Node {
   /// Dual interprocessor buses: X (0) and Y (1). Intra-node traffic uses the
   /// first up bus; with both down, cross-CPU messages are undeliverable.
   void SetBusUp(int bus, bool up);
-  bool BusUp(int bus) const { return bus_up_[bus & 1]; }
 
   // -- Message plumbing (called by Process / Cluster) --------------------------
 

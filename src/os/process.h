@@ -99,6 +99,13 @@ class Process {
   /// The trace context of the message or timer currently being handled.
   /// Transaction-less work has an inactive context.
   const sim::TraceContext& current_trace() const { return active_trace_; }
+  /// Runs fn with `ctx` installed as the active trace context, restoring the
+  /// previous context afterwards (robust to fn destroying this process).
+  /// Used when one physical event completes work for several causal chains —
+  /// e.g. finishing each waiter of a coalesced group-commit batch under
+  /// that waiter's own span instead of the batch leader's.
+  void WithTraceContext(const sim::TraceContext& ctx,
+                        const std::function<void()>& fn);
 
   // -- Event hooks (override points) -----------------------------------------
 
@@ -127,14 +134,6 @@ class Process {
  protected:
   /// The simulation's stats registry (valid from OnAttach on).
   sim::Stats& stats() const { return *stats_; }
-
-  /// Runs fn with `ctx` installed as the active trace context, restoring the
-  /// previous context afterwards (robust to fn destroying this process).
-  /// Used when one physical event completes work for several causal chains —
-  /// e.g. replying to each waiter of a coalesced group-commit batch under
-  /// that waiter's own span instead of the batch leader's.
-  void WithTraceContext(const sim::TraceContext& ctx,
-                        const std::function<void()>& fn);
 
   /// Appends a trace event for `transid` at this node, under the span of the
   /// message/timer being handled. No-op when transid is 0 or tracing is off.

@@ -47,7 +47,6 @@ class BPlusTree {
 
   /// Point lookup.
   Result<Bytes> Get(const Slice& key) const;
-  bool Contains(const Slice& key) const { return Get(key).ok(); }
 
   /// First entry with key >= target; EndOfFile when past the end.
   Result<TreeEntry> Seek(const Slice& key) const;

@@ -388,10 +388,6 @@ void Volume::DropVolatile() {
 // Mirrored drives
 // ---------------------------------------------------------------------------
 
-bool Volume::DriveUp(int drive) const {
-  return drive >= 0 && drive < drive_count() && drive_up_[drive];
-}
-
 void Volume::FailDrive(int drive) {
   if (drive < 0 || drive >= drive_count()) return;
   drive_up_[drive] = false;

@@ -110,7 +110,6 @@ class Volume {
   // -- Mirrored drives ---------------------------------------------------------------
 
   int drive_count() const { return 2; }  ///< every volume is a mirrored pair
-  bool DriveUp(int drive) const;
   /// Fails one physical drive. Service continues on the mirror.
   void FailDrive(int drive);
   /// Revives a failed drive by copying from the survivor; returns the number

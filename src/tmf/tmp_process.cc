@@ -29,6 +29,13 @@ constexpr int kDiscNotifyRetries = 6;
 
 }  // namespace
 
+TmpProcess::TmpProcess(TmpConfig config)
+    : config_(std::move(config)),
+      mat_commit_(this, config_.mat_group_commit_window, [this](size_t batch) {
+        stats().Incr(m_.mat_forces);
+        stats().Record(m_.mat_group_commit_size, static_cast<int64_t>(batch));
+      }) {}
+
 void TmpProcess::OnPairAttach() {
   sim::Stats& stats = this->stats();
   m_.state_broadcasts = stats.RegisterCounter("tmf.state_broadcasts");
@@ -512,39 +519,7 @@ void TmpProcess::CompleteCommit(const Transid& transid) {
   TxnEntry* txn = FindTxn(transid);
   if (txn == nullptr || txn->state != TxnState::kEnding) return;
   // The commit record force on the Monitor Audit Trail is the commit point.
-  // Group commit: every transaction whose phase 1 finished before a physical
-  // MAT write starts shares that write; a commit deciding while a write is
-  // in flight joins the batch for the next one.
-  mat_waiting_.push_back(MatWaiter{transid, current_trace()});
-  if (mat_write_in_flight_ || mat_gathering_) return;
-  ArmMatWrite();
-}
-
-void TmpProcess::ArmMatWrite() {
-  if (config_.mat_group_commit_window > 0) {
-    mat_gathering_ = true;
-    SetTimer(config_.mat_group_commit_window, [this]() { StartMatWrite(); });
-  } else {
-    StartMatWrite();
-  }
-}
-
-void TmpProcess::StartMatWrite() {
-  mat_gathering_ = false;
-  if (mat_waiting_.empty()) return;
-  mat_write_in_flight_ = true;
-  std::vector<MatWaiter> batch = std::move(mat_waiting_);
-  mat_waiting_.clear();
-  stats().Incr(m_.mat_forces);
-  stats().Record(m_.mat_group_commit_size, static_cast<int64_t>(batch.size()));
-  SetTimer(audit::kDiscForceLatency, [this, batch = std::move(batch)]() {
-    mat_write_in_flight_ = false;
-    for (const MatWaiter& w : batch) {
-      WithTraceContext(w.trace,
-                       [this, &w]() { CommitPointReached(w.transid); });
-    }
-    if (!mat_waiting_.empty()) ArmMatWrite();
-  });
+  mat_commit_.Join([this, transid]() { CommitPointReached(transid); });
 }
 
 void TmpProcess::CommitPointReached(const Transid& transid) {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "audit/audit_trail.h"
+#include "audit/group_commit.h"
 #include "discprocess/disc_protocol.h"
 #include "os/process_pair.h"
 #include "tmf/tmf_protocol.h"
@@ -53,10 +54,9 @@ struct TmpConfig {
   std::vector<std::string> audit_processes;  ///< local AUDITPROCESS names
   std::string backout_process = "$BACKOUT";  ///< local BACKOUTPROCESS name
   audit::MonitorAuditTrail* monitor_trail = nullptr;  ///< durable, per node
-  /// Group commit for the commit-point force: how long the first committer
-  /// of a batch waits for company before the physical MAT write starts.
-  /// 0 (default) starts immediately; commits arriving while a write is in
-  /// flight still coalesce into the next write either way.
+  /// Group commit (audit::GroupCommit's `window`): how long the first commit
+  /// record of a batch waits for company before the MAT write starts; 0
+  /// starts it at once.
   SimDuration mat_group_commit_window = 0;
   /// How often a participant holding in-doubt (ending, non-home)
   /// transactions queries the home TMP for their disposition. Recovers
@@ -116,7 +116,7 @@ struct TmpConfig {
 /// The TMP pair.
 class TmpProcess : public os::PairedProcess {
  public:
-  explicit TmpProcess(TmpConfig config) : config_(std::move(config)) {}
+  explicit TmpProcess(TmpConfig config);
 
   std::string DebugName() const override { return pair_name() + "/tmp"; }
 
@@ -244,10 +244,6 @@ class TmpProcess : public os::PairedProcess {
   /// The home's phase 1 (END, or resumed by a takeover): on success reach
   /// the commit point, else OnPhase1Failed(`abort_reason`).
   void RunHomePhase1(TxnEntry* txn, const char* abort_reason);
-  /// Starts the physical MAT write for every transaction in mat_waiting_.
-  void StartMatWrite();
-  /// Schedules the next MAT write cycle (honouring the batching window).
-  void ArmMatWrite();
   /// Asks the BACKOUTPROCESS to undo `transid`, then FinishAbort.
   void RunBackout(const Transid& transid);
   void FinishAbort(const Transid& transid);
@@ -343,16 +339,9 @@ class TmpProcess : public os::PairedProcess {
   /// (first strike); acted on if still unknown when seen again.
   std::set<Transid> orphan_suspects_;
 
-  /// One committer waiting for its commit record to reach the MAT.
-  struct MatWaiter {
-    Transid transid;
-    sim::TraceContext trace;  ///< finish the commit under its own span
-  };
-  // Group-commit state (primary-only, volatile: a takeover re-runs phase 1
-  // for ending transactions, which re-enters CompleteCommit).
-  std::vector<MatWaiter> mat_waiting_;
-  bool mat_gathering_ = false;        ///< window timer armed
-  bool mat_write_in_flight_ = false;  ///< MAT force timer armed
+  /// MAT commit-record writes; a takeover re-runs phase 1 for ending
+  /// transactions, which re-enters CompleteCommit.
+  audit::GroupCommit mat_commit_;
 };
 
 }  // namespace encompass::tmf

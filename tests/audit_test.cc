@@ -320,6 +320,38 @@ TEST_F(AuditGroupCommitTest, BatchingWindowMergesIntoOneWrite) {
   EXPECT_EQ(sizes->Max(), 4);
 }
 
+TEST_F(AuditGroupCommitTest, WriteRestartsAfterItsGatheringWindow) {
+  const SimDuration window = Millis(1);
+  Start(window);
+  // Two forces share the first write. A third, arriving while that write is
+  // in flight, waits for it to land and then opens a window of its own, so
+  // its reply comes exactly window + kDiscForceLatency after the first's.
+  auto* a = client_->CallRaw(Audit(), kAuditForce, {});
+  auto* b = client_->CallRaw(Audit(), kAuditForce, {});
+  while (sim_->GetStats().Counter("audit.forces") < 1) {
+    ASSERT_TRUE(sim_->Step());
+  }
+  auto* c = client_->CallRaw(Audit(), kAuditForce, {});
+  SimTime first_reply = 0;
+  while (!c->done) {
+    ASSERT_TRUE(sim_->Step());
+    if (first_reply == 0 && a->done) first_reply = sim_->Now();
+  }
+  const SimTime third_reply = sim_->Now();
+  sim_->Run();
+  for (auto* out : {a, b, c}) {
+    ASSERT_TRUE(out->done);
+    EXPECT_TRUE(out->status.ok());
+  }
+  EXPECT_EQ(sim_->GetStats().Counter("audit.forces"), 2);
+  const auto* sizes = sim_->GetStats().FindHistogram("audit.group_commit_size");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count(), 2u);
+  EXPECT_EQ(sizes->Min(), 1);
+  EXPECT_EQ(sizes->Max(), 2);
+  EXPECT_EQ(third_reply - first_reply, window + kDiscForceLatency);
+}
+
 TEST_F(AuditGroupCommitTest, SequentialForcesDoNotCoalesce) {
   Start(/*window=*/0);
   // Forces separated in time keep the pre-group-commit behaviour: one

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "encompass/deployment.h"
 #include "tmf/file_system.h"
 #include "tmf/rollforward.h"
@@ -51,6 +53,10 @@ class TmfTest : public ::testing::Test {
   }
 
   net::Address Tmp1() { return net::Address(1, "$TMP"); }
+
+  void CheckTmpTakeoverResumesCommit(
+      const std::function<bool(const Transid&)>& reach_kill_instant,
+      int64_t mat_forces);
 
   uint64_t Begin() {
     auto* o = client_->CallRaw(Tmp1(), kTmfBegin, {});
@@ -367,23 +373,65 @@ TEST_F(TmfTest, InDoubtTransactionResolvedByManualOverride) {
 // TMP takeover
 // ---------------------------------------------------------------------------
 
-TEST_F(TmfTest, TmpTakeoverResumesCommit) {
+// Sends END, lets `reach_kill_instant` advance the simulation to the kill
+// instant (returning whether it got there), kills the TMP primary's CPU
+// (cpu 3), and checks that the new primary finishes the commit exactly once
+// after `mat_forces` MAT writes in all.
+void TmfTest::CheckTmpTakeoverResumesCommit(
+    const std::function<bool(const Transid&)>& reach_kill_instant,
+    int64_t mat_forces) {
   uint64_t t = Begin();
   EXPECT_TRUE(Insert(t, "acct", "a1", "100").ok());
+  const Transid transid = Transid::Unpack(t);
   os::CallOptions opt;
   opt.timeout = Seconds(2);
   opt.retries = 3;
-  auto* o = client_->CallRaw(Tmp1(), kTmfEnd,
-                             EncodeTransidPayload(Transid::Unpack(t)), t, opt);
-  // Kill the TMP primary's CPU (cpu 3) while the commit is in flight.
-  sim_.RunFor(Millis(2));
+  auto* o = client_->CallRaw(Tmp1(), kTmfEnd, EncodeTransidPayload(transid),
+                             t, opt);
+  EXPECT_TRUE(reach_kill_instant(transid));
   node1_->node()->FailCpu(3);
   sim_.RunFor(Seconds(8));
   ASSERT_TRUE(o->done);
   EXPECT_TRUE(o->status.ok());
   EXPECT_EQ(DiscValue(node1_, "$DATA1", "acct", "a1"), "100");
-  EXPECT_EQ(node1_->storage().monitor_trail.Lookup(Transid::Unpack(t)), 1);
-  EXPECT_GE(sim_.GetStats().Counter("os.takeovers"), 1);
+  const auto& mat = node1_->storage().monitor_trail;
+  EXPECT_EQ(mat.Lookup(transid), 1);
+  EXPECT_EQ(std::count_if(mat.records().begin(), mat.records().end(),
+                          [&](const audit::CompletionRecord& r) {
+                            return r.transid == transid;
+                          }),
+            1);
+  const sim::Stats& stats = sim_.GetStats();
+  EXPECT_GE(stats.Counter("os.takeovers"), 1);
+  EXPECT_EQ(stats.Counter("tmf.takeover_resumed_commits"), 1);
+  EXPECT_EQ(stats.Counter("tmf.mat_forces"), mat_forces);
+  EXPECT_EQ(node1_->disc("$DATA1")->locks().held_count(), 0u);
+}
+
+TEST_F(TmfTest, TmpTakeoverResumesCommit) {
+  // Kill during phase 1: only the new primary writes the commit record.
+  CheckTmpTakeoverResumesCommit(
+      [this](const Transid&) {
+        sim_.RunFor(Millis(2));
+        return true;
+      },
+      /*mat_forces=*/1);
+}
+
+TEST_F(TmfTest, TmpTakeoverDuringMatWriteResumesCommit) {
+  // Kill while the commit record's MAT write is in flight. The group-commit
+  // state is volatile: that write dies with the primary, and the new
+  // primary's re-run of phase 1 forces the record once more.
+  CheckTmpTakeoverResumesCommit(
+      [this](const Transid& transid) {
+        for (int i = 0;
+             i < 1000 && sim_.GetStats().Counter("tmf.mat_forces") < 1; ++i) {
+          sim_.RunFor(Micros(100));
+        }
+        return sim_.GetStats().Counter("tmf.mat_forces") == 1 &&
+               node1_->storage().monitor_trail.Lookup(transid) == -1;
+      },
+      /*mat_forces=*/2);
 }
 
 TEST_F(TmfTest, DiscTakeoverTransparentToTransaction) {
