@@ -1,6 +1,7 @@
 // E6 — the data-base manager's storage claims: three file organizations,
 // multi-key access with automatic index maintenance, data and index
-// (prefix) compression, the main-memory cache, and key-range partitioning.
+// (prefix) compression, the main-memory cache, key-range partitioning, and
+// the heap cost of the volatile (unflushed-write) ledger.
 
 #include <chrono>
 #include <cinttypes>
@@ -150,6 +151,31 @@ void TableIndexOverheadAndPartitioning() {
   }
 }
 
+void TableVolatileLedger() {
+  Header("E6.f volatile ledger: heap held per unflushed write");
+  // Banking-shaped traffic: account records updated in place, never flushed
+  // (nothing forces data blocks during normal processing).
+  constexpr int kAccounts = 1000;
+  constexpr int kWrites = 10000;
+  Volume vol("$V");
+  vol.CreateFile("acct", FileOrganization::kKeySequenced);
+  apps::banking::SeedAccounts(&vol, "acct", kAccounts, /*initial=*/1000);
+  Random rng(97);
+  for (int i = 0; i < kWrites; ++i) {
+    Record rec;
+    rec.Set("balance", std::to_string(1000 + static_cast<int>(rng.Uniform(500))));
+    vol.Mutate("acct", MutationOp::kUpdate,
+               Slice(apps::banking::AccountKey(
+                   static_cast<int>(rng.Uniform(kAccounts)))),
+               Slice(rec.Encode()));
+  }
+  const double per_write = static_cast<double>(vol.ledger_bytes()) /
+                           static_cast<double>(vol.VolatileCount());
+  printf("unflushed writes              : %zu\n", vol.VolatileCount());
+  printf("ledger heap bytes per write   : %.1f\n", per_write);
+  ReportValue("e6.ledger.bytes_per_write", per_write);
+}
+
 /// Builds a 4 KB-block tree of `n` records "<prefix><i>" -> "value".
 BPlusTree MakeTree(int n, const std::string& prefix = "key") {
   BPlusTree tree(4096);
@@ -213,6 +239,7 @@ int main() {
   encompass::bench::TableCompression();
   encompass::bench::TableCache();
   encompass::bench::TableIndexOverheadAndPartitioning();
+  encompass::bench::TableVolatileLedger();
   encompass::bench::TableBTreeWallClock();
   encompass::bench::WriteReport();
   return 0;

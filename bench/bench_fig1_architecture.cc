@@ -49,15 +49,23 @@ void TableMessagePaths() {
   auto* client = n1->Spawn<TestClient>(0);
   sim.Run();
 
+  struct Path {
+    const char* name;
+    const char* key;
+    os::Process* echo;
+  };
+  const Path paths[] = {
+      {"same CPU", "same_cpu", same_cpu},
+      {"cross CPU (IPC bus)", "cross_cpu", cross_cpu},
+      {"cross node, 1 hop", "one_hop", remote1},
+      {"cross node, 2 hops", "two_hops", remote2},
+  };
   printf("%-28s %12s\n", "path", "rtt (us)");
-  printf("%-28s %12lld\n", "same CPU",
-         (long long)MeasureRoundTrip(&sim, client, net::Address(same_cpu->id())));
-  printf("%-28s %12lld\n", "cross CPU (IPC bus)",
-         (long long)MeasureRoundTrip(&sim, client, net::Address(cross_cpu->id())));
-  printf("%-28s %12lld\n", "cross node, 1 hop",
-         (long long)MeasureRoundTrip(&sim, client, net::Address(remote1->id())));
-  printf("%-28s %12lld\n", "cross node, 2 hops",
-         (long long)MeasureRoundTrip(&sim, client, net::Address(remote2->id())));
+  for (const auto& p : paths) {
+    SimDuration rtt = MeasureRoundTrip(&sim, client, net::Address(p.echo->id()));
+    printf("%-28s %12lld\n", p.name, (long long)rtt);
+    ReportValue(std::string("f1.rtt_us.") + p.key, static_cast<double>(rtt));
+  }
 }
 
 void TableSingleModuleFailures() {
@@ -66,17 +74,18 @@ void TableSingleModuleFailures() {
          "conserved");
   struct Case {
     const char* name;
+    const char* key;
     std::function<void(BankRig&)> inject;
   };
   const Case cases[] = {
-      {"none (control)", [](BankRig&) {}},
-      {"one CPU (disc primary)",
+      {"none (control)", "control", [](BankRig&) {}},
+      {"one CPU (disc primary)", "disc_primary_cpu",
        [](BankRig& rig) { rig.node->node()->FailCpu(1); }},
-      {"one CPU (TMP primary)",
+      {"one CPU (TMP primary)", "tmp_primary_cpu",
        [](BankRig& rig) { rig.node->node()->FailCpu(3); }},
-      {"IPC bus X",
+      {"IPC bus X", "bus_x",
        [](BankRig& rig) { rig.node->node()->SetBusUp(0, false); }},
-      {"one mirrored disc drive",
+      {"one mirrored disc drive", "disc_drive",
        [](BankRig& rig) { rig.volume->FailDrive(0); }},
   };
   for (const auto& c : cases) {
@@ -87,10 +96,13 @@ void TableSingleModuleFailures() {
     rig.sim->RunFor(Seconds(300));
     rig.sim->Run();
     long long sum = apps::banking::SumBalances(rig.volume, "acct");
-    printf("%-34s %10llu %10llu %10s\n", c.name,
-           (unsigned long long)rig.Primary()->transactions_committed(),
-           (unsigned long long)rig.Primary()->programs_failed(),
-           sum == 50 * 1000 ? "yes" : "NO");
+    const uint64_t committed = rig.Primary()->transactions_committed();
+    const uint64_t failed = rig.Primary()->programs_failed();
+    printf("%-34s %10llu %10llu %10s\n", c.name, (unsigned long long)committed,
+           (unsigned long long)failed, sum == 50 * 1000 ? "yes" : "NO");
+    const std::string key = std::string("f1.failure.") + c.key;
+    ReportValue(key + ".committed", static_cast<double>(committed));
+    ReportValue(key + ".failed", static_cast<double>(failed));
   }
 }
 
@@ -111,8 +123,10 @@ void TableMirrorFailoverRevive() {
   printf("after drive-0 failure: usable=%s write=%s (single drive carries on)\n",
          vol.Usable() ? "yes" : "no", r.status.ok() ? "ok" : "failed");
   auto copied = vol.ReviveDrive(0);
+  const size_t revived = copied.ok() ? *copied : 0;
   printf("revive drive 0: copied %zu records back to the stale mirror\n",
-         copied.ok() ? *copied : 0);
+         revived);
+  ReportValue("f1.mirror.revive_copied", static_cast<double>(revived));
   vol.FailDrive(0);
   vol.FailDrive(1);
   auto r2 = vol.ReadRecord("f", Slice("key1"));

@@ -126,16 +126,25 @@ size_t AuditTrail::bytes() const {
   return n;
 }
 
-uint64_t MonitorAuditTrail::AppendForced(const CompletionRecord& record) {
-  records_.push_back(record);
+void MonitorAuditTrail::AppendForced(const CompletionRecord& record) {
+  ++appended_;
   index_.emplace(record.transid.Pack(), record.completion);
-  return records_.size();
 }
 
 int MonitorAuditTrail::Lookup(const Transid& transid) const {
   auto it = index_.find(transid.Pack());
   if (it == index_.end()) return -1;
   return it->second == Completion::kCommitted ? 1 : 0;
+}
+
+uint64_t MonitorAuditTrail::HighestSeq(uint16_t home_node) const {
+  uint64_t highest = 0;
+  for (const auto& [packed, completion] : index_) {
+    (void)completion;
+    const Transid t = Transid::Unpack(packed);
+    if (t.home_node == home_node && t.seq > highest) highest = t.seq;
+  }
+  return highest;
 }
 
 }  // namespace encompass::audit

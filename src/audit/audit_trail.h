@@ -126,19 +126,23 @@ class AuditTrail {
 /// Writing (and forcing) a commit record here IS the commit point.
 class MonitorAuditTrail {
  public:
-  /// Appends and forces a completion record; returns its sequence number.
-  uint64_t AppendForced(const CompletionRecord& record);
+  /// Appends and forces a completion record.
+  void AppendForced(const CompletionRecord& record);
 
   /// Completion status if known: 1 = committed, 0 = aborted, -1 = unknown.
   /// O(1): served from a transid-keyed index (this sits on the
   /// disposition-query path of every in-doubt resolution).
   int Lookup(const Transid& transid) const;
 
-  const std::vector<CompletionRecord>& records() const { return records_; }
-  size_t size() const { return records_.size(); }
+  /// Highest seq of any recorded transid begun at `home_node` (0 if none).
+  /// A restarting TMP starts its sequence above it.
+  uint64_t HighestSeq(uint16_t home_node) const;
+
+  /// Records appended, duplicates included.
+  size_t size() const { return appended_; }
 
  private:
-  std::vector<CompletionRecord> records_;
+  size_t appended_ = 0;
   // First completion recorded per transaction wins (idempotent re-commits
   // append duplicate records; the disposition never changes).
   std::unordered_map<uint64_t, Completion> index_;

@@ -16,11 +16,9 @@ const char* StatusCodeName(Status::Code code) {
     case Status::Code::kNotSupported: return "NotSupported";
     case Status::Code::kUnavailable: return "Unavailable";
     case Status::Code::kPartitioned: return "Partitioned";
-    case Status::Code::kLockConflict: return "LockConflict";
     case Status::Code::kRestartRequested: return "RestartRequested";
     case Status::Code::kInDoubt: return "InDoubt";
     case Status::Code::kEndOfFile: return "EndOfFile";
-    case Status::Code::kFull: return "Full";
     case Status::Code::kPlanViolation: return "PlanViolation";
   }
   return "Unknown";

@@ -18,7 +18,8 @@ namespace encompass {
 /// Status is OK. Statuses are cheap to copy and compare.
 class Status {
  public:
-  /// Error taxonomy. Codes are stable and serializable (messages are not).
+  /// Error taxonomy. Codes are stable and serializable (messages are not);
+  /// retired values (12, 16) are never reused.
   enum class Code : uint8_t {
     kOk = 0,
     kNotFound = 1,         ///< record / file / process does not exist
@@ -32,11 +33,9 @@ class Status {
     kNotSupported = 9,     ///< operation not implemented for this file type
     kUnavailable = 10,     ///< process, cpu, or node is down / unreachable
     kPartitioned = 11,     ///< network partition prevents communication
-    kLockConflict = 12,    ///< lock denied without wait (bounce mode)
     kRestartRequested = 13,///< server asked the terminal to restart the txn
     kInDoubt = 14,         ///< distributed txn outcome unknown at this node
     kEndOfFile = 15,       ///< cursor or scan exhausted
-    kFull = 16,            ///< out of space (file, trail, or volume)
     kPlanViolation = 17,   ///< queue-lane txn touched data outside its declared set
   };
 
@@ -74,7 +73,6 @@ class Status {
   }
   static Status InDoubt(std::string m = "") { return {Code::kInDoubt, std::move(m)}; }
   static Status EndOfFile(std::string m = "") { return {Code::kEndOfFile, std::move(m)}; }
-  static Status Full(std::string m = "") { return {Code::kFull, std::move(m)}; }
   static Status PlanViolation(std::string m = "") {
     return {Code::kPlanViolation, std::move(m)};
   }

@@ -28,17 +28,30 @@ Status Volume::CreateFile(const std::string& fname, FileOrganization org,
 
 Status Volume::DropFile(const std::string& fname) {
   if (files_.erase(fname) == 0) return Status::NotFound("no file: " + fname);
-  // Ledger entries for the dropped file can no longer be undone; purge them.
-  std::vector<UndoEntry> kept;
-  for (auto& e : undo_ledger_) {
-    if (e.file != fname) kept.push_back(std::move(e));
+  // A file never touched through the volume has no interned id, hence no
+  // ledger entries and no resident records.
+  auto it = cache_file_ids_.find(fname);
+  if (it == cache_file_ids_.end()) return Status::Ok();
+  const uint32_t fid = it->second;
+  // Ledger entries for the dropped file can no longer be undone; purge them
+  // by re-appending the survivors' encoded bytes.
+  Bytes kept;
+  size_t kept_entries = 0;
+  Slice in(ledger_);
+  LedgerEntry e;
+  while (true) {
+    const uint8_t* begin = in.data();
+    if (!LedgerNext(&in, &e)) break;
+    if (e.file_id == fid) continue;
+    kept.insert(kept.end(), begin, in.data());
+    ++kept_entries;
   }
-  undo_ledger_ = std::move(kept);
+  ledger_ = std::move(kept);
+  ledger_entries_ = kept_entries;
   // Resident records of the dropped file must not satisfy reads of a later
   // file reusing the name. The interned id survives (and is reused), so a
   // re-created file starts cold but keeps O(1) lookups.
-  auto it = cache_file_ids_.find(fname);
-  if (it != cache_file_ids_.end()) CacheDropFile(it->second);
+  CacheDropFile(fid);
   return Status::Ok();
 }
 
@@ -142,20 +155,13 @@ OpResult Volume::Mutate(const std::string& fname, MutationOp op, const Slice& ke
     }
   }
 
-  UndoEntry undo;
-  undo.file = fname;
-  undo.op = op;
-  undo.before = out.before;
-  undo.existed = out.existed;
-
   switch (op) {
     case MutationOp::kInsert: {
       Bytes assigned;
       out.status = file->Insert(key, record, &assigned);
       if (out.status.ok()) {
-        out.key = assigned;
-        undo.key = assigned;
-        CacheTouch(fid, Slice(assigned));
+        out.key = std::move(assigned);
+        CacheTouch(fid, Slice(out.key));
       }
       break;
     }
@@ -163,7 +169,6 @@ OpResult Volume::Mutate(const std::string& fname, MutationOp op, const Slice& ke
       out.status = file->Update(key, record);
       if (out.status.ok()) {
         out.key = key.ToBytes();
-        undo.key = key.ToBytes();
         CacheTouch(fid, key);
       }
       break;
@@ -171,7 +176,6 @@ OpResult Volume::Mutate(const std::string& fname, MutationOp op, const Slice& ke
       out.status = file->Delete(key);
       if (out.status.ok()) {
         out.key = key.ToBytes();
-        undo.key = key.ToBytes();
         CacheErase(fid, key);
       }
       break;
@@ -181,11 +185,7 @@ OpResult Volume::Mutate(const std::string& fname, MutationOp op, const Slice& ke
     // Write-back: the update lives in cache/memory only until Flush. This is
     // the paper's "audit records need not be written to disc prior to
     // updating the data base" — nothing is forced here.
-    undo_ledger_.push_back(std::move(undo));
-    // A drive that is down misses this write and becomes stale.
-    for (int d = 0; d < drive_count(); ++d) {
-      if (!drive_up_[d]) drive_stale_[d] = true;
-    }
+    LedgerAppend(fid, op, out.existed, Slice(out.key), Slice(out.before));
   }
   return out;
 }
@@ -205,19 +205,15 @@ OpResult Volume::ApplyUndo(const std::string& fname, MutationOp original_op,
   const uint32_t fid = CacheFileId(fname);
   auto current = file->Read(key);
 
-  UndoEntry undo;
-  undo.file = fname;
-  undo.key = key.ToBytes();
-
+  // The compensation enters the ledger as the forward write it performs.
+  MutationOp done = original_op;
   switch (original_op) {
     case MutationOp::kInsert:
       if (!current.ok()) {
         out.status = Status::Ok();  // already compensated
         return out;
       }
-      undo.op = MutationOp::kDelete;
-      undo.before = std::move(*current);
-      undo.existed = true;
+      done = MutationOp::kDelete;
       out.status = PhysicalRemove(file, key);
       if (out.status.ok()) CacheErase(fid, key);
       break;
@@ -230,9 +226,6 @@ OpResult Volume::ApplyUndo(const std::string& fname, MutationOp original_op,
         out.status = Status::Ok();  // already compensated
         return out;
       }
-      undo.op = MutationOp::kUpdate;
-      undo.before = std::move(*current);
-      undo.existed = true;
       out.status = file->Update(key, before);
       if (out.status.ok()) CacheTouch(fid, key);
       break;
@@ -241,16 +234,16 @@ OpResult Volume::ApplyUndo(const std::string& fname, MutationOp original_op,
         out.status = Status::Ok();  // already compensated
         return out;
       }
-      undo.op = MutationOp::kInsert;
+      done = MutationOp::kInsert;
       out.status = file->Insert(key, before, nullptr);
       if (out.status.ok()) CacheTouch(fid, key);
       break;
   }
   if (out.status.ok()) {
-    undo_ledger_.push_back(std::move(undo));
-    for (int d = 0; d < drive_count(); ++d) {
-      if (!drive_up_[d]) drive_stale_[d] = true;
-    }
+    // An undone delete re-inserts: nothing existed before it.
+    const bool existed = current.ok();
+    LedgerAppend(fid, done, existed, key,
+                 existed ? Slice(*current) : Slice());
   }
   return out;
 }
@@ -347,11 +340,39 @@ OpResult Volume::ReadAlternate(const std::string& fname, const std::string& fiel
 // Durability boundary
 // ---------------------------------------------------------------------------
 
+void Volume::LedgerAppend(uint32_t file_id, MutationOp op, bool existed,
+                          const Slice& key, const Slice& before) {
+  PutFixed8(&ledger_, static_cast<uint8_t>(op));
+  PutFixed8(&ledger_, existed ? 1 : 0);
+  PutVarint32(&ledger_, file_id);
+  PutLengthPrefixed(&ledger_, key);
+  PutLengthPrefixed(&ledger_, before);
+  ++ledger_entries_;
+  // A drive that is down misses this write and becomes stale.
+  for (int d = 0; d < drive_count(); ++d) {
+    if (!drive_up_[d]) drive_stale_[d] = true;
+  }
+}
+
+bool Volume::LedgerNext(Slice* in, LedgerEntry* entry) {
+  uint8_t op = 0;
+  uint8_t existed = 0;
+  if (!GetFixed8(in, &op) || !GetFixed8(in, &existed) ||
+      !GetVarint32(in, &entry->file_id) || !GetLengthPrefixed(in, &entry->key) ||
+      !GetLengthPrefixed(in, &entry->before)) {
+    return false;
+  }
+  entry->op = static_cast<MutationOp>(op);
+  entry->existed = existed != 0;
+  return true;
+}
+
 int Volume::Flush() {
-  int writes = static_cast<int>(undo_ledger_.size()) * UpDrives();
+  int writes = static_cast<int>(ledger_entries_) * UpDrives();
   physical_writes_ += writes;
   if (stats_ != nullptr) stats_->Incr(m_physical_writes_, writes);
-  undo_ledger_.clear();
+  ledger_.clear();
+  ledger_entries_ = 0;
   return writes;
 }
 
@@ -363,22 +384,38 @@ Status Volume::PhysicalRemove(StructuredFile* file, const Slice& key) {
 }
 
 void Volume::DropVolatile() {
-  for (auto it = undo_ledger_.rbegin(); it != undo_ledger_.rend(); ++it) {
-    StructuredFile* file = Find(it->file);
+  // Entries are variable-length and encoded forward: find where each one
+  // starts, then revert them newest first.
+  std::vector<size_t> starts;
+  starts.reserve(ledger_entries_);
+  Slice in(ledger_);
+  LedgerEntry e;
+  while (true) {
+    const size_t start = ledger_.size() - in.size();
+    if (!LedgerNext(&in, &e)) break;
+    starts.push_back(start);
+  }
+  std::vector<StructuredFile*> files(cache_file_ids_.size(), nullptr);
+  for (const auto& [fname, id] : cache_file_ids_) files[id] = Find(fname);
+  for (auto it = starts.rbegin(); it != starts.rend(); ++it) {
+    in = Slice(ledger_.data() + *it, ledger_.size() - *it);
+    LedgerNext(&in, &e);
+    StructuredFile* file = files[e.file_id];
     if (file == nullptr) continue;
-    switch (it->op) {
+    switch (e.op) {
       case MutationOp::kInsert:
-        PhysicalRemove(file, Slice(it->key));
+        PhysicalRemove(file, e.key);
         break;
       case MutationOp::kUpdate:
-        if (it->existed) file->Update(Slice(it->key), Slice(it->before));
+        if (e.existed) file->Update(e.key, e.before);
         break;
       case MutationOp::kDelete:
-        if (it->existed) file->Insert(Slice(it->key), Slice(it->before), nullptr);
+        if (e.existed) file->Insert(e.key, e.before, nullptr);
         break;
     }
   }
-  undo_ledger_.clear();
+  ledger_.clear();
+  ledger_entries_ = 0;
   // Main memory is gone with the node: the cache is cold. Interned file ids
   // survive — they name files, not contents.
   CacheClear();
@@ -548,7 +585,8 @@ Status Volume::RestoreFromArchive(const Slice& archive) {
     restored[fname] = std::move(file);
   }
   files_ = std::move(restored);
-  undo_ledger_.clear();
+  ledger_.clear();
+  ledger_entries_ = 0;
   CacheClear();
   return Status::Ok();
 }

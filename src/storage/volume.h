@@ -102,10 +102,12 @@ class Volume {
   /// Forces all volatile updates to disc (clears the ledger). Returns the
   /// number of physical writes performed (x up drives).
   int Flush();
-  size_t VolatileCount() const { return undo_ledger_.size(); }
+  size_t VolatileCount() const { return ledger_entries_; }
   /// Total node failure: every unflushed update is lost. Reverts the ledger
   /// in reverse order, restoring the last flushed state.
   void DropVolatile();
+  /// Heap bytes the volatile ledger holds (its segment's capacity).
+  size_t ledger_bytes() const { return ledger_.capacity(); }
 
   // -- Mirrored drives ---------------------------------------------------------------
 
@@ -157,13 +159,20 @@ class Volume {
   uint32_t CacheFileId(const std::string& fname);
 
  private:
-  struct UndoEntry {
-    std::string file;
-    MutationOp op;
-    Bytes key;
-    Bytes before;
-    bool existed;
+  /// One decoded ledger entry; the slices view the ledger segment.
+  struct LedgerEntry {
+    MutationOp op = MutationOp::kInsert;
+    bool existed = false;
+    uint32_t file_id = 0;
+    Slice key;
+    Slice before;
   };
+  /// Registers one unforced write in the volatile ledger, and marks every
+  /// down drive stale (it missed the write).
+  void LedgerAppend(uint32_t file_id, MutationOp op, bool existed,
+                    const Slice& key, const Slice& before);
+  /// Decodes the entry at the front of `in` and consumes it.
+  static bool LedgerNext(Slice* in, LedgerEntry* entry);
 
   /// One resident cache line: which record of which (interned) file.
   struct CacheEntry {
@@ -203,7 +212,11 @@ class Volume {
   std::string name_;
   VolumeConfig config_;
   std::map<std::string, std::unique_ptr<StructuredFile>> files_;
-  std::vector<UndoEntry> undo_ledger_;
+  // Volatile ledger: every unflushed write, encoded back to back as
+  // [op u8][existed u8][file id varint][key len-prefixed][before
+  // len-prefixed]. The file id is the interned cache id (CacheFileId).
+  Bytes ledger_;
+  size_t ledger_entries_ = 0;
   bool drive_up_[2] = {true, true};
   bool drive_stale_[2] = {false, false};
 

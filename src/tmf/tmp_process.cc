@@ -1,5 +1,6 @@
 #include "tmf/tmp_process.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "audit/audit_process.h"
@@ -87,11 +88,8 @@ void TmpProcess::OnPairAttach() {
   // live node).
   if (next_seq_ < config_.seq_base) next_seq_ = config_.seq_base;
   if (config_.monitor_trail != nullptr) {
-    for (const auto& rec : config_.monitor_trail->records()) {
-      if (rec.transid.home_node == node()->id() && rec.transid.seq > next_seq_) {
-        next_seq_ = rec.transid.seq;
-      }
-    }
+    next_seq_ =
+        std::max(next_seq_, config_.monitor_trail->HighestSeq(node()->id()));
   }
   ArmIndoubtResolve();
 }
