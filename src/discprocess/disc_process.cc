@@ -54,7 +54,6 @@ void DiscProcess::OnPairAttach() {
   m_.scan_batches = stats.RegisterCounter("disc.scan_batches");
   m_.scan_records = stats.RegisterCounter("disc.scan_records");
   m_.undo_ops = stats.RegisterCounter("disc.undo_ops");
-  m_.flush_writes = stats.RegisterCounter("disc.flush_writes");
   m_.audit_records = stats.RegisterCounter("disc.audit_records");
   m_.audit_redelivery = stats.RegisterCounter("disc.audit_redelivery");
   m_.ckpt_messages = stats.RegisterCounter("disc.ckpt_messages");
@@ -305,6 +304,10 @@ void DiscProcess::Execute(const net::Message& msg, const DiscRequest& req) {
     }
     case kDiscReadAlt: {
       auto r = vol->ReadAlternate(req.file, req.field, req.value);
+      // Like a keyed read of a missing record: no record carries the value.
+      if (r.status.ok() && r.value.empty()) {
+        r.status = Status::NotFound("no " + req.field + " = " + req.value);
+      }
       FinishWithReply(msg, r.status, std::move(r.value), r.disc_ios, &batch);
       return;
     }
@@ -339,12 +342,6 @@ void DiscProcess::Execute(const net::Message& msg, const DiscRequest& req) {
                               Slice(req.record));
       stats().Incr(m_.undo_ops);
       FinishWithReply(msg, r.status, {}, r.disc_ios, &batch);
-      return;
-    }
-    case kDiscFlushVolume: {
-      int writes = vol->Flush();
-      stats().Incr(m_.flush_writes, writes);
-      FinishWithReply(msg, Status::Ok(), {}, writes > 0 ? 1 : 0, &batch);
       return;
     }
     default:
@@ -394,13 +391,6 @@ PlannedBatchReply::OpResult DiscProcess::ExecutePlannedOp(const PlannedOp& op,
   Slice after;
   Bytes image;  // kDelta: the computed after-image
   switch (op.kind) {
-    case PlannedOp::Kind::kRead: {
-      auto r = vol->ReadRecord(op.file, Slice(op.key));
-      *disc_ios += r.disc_ios;
-      out.status = r.status.code();
-      out.value = std::move(r.value);
-      return out;
-    }
     case PlannedOp::Kind::kInsert:
       mutation = storage::MutationOp::kInsert;
       after = Slice(op.record);
@@ -565,12 +555,10 @@ void DiscProcess::FinishWithReply(const net::Message& msg, const Status& status,
   SimDuration latency;
   if (config_.overlap_mirror_reads && disc_ios > 0) {
     // Charge from the drive model: reads take the mirror that frees first
-    // (read-either), volume flushes occupy both drives (write-both).
+    // (read-either).
     const SimTime now = sim()->Now();
-    const SimDuration service = disc_ios * kDiscIoLatency;
-    storage::DriveSchedule sched = (msg.tag == kDiscFlushVolume)
-                                       ? config_.volume->ScheduleWrite(now, service)
-                                       : config_.volume->ScheduleRead(now, service);
+    storage::DriveSchedule sched =
+        config_.volume->ScheduleRead(now, disc_ios * kDiscIoLatency);
     stats().Record(m_.queue_depth, sched.queue_depth);
     latency = kRequestLatency + (sched.complete - now);
   } else {

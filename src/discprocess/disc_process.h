@@ -154,7 +154,7 @@ class DiscProcess : public os::PairedProcess {
     sim::MetricId ops, dedup_replays, dedup_inflight_drops;
     sim::MetricId lock_waits, lock_timeouts, lock_releases;
     sim::MetricId lock_conflict_aborts, lock_timeout_aborts;
-    sim::MetricId scan_batches, scan_records, undo_ops, flush_writes;
+    sim::MetricId scan_batches, scan_records, undo_ops;
     sim::MetricId planned_batches, planned_ops, planned_rejects;
     sim::MetricId audit_records, audit_redelivery;
     sim::MetricId ckpt_messages, ckpt_entries;

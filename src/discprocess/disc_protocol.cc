@@ -131,7 +131,9 @@ bool GetPlannedOp(Slice* in, PlannedOp* op) {
       !GetLengthPrefixedString(in, &op->file) ||
       !GetLengthPrefixedBytes(in, &op->key) ||
       !GetLengthPrefixedBytes(in, &op->record) ||
-      !GetLengthPrefixedString(in, &op->field) || !GetFixed64(in, &delta)) {
+      !GetLengthPrefixedString(in, &op->field) || !GetFixed64(in, &delta) ||
+      kind < static_cast<uint8_t>(PlannedOp::Kind::kInsert) ||
+      kind > static_cast<uint8_t>(PlannedOp::Kind::kDelta)) {
     return false;
   }
   op->kind = static_cast<PlannedOp::Kind>(kind);

@@ -27,7 +27,6 @@ enum DiscTag : uint32_t {
   kDiscLockFile = net::kTagDisc + 7,    ///< file-granularity lock
   kDiscTxnStateChange = net::kTagDisc + 8,  ///< from TMF: txn state broadcast
   kDiscUndo = net::kTagDisc + 9,        ///< from BACKOUTPROCESS: compensate
-  kDiscFlushVolume = net::kTagDisc + 10,///< force cached data blocks to disc
   kDiscScan = net::kTagDisc + 11,       ///< batched range scan (browse read)
   /// From TMF: enumerate the transactions currently holding locks here. The
   /// TMP's orphan-lock sweep compares the reply against its transaction
@@ -99,14 +98,13 @@ struct LockOwnersReply {
 /// and every mutation is audited (and undone on abort) under its owner.
 struct PlannedOp {
   enum class Kind : uint8_t {
-    kRead = 0,    ///< point read, no lock
     kInsert = 1,
     kUpdate = 2,  ///< full-image update
     kDelete = 3,
     kDelta = 4,   ///< read-modify-write: add `delta` to integer field `field`
   };
 
-  Kind kind = Kind::kRead;
+  Kind kind = Kind::kUpdate;
   Transid transid;
   std::string file;
   Bytes key;
@@ -118,6 +116,7 @@ struct PlannedOp {
 /// Op codec shared by PlannedBatch and the queue lane's QueueTxn. An encoded
 /// op takes at least kPlannedOpMinBytes (kind, transid, four empty
 /// length-prefixed fields, delta), which bounds a decoded op count.
+/// GetPlannedOp rejects a kind byte that names no Kind.
 constexpr size_t kPlannedOpMinBytes = 21;
 void PutPlannedOp(Bytes* out, const PlannedOp& op);
 bool GetPlannedOp(Slice* in, PlannedOp* op);
@@ -134,7 +133,7 @@ struct PlannedBatch {
 struct PlannedBatchReply {
   struct OpResult {
     Status::Code status = Status::Code::kOk;
-    Bytes value;  ///< kRead: the record image (when found)
+    Bytes value;  ///< kInsert: the assigned key; kDelta: the after-image
   };
   std::vector<OpResult> results;
 

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/logging.h"
-#include "os/cluster.h"
 #include "os/node.h"
 
 namespace encompass::os {
@@ -25,8 +24,6 @@ void Process::Attach(Node* node, int cpu, net::Pid pid) {
 net::ProcessId Process::id() const {
   return net::ProcessId{node_ ? node_->id() : net::NodeId{0}, pid_};
 }
-
-Cluster* Process::cluster() const { return node_->cluster(); }
 
 sim::Simulation* Process::sim() const { return node_->sim(); }
 

@@ -20,7 +20,6 @@
 namespace encompass::os {
 
 class Node;
-class Cluster;
 
 /// Options for Process::Call.
 struct CallOptions {
@@ -49,7 +48,6 @@ class Process {
   net::ProcessId id() const;
   int cpu() const { return cpu_; }
   Node* node() const { return node_; }
-  Cluster* cluster() const;
   sim::Simulation* sim() const;
 
   /// Human-readable identity for logs ("$DATA1(P)", "tcp-3", ...).

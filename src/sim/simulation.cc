@@ -138,11 +138,6 @@ EventId Simulation::After(SimDuration delay, EventFn fn) {
   return ScheduleOn(CtxNode(), Now() + delay, std::move(fn));
 }
 
-EventId Simulation::At(SimTime when, EventFn fn) {
-  const SimTime now = Now();
-  return ScheduleOn(CtxNode(), when < now ? now : when, std::move(fn));
-}
-
 EventId Simulation::AfterOn(uint16_t node, SimDuration delay, EventFn fn) {
   if (delay < 0) delay = 0;
   return ScheduleOn(node, Now() + delay, std::move(fn));

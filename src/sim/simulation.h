@@ -144,10 +144,6 @@ class Simulation {
   /// loop of the node whose event is executing (loop 0 outside events).
   EventId After(SimDuration delay, EventFn fn);
 
-  /// Schedules `fn` at an absolute time (clamped to now); same loop
-  /// attribution as After.
-  EventId At(SimTime when, EventFn fn);
-
   /// Schedules `fn` on `node`'s loop explicitly. Used where the OS layer
   /// schedules work for a node from outside that node's own event (process
   /// adoption, CPU regroup, message delivery hand-off).

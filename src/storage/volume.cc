@@ -489,41 +489,9 @@ DriveSchedule Volume::ScheduleRead(SimTime now, SimDuration service) {
   s.queue_depth = static_cast<int>(inflight.size());
   s.complete = best_start + service;
   drive_busy_until_[best] = s.complete;
-  drive_busy_time_[best] += service;
   ++drive_reads_[best];
   inflight.push_back(s.complete);
   return s;
-}
-
-DriveSchedule Volume::ScheduleWrite(SimTime now, SimDuration service) {
-  // Write-both: the transfer occupies every up drive; it completes when the
-  // slowest copy finishes.
-  DriveSchedule s;
-  s.drive = -1;
-  SimTime latest = now + service;
-  for (int d = 0; d < drive_count(); ++d) {
-    if (!drive_up_[d]) continue;
-    auto& inflight = drive_inflight_[d];
-    while (!inflight.empty() && inflight.front() <= now) inflight.pop_front();
-    if (s.drive < 0) {
-      s.drive = d;
-      s.queue_depth = static_cast<int>(inflight.size());
-    }
-    SimTime start = std::max(now, drive_busy_until_[d]);
-    SimTime complete = start + service;
-    drive_busy_until_[d] = complete;
-    drive_busy_time_[d] += service;
-    inflight.push_back(complete);
-    latest = std::max(latest, complete);
-  }
-  if (s.drive < 0) s.drive = 0;
-  s.complete = latest;
-  return s;
-}
-
-int64_t Volume::drive_busy_time(int drive) const {
-  if (drive < 0 || drive >= drive_count()) return 0;
-  return drive_busy_time_[drive];
 }
 
 int64_t Volume::drive_reads(int drive) const {

@@ -11,8 +11,8 @@
 // A Volume is passive hardware: latency is charged by the DISCPROCESS. It
 // either charges a flat disc_ios * kDiscIoLatency (legacy model), or — with
 // overlap_mirror_reads — consults the volume's per-drive schedule, which
-// implements the paper's write-both / read-either rule: reads occupy the
-// drive that frees first, writes occupy every up drive.
+// implements the paper's read-either rule: a read occupies the drive that
+// frees first.
 
 #ifndef ENCOMPASS_STORAGE_VOLUME_H_
 #define ENCOMPASS_STORAGE_VOLUME_H_
@@ -48,10 +48,10 @@ struct OpResult {
   bool existed = false;  ///< Mutate: a prior image existed
 };
 
-/// One scheduled physical disc operation (see Volume::ScheduleRead/Write).
+/// One scheduled physical disc read (see Volume::ScheduleRead).
 struct DriveSchedule {
   SimTime complete = 0;  ///< simulated completion time of the transfer
-  int drive = 0;         ///< drive the read was placed on (first, for writes)
+  int drive = 0;         ///< drive the read was placed on
   int queue_depth = 0;   ///< ops already pending on that drive at issue time
 };
 
@@ -121,17 +121,12 @@ class Volume {
   bool Usable() const;
   int UpDrives() const;
 
-  // -- Drive schedule (read-either / write-both timing model) -----------------------
+  // -- Drive schedule (read-either timing model) -----------------------------------
 
   /// Places a physical read of `service` duration on whichever up drive
   /// frees first (the paper's read-either rule): concurrent reads alternate
   /// across the mirror and overlap. Advances that drive's busy-until time.
   DriveSchedule ScheduleRead(SimTime now, SimDuration service);
-  /// Places a physical write on every up drive (write-both); completion is
-  /// when the slowest copy finishes.
-  DriveSchedule ScheduleWrite(SimTime now, SimDuration service);
-  /// Total simulated time drive `d` has spent transferring.
-  int64_t drive_busy_time(int drive) const;
   /// Physical reads placed on drive `d` by ScheduleRead.
   int64_t drive_reads(int drive) const;
 
@@ -223,7 +218,6 @@ class Volume {
   // Drive schedule (consulted only under overlap_mirror_reads).
   SimTime drive_busy_until_[2] = {0, 0};
   std::deque<SimTime> drive_inflight_[2];  ///< completion times, pruned lazily
-  int64_t drive_busy_time_[2] = {0, 0};
   int64_t drive_reads_[2] = {0, 0};
 
   // LRU cache over (interned file id, record key) pairs.

@@ -50,7 +50,8 @@ class FileSystem {
               Callback cb);
   void Delete(const std::string& file, const Slice& key, Callback cb);
   /// Alternate-key lookup on the partition owning `partition_key` (indices
-  /// are partition-local); reply payload is length-prefixed primary keys.
+  /// are partition-local); reply payload is length-prefixed primary keys,
+  /// NotFound when no record carries the value.
   void ReadAlternate(const std::string& file, const std::string& field,
                      const std::string& value, const Slice& partition_key,
                      Callback cb);

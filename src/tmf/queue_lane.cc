@@ -351,10 +351,4 @@ void QueuePlanner::FinishTxn(uint64_t seq) {
        opt);
 }
 
-void QueuePlanner::OnTakeover() {
-  // Planner state is volatile by design: the backup starts with empty
-  // epochs and lanes. In-flight submits time out at their clients and the
-  // TMP's auto-abort reclaims their transactions; nothing to replay here.
-}
-
 }  // namespace encompass::tmf

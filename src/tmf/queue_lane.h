@@ -60,8 +60,9 @@ struct QueueTxn {
 };
 
 /// Reply payload of kTmfQueueSubmit: the TMF transid and per-op outcomes
-/// (read values ride along). The message status is the verdict: Ok =
-/// committed, Aborted = backed out, PlanViolation = rejected unexecuted.
+/// (inserted keys and delta after-images ride along). The message status is
+/// the verdict: Ok = committed, Aborted = backed out, PlanViolation =
+/// rejected unexecuted.
 struct QueueTxnReply {
   uint64_t transid = 0;
   discprocess::PlannedBatchReply ops;  ///< one result per op, in txn order
@@ -76,7 +77,9 @@ struct QueuePlannerConfig {
   std::string tmp_process = "$TMP";
 };
 
-/// The planner/executor pair ($QPLAN).
+/// The planner/executor pair ($QPLAN). It overrides no takeover hook:
+/// planner state is volatile by design, so a new primary starts with empty
+/// epochs and lanes.
 class QueuePlanner : public os::PairedProcess {
  public:
   explicit QueuePlanner(QueuePlannerConfig config) : config_(config) {}
@@ -86,7 +89,6 @@ class QueuePlanner : public os::PairedProcess {
  protected:
   void OnPairAttach() override;
   void OnRequest(const net::Message& msg) override;
-  void OnTakeover() override;
 
  private:
   /// One admitted transaction, keyed by its plan-order sequence number.

@@ -89,6 +89,35 @@ TEST_F(EncompassTest, ServerHandlesRequestInTransaction) {
   EXPECT_EQ(Sum(), kAccounts * kInitialBalance + 500);
 }
 
+TEST_F(EncompassTest, ServerOpensAnAccountAndReadsItBack) {
+  auto* client = node1_->node()->Spawn<TestClient>(5);
+  sim_.Run();
+  auto* begin = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfBegin, {});
+  sim_.Run();
+  auto transid = tmf::DecodeTransidPayload(Slice(begin->payload));
+  ASSERT_TRUE(transid.ok());
+
+  auto* open = client->CallRaw(net::Address(1, "$SC.BANK"), kServerRequest,
+                               BankRequest("open", "new-acct", 250),
+                               transid->Pack());
+  sim_.Run();
+  EXPECT_TRUE(open->status.ok()) << open->status.ToString();
+  auto* read = client->CallRaw(net::Address(1, "$SC.BANK"), kServerRequest,
+                               BankRequest("read", "new-acct"), transid->Pack());
+  sim_.Run();
+  ASSERT_TRUE(read->status.ok()) << read->status.ToString();
+  auto reply = storage::Record::Decode(Slice(read->payload));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->Get("balance"), "250");
+
+  auto* end = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
+                              tmf::EncodeTransidPayload(*transid),
+                              transid->Pack());
+  sim_.Run();
+  EXPECT_TRUE(end->status.ok());
+  EXPECT_EQ(Sum(), kAccounts * kInitialBalance + 250);
+}
+
 TEST_F(EncompassTest, ServerClassGrowsUnderLoadAndReapsWhenIdle) {
   auto* client = node1_->node()->Spawn<TestClient>(5);
   sim_.Run();

@@ -93,6 +93,33 @@ class ManufacturingTest : public ::testing::Test {
     return end->done ? end->status : Status::Timeout("end");
   }
 
+  /// Sends one request to `node`'s server class, inside BEGIN/END when
+  /// `in_txn`; returns the server's reply.
+  testutil::TestClient::Outcome Serve(net::NodeId node,
+                                      const storage::Record& req, bool in_txn) {
+    TestClient* client = clients_[node];
+    uint64_t transid = 0;
+    if (in_txn) {
+      auto* begin = client->CallRaw(net::Address(node, "$TMP"), tmf::kTmfBegin, {});
+      sim_.RunFor(Millis(5));
+      auto t = tmf::DecodeTransidPayload(Slice(begin->payload));
+      EXPECT_TRUE(t.ok());
+      if (t.ok()) transid = t->Pack();
+    }
+    auto* send = client->CallRaw(net::Address(node, GlobalServerClass()),
+                                 app::kServerRequest, req.Encode(), transid);
+    sim_.RunFor(Seconds(1));
+    EXPECT_TRUE(send->done);
+    if (in_txn) {
+      auto* end = client->CallRaw(net::Address(node, "$TMP"), tmf::kTmfEnd,
+                                  tmf::EncodeTransidPayload(Transid::Unpack(transid)),
+                                  transid);
+      sim_.RunFor(Seconds(1));
+      EXPECT_TRUE(end->done && end->status.ok());
+    }
+    return *send;
+  }
+
   sim::Simulation sim_;
   Deployment deploy_;
   std::map<net::NodeId, SuspenseMonitor*> monitors_;
@@ -229,6 +256,29 @@ TEST_F(ManufacturingTest, MixedTcpWorkloadConvergesEverywhere) {
   for (net::NodeId n : kNodes) {
     EXPECT_EQ(SuspenseDepth(&deploy_, n), 0u) << "node " << n;
   }
+}
+
+TEST_F(ManufacturingTest, LocalReadServesTheNodesOwnCopy) {
+  SeedGlobalRecord(&deploy_, kNodes, "item-master", "X7", "v1", /*master=*/1);
+  storage::Record req;
+  req.Set("op", "lread").Set("file", "item-master").Set("key", "X7");
+  auto read = Serve(3, req, /*in_txn=*/false);
+  ASSERT_TRUE(read.status.ok()) << read.status.ToString();
+  auto rec = storage::Record::Decode(Slice(read.payload));
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->Get("val"), "v1");
+}
+
+TEST_F(ManufacturingTest, DeferredUpdateCreatesAMissingCopy) {
+  // A record created at its master reaches a copy that lacks it as a
+  // deferred update, which inserts the copy.
+  storage::Record req;
+  req.Set("op", "dupdate").Set("file", "item-master").Set("key", "N1")
+      .Set("val", "v9").Set("master", "1");
+  ASSERT_FALSE(CopyValue(&deploy_, 4, "item-master", "N1").has_value());
+  auto applied = Serve(4, req, /*in_txn=*/true);
+  EXPECT_TRUE(applied.status.ok()) << applied.status.ToString();
+  EXPECT_EQ(CopyValue(&deploy_, 4, "item-master", "N1"), "v9");
 }
 
 }  // namespace

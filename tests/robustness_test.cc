@@ -179,8 +179,7 @@ void ExpectTruncationsRejected(const Bytes& full) {
 std::vector<discprocess::PlannedOp> OneOpOfEveryKind() {
   using Kind = discprocess::PlannedOp::Kind;
   std::vector<discprocess::PlannedOp> ops;
-  for (Kind kind : {Kind::kRead, Kind::kInsert, Kind::kUpdate, Kind::kDelete,
-                    Kind::kDelta}) {
+  for (Kind kind : {Kind::kInsert, Kind::kUpdate, Kind::kDelete, Kind::kDelta}) {
     discprocess::PlannedOp op;
     op.kind = kind;
     op.transid = Transid{3, 1, 40 + ops.size()};
@@ -238,6 +237,20 @@ TEST(DecoderFuzzTest, TruncationsOfValidMessagesAreRejectedCleanly) {
   EXPECT_EQ(decoded_txn->declared, txn.declared);
   ExpectSameOps(decoded_txn->ops, txn.ops);
   ExpectTruncationsRejected<tmf::QueueTxn>(full);
+}
+
+TEST(DecoderFuzzTest, PlannedOpKindOutsideTheEnumIsRejected) {
+  discprocess::PlannedBatch batch;
+  batch.ops = OneOpOfEveryKind();
+  batch.ops.resize(1);
+  Bytes full = batch.Encode();
+  ASSERT_TRUE(discprocess::PlannedBatch::Decode(Slice(full)).ok());
+  // The kind byte follows the varint op count.
+  for (uint8_t kind : {0, 5, 255}) {
+    full[1] = kind;
+    EXPECT_FALSE(discprocess::PlannedBatch::Decode(Slice(full)).ok())
+        << "kind " << int{kind};
+  }
 }
 
 // ---------------------------------------------------------------------------

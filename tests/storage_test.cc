@@ -289,6 +289,7 @@ TEST(FileTest, RelativeFileSlots) {
   EXPECT_TRUE(f->Insert(Slice(k5), Slice("again"), nullptr).IsAlreadyExists());
   EXPECT_EQ(ToString(*f->Read(Slice(k5))), "five");
   EXPECT_TRUE(f->Read(Slice(EncodeRecnum(6))).status().IsNotFound());
+  EXPECT_TRUE(f->Insert(Slice("short"), Slice("x"), nullptr).IsInvalidArgument());
   EXPECT_TRUE(f->Update(Slice(k5), Slice("FIVE")).ok());
   EXPECT_TRUE(f->Delete(Slice(k5)).ok());
   EXPECT_EQ(f->record_count(), 0u);

@@ -1,10 +1,19 @@
 // Edge-case tests for TMF's failure handling: abandoned-transaction
-// auto-abort, orphan phase-2/abort dispositions, duplicate protocol
-// messages, disposition queries, and the reliable audit-delivery queue.
+// auto-abort, orphan phase-2/abort dispositions, orphaned disc locks at a
+// participant, duplicate protocol messages, disposition queries, and the
+// reliable audit-delivery queue across AUDITPROCESS and DISCPROCESS
+// failures.
+//
+// Service CPU placement on each 4-CPU node (deployment order):
+//   $AUD.<vol> pair on (0,1), <vol> DISCPROCESS pair on (1,2),
+//   $BACKOUT pair on (2,3), $TMP pair on (3,0).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/banking/banking.h"
+#include "discprocess/disc_protocol.h"
 #include "encompass/deployment.h"
 #include "test_util.h"
 #include "tmf/file_system.h"
@@ -21,12 +30,14 @@ using testutil::TestClient;
 
 class TmfEdgeTest : public ::testing::Test {
  protected:
-  TmfEdgeTest() : sim_(71), deploy_(&sim_) {
+  explicit TmfEdgeTest(SimDuration indoubt_resolve_interval = 0)
+      : sim_(71), deploy_(&sim_) {
     for (net::NodeId id : {1, 2}) {
       NodeSpec spec;
       spec.id = id;
       spec.node_config.num_cpus = 4;
       spec.tmp_config.auto_abort_timeout = Seconds(5);
+      spec.tmp_config.indoubt_resolve_interval = indoubt_resolve_interval;
       spec.volumes = {VolumeSpec{
           "$DATA" + std::to_string(id),
           {FileSpec{"f" + std::to_string(id)}},
@@ -57,6 +68,41 @@ class TmfEdgeTest : public ::testing::Test {
     client_->set_current_transid(0);
     sim_.RunFor(Millis(200));
     return ok;
+  }
+
+  /// Issues an update of f1 without running the simulation; `*ok` is set
+  /// when the reply arrives.
+  void UpdateF1(uint64_t transid, const std::string& key,
+                const std::string& value, bool* ok) {
+    client_->set_current_transid(transid);
+    fs_->Update("f1", Slice(key), Slice(value),
+                [ok](const Status& s, const Bytes&) { *ok = s.ok(); });
+    client_->set_current_transid(0);
+  }
+
+  Status Finish(uint32_t tag, uint64_t transid) {
+    auto* o = client_->CallRaw(net::Address(1, "$TMP"), tag,
+                               EncodeTransidPayload(Transid::Unpack(transid)),
+                               transid);
+    sim_.RunFor(Seconds(2));
+    EXPECT_TRUE(o->done);
+    return o->status;
+  }
+
+  std::string Value(net::NodeId id, const std::string& key) {
+    auto r = deploy_.GetNode(id)
+                 ->storage()
+                 .volumes.at("$DATA" + std::to_string(id))
+                 ->ReadRecord("f" + std::to_string(id), Slice(key));
+    return r.status.ok() ? ToString(r.value) : "<" + r.status.ToString() + ">";
+  }
+
+  /// Audit records of `transid` in node `id`'s trail, durable or not.
+  std::vector<audit::AuditRecord> TrailRecords(net::NodeId id,
+                                               uint64_t transid) {
+    const std::string trail = "$DATA" + std::to_string(id) + ".AT";
+    return deploy_.GetNode(id)->storage().trails.at(trail)->RecordsForTransaction(
+        Transid::Unpack(transid));
   }
 
   sim::Simulation sim_;
@@ -291,6 +337,142 @@ TEST_F(TmfEdgeTest, AuditQueueRedeliversAcrossAuditTakeover) {
   auto images = trail->RecordsForTransaction(Transid::Unpack(t));
   EXPECT_EQ(images.size(), 1u);
   EXPECT_LE(images[0].lsn, trail->durable_lsn());  // forced at phase 1
+}
+
+// Both AUDITPROCESS CPUs of node 1 fail at once; CPU 1 also held the
+// DISCPROCESS primary, whose backup on CPU 2 takes over. Until the guardian
+// respawns the audit pair, every delivery of the new primary's audit records
+// fails, and the records must wait in its queue rather than be lost.
+void FailAuditPair(NodeDeployment* node) {
+  node->node()->FailCpu(0);
+  node->node()->FailCpu(1);
+}
+
+TEST_F(TmfEdgeTest, AuditQueueOutlivesADeadAuditPair) {
+  auto* node1 = deploy_.GetNode(1);
+  uint64_t t0 = Begin();
+  ASSERT_TRUE(Insert(t0, "f1", "k1"));
+  ASSERT_TRUE(Finish(kTmfEnd, t0).ok());
+
+  FailAuditPair(node1);
+  uint64_t t = Begin();
+  bool updated = false;
+  UpdateF1(t, "k1", "v2", &updated);
+  ASSERT_TRUE(Insert(t, "f1", "k2"));
+  EXPECT_TRUE(updated);
+  sim_.RunFor(Seconds(1));
+  EXPECT_GT(sim_.GetStats().Counter("disc.audit_redelivery"), 0)
+      << "no delivery attempt failed: the audit pair was never away";
+
+  // Each image reached the trail exactly once, and the backout finds them.
+  std::vector<std::string> keys;
+  for (const auto& rec : TrailRecords(1, t)) keys.push_back(ToString(rec.key));
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<std::string>{"k1", "k2"}));
+  EXPECT_TRUE(Finish(kTmfAbort, t).ok());
+  EXPECT_EQ(Value(1, "k1"), "v");
+  EXPECT_TRUE(Value(1, "k2").find("NotFound") != std::string::npos)
+      << Value(1, "k2");
+  EXPECT_EQ(node1->disc("$DATA1")->locks().held_count(), 0u);
+}
+
+TEST_F(TmfEdgeTest, FreshDiscBackupInheritsTheUndeliveredAuditQueue) {
+  auto* node1 = deploy_.GetNode(1);
+  uint64_t t0 = Begin();
+  ASSERT_TRUE(Insert(t0, "f1", "k1"));
+  ASSERT_TRUE(Finish(kTmfEnd, t0).ok());
+
+  FailAuditPair(node1);
+  uint64_t t = Begin();
+  bool updated = false;
+  UpdateF1(t, "k1", "v2", &updated);
+  // The guardian respawns the audit pair and attaches a fresh backup to the
+  // DISCPROCESS, whose update record is still queued: the attach must hand
+  // the backup the queue.
+  const int64_t attached = sim_.GetStats().Counter("deploy.backup_reattached");
+  for (int i = 0; i < 1000 &&
+                  sim_.GetStats().Counter("deploy.backup_reattached") == attached;
+       ++i) {
+    sim_.RunFor(Micros(100));
+  }
+  sim_.RunFor(Millis(1));  // the attach resynchronizes the backup
+  ASSERT_TRUE(updated);
+  ASSERT_TRUE(TrailRecords(1, t).empty()) << "delivered before the attach";
+
+  // The primary dies before it redelivers: only the backup's copy of the
+  // queue can bring the record to the trail. CPU 2 also held the test
+  // client, so a new one finishes the transaction.
+  node1->node()->FailCpu(2);
+  client_ = node1->node()->Spawn<TestClient>(3);
+  sim_.RunFor(Seconds(1));
+  auto records = TrailRecords(1, t);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(ToString(records[0].key), "k1");
+  EXPECT_EQ(ToString(records[0].before), "v");
+  EXPECT_TRUE(Finish(kTmfAbort, t).ok());
+  EXPECT_EQ(Value(1, "k1"), "v");
+}
+
+// ---------------------------------------------------------------------------
+// Orphaned disc locks at a participant node
+// ---------------------------------------------------------------------------
+
+/// Runs the TMP's periodic in-doubt and orphan-lock sweep every 100 ms.
+class OrphanLockTest : public TmfEdgeTest {
+ protected:
+  OrphanLockTest() : TmfEdgeTest(Millis(100)) {}
+
+  /// Leaves a lock of `t` at node 2 that node 2's TMP never heard of: the
+  /// update goes straight to node 2's DISCPROCESS, as an operation retry
+  /// that raced a crash would, with no remote begin.
+  uint64_t OrphanAtNode2() {
+    uint64_t t0 = Begin();
+    EXPECT_TRUE(Insert(t0, "f2", "k1"));
+    EXPECT_TRUE(Finish(kTmfEnd, t0).ok());
+
+    uint64_t t = Begin();
+    EXPECT_TRUE(Insert(t, "f1", "k1"));  // home work: the MAT records t
+    discprocess::DiscRequest req;
+    req.file = "f2";
+    req.key = ToBytes("k1");
+    req.record = ToBytes("orphan");
+    auto* o = client_->CallRaw(net::Address(2, "$DATA2"),
+                               discprocess::kDiscUpdate, req.Encode(), t);
+    sim_.RunFor(Millis(50));
+    EXPECT_TRUE(o->done && o->status.ok());
+    EXPECT_EQ(deploy_.GetNode(2)->disc("$DATA2")->locks().held_count(), 1u);
+
+    // While the home still runs t, its answer is "unknown": the lock has an
+    // owner after all, and the sweep leaves it alone.
+    sim_.RunFor(Millis(500));
+    EXPECT_GT(sim_.GetStats().Counter("tmf.resolves_sent"), 0);
+    EXPECT_EQ(deploy_.GetNode(2)->disc("$DATA2")->locks().held_count(), 1u);
+    return t;
+  }
+};
+
+TEST_F(OrphanLockTest, ParticipantCommitsAnOrphanTheHomeCommitted) {
+  uint64_t t = OrphanAtNode2();
+  ASSERT_TRUE(Finish(kTmfEnd, t).ok());
+  sim_.RunFor(Seconds(1));
+  auto* node2 = deploy_.GetNode(2);
+  EXPECT_EQ(node2->disc("$DATA2")->locks().held_count(), 0u);
+  EXPECT_EQ(Value(2, "k1"), "orphan");
+  EXPECT_EQ(node2->storage().monitor_trail.Lookup(Transid::Unpack(t)), 1);
+  EXPECT_EQ(sim_.GetStats().Counter("tmf.orphan_lock_commits"), 1);
+  EXPECT_EQ(sim_.GetStats().Counter("tmf.orphan_lock_aborts"), 0);
+}
+
+TEST_F(OrphanLockTest, ParticipantBacksOutAnOrphanTheHomeAborted) {
+  uint64_t t = OrphanAtNode2();
+  ASSERT_TRUE(Finish(kTmfAbort, t).ok());
+  sim_.RunFor(Seconds(1));
+  auto* node2 = deploy_.GetNode(2);
+  EXPECT_EQ(node2->disc("$DATA2")->locks().held_count(), 0u);
+  EXPECT_EQ(Value(2, "k1"), "v");  // the before-image, from node 2's trail
+  EXPECT_EQ(node2->storage().monitor_trail.Lookup(Transid::Unpack(t)), 0);
+  EXPECT_EQ(sim_.GetStats().Counter("tmf.orphan_lock_aborts"), 1);
+  EXPECT_EQ(sim_.GetStats().Counter("tmf.orphan_lock_commits"), 0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Integration tests for TMF: the transaction verbs, the Figure-3 state
 // machine, single-node and distributed two-phase commit, unilateral abort
 // on partition, in-doubt lock retention, safe-delivery after heal, TMP
-// takeover, and ROLLFORWARD after total node failure.
+// takeover, ROLLFORWARD after total node failure, the file lock and
+// alternate-key read verbs, and a three-level transaction tree.
 //
 // Service CPU placement on a 4-CPU single-volume node (deployment order):
 //   $AUD.<vol> pair on (0,1), <vol> DISCPROCESS pair on (1,2),
@@ -9,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "encompass/deployment.h"
+#include "storage/record.h"
 #include "tmf/file_system.h"
 #include "tmf/rollforward.h"
 #include "tmf/tmf_protocol.h"
@@ -30,9 +33,14 @@ class TmfTest : public ::testing::Test {
   TmfTest() : sim_(23), deploy_(&sim_) {
     NodeSpec n1;
     n1.id = 1;
+    storage::FileSchema by_site;
+    by_site.alternate_keys = {"site"};
     n1.volumes = {VolumeSpec{
         "$DATA1",
-        {FileSpec{"acct"}},
+        {FileSpec{"acct"},
+         FileSpec{"parts", storage::FileOrganization::kKeySequenced, true,
+                  by_site},
+         FileSpec{"slots", storage::FileOrganization::kRelative}},
         {}}};
     node1_ = deploy_.AddNode(n1);
 
@@ -43,6 +51,8 @@ class TmfTest : public ::testing::Test {
 
     deploy_.LinkAll();
     EXPECT_TRUE(deploy_.DefineFile("acct", 1, "$DATA1").ok());
+    EXPECT_TRUE(deploy_.DefineFile("parts", 1, "$DATA1").ok());
+    EXPECT_TRUE(deploy_.DefineFile("slots", 1, "$DATA1").ok());
     EXPECT_TRUE(deploy_.DefineFile("stock", 2, "$DATA2").ok());
 
     client_ = node1_->node()->Spawn<TestClient>(2);
@@ -233,6 +243,67 @@ TEST_F(TmfTest, LockedReadIsRepeatableUntilCommit) {
   EXPECT_EQ(v, "100");  // repeatable
   EXPECT_TRUE(End(reader).ok());
   Abort(writer);
+}
+
+TEST_F(TmfTest, FileLockHoldsOffRecordUpdatesUntilCommit) {
+  uint64_t t0 = Begin();
+  EXPECT_TRUE(Insert(t0, "acct", "a1", "100").ok());
+  EXPECT_TRUE(End(t0).ok());
+
+  uint64_t a = Begin();
+  EXPECT_TRUE(FsOp(a, [&](FileSystem::Callback cb) {
+                fs_->LockFile("acct", std::move(cb));
+              }).ok());
+
+  // B's record update in the locked file waits (well inside the 1 s
+  // default lock timeout) instead of failing or writing.
+  uint64_t b = Begin();
+  bool updated = false;
+  Status update = Status::Timeout("no callback");
+  client_->set_current_transid(b);
+  fs_->Update("acct", Slice("a1"), Slice("200"),
+              [&](const Status& s, const Bytes&) {
+                update = s;
+                updated = true;
+              });
+  client_->set_current_transid(0);
+  sim_.RunFor(Millis(300));
+  EXPECT_FALSE(updated);
+  EXPECT_EQ(DiscValue(node1_, "$DATA1", "acct", "a1"), "100");
+
+  // A's commit releases the file lock; B's update is granted and commits.
+  EXPECT_TRUE(End(a).ok());
+  EXPECT_TRUE(updated);
+  EXPECT_TRUE(update.ok()) << update.ToString();
+  EXPECT_TRUE(End(b).ok());
+  EXPECT_EQ(DiscValue(node1_, "$DATA1", "acct", "a1"), "200");
+  EXPECT_EQ(node1_->disc("$DATA1")->locks().held_count(), 0u);
+}
+
+TEST_F(TmfTest, AlternateKeyReadFindsRecordsBySecondaryValue) {
+  uint64_t t = Begin();
+  for (const auto& [key, site] : {std::pair{"p1", "cupertino"},
+                                  {"p2", "reston"}, {"p3", "cupertino"}}) {
+    EXPECT_TRUE(Insert(t, "parts", key,
+                       ToString(storage::Record().Set("site", site).Encode()))
+                    .ok());
+  }
+  EXPECT_TRUE(End(t).ok());
+
+  auto read_alternate = [&](const std::string& value, Bytes* keys) {
+    return FsOp(0, [&](FileSystem::Callback cb) {
+      fs_->ReadAlternate("parts", "site", value, Slice(), std::move(cb));
+    }, keys);
+  };
+  Bytes keys;
+  ASSERT_TRUE(read_alternate("cupertino", &keys).ok());
+  std::vector<std::string> found;
+  Slice in(keys);
+  Slice pk;
+  while (GetLengthPrefixed(&in, &pk)) found.push_back(pk.ToString());
+  EXPECT_EQ(found, (std::vector<std::string>{"p1", "p3"}));
+
+  EXPECT_TRUE(read_alternate("neufahrn", &keys).IsNotFound());
 }
 
 // ---------------------------------------------------------------------------
@@ -487,6 +558,44 @@ TEST_F(TmfTest, RollforwardRecoversCommittedWorkAfterTotalNodeFailure) {
   (void)t2;
 }
 
+TEST_F(TmfTest, RecoverNodeRollsARelativeFileForward) {
+  auto slot = [](uint64_t n) { return ToString(storage::EncodeRecnum(n)); };
+  uint64_t t0 = Begin();
+  EXPECT_TRUE(Insert(t0, "slots", slot(1), "one").ok());
+  EXPECT_TRUE(Insert(t0, "slots", slot(2), "two").ok());
+  EXPECT_TRUE(End(t0).ok());
+  node1_->ArchiveVolumes();
+
+  // Committed after the archive: ROLLFORWARD must redo these.
+  uint64_t t1 = Begin();
+  EXPECT_TRUE(Update(t1, "slots", slot(1), "uno").ok());
+  EXPECT_TRUE(Insert(t1, "slots", slot(7), "seven").ok());
+  EXPECT_TRUE(FsOp(t1, [&](FileSystem::Callback cb) {
+                fs_->Delete("slots", Slice(slot(2)), std::move(cb));
+              }).ok());
+  EXPECT_TRUE(End(t1).ok());
+  uint64_t t2 = Begin();
+  EXPECT_TRUE(Update(t2, "slots", slot(7), "never").ok());  // never commits
+
+  deploy_.CrashNode(1);
+  sim_.RunFor(Millis(100));
+  std::vector<RollforwardReport> reports;
+  deploy_.RecoverNode(1, [&](const std::vector<RollforwardReport>& r) {
+    reports = r;
+  });
+  sim_.RunFor(Seconds(5));
+  ASSERT_EQ(reports.size(), 1u);
+
+  std::map<uint64_t, std::string> slots;
+  node1_->storage().volumes.at("$DATA1")->Find("slots")->ForEach(
+      [&](const Slice& key, const Slice& value) {
+        uint64_t n = 0;
+        EXPECT_TRUE(storage::DecodeRecnum(key, &n));
+        slots[n] = value.ToString();
+      });
+  EXPECT_EQ(slots, (std::map<uint64_t, std::string>{{1, "uno"}, {7, "seven"}}));
+}
+
 TEST_F(TmfTest, RollforwardNegotiatesEndingTransactions) {
   // A distributed transaction reaches phase 1 on node 2 (audit forced),
   // commits at home, but node 2 dies before phase 2: after restart,
@@ -543,6 +652,146 @@ TEST_F(TmfTest, RollforwardNegotiatesEndingTransactions) {
   EXPECT_GE(negotiations, 1u);
   EXPECT_EQ(report->txns_committed, 1u);
   EXPECT_EQ(DiscValue(node2_, "$DATA2", "stock", "s1"), "55");
+}
+
+// ---------------------------------------------------------------------------
+// Transaction tree: home -> B -> C, where B introduces the transid to C
+// ---------------------------------------------------------------------------
+
+class TmfTreeTest : public ::testing::Test {
+ protected:
+  TmfTreeTest() : sim_(31), deploy_(&sim_) {
+    for (net::NodeId id : {1, 2, 3}) {
+      NodeSpec spec;
+      spec.id = id;
+      spec.volumes = {VolumeSpec{Volume(id), {FileSpec{File(id)}}, {}}};
+      deploy_.AddNode(spec);
+    }
+    deploy_.LinkAll();
+    for (net::NodeId id : {1, 2, 3}) {
+      EXPECT_TRUE(deploy_.DefineFile(File(id), id, Volume(id)).ok());
+    }
+    // A requester on the home node, and one on B that works on C's file
+    // under the same transid (a server process B runs for the home).
+    home_ = deploy_.GetNode(1)->node()->Spawn<TestClient>(2);
+    home_fs_ = std::make_unique<FileSystem>(home_, &deploy_.catalog());
+    mid_ = deploy_.GetNode(2)->node()->Spawn<TestClient>(2);
+    mid_fs_ = std::make_unique<FileSystem>(mid_, &deploy_.catalog());
+    sim_.Run();
+  }
+
+  static std::string Volume(net::NodeId id) {
+    return "$DATA" + std::to_string(id);
+  }
+  static std::string File(net::NodeId id) { return "f" + std::to_string(id); }
+
+  Status Call(uint32_t tag, uint64_t transid) {
+    auto* o = home_->CallRaw(net::Address(1, "$TMP"), tag,
+                             EncodeTransidPayload(Transid::Unpack(transid)),
+                             transid);
+    sim_.Run();
+    EXPECT_TRUE(o->done);
+    return o->status;
+  }
+
+  uint64_t Begin() {
+    auto* o = home_->CallRaw(net::Address(1, "$TMP"), kTmfBegin, {});
+    sim_.Run();
+    auto t = DecodeTransidPayload(Slice(o->payload));
+    EXPECT_TRUE(t.ok());
+    return t.ok() ? t->Pack() : 0;
+  }
+
+  /// Writes `value` at key "k" of node `id`'s file from `client`.
+  Status Write(TestClient* client, FileSystem* fs, uint64_t transid,
+               net::NodeId id, const std::string& value, bool insert) {
+    Status result = Status::Timeout("no callback");
+    client->set_current_transid(transid);
+    auto cb = [&](const Status& s, const Bytes&) { result = s; };
+    if (insert) {
+      fs->Insert(File(id), Slice("k"), Slice(value), cb);
+    } else {
+      fs->Update(File(id), Slice("k"), Slice(value), cb);
+    }
+    client->set_current_transid(0);
+    sim_.Run();
+    return result;
+  }
+
+  /// Runs one transaction over the three-level tree: the home writes on
+  /// nodes 1 and 2, and B's requester writes on node 3.
+  uint64_t RunTree(const std::string& value, bool insert) {
+    uint64_t t = Begin();
+    EXPECT_TRUE(Write(home_, home_fs_.get(), t, 1, value, insert).ok());
+    EXPECT_TRUE(Write(home_, home_fs_.get(), t, 2, value, insert).ok());
+    EXPECT_TRUE(Write(mid_, mid_fs_.get(), t, 3, value, insert).ok());
+    return t;
+  }
+
+  std::string Value(net::NodeId id) {
+    auto r = deploy_.GetNode(id)->storage().volumes.at(Volume(id))->ReadRecord(
+        File(id), Slice("k"));
+    return r.status.ok() ? ToString(r.value) : "<" + r.status.ToString() + ">";
+  }
+
+  /// Safe deliveries of `tag` queued for transid `t`, as (from, to) nodes.
+  std::vector<std::pair<uint16_t, uint32_t>> Deliveries(uint64_t t,
+                                                        uint32_t tag) {
+    std::vector<std::pair<uint16_t, uint32_t>> out;
+    for (const auto& e : sim_.GetTrace().Events(t)) {
+      if (e.kind == sim::TraceEventKind::kPhase2Queued && e.a == tag) {
+        out.emplace_back(e.node, e.b);
+      }
+    }
+    return out;
+  }
+
+  void ExpectResolvedEverywhere(uint64_t t, int disposition) {
+    for (net::NodeId id : {1, 2, 3}) {
+      NodeDeployment* nd = deploy_.GetNode(id);
+      EXPECT_EQ(nd->storage().monitor_trail.Lookup(Transid::Unpack(t)),
+                disposition)
+          << "node " << id;
+      EXPECT_EQ(nd->disc(Volume(id))->locks().held_count(), 0u) << "node " << id;
+      EXPECT_EQ(nd->tmp()->ActiveTransactionCount(), 0u) << "node " << id;
+    }
+    EXPECT_EQ(sim_.GetStats().Counter("tmf.illegal_transitions"), 0);
+  }
+
+  sim::Simulation sim_;
+  Deployment deploy_;
+  TestClient* home_;
+  TestClient* mid_;
+  std::unique_ptr<FileSystem> home_fs_;
+  std::unique_ptr<FileSystem> mid_fs_;
+};
+
+TEST_F(TmfTreeTest, Phase2ReachesTheGrandchildThroughTheIntermediateNode) {
+  uint64_t t = RunTree("v1", /*insert=*/true);
+  EXPECT_TRUE(Call(kTmfEnd, t).ok());
+  sim_.Run();
+
+  for (net::NodeId id : {1, 2, 3}) EXPECT_EQ(Value(id), "v1") << "node " << id;
+  ExpectResolvedEverywhere(t, 1);
+  // The home knows only B; B forwards phase 2 to C.
+  using Hop = std::pair<uint16_t, uint32_t>;
+  EXPECT_EQ(Deliveries(t, kTmfPhase2), (std::vector<Hop>{{1, 2}, {2, 3}}));
+}
+
+TEST_F(TmfTreeTest, AbortReachesTheGrandchildThroughTheIntermediateNode) {
+  uint64_t t0 = RunTree("v0", /*insert=*/true);
+  EXPECT_TRUE(Call(kTmfEnd, t0).ok());
+  sim_.Run();
+
+  uint64_t t = RunTree("v1", /*insert=*/false);
+  EXPECT_EQ(Value(3), "v1");  // dirty at C until the abort arrives
+  EXPECT_TRUE(Call(kTmfAbort, t).ok());
+  sim_.Run();
+
+  for (net::NodeId id : {1, 2, 3}) EXPECT_EQ(Value(id), "v0") << "node " << id;
+  ExpectResolvedEverywhere(t, 0);
+  using Hop = std::pair<uint16_t, uint32_t>;
+  EXPECT_EQ(Deliveries(t, kTmfAbortTxn), (std::vector<Hop>{{1, 2}, {2, 3}}));
 }
 
 }  // namespace

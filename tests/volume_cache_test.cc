@@ -148,7 +148,7 @@ TEST(VolumeCacheTest, HitMissCountersMatchStatsAccess) {
 }
 
 // ---------------------------------------------------------------------------
-// Drive schedule: read-either / write-both
+// Drive schedule: read-either
 // ---------------------------------------------------------------------------
 
 TEST(DriveScheduleTest, ConcurrentReadsAlternateAcrossMirror) {
@@ -166,18 +166,6 @@ TEST(DriveScheduleTest, ConcurrentReadsAlternateAcrossMirror) {
   EXPECT_EQ(r3.complete, 2 * service);
   EXPECT_EQ(r3.queue_depth, 1);
   EXPECT_EQ(v.drive_reads(0) + v.drive_reads(1), 3);
-}
-
-TEST(DriveScheduleTest, WritesOccupyBothDrives) {
-  Volume v("$T", {});
-  const SimDuration service = Millis(10);
-  auto w = v.ScheduleWrite(0, service);
-  EXPECT_EQ(w.complete, service);
-  // A read after a write waits for a mirror to free (both are busy).
-  auto r = v.ScheduleRead(0, service);
-  EXPECT_EQ(r.complete, 2 * service);
-  EXPECT_EQ(v.drive_busy_time(0), 2 * service);
-  EXPECT_EQ(v.drive_busy_time(1), service);
 }
 
 TEST(DriveScheduleTest, FailedDriveSerializesReads) {
