@@ -91,23 +91,6 @@ void AuditProcess::OnRequest(const net::Message& msg) {
     case kAuditAppend: HandleAppend(msg); break;
     case kAuditForce: HandleForce(msg); break;
     case kAuditFetchTxn: HandleFetch(msg); break;
-    case kAuditPurge: {
-      // Purging is safe only for audit written before the last archive
-      // point; the caller (operations / the archive utility) owns that
-      // decision, as in real TMF.
-      Slice in(msg.payload);
-      uint64_t up_to_lsn;
-      if (!GetFixed64(&in, &up_to_lsn)) {
-        Reply(msg, Status::InvalidArgument("bad purge payload"));
-        break;
-      }
-      size_t purged = config_.trail->Purge(up_to_lsn);
-      stats().Incr(m_.files_purged, static_cast<int64_t>(purged));
-      Bytes reply;
-      PutVarint64(&reply, purged);
-      Reply(msg, Status::Ok(), reply);
-      break;
-    }
     default:
       Reply(msg, Status::InvalidArgument("unknown audit tag"));
   }
@@ -127,9 +110,17 @@ void AuditProcess::HandleAppend(const net::Message& msg) {
     Reply(msg, status);
     return;
   }
+  const size_t files = config_.trail->file_count();
   for (const Slice& body : *bodies) config_.trail->AppendEncoded(body);
   stats().Incr(m_.appended, static_cast<int64_t>(bodies->size()));
+  if (config_.trail->file_count() > files) PurgeFinished();
   if (msg.request_id != 0) Reply(msg, Status::Ok());
+}
+
+void AuditProcess::PurgeFinished() {
+  if (!config_.purge_limits) return;
+  const size_t purged = config_.trail->PurgeFinished(config_.purge_limits());
+  stats().Incr(m_.files_purged, static_cast<int64_t>(purged));
 }
 
 void AuditProcess::HandleForce(const net::Message& msg) {

@@ -3,10 +3,18 @@
 // accepts appended images from DISCPROCESSes (unforced), forces the trail to
 // disc on request (phase one of commit), and serves per-transaction image
 // fetches for the BACKOUTPROCESS and for ROLLFORWARD.
+//
+// It also manages the purging of its trail. Each append that seals an audit
+// file applies AuditTrail::PurgeFinished with the limits the node gives at
+// that instant (PurgeLimits): a file goes once it is durable, lies at or
+// below the volume's archive LSN, and holds no record of a transaction live
+// on the node. The check is a set of plain same-node calls inside the append
+// event: no message, no event of its own.
 
 #ifndef ENCOMPASS_AUDIT_AUDIT_PROCESS_H_
 #define ENCOMPASS_AUDIT_AUDIT_PROCESS_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,9 +29,6 @@ enum AuditTag : uint32_t {
   kAuditAppend = net::kTagAudit + 1,   ///< one-way: batch of AuditRecords
   kAuditForce = net::kTagAudit + 2,    ///< request: force trail to disc
   kAuditFetchTxn = net::kTagAudit + 3, ///< request: all images of a transid
-  kAuditPurge = net::kTagAudit + 4,    ///< request: drop audit files <= lsn
-                                       ///  (payload: fixed64 up_to_lsn);
-                                       ///  reply payload: varint files purged
 };
 
 /// Encodes a batch of audit records for a kAuditAppend payload.
@@ -40,6 +45,11 @@ struct AuditProcessConfig {
   /// Group commit (GroupCommit's `window`): how long the first force of a
   /// batch waits for company before the write starts; 0 starts it at once.
   SimDuration group_commit_window = 0;
+  /// The node's purge limits, supplied by the deployment: the TMP and the
+  /// DISCPROCESS that know which transactions are live sit above this
+  /// layer. When they cannot be known now (say, during a takeover) it
+  /// returns limits that purge nothing. Unset: the trail is never purged.
+  std::function<PurgeLimits()> purge_limits;
 };
 
 /// The AUDITPROCESS pair.
@@ -57,6 +67,8 @@ class AuditProcess : public os::PairedProcess {
   void HandleAppend(const net::Message& msg);
   void HandleForce(const net::Message& msg);
   void HandleFetch(const net::Message& msg);
+  /// Applies the purge rule; called when an append has sealed a file.
+  void PurgeFinished();
 
   struct Metrics {
     sim::MetricId appended, forces, forced_records, files_purged;

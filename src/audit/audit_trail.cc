@@ -25,6 +25,22 @@ void AuditTrail::AuditFile::Truncate(size_t n) {
   segment.resize(n == 0 ? 0 : ends.back());
 }
 
+bool AuditTrail::AuditFile::HoldsLive(
+    const std::function<bool(const Transid&)>& live) const {
+  // Every encoding starts with the fixed64 packed transid. A transaction's
+  // records often sit side by side: ask once per run of equal transids.
+  uint64_t asked = 0;
+  for (size_t i = 0; i < size(); ++i) {
+    Slice in = Record(i);
+    uint64_t packed = 0;
+    GetFixed64(&in, &packed);
+    if (packed == asked) continue;
+    asked = packed;
+    if (live(Transid::Unpack(packed))) return true;
+  }
+  return false;
+}
+
 uint64_t AuditTrail::AppendEncoded(const Slice& encoded) {
   const uint64_t lsn = next_lsn_++;
   AuditFile* file = &files_.back();
@@ -96,18 +112,18 @@ std::vector<AuditRecord> AuditTrail::DurableRecordsAfter(uint64_t after_lsn) con
   return out;
 }
 
-size_t AuditTrail::Purge(uint64_t up_to_lsn) {
+size_t AuditTrail::PurgeFinished(const PurgeLimits& limits) {
   size_t purged = 0;
   while (files_.size() > 1) {
     const AuditFile& file = files_.front();
-    if (file.empty() ||
-        (file.last_lsn() <= up_to_lsn && file.last_lsn() <= durable_lsn_)) {
-      ++first_file_number_;
-      files_.pop_front();
-      ++purged;
-    } else {
+    if (!file.empty() &&
+        (file.last_lsn() > limits.up_to_lsn ||
+         file.last_lsn() > durable_lsn_ || file.HoldsLive(limits.live))) {
       break;
     }
+    ++first_file_number_;
+    files_.pop_front();
+    ++purged;
   }
   return purged;
 }

@@ -9,16 +9,22 @@
 // record. The bytes are the ones the AUDITPROCESS received, so a record is
 // kept once and never re-encoded; readers decode on demand. A record's LSN
 // is its position — the file's first LSN plus its index — which holds
-// because Append hands out LSNs consecutively and DropVolatile only
-// truncates the suffix. A file is trimmed to its size when the next one
-// starts, which happens at `records_per_file` records or when the segment
-// would outgrow its 32-bit offsets.
+// because Append hands out LSNs consecutively, DropVolatile only truncates
+// the suffix and PurgeFinished only drops whole front files. A file is
+// sealed (trimmed to its size) when the next one starts, which happens at
+// `records_per_file` records or when the segment would outgrow its 32-bit
+// offsets.
+//
+// Purging: the AUDITPROCESS drops front files nothing can read any more
+// each time a file is sealed (see PurgeFinished), so a trail holds its
+// node's live transactions and what ROLLFORWARD needs, not the whole run.
 
 #ifndef ENCOMPASS_AUDIT_AUDIT_TRAIL_H_
 #define ENCOMPASS_AUDIT_AUDIT_TRAIL_H_
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +37,21 @@ namespace encompass::audit {
 /// One forced sequential disc write: an audit-trail force, the TMP's MAT
 /// commit-record force, and a $ACCEPT pair's acceptor-log force.
 constexpr SimDuration kDiscForceLatency = Millis(8);
+
+/// What the purge rule needs to know beyond the trail itself, at one
+/// instant.
+struct PurgeLimits {
+  /// Highest LSN a purge may reach: the volume's archive LSN, because
+  /// ROLLFORWARD replays every record after it. A never-archived volume
+  /// sets no floor.
+  uint64_t up_to_lsn = UINT64_MAX;
+  /// True for a transaction live on the node: its records may still be
+  /// backed out. The default calls every transaction live, so limits that
+  /// set nothing purge nothing.
+  std::function<bool(const Transid&)> live = [](const Transid&) {
+    return true;
+  };
+};
 
 /// Configuration of one audit trail.
 struct AuditTrailConfig {
@@ -68,9 +89,11 @@ class AuditTrail {
   /// reads only what made it to disc).
   std::vector<AuditRecord> DurableRecordsAfter(uint64_t after_lsn) const;
 
-  /// Drops whole audit files whose records all have lsn <= up_to_lsn and
-  /// are durable. Returns the number of files purged.
-  size_t Purge(uint64_t up_to_lsn);
+  /// The purge rule. Drops front audit files while each one is sealed (a
+  /// later file exists), durable, has every LSN <= `limits.up_to_lsn`, and
+  /// holds no record of a transaction `limits.live` reports. Returns the
+  /// number of files purged.
+  size_t PurgeFinished(const PurgeLimits& limits);
 
   /// Raises the undo floor: records with lsn <= `lsn` are excluded from
   /// backout fetches. Set by recovery after a volume is rebuilt from its
@@ -83,6 +106,10 @@ class AuditTrail {
   uint64_t undo_floor() const { return undo_floor_; }
 
   uint64_t next_lsn() const { return next_lsn_; }
+  /// LSN of the first retained record; next_lsn() when none is retained.
+  uint64_t first_lsn() const {
+    return files_.front().empty() ? next_lsn_ : files_.front().first_lsn;
+  }
   uint64_t durable_lsn() const { return durable_lsn_; }
   size_t record_count() const;
   /// Heap bytes the retained files hold: segment plus end-offset capacity.
@@ -111,6 +138,8 @@ class AuditTrail {
     AuditRecord Decode(size_t i) const;
     /// Keeps the first `n` records.
     void Truncate(size_t n);
+    /// True if some record belongs to a transaction `live` accepts.
+    bool HoldsLive(const std::function<bool(const Transid&)>& live) const;
   };
 
   std::string name_;

@@ -88,6 +88,10 @@ class LockManager {
   size_t waiter_count() const { return waiter_count_; }
   /// Transactions currently holding at least one lock.
   std::vector<Transid> Holders() const;
+  /// True if `owner` holds at least one lock: one lookup in the per-owner
+  /// table, no scan. (A ForceGrant reassignment can leave the old owner
+  /// listed until its ReleaseAll, so a stale "true" errs on the safe side.)
+  bool HoldsAny(const Transid& owner) const { return owned_.count(owner) != 0; }
   /// Every held (owner, key) pair, ordered by (file, record) — used for
   /// full-state checkpoints when a fresh backup attaches.
   std::vector<LockGrant> AllHeld() const;

@@ -63,6 +63,9 @@ void NodeDeployment::StartServices() {
     const std::string audit_name = "$AUD." + vspec.name;
     audit::AuditProcessConfig acfg = spec_.audit_config;
     acfg.trail = storage_.trails.at(TrailName(vspec.name)).get();
+    acfg.purge_limits = [this, volume = &vspec.name]() {
+      return PurgeLimitsFor(*volume);
+    };
     int a, b;
     two_cpus(&a, &b);
     os::SpawnPair<audit::AuditProcess>(node_, audit_name, a, b, acfg);
@@ -163,6 +166,26 @@ void NodeDeployment::ArchiveVolumes() {
     archive.archive_lsn = trail->next_lsn() - 1;
     storage_.archives[vspec.name] = std::move(archive);
   }
+}
+
+audit::PurgeLimits NodeDeployment::PurgeLimitsFor(
+    const std::string& volume) const {
+  audit::PurgeLimits limits;
+  const tmf::TmpProcess* tmp = this->tmp();
+  const discprocess::DiscProcess* disc = this->disc(volume);
+  if (tmp == nullptr || !tmp->IsPrimary() || disc == nullptr ||
+      !disc->IsPrimary()) {
+    return limits;
+  }
+  auto it = storage_.archives.find(volume);
+  if (it != storage_.archives.end()) limits.up_to_lsn = it->second.archive_lsn;
+  // Live: the TMP tracks it, or it holds a lock at the volume (an orphan
+  // lock the TMP's sweep has not yet resolved).
+  limits.live = [tmp, disc](const Transid& t) {
+    tmf::TxnState state;
+    return tmp->GetTxnState(t, &state) || disc->locks().HoldsAny(t);
+  };
+  return limits;
 }
 
 void NodeDeployment::RegisterRepairable(const std::string& name,

@@ -65,6 +65,8 @@ struct NodeSpec {
 };
 
 /// An archived copy of one volume, the base ROLLFORWARD rebuilds from.
+/// `archive_lsn` is the one record of the volume's archive LSN: RecoverNode
+/// replays the trail after it, and the AUDITPROCESS purges nothing above it.
 struct VolumeArchive {
   Bytes image;               ///< Volume::Archive() snapshot
   uint64_t archive_lsn = 0;  ///< the volume trail's LSN at archive time
@@ -105,7 +107,8 @@ class NodeDeployment {
 
   /// Archives every volume at a transaction-consistent point (flushes the
   /// volume, forces its trail, and snapshots), giving ROLLFORWARD a base to
-  /// rebuild from. Call while no transactions are in flight.
+  /// rebuild from. Call while no transactions are in flight. The new archive
+  /// LSN raises the floor up to which the AUDITPROCESS may purge the trail.
   void ArchiveVolumes();
 
   /// Registers a process-pair for automatic repair by the node's service
@@ -159,6 +162,10 @@ class NodeDeployment {
 
   /// Spawns one ServiceGuardian on every alive CPU lacking one.
   void EnsureGuardians();
+  /// The purge limits of `volume`'s trail (AuditProcessConfig::
+  /// purge_limits): the default limits, which purge nothing, unless both the
+  /// TMP primary and the volume's DISCPROCESS primary are found.
+  audit::PurgeLimits PurgeLimitsFor(const std::string& volume) const;
   friend class ServiceGuardian;
 
   Deployment* deployment_;

@@ -1,6 +1,7 @@
 #include "tmf/rollforward.h"
 
 #include <set>
+#include <string>
 
 #include "common/logging.h"
 
@@ -53,6 +54,13 @@ Result<RollforwardPlan> PlanRollforward(const RollforwardInput& input) {
   if (input.volume == nullptr || input.archive == nullptr ||
       input.trail == nullptr) {
     return Status::InvalidArgument("rollforward needs volume, archive, trail");
+  }
+  // Rebuilding without the records a purge dropped would silently lose
+  // committed work: refuse a trail that no longer reaches the archive.
+  if (input.trail->first_lsn() > input.archive_lsn + 1) {
+    return Status::NotFound(
+        "audit trail starts at lsn " + std::to_string(input.trail->first_lsn()) +
+        ", past archive lsn " + std::to_string(input.archive_lsn));
   }
   RollforwardPlan plan;
   plan.records = input.trail->DurableRecordsAfter(input.archive_lsn);

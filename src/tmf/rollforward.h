@@ -79,7 +79,8 @@ struct RollforwardReport {
 };
 
 /// Reads the trail and classifies every transaction against the local MAT.
-/// Does not touch the volume.
+/// Does not touch the volume. NotFound if the trail was purged past the
+/// archive (its first retained LSN is above archive_lsn + 1).
 Result<RollforwardPlan> PlanRollforward(const RollforwardInput& input);
 
 /// Rebuilds `input.volume` from the archive plus the plan's committed

@@ -1,4 +1,4 @@
-// Tests for audit records, audit trails (force/volatility/purge), the
+// Tests for audit records, audit trails (force/volatility/the purge rule), the
 // Monitor Audit Trail, and group commit in the AUDITPROCESS.
 
 #include <gtest/gtest.h>
@@ -128,6 +128,11 @@ TEST(AuditTrailTest, DurableRecordsAfterScansForwardOnly) {
   EXPECT_EQ(recs[2].lsn, 5u);
 }
 
+/// Purge limits up to `up_to_lsn` under which no transaction is live.
+PurgeLimits NoneLive(uint64_t up_to_lsn = UINT64_MAX) {
+  return PurgeLimits{up_to_lsn, [](const Transid&) { return false; }};
+}
+
 TEST(AuditTrailTest, FileRolloverAndPurge) {
   AuditTrailConfig cfg;
   cfg.records_per_file = 10;
@@ -135,13 +140,19 @@ TEST(AuditTrailTest, FileRolloverAndPurge) {
   for (int i = 0; i < 35; ++i) trail.Append(MakeRecord(1, std::to_string(i)));
   EXPECT_EQ(trail.file_count(), 4u);
   trail.Force();
-  // Purge everything up to LSN 25: the first two full files (1-10, 11-20) go.
-  size_t purged = trail.Purge(25);
+  // Purge up to LSN 25: the first two full files (1-10, 11-20) go; 21-30
+  // reaches past the limit.
+  size_t purged = trail.PurgeFinished(NoneLive(25));
   EXPECT_EQ(purged, 2u);
   EXPECT_EQ(trail.file_count(), 2u);
   EXPECT_EQ(trail.first_file_number(), 3u);
+  EXPECT_EQ(trail.first_lsn(), 21u);
   // Remaining records still scannable.
   EXPECT_EQ(trail.DurableRecordsAfter(0).size(), 15u);
+  // Without a limit, every sealed file goes; the open one always stays.
+  EXPECT_EQ(trail.PurgeFinished(NoneLive()), 1u);
+  EXPECT_EQ(trail.file_count(), 1u);
+  EXPECT_EQ(trail.first_lsn(), 31u);
 }
 
 TEST(AuditTrailTest, PurgeKeepsUnforcedFiles) {
@@ -150,7 +161,61 @@ TEST(AuditTrailTest, PurgeKeepsUnforcedFiles) {
   AuditTrail trail("AT1", cfg);
   for (int i = 0; i < 12; ++i) trail.Append(MakeRecord(1, std::to_string(i)));
   // Nothing forced: nothing purgeable.
-  EXPECT_EQ(trail.Purge(100), 0u);
+  EXPECT_EQ(trail.PurgeFinished(NoneLive()), 0u);
+  EXPECT_EQ(trail.file_count(), 3u);
+
+  // Durable through LSN 7: file 1-5 goes, file 6-10 is still partly
+  // volatile and stays, and so does everything behind it.
+  AuditTrail partly("AT2", cfg);
+  for (int i = 0; i < 7; ++i) partly.Append(MakeRecord(1, std::to_string(i)));
+  partly.Force();
+  for (int i = 7; i < 12; ++i) partly.Append(MakeRecord(1, std::to_string(i)));
+  EXPECT_EQ(partly.PurgeFinished(NoneLive()), 1u);
+  EXPECT_EQ(partly.first_lsn(), 6u);
+  EXPECT_EQ(partly.durable_lsn(), 7u);
+}
+
+TEST(AuditTrailTest, PurgeKeepsFilesOfLiveTransactions) {
+  AuditTrailConfig cfg;
+  cfg.records_per_file = 4;
+  AuditTrail trail("AT1", cfg);
+  // Transaction 7 writes LSN 6, in the second file; 20 other records
+  // follow it, from transactions 100 up.
+  for (uint64_t lsn = 1; lsn <= 26; ++lsn) {
+    trail.Append(MakeRecord(lsn == 6 ? 7 : 100 + lsn, "k" + std::to_string(lsn)));
+  }
+  trail.Force();
+  ASSERT_EQ(trail.file_count(), 7u);
+  bool seven_live = true;
+  auto live = [&seven_live](const Transid& t) {
+    return seven_live && t.seq == 7;
+  };
+  // The first file goes; the file holding LSN 6 stops the purge, and with
+  // it every file behind it.
+  EXPECT_EQ(trail.PurgeFinished({UINT64_MAX, live}), 1u);
+  EXPECT_EQ(trail.first_lsn(), 5u);
+  auto images = trail.RecordsForTransaction(Transid{1, 0, 7});
+  ASSERT_EQ(images.size(), 1u);
+  EXPECT_EQ(images[0].lsn, 6u);
+  EXPECT_EQ(trail.PurgeFinished({UINT64_MAX, live}), 0u);
+  // Once it finishes, the next purge drops all the sealed files.
+  seven_live = false;
+  EXPECT_EQ(trail.PurgeFinished({UINT64_MAX, live}), 5u);
+  EXPECT_EQ(trail.first_lsn(), 25u);
+  EXPECT_TRUE(trail.RecordsForTransaction(Transid{1, 0, 7}).empty());
+}
+
+TEST(AuditTrailTest, DefaultPurgeLimitsPurgeNothing) {
+  AuditTrailConfig cfg;
+  cfg.records_per_file = 4;
+  AuditTrail trail("AT1", cfg);
+  for (int i = 0; i < 10; ++i) trail.Append(MakeRecord(1, std::to_string(i)));
+  trail.Force();
+  ASSERT_EQ(trail.file_count(), 3u);
+  // Limits that set nothing call every transaction live: sealed, durable
+  // files stay.
+  EXPECT_EQ(trail.PurgeFinished(PurgeLimits{}), 0u);
+  EXPECT_EQ(trail.first_lsn(), 1u);
 }
 
 TEST(AuditTrailTest, DropVolatileAcrossFileBoundary) {
@@ -192,7 +257,7 @@ TEST(AuditTrailTest, PurgedTrailKeepsPositionalLsns) {
     trail.Append(MakeRecord(1 + lsn % 2, "k" + std::to_string(lsn)));
   }
   trail.Force();
-  EXPECT_EQ(trail.Purge(6), 2u);  // files 1-3 and 4-6 go; 7-8 stay
+  EXPECT_EQ(trail.PurgeFinished(NoneLive(6)), 2u);  // 1-3 and 4-6 go; 7-8 stay
   EXPECT_EQ(trail.record_count(), 2u);
   auto odd = trail.RecordsForTransaction(Transid{1, 0, 2});
   ASSERT_EQ(odd.size(), 1u);
@@ -205,6 +270,20 @@ TEST(AuditTrailTest, PurgedTrailKeepsPositionalLsns) {
   EXPECT_EQ(ToString(durable[1].key), "k8");
   EXPECT_EQ(trail.DurableRecordsAfter(7).size(), 1u);
   EXPECT_EQ(trail.Append(MakeRecord(1, "k9")), 9u);
+  // A node failure after the purge: LSNs 9-10 were never forced. The next
+  // append reuses LSN 9, and every survivor keeps its LSN.
+  EXPECT_EQ(trail.Append(MakeRecord(1, "k10")), 10u);
+  trail.DropVolatile();
+  EXPECT_EQ(trail.first_lsn(), 7u);
+  EXPECT_EQ(trail.record_count(), 2u);
+  EXPECT_EQ(trail.Append(MakeRecord(2, "k9'")), 9u);
+  trail.Force();
+  durable = trail.DurableRecordsAfter(0);
+  ASSERT_EQ(durable.size(), 3u);
+  EXPECT_EQ(durable[0].lsn, 7u);
+  EXPECT_EQ(ToString(durable[0].key), "k7");
+  EXPECT_EQ(durable[2].lsn, 9u);
+  EXPECT_EQ(ToString(durable[2].key), "k9'");
 }
 
 TEST(AuditTrailTest, EmptiedSingleFileIsReused) {
@@ -215,7 +294,7 @@ TEST(AuditTrailTest, EmptiedSingleFileIsReused) {
   trail.Append(MakeRecord(1, "b"));
   trail.Force();
   trail.Append(MakeRecord(2, "lost"));  // LSN 3 opens file 2
-  ASSERT_EQ(trail.Purge(2), 1u);        // file 2 is now the only one
+  ASSERT_EQ(trail.PurgeFinished(NoneLive(2)), 1u);  // file 2 is the only one
   trail.DropVolatile();                 // ... and holds nothing
   EXPECT_EQ(trail.file_count(), 1u);
   EXPECT_EQ(trail.first_file_number(), 2u);

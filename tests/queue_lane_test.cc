@@ -5,13 +5,16 @@
 // a file outside its declared set is rejected with the distinct
 // PlanViolation status before anything executes; the lock lane is untouched
 // by the new lane; concurrent submits share one epoch; a runtime op failure
-// aborts the whole transaction through BACKOUTPROCESS undo; and the lane is
-// byte-identical to the Step() reference at every worker count.
+// aborts the whole transaction through BACKOUTPROCESS undo, even after the
+// transaction's audit files were sealed and forced (no purge takes them
+// while only the TMP knows it is live); and the lane is byte-identical to
+// the Step() reference at every worker count.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -255,6 +258,64 @@ TEST(QueueLaneTest, RuntimeFailureAbortsAndBacksOut) {
   EXPECT_EQ(rig.sim->GetStats().Counter("queue.commits"), 0);
   EXPECT_EQ(rig.deploy->GetNode(1)->disc("$DATA1")->locks().held_count(), 0u);
   EXPECT_EQ(rig.deploy->GetNode(1)->tmp()->ActiveTransactionCount(), 0u);
+}
+
+// The audit purge rule where only the TMP knows a transaction is live: a
+// queue-lane transaction holds no record lock. This one writes more than
+// three audit files of deltas, and lock-lane commits force the trail while
+// it is live; its failing last op then aborts it. No file holding its
+// records may be purged until it has finished, and the backout restores
+// every balance.
+TEST(QueueLaneTest, AbortBacksOutFromAuditFilesSealedWhileItRan) {
+  QueueRig rig = MakeRig(19, ExecLane::kQueue);
+  constexpr int kDeltas = 3 * 4096 + 512;
+  tmf::QueueTxn big;
+  big.declared = {"acct"};
+  for (int i = 0; i < kDeltas; ++i) {
+    discprocess::PlannedOp op;
+    op.kind = discprocess::PlannedOp::Kind::kDelta;
+    op.file = "acct";
+    op.key = ToBytes(AcctKey(i % 10));
+    op.field = "balance";
+    op.delta = 1;
+    big.ops.push_back(op);
+  }
+  discprocess::PlannedOp bad = big.ops.back();
+  bad.key = ToBytes(std::string("no-such-account"));
+  big.ops.push_back(bad);
+  auto* out = rig.client->CallRaw(Qplan(), tmf::kTmfQueueSubmit, big.Encode());
+
+  tmf::FileSystem fs(rig.client, &rig.deploy->catalog());
+  int commits = 0;
+  for (int i = 0; i < 1000 && !out->done; ++i) {
+    auto* b = rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfBegin, {});
+    Pump(rig.sim.get(), b);
+    ASSERT_TRUE(b->done && b->status.ok());
+    const uint64_t t = tmf::DecodeTransidPayload(Slice(b->payload))->Pack();
+    auto inserted = std::make_shared<bool>(false);
+    rig.client->set_current_transid(t);
+    fs.Insert("other", Slice("k" + std::to_string(i)), Slice("v"),
+              [inserted](const Status& s, const Bytes&) { *inserted = s.ok(); });
+    rig.client->set_current_transid(0);
+    auto* e = rig.client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
+                                  tmf::EncodeTransidPayload(Transid::Unpack(t)),
+                                  t);
+    Pump(rig.sim.get(), e);
+    ASSERT_TRUE(*inserted);
+    ASSERT_TRUE(e->status.ok()) << e->status.ToString();
+    ++commits;
+  }
+  Pump(rig.sim.get(), out);
+  ASSERT_TRUE(out->done);
+  EXPECT_TRUE(out->status.IsAborted()) << out->status.ToString();
+  ASSERT_GE(commits, 3);  // forces while the big transaction ran
+
+  const audit::AuditTrail* trail =
+      rig.deploy->GetNode(1)->storage().trails.at("$DATA1.AT").get();
+  EXPECT_GE(trail->file_count(), 4u);
+  EXPECT_EQ(trail->first_file_number(), 1u);
+  EXPECT_EQ(rig.sim->GetStats().Counter("audit.files_purged"), 0);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(Balance(rig.volume, i), 1000) << i;
 }
 
 // Two queue-lane nodes over a partitioned file, driven concurrently: the

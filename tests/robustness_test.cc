@@ -377,6 +377,44 @@ TEST(RollforwardEdgeTest, CorruptArchiveRejected) {
   EXPECT_FALSE(tmf::Rollforward(input).ok());
 }
 
+TEST(RollforwardEdgeTest, TrailPurgedPastTheArchiveRejected) {
+  storage::Volume vol("$V");
+  storage::FileOptions opt;
+  opt.audited = true;
+  vol.CreateFile("f", storage::FileOrganization::kKeySequenced, opt);
+  vol.Flush();
+  Bytes archive = vol.Archive();
+  audit::AuditTrailConfig cfg;
+  cfg.records_per_file = 2;
+  audit::AuditTrail trail("AT", cfg);
+  audit::MonitorAuditTrail mat;
+  for (int i = 0; i < 5; ++i) {
+    trail.Append(MakeAudit(1, storage::MutationOp::kInsert,
+                           "k" + std::to_string(i), "", "v"));
+  }
+  trail.Force();
+  mat.AppendForced({Transid{1, 0, 1}, audit::Completion::kCommitted});
+  // Files 1-2 and 3-4 go: the trail now starts at LSN 5.
+  ASSERT_EQ(trail.PurgeFinished({UINT64_MAX, [](const Transid&) { return false; }}),
+            2u);
+  ASSERT_EQ(trail.first_lsn(), 5u);
+
+  tmf::RollforwardInput input;
+  input.volume = &vol;
+  input.archive = &archive;
+  input.trail = &trail;
+  input.monitor_trail = &mat;
+  input.archive_lsn = 2;  // records 3 and 4 are gone: refuse
+  auto refused = tmf::Rollforward(input);
+  EXPECT_TRUE(refused.status().IsNotFound()) << refused.status().ToString();
+  EXPECT_TRUE(vol.ReadRecord("f", Slice("k4")).status.IsNotFound());
+  input.archive_lsn = 4;  // the trail reaches back to the archive
+  auto report = tmf::Rollforward(input);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->redo_applied, 1u);
+  EXPECT_EQ(ToString(vol.ReadRecord("f", Slice("k4")).value), "v");
+}
+
 TEST(RollforwardEdgeTest, MissingInputsRejected) {
   tmf::RollforwardInput input;
   EXPECT_TRUE(tmf::Rollforward(input).status().IsInvalidArgument());

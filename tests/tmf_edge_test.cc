@@ -1,8 +1,8 @@
 // Edge-case tests for TMF's failure handling: abandoned-transaction
 // auto-abort, orphan phase-2/abort dispositions, orphaned disc locks at a
-// participant, duplicate protocol messages, disposition queries, and the
+// participant, duplicate protocol messages, disposition queries, the
 // reliable audit-delivery queue across AUDITPROCESS and DISCPROCESS
-// failures.
+// failures, and the AUDITPROCESS's purge rule.
 //
 // Service CPU placement on each 4-CPU node (deployment order):
 //   $AUD.<vol> pair on (0,1), <vol> DISCPROCESS pair on (1,2),
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "apps/banking/banking.h"
 #include "discprocess/disc_protocol.h"
@@ -30,13 +31,14 @@ using testutil::TestClient;
 
 class TmfEdgeTest : public ::testing::Test {
  protected:
-  explicit TmfEdgeTest(SimDuration indoubt_resolve_interval = 0)
+  explicit TmfEdgeTest(SimDuration indoubt_resolve_interval = 0,
+                       SimDuration auto_abort_timeout = Seconds(5))
       : sim_(71), deploy_(&sim_) {
     for (net::NodeId id : {1, 2}) {
       NodeSpec spec;
       spec.id = id;
       spec.node_config.num_cpus = 4;
-      spec.tmp_config.auto_abort_timeout = Seconds(5);
+      spec.tmp_config.auto_abort_timeout = auto_abort_timeout;
       spec.tmp_config.indoubt_resolve_interval = indoubt_resolve_interval;
       spec.volumes = {VolumeSpec{
           "$DATA" + std::to_string(id),
@@ -97,18 +99,59 @@ class TmfEdgeTest : public ::testing::Test {
     return r.status.ok() ? ToString(r.value) : "<" + r.status.ToString() + ">";
   }
 
+  audit::AuditTrail* Trail(net::NodeId id) {
+    const std::string trail = "$DATA" + std::to_string(id) + ".AT";
+    return deploy_.GetNode(id)->storage().trails.at(trail).get();
+  }
+
   /// Audit records of `transid` in node `id`'s trail, durable or not.
   std::vector<audit::AuditRecord> TrailRecords(net::NodeId id,
                                                uint64_t transid) {
-    const std::string trail = "$DATA" + std::to_string(id) + ".AT";
-    return deploy_.GetNode(id)->storage().trails.at(trail)->RecordsForTransaction(
-        Transid::Unpack(transid));
+    return Trail(id)->RecordsForTransaction(Transid::Unpack(transid));
+  }
+
+  /// Commits transactions of kFillInserts inserts each into node `id`'s
+  /// file until its audit trail has sealed `seals` more files (4096 records
+  /// each, one record per insert).
+  void CommitUntilSealed(net::NodeId id, int seals) {
+    audit::AuditTrail* trail = Trail(id);
+    auto open_file = [trail] {
+      return trail->first_file_number() + trail->file_count();
+    };
+    const uint64_t target = open_file() + static_cast<uint64_t>(seals);
+    while (open_file() < target) {
+      uint64_t t = Begin();
+      auto replies = std::make_shared<int>(0);
+      auto failures = std::make_shared<int>(0);
+      client_->set_current_transid(t);
+      for (int i = 0; i < kFillInserts; ++i) {
+        fs_->Insert("f" + std::to_string(id),
+                    Slice("fill" + std::to_string(fills_++)), Slice("v"),
+                    [replies, failures](const Status& s, const Bytes&) {
+                      ++*replies;
+                      if (!s.ok()) ++*failures;
+                    });
+      }
+      client_->set_current_transid(0);
+      for (int i = 0; i < 1000 && *replies < kFillInserts; ++i) {
+        sim_.RunFor(Millis(10));
+      }
+      ASSERT_EQ(*replies, kFillInserts);
+      ASSERT_EQ(*failures, 0);
+      ASSERT_TRUE(Finish(kTmfEnd, t).ok());
+    }
+  }
+  static constexpr int kFillInserts = 1024;
+
+  int64_t FilesPurged() {
+    return sim_.GetStats().Counter("audit.files_purged");
   }
 
   sim::Simulation sim_;
   Deployment deploy_;
   TestClient* client_;
   std::unique_ptr<FileSystem> fs_;
+  int fills_ = 0;
 };
 
 TEST_F(TmfEdgeTest, AbandonedTransactionAutoAborts) {
@@ -288,36 +331,32 @@ TEST_F(TmfEdgeTest, TxnListCodecRoundTrip) {
 }
 
 TEST_F(TmfEdgeTest, AuditPurgeDropsArchivedFiles) {
-  // Fill several audit files, force, then purge through the AUDITPROCESS
-  // message interface (as the archive utility would after an archive).
-  auto* trail = deploy_.GetNode(1)->storage().trails.at("$DATA1.AT").get();
-  for (int i = 0; i < 20; ++i) {
-    uint64_t t = Begin();
-    ASSERT_TRUE(Insert(t, "f1", "purge-k" + std::to_string(i)));
-    auto* end = client_->CallRaw(net::Address(1, "$TMP"), kTmfEnd,
-                                 EncodeTransidPayload(Transid::Unpack(t)), t);
-    sim_.Run();
-    ASSERT_TRUE(end->status.ok());
-  }
-  uint64_t cutoff = trail->durable_lsn();
-  ASSERT_GT(cutoff, 0u);
+  // Never archived: ROLLFORWARD will not read this trail, so each seal
+  // purges every finished file.
+  CommitUntilSealed(1, 3);
+  EXPECT_GE(FilesPurged(), 2);
+  EXPECT_EQ(Trail(1)->file_count(), 1u);
 
-  // Shrink audit files so there is something to purge: re-check via the
-  // message path on the existing trail (files hold 4096 records by default,
-  // so purge of a partial file is a no-op — verify both behaviours).
-  auto* purge_noop = client_->CallRaw(net::Address(1, "$AUD.$DATA1"),
-                                      audit::kAuditPurge, [cutoff] {
-                                        Bytes b;
-                                        PutFixed64(&b, cutoff);
-                                        return b;
-                                      }());
-  sim_.Run();
-  ASSERT_TRUE(purge_noop->done && purge_noop->status.ok());
-  Slice in(purge_noop->payload);
-  uint64_t purged;
-  ASSERT_TRUE(GetVarint64(&in, &purged));
-  EXPECT_EQ(purged, 0u);  // single partial file is always retained
-  EXPECT_EQ(trail->file_count(), 1u);
+  // Archived: every record after the archive LSN stays, however many
+  // files follow, because ROLLFORWARD replays them.
+  NodeDeployment* node1 = deploy_.GetNode(1);
+  node1->ArchiveVolumes();
+  const uint64_t archive_lsn = node1->storage().archives.at("$DATA1").archive_lsn;
+  CommitUntilSealed(1, 3);
+  EXPECT_LE(Trail(1)->first_lsn(), archive_lsn + 1);
+  EXPECT_GE(Trail(1)->file_count(), 4u);
+  EXPECT_EQ(Trail(1)->DurableRecordsAfter(archive_lsn).size(),
+            Trail(1)->durable_lsn() - archive_lsn);
+
+  // Re-archiving moves the floor: the next seal purges all but the files
+  // holding records past the new archive LSN.
+  node1->ArchiveVolumes();
+  const uint64_t rearchive_lsn =
+      node1->storage().archives.at("$DATA1").archive_lsn;
+  CommitUntilSealed(1, 1);
+  EXPECT_LE(Trail(1)->file_count(), 2u);
+  EXPECT_GT(Trail(1)->first_lsn(), archive_lsn + 1);
+  EXPECT_LE(Trail(1)->first_lsn(), rearchive_lsn + 1);
 }
 
 TEST_F(TmfEdgeTest, AuditQueueRedeliversAcrossAuditTakeover) {
@@ -420,7 +459,8 @@ TEST_F(TmfEdgeTest, FreshDiscBackupInheritsTheUndeliveredAuditQueue) {
 /// Runs the TMP's periodic in-doubt and orphan-lock sweep every 100 ms.
 class OrphanLockTest : public TmfEdgeTest {
  protected:
-  OrphanLockTest() : TmfEdgeTest(Millis(100)) {}
+  explicit OrphanLockTest(SimDuration auto_abort_timeout = Seconds(5))
+      : TmfEdgeTest(Millis(100), auto_abort_timeout) {}
 
   /// Leaves a lock of `t` at node 2 that node 2's TMP never heard of: the
   /// update goes straight to node 2's DISCPROCESS, as an operation retry
@@ -473,6 +513,69 @@ TEST_F(OrphanLockTest, ParticipantBacksOutAnOrphanTheHomeAborted) {
   EXPECT_EQ(node2->storage().monitor_trail.Lookup(Transid::Unpack(t)), 0);
   EXPECT_EQ(sim_.GetStats().Counter("tmf.orphan_lock_aborts"), 1);
   EXPECT_EQ(sim_.GetStats().Counter("tmf.orphan_lock_commits"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The purge rule: a finished audit file goes, a live transaction's stays
+// ---------------------------------------------------------------------------
+
+/// No auto-abort: the transactions these tests keep open must outlive
+/// several audit-file seals.
+class AuditPurgeTest : public OrphanLockTest {
+ protected:
+  AuditPurgeTest() : OrphanLockTest(/*auto_abort_timeout=*/0) {}
+};
+
+TEST_F(AuditPurgeTest, LongTransactionKeepsItsRecordsAcrossSeals) {
+  // `t` stays open while three audit files are sealed after its update.
+  // (Both the TMP and its lock say it is live here; the queue lane's
+  // QueueLaneTest.AbortBacksOutFromAuditFilesSealedWhileItRan covers a
+  // transaction only the TMP knows about.)
+  CommitUntilSealed(1, 1);  // a finished file ahead of `t`'s
+  uint64_t t0 = Begin();
+  ASSERT_TRUE(Insert(t0, "f1", "long"));
+  ASSERT_TRUE(Finish(kTmfEnd, t0).ok());
+  uint64_t t = Begin();
+  bool updated = false;
+  UpdateF1(t, "long", "x", &updated);
+  sim_.RunFor(Millis(200));
+  ASSERT_TRUE(updated);
+
+  CommitUntilSealed(1, 3);
+  EXPECT_GE(FilesPurged(), 1);  // the finished file went
+  ASSERT_EQ(TrailRecords(1, t).size(), 1u);
+  EXPECT_LE(Trail(1)->first_lsn(), TrailRecords(1, t)[0].lsn);
+
+  // The abort backs out from the kept before-image.
+  EXPECT_TRUE(Finish(kTmfAbort, t).ok());
+  EXPECT_EQ(Value(1, "long"), "v");
+  // Finished, `t` no longer holds its file back.
+  CommitUntilSealed(1, 1);
+  EXPECT_TRUE(TrailRecords(1, t).empty());
+}
+
+TEST_F(AuditPurgeTest, OrphanLockHoldsItsRecordsUntilTheSweep) {
+  // Node 2's TMP does not track `t`; only the DISCPROCESS lock says it is
+  // live there.
+  CommitUntilSealed(2, 1);  // a finished file ahead of the orphan's
+  uint64_t t = OrphanAtNode2();
+  NodeDeployment* node2 = deploy_.GetNode(2);
+  TxnState state;
+  ASSERT_FALSE(node2->tmp()->GetTxnState(Transid::Unpack(t), &state));
+
+  CommitUntilSealed(2, 3);
+  EXPECT_GE(FilesPurged(), 1);
+  ASSERT_EQ(TrailRecords(2, t).size(), 1u);
+  EXPECT_EQ(node2->disc("$DATA2")->locks().held_count(), 1u);
+
+  // The home aborts; the sweep backs the orphan out from node 2's trail.
+  ASSERT_TRUE(Finish(kTmfAbort, t).ok());
+  sim_.RunFor(Seconds(1));
+  EXPECT_EQ(node2->disc("$DATA2")->locks().held_count(), 0u);
+  EXPECT_EQ(Value(2, "k1"), "v");
+  EXPECT_EQ(sim_.GetStats().Counter("tmf.orphan_lock_aborts"), 1);
+  CommitUntilSealed(2, 1);
+  EXPECT_TRUE(TrailRecords(2, t).empty());
 }
 
 }  // namespace

@@ -523,9 +523,8 @@ TEST_F(TmfTest, RollforwardRecoversCommittedWorkAfterTotalNodeFailure) {
   EXPECT_TRUE(End(t0).ok());
   auto* vol = node1_->storage().volumes.at("$DATA1").get();
   auto* trail = node1_->storage().trails.at("$DATA1.AT").get();
-  vol->Flush();
-  Bytes archive = vol->Archive();
-  uint64_t archive_lsn = trail->durable_lsn();
+  node1_->ArchiveVolumes();
+  const app::VolumeArchive& archive = node1_->storage().archives.at("$DATA1");
 
   // More committed work, plus an uncommitted transaction in flight.
   uint64_t t1 = Begin();
@@ -543,9 +542,9 @@ TEST_F(TmfTest, RollforwardRecoversCommittedWorkAfterTotalNodeFailure) {
 
   RollforwardInput input;
   input.volume = vol;
-  input.archive = &archive;
+  input.archive = &archive.image;
   input.trail = trail;
-  input.archive_lsn = archive_lsn;
+  input.archive_lsn = archive.archive_lsn;
   input.monitor_trail = &node1_->storage().monitor_trail;
   auto report = Rollforward(input);
   ASSERT_TRUE(report.ok());
