@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "test_util.h"
@@ -29,7 +30,6 @@ RollforwardRun RunOne(int txns) {
   BankRig rig = MakeBankRig(/*seed=*/91, 4, 50, 0, 0);
   auto* trail = rig.node->storage().trails.at("$DATA1.AT").get();
   rig.node->ArchiveVolumes();
-  const app::VolumeArchive& archive = rig.node->storage().archives.at("$DATA1");
 
   app::TcpConfig cfg;
   cfg.programs = {{"transfer", rig.program.get()}};
@@ -40,23 +40,19 @@ RollforwardRun RunOne(int txns) {
 
   rig.deploy->CrashNode(1);
   rig.sim->RunFor(Millis(100));
-  rig.deploy->RestartNode(1);
+  std::vector<tmf::RollforwardReport> reports;
+  rig.deploy->RecoverNode(
+      1, [&reports](const std::vector<tmf::RollforwardReport>& r) {
+        reports = r;
+      });
   rig.sim->RunFor(Millis(100));
 
-  tmf::RollforwardInput input;
-  input.volume = rig.volume;
-  input.archive = &archive.image;
-  input.trail = trail;
-  input.archive_lsn = archive.archive_lsn;
-  input.monitor_trail = &rig.node->storage().monitor_trail;
-  auto report = tmf::Rollforward(input);
-
   RollforwardRun out;
-  if (report.ok()) {
-    out.redo_applied = report->redo_applied;
-    out.txns_committed = report->txns_committed;
+  if (reports.size() == 1) {
+    out.redo_applied = reports[0].redo_applied;
+    out.txns_committed = reports[0].txns_committed;
     out.correct = apps::banking::SumBalances(rig.volume, "acct") == 50 * 1000;
-    out.est_recovery_s = static_cast<double>(report->redo_applied) * 1e-3;
+    out.est_recovery_s = static_cast<double>(reports[0].redo_applied) * 1e-3;
   }
   if (trail->record_count() > 0) {
     out.trail_bytes_per_record = static_cast<double>(trail->bytes()) /
@@ -86,8 +82,8 @@ void TableRecoveryVsAuditVolume() {
 void TableNegotiation() {
   Header("E5.b negotiation for transactions in 'ending' state at failure");
   // Distributed txn: node 2 answers phase 1 (audit forced), home commits,
-  // node 2 dies before phase 2 — its MAT has no record; rollforward asks
-  // the home node.
+  // node 2 dies before phase 2 — its MAT has no record; ROLLFORWARD asks
+  // the home's TMP over the network (kTmfResolveTxn).
   sim::Simulation sim(93);
   app::Deployment deploy(&sim);
   for (net::NodeId id : {1, 2}) {
@@ -107,8 +103,6 @@ void TableNegotiation() {
 
   auto* vol2 = deploy.GetNode(2)->storage().volumes.at("$DATA2").get();
   deploy.GetNode(2)->ArchiveVolumes();
-  const app::VolumeArchive& archive =
-      deploy.GetNode(2)->storage().archives.at("$DATA2");
 
   auto* begin = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfBegin, {});
   sim.Run();
@@ -125,31 +119,27 @@ void TableNegotiation() {
   }
   deploy.CrashNode(2);  // dies in "ending" state, before phase 2
   sim.RunFor(Millis(100));
-  // ROLLFORWARD runs before node 2 resumes service. Once restarted, the
-  // home's phase-2 retry would deliver the commit record to node 2's MAT,
-  // and there would be nothing left to negotiate.
+  // ROLLFORWARD runs before node 2 resumes service, so the home's phase-2
+  // retry finds no $TMP there and the disposition must be negotiated.
+  std::vector<tmf::RollforwardReport> reports;
+  deploy.RecoverNode(2, [&reports](const std::vector<tmf::RollforwardReport>& r) {
+    reports = r;
+  });
+  sim.RunFor(Seconds(5));
 
-  size_t negotiated = 0;
-  tmf::RollforwardInput input;
-  input.volume = vol2;
-  input.archive = &archive.image;
-  input.trail = deploy.GetNode(2)->storage().trails.at("$DATA2.AT").get();
-  input.archive_lsn = archive.archive_lsn;
-  input.monitor_trail = &deploy.GetNode(2)->storage().monitor_trail;
-  input.resolve_remote = [&](const Transid& t) {
-    ++negotiated;
-    return mat1->Lookup(t) == 1 ? tmf::Disposition::kCommitted
-                                : tmf::Disposition::kAborted;
-  };
-  auto report = tmf::Rollforward(input);
+  const size_t negotiated = reports.size() == 1 ? reports[0].negotiated : 0;
+  const int64_t served = sim.GetStats().Counter("tmf.resolves_served");
   bool recovered =
-      report.ok() && vol2->ReadRecord("f2", Slice("key")).status.ok();
+      reports.size() == 1 && vol2->ReadRecord("f2", Slice("key")).status.ok();
   printf("transaction in 'ending' at node 2 when it failed:\n");
   printf("  local disposition unknown -> negotiated with home : %zu query\n",
          negotiated);
+  printf("  resolve queries the home TMP served               : %lld\n",
+         static_cast<long long>(served));
   printf("  committed work recovered                          : %s\n",
          recovered ? "yes" : "NO");
   ReportValue("e5.b.negotiated", static_cast<double>(negotiated));
+  ReportValue("e5.b.resolves_served", static_cast<double>(served));
   ReportValue("e5.b.recovered", recovered ? 1 : 0);
 }
 

@@ -3,12 +3,14 @@
 // multi-module failure NonStop cannot mask). Unforced data is lost with the
 // node's memory — but phase-1 of commit forced every committed
 // transaction's audit images, so restoring the archive and reapplying
-// committed after-images reconstructs the data base exactly. A transaction
-// left in "ending" state is resolved by negotiating with the other node.
+// committed after-images reconstructs the data base exactly. Recovery runs
+// before the node's services restart; a transaction left in "ending" state
+// would be resolved by negotiating with the other node's TMP.
 //
 // Build & run:  ./build/examples/rollforward_recovery
 
 #include <cstdio>
+#include <vector>
 
 #include "apps/banking/banking.h"
 #include "encompass/deployment.h"
@@ -33,22 +35,23 @@ int main() {
   deploy.LinkAll();
   deploy.DefineFile("acct", 1, "$DATA1");
 
-  auto* vol = deploy.GetNode(1)->storage().volumes.at("$DATA1").get();
-  auto* trail = deploy.GetNode(1)->storage().trails.at("$DATA1.AT").get();
+  NodeDeployment* node1 = deploy.GetNode(1);
+  auto* vol = node1->storage().volumes.at("$DATA1").get();
   SeedAccounts(vol, "acct", 20, 1000);
   AddBankServerClass(&deploy, 1, "$SC.BANK", "acct");
 
-  // Archive the audited data base (quiescent point).
-  Bytes archive = vol->Archive();
-  uint64_t archive_lsn = trail->durable_lsn();
-  printf("archived $DATA1 (%zu bytes) at audit LSN %llu\n", archive.size(),
-         static_cast<unsigned long long>(archive_lsn));
+  // Archive the audited data base (quiescent point). The archive LSN also
+  // bounds what the AUDITPROCESS may purge from the trail.
+  node1->ArchiveVolumes();
+  const tmf::VolumeArchive& archive = node1->storage().archives.at("$DATA1");
+  printf("archived $DATA1 (%zu bytes) at audit LSN %llu\n", archive.image.size(),
+         static_cast<unsigned long long>(archive.archive_lsn));
 
   // Run committed work after the archive.
   ScreenProgram transfer = MakeTransferProgram(1, "$SC.BANK", 20, 100);
   TcpConfig cfg;
   cfg.programs = {{"transfer", &transfer}};
-  auto tcp = os::SpawnPair<Tcp>(deploy.GetNode(1)->node(), "$TCP1", 2, 3, cfg);
+  auto tcp = os::SpawnPair<Tcp>(node1->node(), "$TCP1", 2, 3, cfg);
   sim.Run();
   for (int t = 0; t < 2; ++t) {
     tcp.primary->AttachTerminal("term" + std::to_string(t), "transfer", 15);
@@ -65,27 +68,17 @@ int main() {
   sim.RunFor(Millis(200));
   printf("unforced volume updates lost: volume reverted to last flush\n");
 
-  // Reload and recover.
-  deploy.RestartNode(1);
-  sim.RunFor(Millis(200));
-  tmf::RollforwardInput input;
-  input.volume = vol;
-  input.archive = &archive;
-  input.trail = trail;
-  input.archive_lsn = archive_lsn;
-  input.monitor_trail = &deploy.GetNode(1)->storage().monitor_trail;
-  input.resolve_remote = [&](const Transid& t) {
-    // Negotiate with node 2 about transactions in "ending" state.
-    int r = deploy.GetNode(2)->storage().monitor_trail.Lookup(t);
-    if (r == 1) return tmf::Disposition::kCommitted;
-    if (r == 0) return tmf::Disposition::kAborted;
-    return tmf::Disposition::kUnknown;
-  };
-  auto report = tmf::Rollforward(input);
-  if (!report.ok()) {
-    printf("rollforward failed: %s\n", report.status().ToString().c_str());
+  // Reload, roll forward, then restart the services.
+  std::vector<tmf::RollforwardReport> reports;
+  deploy.RecoverNode(1, [&reports](const std::vector<tmf::RollforwardReport>& r) {
+    reports = r;
+  });
+  sim.RunFor(Seconds(1));
+  if (reports.size() != 1) {
+    printf("rollforward did not complete\n");
     return 1;
   }
+  const tmf::RollforwardReport* report = &reports[0];
   printf("\n-- rollforward report -------------------------------------\n");
   printf("after-images considered : %zu\n", report->redo_considered);
   printf("after-images applied    : %zu\n", report->redo_applied);

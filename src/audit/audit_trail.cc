@@ -153,14 +153,4 @@ int MonitorAuditTrail::Lookup(const Transid& transid) const {
   return it->second == Completion::kCommitted ? 1 : 0;
 }
 
-uint64_t MonitorAuditTrail::HighestSeq(uint16_t home_node) const {
-  uint64_t highest = 0;
-  for (const auto& [packed, completion] : index_) {
-    (void)completion;
-    const Transid t = Transid::Unpack(packed);
-    if (t.home_node == home_node && t.seq > highest) highest = t.seq;
-  }
-  return highest;
-}
-
 }  // namespace encompass::audit

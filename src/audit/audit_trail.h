@@ -163,10 +163,6 @@ class MonitorAuditTrail {
   /// disposition-query path of every in-doubt resolution).
   int Lookup(const Transid& transid) const;
 
-  /// Highest seq of any recorded transid begun at `home_node` (0 if none).
-  /// A restarting TMP starts its sequence above it.
-  uint64_t HighestSeq(uint16_t home_node) const;
-
   /// Records appended, duplicates included.
   size_t size() const { return appended_; }
 

@@ -45,6 +45,33 @@ NodeDeployment::NodeDeployment(Deployment* deployment, os::Node* node,
   }
 }
 
+template <typename T>
+void NodeDeployment::StartTmp(const tmf::TmpConfig& tcfg, int cpu_a, int cpu_b) {
+  // Incarnation n floors its transid sequence at n << 32, past everything
+  // an earlier one could have issued, live transactions included (seq is 40
+  // bits; 32 bits of headroom per incarnation).
+  auto config = [tcfg](uint64_t incarnation) {
+    tmf::TmpConfig c = tcfg;
+    c.seq_base = incarnation << 32;
+    return c;
+  };
+  // A fresh pair has no volatile state: it is a new incarnation.
+  auto spawn = [this, config](int a, int b) {
+    // An lvalue: SpawnPair hands the same arguments to both members.
+    const tmf::TmpConfig fresh = config(storage_.tmp_incarnation++);
+    os::SpawnPair<T>(node_, "$TMP", a, b, fresh);
+  };
+  spawn(cpu_a, cpu_b);
+  // A backup joins the running incarnation; the primary's checkpoint then
+  // brings its counter up to date.
+  RegisterRepairable(
+      "$TMP",
+      [this, config](int cpu) {
+        BackupAttacher<T>("$TMP", config(storage_.tmp_incarnation - 1))(cpu);
+      },
+      spawn);
+}
+
 void NodeDeployment::StartServices() {
   const int cpus = spec_.node_config.num_cpus;
   assert(cpus >= 2 && "a NonStop node needs at least two processors");
@@ -95,10 +122,6 @@ void NodeDeployment::StartServices() {
   tcfg.audit_processes = audit_names;
   tcfg.backout_process = "$BACKOUT";
   tcfg.monitor_trail = &storage_.monitor_trail;
-  // Each service (re)start is a new TMP incarnation: move the transid
-  // sequence floor past everything any earlier incarnation could have
-  // issued (seq is 40 bits; 32 bits of headroom per incarnation).
-  tcfg.seq_base = storage_.tmp_incarnation++ << 32;
   // The commit protocol picks the TMP class, once, here. Paxos Commit also
   // hands the TMP direct pointers to the $ACCEPT.<k> logs living on this
   // node (created here, spawned with the acceptor pairs below — std::map
@@ -121,11 +144,9 @@ void NodeDeployment::StartServices() {
       tcfg.colocated_acceptors.push_back(
           {k, &storage_.acceptor_logs[accept_name]});
     }
-    os::SpawnPair<tmf::PaxosTmp>(node_, "$TMP", a, b, tcfg);
-    RegisterRepairablePair<tmf::PaxosTmp>("$TMP", tcfg);
+    StartTmp<tmf::PaxosTmp>(tcfg, a, b);
   } else {
-    os::SpawnPair<tmf::TmpProcess>(node_, "$TMP", a, b, tcfg);
-    RegisterRepairablePair<tmf::TmpProcess>("$TMP", tcfg);
+    StartTmp<tmf::TmpProcess>(tcfg, a, b);
   }
 
   // Paxos Commit acceptors: the $ACCEPT.<k> pairs the endpoint list places
@@ -161,7 +182,7 @@ void NodeDeployment::ArchiveVolumes() {
     audit::AuditTrail* trail = storage_.trails.at(TrailName(vspec.name)).get();
     volume->Flush();
     trail->Force();
-    VolumeArchive archive;
+    tmf::VolumeArchive archive;
     archive.image = volume->Archive();
     archive.archive_lsn = trail->next_lsn() - 1;
     storage_.archives[vspec.name] = std::move(archive);
@@ -345,14 +366,6 @@ void Deployment::CrashNode(net::NodeId id) {
   sim_->GetStats().Incr(m_node_crashes_);
 }
 
-void Deployment::RestartNode(net::NodeId id) {
-  NodeDeployment* nd = GetNode(id);
-  if (nd == nullptr) return;
-  cluster_.ReloadNode(id);
-  nd->StartServices();
-  sim_->GetStats().Incr(m_node_restarts_);
-}
-
 void Deployment::RecoverNode(
     net::NodeId id,
     std::function<void(const std::vector<tmf::RollforwardReport>&)> done) {
@@ -368,8 +381,7 @@ void Deployment::RecoverNode(
     tmf::VolumeRecoveryTask task;
     task.volume = nd->storage().volumes.at(vspec.name).get();
     task.trail = nd->storage().trails.at(NodeDeployment::TrailName(vspec.name)).get();
-    task.archive = &it->second.image;
-    task.archive_lsn = it->second.archive_lsn;
+    task.archive = &it->second;
     rcfg.tasks.push_back(task);
   }
   rcfg.monitor_trail = &nd->storage().monitor_trail;

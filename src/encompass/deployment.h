@@ -4,8 +4,8 @@
 // survives CPU and process failures, and spawns the service process-pairs
 // (DISCPROCESSes, AUDITPROCESSes, BACKOUTPROCESS, TMP) on the node's CPUs.
 // It also provides whole-node crash (storage drops unforced state) and
-// restart (services respawn against the surviving discs) for recovery
-// experiments.
+// recovery (ROLLFORWARD, then services respawn against the rebuilt discs)
+// for recovery experiments.
 
 #ifndef ENCOMPASS_ENCOMPASS_DEPLOYMENT_H_
 #define ENCOMPASS_ENCOMPASS_DEPLOYMENT_H_
@@ -64,19 +64,11 @@ struct NodeSpec {
   tmf::QueuePlannerConfig queue_config;        // catalog/tmp filled in
 };
 
-/// An archived copy of one volume, the base ROLLFORWARD rebuilds from.
-/// `archive_lsn` is the one record of the volume's archive LSN: RecoverNode
-/// replays the trail after it, and the AUDITPROCESS purges nothing above it.
-struct VolumeArchive {
-  Bytes image;               ///< Volume::Archive() snapshot
-  uint64_t archive_lsn = 0;  ///< the volume trail's LSN at archive time
-};
-
 /// Durable state of one node (survives anything except media loss).
 struct NodeStorage {
   std::map<std::string, std::unique_ptr<storage::Volume>> volumes;
   std::map<std::string, std::unique_ptr<audit::AuditTrail>> trails;
-  std::map<std::string, VolumeArchive> archives;  ///< by volume name
+  std::map<std::string, tmf::VolumeArchive> archives;  ///< by volume name
   audit::MonitorAuditTrail monitor_trail;
   /// Paxos Commit acceptor logs, one per co-located $ACCEPT.<k> pair (a
   /// node may host several when the acceptor group outnumbers the nodes).
@@ -85,9 +77,10 @@ struct NodeStorage {
   /// them — the whole point of the acceptor votes is surviving node
   /// crashes.
   std::map<std::string, tmf::CommitAcceptorLog> acceptor_logs;
-  /// Durable count of TMP (re)starts on this node — the paper's crash-count
-  /// analogue. Folded into TmpConfig::seq_base so no transid of an earlier
-  /// incarnation is ever reissued after a total node failure.
+  /// Durable count of fresh TMP pair spawns on this node — the paper's
+  /// crash-count analogue. Folded into TmpConfig::seq_base so no transid of
+  /// an earlier incarnation is ever reissued, whether the pair came back by
+  /// node recovery or by a guardian respawn on a live node.
   uint64_t tmp_incarnation = 0;
 
   /// Total node failure: every unforced write (data and audit) is lost.
@@ -101,8 +94,8 @@ class NodeDeployment {
  public:
   NodeDeployment(Deployment* deployment, os::Node* node, NodeSpec spec);
 
-  /// Spawns all service pairs. Called at bootstrap and again after a
-  /// whole-node restart.
+  /// Spawns all service pairs. Called at bootstrap and again when node
+  /// recovery has rolled the volumes forward.
   void StartServices();
 
   /// Archives every volume at a transaction-consistent point (flushes the
@@ -122,19 +115,10 @@ class NodeDeployment {
   /// constructor arguments are captured by value and reused.
   template <typename T, typename... Args>
   void RegisterRepairablePair(const std::string& name, Args... args) {
-    RegisterRepairable(
-        name,
-        [this, name, args...](int cpu) {
-          net::Pid pid = node_->LookupName(name);
-          auto* p = pid != 0 ? dynamic_cast<T*>(node_->Find(pid)) : nullptr;
-          if (p != nullptr && p->IsPrimary() && !p->HasBackup() &&
-              cpu != p->cpu()) {
-            os::AttachBackup<T>(node_, p, cpu, args...);
-          }
-        },
-        [this, name, args...](int cpu_a, int cpu_b) {
-          os::SpawnPair<T>(node_, name, cpu_a, cpu_b, args...);
-        });
+    RegisterRepairable(name, BackupAttacher<T>(name, args...),
+                       [this, name, args...](int cpu_a, int cpu_b) {
+                         os::SpawnPair<T>(node_, name, cpu_a, cpu_b, args...);
+                       });
   }
 
   /// Inspects every registered pair and repairs what failure broke. Driven
@@ -160,6 +144,23 @@ class NodeDeployment {
     std::function<void(int, int)> respawn;
   };
 
+  /// The repair that gives pair `name` (of class T) a fresh backup on `cpu`.
+  template <typename T, typename... Args>
+  std::function<void(int cpu)> BackupAttacher(const std::string& name,
+                                              Args... args) {
+    return [this, name, args...](int cpu) {
+      net::Pid pid = node_->LookupName(name);
+      auto* p = pid != 0 ? dynamic_cast<T*>(node_->Find(pid)) : nullptr;
+      if (p != nullptr && p->IsPrimary() && !p->HasBackup() && cpu != p->cpu()) {
+        os::AttachBackup<T>(node_, p, cpu, args...);
+      }
+    };
+  }
+  /// Spawns the $TMP pair (class T) on (cpu_a, cpu_b) and registers it for
+  /// repair. Every spawn of a fresh pair, the guardian's respawn included,
+  /// is a new incarnation with its own transid floor.
+  template <typename T>
+  void StartTmp(const tmf::TmpConfig& tcfg, int cpu_a, int cpu_b);
   /// Spawns one ServiceGuardian on every alive CPU lacking one.
   void EnsureGuardians();
   /// The purge limits of `volume`'s trail (AuditProcessConfig::
@@ -223,15 +224,12 @@ class Deployment {
   /// Total node failure: every CPU fails, the node is network-isolated, and
   /// unforced storage state is lost.
   void CrashNode(net::NodeId id);
-  /// Reloads the CPUs, reconnects the node, and respawns services against
-  /// the surviving durable storage. Data base recovery (ROLLFORWARD) is the
-  /// caller's decision, as in a real site.
-  void RestartNode(net::NodeId id);
-  /// Full crash recovery: reloads the node, runs ROLLFORWARD on every
-  /// archived volume — negotiating "ending" transactions with surviving
-  /// TMPs over the network — and only then restarts the services (so no
-  /// DISCPROCESS serves pre-recovery data). `done` fires with the
-  /// per-volume reports once the node is back in service.
+  /// The one way back from CrashNode: reloads the node, runs ROLLFORWARD on
+  /// every archived volume — negotiating "ending" transactions with
+  /// surviving TMPs over the network — and only then restarts the services
+  /// (so no DISCPROCESS serves pre-recovery data). A never-archived volume
+  /// is not rebuilt; it comes back as the crash left it. `done` fires with
+  /// the per-volume reports once the node is back in service.
   void RecoverNode(
       net::NodeId id,
       std::function<void(const std::vector<tmf::RollforwardReport>&)> done = {});

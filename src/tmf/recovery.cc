@@ -21,13 +21,7 @@ void NodeRecoveryProcess::OnAttach() {
 void NodeRecoveryProcess::OnStart() {
   stats().Incr(m_runs_);
   for (const auto& task : config_.tasks) {
-    RollforwardInput input;
-    input.volume = task.volume;
-    input.archive = task.archive;
-    input.trail = task.trail;
-    input.archive_lsn = task.archive_lsn;
-    input.monitor_trail = config_.monitor_trail;
-    auto plan = PlanRollforward(input);
+    auto plan = PlanRollforward(task, config_.monitor_trail);
     if (!plan.ok()) {
       LOG_ERROR << DebugName() << " cannot plan rollforward of "
                 << task.volume->name() << ": " << plan.status().ToString();
@@ -193,13 +187,7 @@ void NodeRecoveryProcess::Finish() {
       auto it = negotiated_.find(t);
       if (it != negotiated_.end()) pv.plan.dispositions[t] = it->second;
     }
-    RollforwardInput input;
-    input.volume = pv.task.volume;
-    input.archive = pv.task.archive;
-    input.trail = pv.task.trail;
-    input.archive_lsn = pv.task.archive_lsn;
-    input.monitor_trail = config_.monitor_trail;
-    auto report = ExecuteRollforward(input, pv.plan);
+    auto report = ExecuteRollforward(pv.task, pv.plan);
     if (!report.ok()) {
       LOG_ERROR << DebugName() << " rollforward of " << pv.task.volume->name()
                 << " failed: " << report.status().ToString();

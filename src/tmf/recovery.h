@@ -4,10 +4,9 @@
 // the still-unknown ("ending at failure time") transactions with the
 // surviving TMPs of the network as real protocol messages (kTmfResolveTxn
 // with the recovering flag), and finally executes the rollforward and
-// reports. This replaces the test-supplied resolve_remote lambda with the
-// paper's actual negotiation: "ROLLFORWARD negotiates with other nodes of
-// the network about transactions which were in 'ending' state at the time
-// of the node failure."
+// reports. This is the paper's negotiation: "ROLLFORWARD negotiates with
+// other nodes of the network about transactions which were in 'ending'
+// state at the time of the node failure."
 //
 // Negotiation rules (safety argued from MAT durability):
 //   * a transaction whose home is THIS node and that has no durable MAT
@@ -37,7 +36,6 @@
 
 #include "audit/audit_trail.h"
 #include "os/process.h"
-#include "storage/volume.h"
 #include "tmf/rollforward.h"
 
 namespace encompass::tmf {
@@ -47,16 +45,6 @@ namespace encompass::tmf {
 constexpr SimDuration kNegotiationTimeout = Seconds(2);
 constexpr SimDuration kNegotiationRetryInterval = Millis(500);
 constexpr SimDuration kNegotiationBackoffCap = Seconds(8);
-
-/// One volume to roll forward.
-struct VolumeRecoveryTask {
-  storage::Volume* volume = nullptr;
-  /// Mutable: recovery raises the trail's undo floor once the volume is
-  /// rebuilt (pre-rebuild images must never feed a later backout).
-  audit::AuditTrail* trail = nullptr;
-  const Bytes* archive = nullptr;
-  uint64_t archive_lsn = 0;
-};
 
 struct NodeRecoveryConfig {
   std::vector<VolumeRecoveryTask> tasks;

@@ -50,25 +50,28 @@ Disposition LookupDisposition(const std::map<Transid, Disposition>& dispositions
 
 }  // namespace
 
-Result<RollforwardPlan> PlanRollforward(const RollforwardInput& input) {
-  if (input.volume == nullptr || input.archive == nullptr ||
-      input.trail == nullptr) {
+Result<RollforwardPlan> PlanRollforward(
+    const VolumeRecoveryTask& task,
+    const audit::MonitorAuditTrail* monitor_trail) {
+  if (task.volume == nullptr || task.archive == nullptr ||
+      task.trail == nullptr) {
     return Status::InvalidArgument("rollforward needs volume, archive, trail");
   }
   // Rebuilding without the records a purge dropped would silently lose
   // committed work: refuse a trail that no longer reaches the archive.
-  if (input.trail->first_lsn() > input.archive_lsn + 1) {
+  const uint64_t archive_lsn = task.archive->archive_lsn;
+  if (task.trail->first_lsn() > archive_lsn + 1) {
     return Status::NotFound(
-        "audit trail starts at lsn " + std::to_string(input.trail->first_lsn()) +
-        ", past archive lsn " + std::to_string(input.archive_lsn));
+        "audit trail starts at lsn " + std::to_string(task.trail->first_lsn()) +
+        ", past archive lsn " + std::to_string(archive_lsn));
   }
   RollforwardPlan plan;
-  plan.records = input.trail->DurableRecordsAfter(input.archive_lsn);
+  plan.records = task.trail->DurableRecordsAfter(archive_lsn);
   for (const auto& rec : plan.records) {
     if (plan.dispositions.count(rec.transid)) continue;
     Disposition d = Disposition::kUnknown;
-    if (input.monitor_trail != nullptr) {
-      int r = input.monitor_trail->Lookup(rec.transid);
+    if (monitor_trail != nullptr) {
+      int r = monitor_trail->Lookup(rec.transid);
       if (r == 1) d = Disposition::kCommitted;
       else if (r == 0) d = Disposition::kAborted;
     }
@@ -78,9 +81,9 @@ Result<RollforwardPlan> PlanRollforward(const RollforwardInput& input) {
   return plan;
 }
 
-Result<RollforwardReport> ExecuteRollforward(const RollforwardInput& input,
+Result<RollforwardReport> ExecuteRollforward(const VolumeRecoveryTask& task,
                                              const RollforwardPlan& plan) {
-  if (input.volume == nullptr || input.archive == nullptr) {
+  if (task.volume == nullptr || task.archive == nullptr) {
     return Status::InvalidArgument("rollforward needs volume, archive");
   }
   RollforwardReport report;
@@ -92,13 +95,13 @@ Result<RollforwardReport> ExecuteRollforward(const RollforwardInput& input,
   }
 
   ENCOMPASS_RETURN_IF_ERROR(
-      input.volume->RestoreFromArchive(Slice(*input.archive)));
+      task.volume->RestoreFromArchive(Slice(task.archive->image)));
 
   std::set<Transid> committed, discarded;
   for (const auto& rec : plan.records) {
     if (LookupDisposition(plan.dispositions, rec.transid) ==
         Disposition::kCommitted) {
-      ENCOMPASS_RETURN_IF_ERROR(RedoApply(input.volume, rec));
+      ENCOMPASS_RETURN_IF_ERROR(RedoApply(task.volume, rec));
       ++report.redo_applied;
       committed.insert(rec.transid);
     } else {
@@ -110,22 +113,8 @@ Result<RollforwardReport> ExecuteRollforward(const RollforwardInput& input,
   report.txns_committed = committed.size();
   report.txns_discarded = discarded.size();
 
-  input.volume->Flush();
+  task.volume->Flush();
   return report;
-}
-
-Result<RollforwardReport> Rollforward(const RollforwardInput& input) {
-  auto plan = PlanRollforward(input);
-  ENCOMPASS_RETURN_IF_ERROR(plan.status());
-  if (input.resolve_remote) {
-    // Transactions in "ending" (or never resolved locally) at failure time:
-    // negotiate with other nodes. Only definite answers update the plan.
-    for (const Transid& t : plan->unresolved) {
-      Disposition d = input.resolve_remote(t);
-      if (d != Disposition::kUnknown) plan->dispositions[t] = d;
-    }
-  }
-  return ExecuteRollforward(input, *plan);
 }
 
 }  // namespace encompass::tmf

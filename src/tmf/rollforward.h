@@ -8,22 +8,15 @@
 // the time of the node failure."
 //
 // This is a utility over durable objects (archives, trails, the Monitor
-// Audit Trail), run after the node reloads; it is not a process.
-//
-// Two entry points:
-//  * Rollforward(input) — one-shot, with negotiation supplied as a
-//    synchronous callback. Suits tests and tools that can answer inline.
-//  * PlanRollforward / ExecuteRollforward — the split the real recovery
-//    path uses: Plan classifies every transaction against the local MAT and
-//    reports the still-unknown ("ending at failure time") transids; the
-//    caller negotiates those with surviving TMPs however long that takes
-//    (message round-trips in simulated time), writes the answers into the
-//    plan, and Execute then rebuilds the volume.
+// Audit Trail), run after the node reloads; it is not a process. Plan
+// classifies every transaction against the local MAT and reports the
+// still-unknown ("ending at failure time") transids; the caller
+// (NodeRecoveryProcess) negotiates those with surviving TMPs, writes the
+// answers into the plan, and Execute then rebuilds the volume.
 
 #ifndef ENCOMPASS_TMF_ROLLFORWARD_H_
 #define ENCOMPASS_TMF_ROLLFORWARD_H_
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -34,19 +27,22 @@
 
 namespace encompass::tmf {
 
-/// Inputs to one volume's rollforward.
-struct RollforwardInput {
-  storage::Volume* volume = nullptr;          ///< target volume to rebuild
-  const Bytes* archive = nullptr;             ///< archived copy of the volume
-  const audit::AuditTrail* trail = nullptr;   ///< this volume's audit trail
-  uint64_t archive_lsn = 0;                   ///< trail LSN at archive time
-  const audit::MonitorAuditTrail* monitor_trail = nullptr;  ///< local MAT
-  /// Negotiation with other nodes for transactions whose local disposition
-  /// is unknown (they were in "ending" at failure time). Unknown after
-  /// negotiation means the updates are discarded (presumed abort). Used by
-  /// the one-shot Rollforward() only; the Plan/Execute split negotiates
-  /// between the two calls instead.
-  std::function<Disposition(const Transid&)> resolve_remote;
+/// An archived copy of one volume, the base ROLLFORWARD rebuilds from.
+/// `archive_lsn` is the one record of the volume's archive LSN: ROLLFORWARD
+/// replays the trail after it, and the AUDITPROCESS purges nothing above it.
+struct VolumeArchive {
+  Bytes image;               ///< Volume::Archive() snapshot
+  uint64_t archive_lsn = 0;  ///< the volume trail's LSN at archive time
+};
+
+/// One volume to roll forward.
+struct VolumeRecoveryTask {
+  storage::Volume* volume = nullptr;  ///< target volume to rebuild
+  /// This volume's audit trail. Mutable: recovery raises its undo floor
+  /// once the volume is rebuilt (pre-rebuild images must never feed a later
+  /// backout).
+  audit::AuditTrail* trail = nullptr;
+  const VolumeArchive* archive = nullptr;
 };
 
 /// Classification of the trail against the local MAT, ready to execute once
@@ -78,20 +74,18 @@ struct RollforwardReport {
   size_t negotiated = 0;
 };
 
-/// Reads the trail and classifies every transaction against the local MAT.
-/// Does not touch the volume. NotFound if the trail was purged past the
-/// archive (its first retained LSN is above archive_lsn + 1).
-Result<RollforwardPlan> PlanRollforward(const RollforwardInput& input);
+/// Reads the trail and classifies every transaction against `monitor_trail`,
+/// the local MAT (none: every transaction is unresolved). Does not touch the
+/// volume. NotFound if the trail was purged past the archive (its first
+/// retained LSN is above archive_lsn + 1).
+Result<RollforwardPlan> PlanRollforward(
+    const VolumeRecoveryTask& task,
+    const audit::MonitorAuditTrail* monitor_trail);
 
-/// Rebuilds `input.volume` from the archive plus the plan's committed
+/// Rebuilds `task.volume` from the archive plus the plan's committed
 /// after-images; flushes the volume (fully durable) on success.
-/// `input.resolve_remote` is ignored here — negotiation already happened.
-Result<RollforwardReport> ExecuteRollforward(const RollforwardInput& input,
+Result<RollforwardReport> ExecuteRollforward(const VolumeRecoveryTask& task,
                                              const RollforwardPlan& plan);
-
-/// One-shot: Plan, negotiate via `input.resolve_remote` (if provided),
-/// Execute.
-Result<RollforwardReport> Rollforward(const RollforwardInput& input);
 
 }  // namespace encompass::tmf
 

@@ -82,15 +82,9 @@ void TmpProcess::OnPairAttach() {
     }
   }
   // Never hand out a transid an earlier incarnation of this node may have
-  // used. The durable restart count sets the floor; scanning the surviving
-  // MAT for own-home transids additionally covers a fresh respawn that was
-  // not accompanied by a restart-count bump (both pair members lost on a
-  // live node).
+  // used: every fresh pair spawn carries a new durable floor. (A backup's
+  // counter is overwritten by the primary's checkpoint.)
   if (next_seq_ < config_.seq_base) next_seq_ = config_.seq_base;
-  if (config_.monitor_trail != nullptr) {
-    next_seq_ =
-        std::max(next_seq_, config_.monitor_trail->HighestSeq(node()->id()));
-  }
   ArmIndoubtResolve();
 }
 

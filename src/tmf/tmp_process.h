@@ -72,12 +72,13 @@ struct TmpConfig {
   SimDuration auto_abort_timeout = 0;
   /// Floor for the transid sequence counter of a FRESH TMP incarnation —
   /// the paper's crash-count analogue. Takeover within a pair continues the
-  /// checkpointed counter, but after a total node failure the respawned TMP
-  /// has no volatile state: without a floor it would restart at 1 and REUSE
-  /// packed transids of the previous incarnation, corrupting every durable
-  /// structure keyed by transid (the first-completion-wins MAT, audit
+  /// checkpointed counter, but a freshly spawned pair (after a total node
+  /// failure, or both members lost on a live node) has no volatile state:
+  /// without a floor it would restart at 1 and REUSE packed transids of the
+  /// previous incarnation — a live one still owns its locks — corrupting
+  /// every structure keyed by transid (the first-completion-wins MAT, audit
   /// classification during ROLLFORWARD). Deployments derive this from a
-  /// durable per-node restart count, shifted clear of any plausible
+  /// durable per-node count of pair spawns, shifted clear of any plausible
   /// single-incarnation sequence (seq is 40 bits; incarnation << 32 leaves
   /// 4G transactions per incarnation).
   uint64_t seq_base = 0;

@@ -83,6 +83,49 @@ TEST_F(DeploymentTest, GuardianRespawnsFullyDeadPair) {
   EXPECT_TRUE(begin->done && begin->status.ok());
 }
 
+TEST_F(DeploymentTest, RespawnedTmpNeverReissuesALiveTransid) {
+  // A TMP pair respawned on a live node is a new incarnation: it must not
+  // reissue the transid of a transaction that is still live at the
+  // DISCPROCESS (still owning its lock) though no MAT record names it.
+  auto* client = node_->node()->Spawn<TestClient>(2);
+  tmf::FileSystem fs(client, &deploy_.catalog());
+  sim_.Run();
+  auto begin = [&]() {
+    auto* o = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfBegin, {});
+    sim_.Run();
+    EXPECT_TRUE(o->done && o->status.ok());
+    return tmf::DecodeTransidPayload(Slice(o->payload)).value();
+  };
+  auto insert = [&](const Transid& t, const char* key) {
+    bool ok = false;
+    client->set_current_transid(t.Pack());
+    fs.Insert("acct", Slice(key), Slice("v"),
+              [&ok](const Status& s, const Bytes&) { ok = s.ok(); });
+    client->set_current_transid(0);
+    sim_.Run();
+    return ok;
+  };
+  const Transid committed = begin();
+  ASSERT_TRUE(insert(committed, "a"));
+  auto* end = client->CallRaw(net::Address(1, "$TMP"), tmf::kTmfEnd,
+                              tmf::EncodeTransidPayload(committed),
+                              committed.Pack());
+  sim_.Run();
+  ASSERT_TRUE(end->done && end->status.ok());
+  const Transid live = begin();
+  ASSERT_TRUE(insert(live, "b"));
+
+  // Both CPUs of the TMP pair (3 and 0) fail; the guardian respawns it.
+  node_->node()->FailCpu(3);
+  node_->node()->FailCpu(0);
+  sim_.RunFor(Millis(300));
+  ASSERT_GT(sim_.GetStats().Counter("deploy.pair_respawns"), 0);
+  ASSERT_TRUE(node_->disc("$DATA1")->locks().HoldsAny(live));
+  const Transid next = begin();
+  EXPECT_NE(next.Pack(), live.Pack());
+  EXPECT_GT(next.seq, live.seq);
+}
+
 TEST_F(DeploymentTest, TransactionsWorkAfterRepeatedFailReloadCycles) {
   SeedAccounts(node_->storage().volumes.at("$DATA1").get(), "acct", 5, 100);
   auto* client = node_->node()->Spawn<TestClient>(2);
@@ -130,8 +173,9 @@ TEST_F(DeploymentTest, CrashDropsVolatileRestartRespawns) {
   sim_.RunFor(Millis(100));
   EXPECT_EQ(ToString(vol->ReadRecord("acct", Slice("k")).value), "flushed");
   EXPECT_TRUE(node_->node()->Dead());
-  deploy_.RestartNode(1);
+  deploy_.RecoverNode(1);  // never archived: no rebuild, services respawn
   sim_.RunFor(Millis(100));
+  EXPECT_EQ(ToString(vol->ReadRecord("acct", Slice("k")).value), "flushed");
   EXPECT_EQ(PairMembers("$TMP"), 2);
   EXPECT_EQ(PairMembers("$DATA1"), 2);
 }

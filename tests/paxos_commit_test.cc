@@ -544,7 +544,7 @@ TEST(RecoveryNegotiationTest, MalformedResolveReplyIsCounted) {
   // the corrupter.
   rig.deploy.CrashNode(1);
   rig.sim.RunFor(Seconds(1));
-  rig.deploy.RestartNode(1);
+  rig.deploy.RecoverNode(1);
   // The reload reconnected every link of node 1; cut 1-2 again until the
   // corrupter is in place.
   rig.deploy.cluster().CutLink(1, 2);

@@ -521,10 +521,7 @@ TEST_F(TmfTest, RollforwardRecoversCommittedWorkAfterTotalNodeFailure) {
   uint64_t t0 = Begin();
   EXPECT_TRUE(Insert(t0, "acct", "a1", "100").ok());
   EXPECT_TRUE(End(t0).ok());
-  auto* vol = node1_->storage().volumes.at("$DATA1").get();
-  auto* trail = node1_->storage().trails.at("$DATA1.AT").get();
   node1_->ArchiveVolumes();
-  const app::VolumeArchive& archive = node1_->storage().archives.at("$DATA1");
 
   // More committed work, plus an uncommitted transaction in flight.
   uint64_t t1 = Begin();
@@ -537,20 +534,19 @@ TEST_F(TmfTest, RollforwardRecoversCommittedWorkAfterTotalNodeFailure) {
   // Total node failure: unforced data and audit state are lost.
   deploy_.CrashNode(1);
   sim_.RunFor(Millis(100));
-  deploy_.RestartNode(1);
-  sim_.RunFor(Millis(100));
-
-  RollforwardInput input;
-  input.volume = vol;
-  input.archive = &archive.image;
-  input.trail = trail;
-  input.archive_lsn = archive.archive_lsn;
-  input.monitor_trail = &node1_->storage().monitor_trail;
-  auto report = Rollforward(input);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GE(report->redo_applied, 2u);   // t1's two images
-  EXPECT_GE(report->txns_committed, 1u);
-  EXPECT_GE(report->txns_discarded, 0u);
+  std::vector<RollforwardReport> reports;
+  deploy_.RecoverNode(1, [&](const std::vector<RollforwardReport>& r) {
+    reports = r;
+  });
+  sim_.RunFor(Seconds(1));
+  ASSERT_EQ(reports.size(), 1u);
+  const RollforwardReport& report = reports[0];
+  EXPECT_EQ(report.redo_applied, 2u);  // t1's two images
+  EXPECT_EQ(report.txns_committed, 1u);
+  // t2's unforced image died with the node: nothing of it to discard.
+  EXPECT_EQ(report.redo_considered, 2u);
+  EXPECT_EQ(report.txns_discarded, 0u);
+  EXPECT_EQ(report.negotiated, 0u);
 
   EXPECT_EQ(DiscValue(node1_, "$DATA1", "acct", "a1"), "200");
   EXPECT_EQ(DiscValue(node1_, "$DATA1", "acct", "a2"), "42");
@@ -597,8 +593,9 @@ TEST_F(TmfTest, RecoverNodeRollsARelativeFileForward) {
 
 TEST_F(TmfTest, RollforwardNegotiatesEndingTransactions) {
   // A distributed transaction reaches phase 1 on node 2 (audit forced),
-  // commits at home, but node 2 dies before phase 2: after restart,
-  // rollforward must ask other nodes for the disposition.
+  // commits at home, but node 2 dies before phase 2: its recovery must ask
+  // the home TMP for the disposition over the network.
+  node2_->ArchiveVolumes();  // from before the transaction: rebuild it all
   uint64_t t = Begin();
   EXPECT_TRUE(Insert(t, "stock", "s1", "55").ok());
   client_->CallRaw(Tmp1(), kTmfEnd, EncodeTransidPayload(Transid::Unpack(t)), t);
@@ -609,48 +606,24 @@ TEST_F(TmfTest, RollforwardNegotiatesEndingTransactions) {
   }
   EXPECT_EQ(node1_->storage().monitor_trail.Lookup(Transid::Unpack(t)), 1);
 
-  auto* vol2 = node2_->storage().volumes.at("$DATA2").get();
-  auto* trail2 = node2_->storage().trails.at("$DATA2.AT").get();
-  Bytes archive = Bytes();
-  {
-    // Archive node 2 from before the transaction: rebuild everything.
-    storage::Volume empty("$DATA2");
-    storage::FileOptions opt;
-    opt.audited = true;
-    empty.CreateFile("stock", storage::FileOrganization::kKeySequenced, opt);
-    archive = empty.Archive();
-  }
   deploy_.CrashNode(2);
   sim_.RunFor(Millis(100));
-  deploy_.RestartNode(2);
-  // Keep node 2 cut off while it recovers: rollforward must resolve the
-  // in-"ending" transaction by negotiation, not by receiving the home
-  // node's (still queued) phase-2 message first.
-  deploy_.cluster().CutLink(1, 2);
-  sim_.RunFor(Millis(100));
-
-  // Negotiation: consult node 1's Monitor Audit Trail.
-  size_t negotiations = 0;
-  RollforwardInput input;
-  input.volume = vol2;
-  input.archive = &archive;
-  input.trail = trail2;
-  input.archive_lsn = 0;
-  input.monitor_trail = &node2_->storage().monitor_trail;
-  input.resolve_remote = [&](const Transid& transid) {
-    ++negotiations;
-    int r = node1_->storage().monitor_trail.Lookup(transid);
-    if (r == 1) return Disposition::kCommitted;
-    if (r == 0) return Disposition::kAborted;
-    return Disposition::kUnknown;
-  };
-  auto report = Rollforward(input);
-  ASSERT_TRUE(report.ok());
+  // ROLLFORWARD runs before node 2's services restart, so the home's
+  // phase-2 retry cannot deliver the commit record first.
+  const int64_t served = sim_.GetStats().Counter("tmf.resolves_served");
+  std::vector<RollforwardReport> reports;
+  deploy_.RecoverNode(2, [&](const std::vector<RollforwardReport>& r) {
+    reports = r;
+  });
+  sim_.RunFor(Seconds(1));
+  ASSERT_EQ(reports.size(), 1u);
   // Node 2 never wrote its own commit record (phase 2 didn't arrive), so
-  // the disposition had to be negotiated.
-  EXPECT_GE(negotiations, 1u);
-  EXPECT_EQ(report->txns_committed, 1u);
+  // the disposition was negotiated: one resolve query at the home TMP.
+  EXPECT_EQ(reports[0].negotiated, 1u);
+  EXPECT_EQ(sim_.GetStats().Counter("tmf.resolves_served") - served, 1);
+  EXPECT_EQ(reports[0].txns_committed, 1u);
   EXPECT_EQ(DiscValue(node2_, "$DATA2", "stock", "s1"), "55");
+  EXPECT_EQ(node2_->storage().monitor_trail.Lookup(Transid::Unpack(t)), 1);
 }
 
 // ---------------------------------------------------------------------------
