@@ -39,9 +39,12 @@ void Process::StampTrace(net::Message& msg) {
   const uint64_t transid =
       current_transid_ != 0 ? current_transid_ : active_trace_.transid;
   if (transid == 0) return;
+  // The transid rides on every message, traced or not: Network attributes
+  // messages to transactions by it. Only the span and the send record wait
+  // for a reader to enable tracing.
+  msg.trace.transid = transid;
   sim::TraceLog& log = sim()->GetTrace();
   if (!log.enabled()) return;
-  msg.trace.transid = transid;
   msg.trace.span = log.NewSpan(id().node);
   sim()->RecordTrace(sim::TraceEventKind::kMsgSend, msg.trace, id().node,
                      msg.tag, msg.dst.node, active_trace_.span);
@@ -184,8 +187,9 @@ void Process::DeliverToProcess(net::Message msg) {
     sim()->RecordTrace(sim::TraceEventKind::kMsgDeliver, active_trace_,
                        id().node, msg.tag);
   } else if (msg.transid != 0) {
-    // Untraced message carrying a file-system transid (e.g. injected by a
-    // test client): adopt the transid so downstream work is attributable.
+    // A file-system transid without a trace stamp (e.g. a reply sent from a
+    // context outside the transaction): adopt the transid so downstream work
+    // is attributable.
     active_trace_ = sim::TraceContext{msg.transid, 0};
   } else {
     active_trace_ = sim::TraceContext{};

@@ -89,14 +89,15 @@ struct PairHandles {
 };
 
 /// Spawns a process-pair of T on two distinct CPUs and registers `name` to
-/// the primary. Extra args are forwarded to both constructors.
+/// the primary. Extra args are copied into both constructors, so each member
+/// gets its own intact copy.
 template <typename T, typename... Args>
 PairHandles<T> SpawnPair(Node* node, const std::string& name, int cpu_primary,
-                         int cpu_backup, Args&&... args) {
+                         int cpu_backup, const Args&... args) {
   assert(cpu_primary != cpu_backup && "pair members must live on distinct CPUs");
   PairHandles<T> handles;
-  handles.primary = node->Spawn<T>(cpu_primary, std::forward<Args>(args)...);
-  handles.backup = node->Spawn<T>(cpu_backup, std::forward<Args>(args)...);
+  handles.primary = node->Spawn<T>(cpu_primary, args...);
+  handles.backup = node->Spawn<T>(cpu_backup, args...);
   if (handles.primary != nullptr) {
     handles.primary->ConfigurePair(name, PairedProcess::Role::kPrimary);
     node->RegisterName(name, handles.primary->id().pid);
@@ -115,10 +116,10 @@ PairHandles<T> SpawnPair(Node* node, const std::string& name, int cpu_primary,
 /// `cpu` and attaches it to the (currently exposed) primary, which then gets
 /// OnBackupAttached to resynchronize state.
 template <typename T, typename... Args>
-T* AttachBackup(Node* node, T* primary, int cpu, Args&&... args) {
+T* AttachBackup(Node* node, T* primary, int cpu, const Args&... args) {
   assert(primary->IsPrimary());
   assert(cpu != primary->cpu());
-  T* backup = node->Spawn<T>(cpu, std::forward<Args>(args)...);
+  T* backup = node->Spawn<T>(cpu, args...);
   if (backup == nullptr) return nullptr;
   backup->ConfigurePair(primary->pair_name(), PairedProcess::Role::kBackup);
   backup->SetPeer(primary->id());

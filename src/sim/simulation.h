@@ -124,7 +124,8 @@ class Simulation {
   TraceLog& GetTrace() { return trace_; }
 
   /// Appends one causal trace event stamped with the current simulated time.
-  /// No-op when tracing is disabled or the context carries no transaction.
+  /// No-op unless a reader has enabled tracing (it starts off), and when the
+  /// context carries no transaction.
   void RecordTrace(TraceEventKind kind, const TraceContext& ctx, uint16_t node,
                    uint32_t a = 0, uint32_t b = 0, uint32_t parent = 0) {
     if (!trace_.enabled() || !ctx.active()) return;

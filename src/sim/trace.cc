@@ -45,49 +45,25 @@ std::string TraceEvent::ToString() const {
   return out.str();
 }
 
-TraceLog::TraceLog(size_t capacity) : capacity_(capacity) { EnsureShards(1); }
-
 void TraceLog::Record(const TraceEvent& e) {
   const internal::ExecContext* ec = internal::Exec();
-  Shard* s;
-  EventKey key;
   if (ec != nullptr && ec->trace == this) {
-    s = shards_[ec->shard].get();
-    key = ec->key;
+    shards_[ec->shard]->push_back(Rec{ec->key, e});
   } else {
     // Outside event execution: shard 0 with a time-only key, which sorts
     // before any event's records at the same instant.
-    s = shards_[0].get();
-    key = EventKey{e.time, 0, 0};
-  }
-  Rec rec{key, s->next_ordinal++, e};
-  if (s->ring.size() < capacity_) {
-    s->ring.push_back(std::move(rec));
-  } else {
-    s->ring[s->head] = std::move(rec);
-    s->head = (s->head + 1) % capacity_;
-    s->dropped++;
+    shards_[0]->push_back(Rec{EventKey{e.time, 0, 0}, e});
   }
 }
 
 size_t TraceLog::size() const {
   size_t n = 0;
-  for (const auto& s : shards_) n += s->ring.size();
-  return n;
-}
-
-size_t TraceLog::dropped() const {
-  size_t n = 0;
-  for (const auto& s : shards_) n += s->dropped;
+  for (const auto& s : shards_) n += s->size();
   return n;
 }
 
 void TraceLog::Clear() {
-  for (auto& s : shards_) {
-    s->ring.clear();
-    s->head = 0;
-    s->dropped = 0;
-  }
+  for (auto& s : shards_) s->clear();
   // span_counters_ deliberately keep counting: span ids stay unique per run.
 }
 
@@ -95,58 +71,34 @@ void TraceLog::EnsureShards(size_t n) {
   while (shards_.size() < n) shards_.push_back(std::make_unique<Shard>());
 }
 
-std::vector<TraceEvent> TraceLog::Events(uint64_t transid) const {
+std::vector<TraceEvent> TraceLog::Merge(const uint64_t* transid) const {
   std::vector<const Rec*> recs;
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    const size_t n = s.ring.size();
-    // A full ring's oldest element sits at head (the next overwrite slot);
-    // a partially filled ring starts at 0.
-    const size_t start = (n == capacity_) ? s.head : 0;
-    for (size_t i = 0; i < n; ++i) {
-      const Rec& r = s.ring[(start + i) % n];
-      if (r.e.transid == transid) recs.push_back(&r);
+  for (const auto& s : shards_) {
+    for (const Rec& r : *s) {
+      if (transid == nullptr || r.e.transid == *transid) recs.push_back(&r);
     }
   }
   // Canonical order: event key, then record order within the event. Keys
-  // are globally unique per event, so the ordinal only breaks ties among
-  // records of one event (or among keyless shard-0 records).
-  std::sort(recs.begin(), recs.end(), [](const Rec* a, const Rec* b) {
-    if (a->key < b->key) return true;
-    if (b->key < a->key) return false;
-    return a->ordinal < b->ordinal;
-  });
+  // are globally unique per event and one event records into one shard, so
+  // equal keys only occur within a shard, where the stable sort keeps
+  // record order.
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const Rec* a, const Rec* b) { return a->key < b->key; });
   std::vector<TraceEvent> out;
   out.reserve(recs.size());
   for (const Rec* r : recs) out.push_back(r->e);
   return out;
 }
 
-std::vector<TraceEvent> TraceLog::AllEvents() const {
-  std::vector<const Rec*> recs;
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    const size_t n = s.ring.size();
-    const size_t start = (n == capacity_) ? s.head : 0;
-    for (size_t i = 0; i < n; ++i) recs.push_back(&s.ring[(start + i) % n]);
-  }
-  std::sort(recs.begin(), recs.end(), [](const Rec* a, const Rec* b) {
-    if (a->key < b->key) return true;
-    if (b->key < a->key) return false;
-    return a->ordinal < b->ordinal;
-  });
-  std::vector<TraceEvent> out;
-  out.reserve(recs.size());
-  for (const Rec* r : recs) out.push_back(r->e);
-  return out;
+std::vector<TraceEvent> TraceLog::Events(uint64_t transid) const {
+  return Merge(&transid);
 }
+
+std::vector<TraceEvent> TraceLog::AllEvents() const { return Merge(nullptr); }
 
 std::string TraceLog::Dump(uint64_t transid) const {
   std::ostringstream out;
-  out << "trace transid=" << transid;
-  const size_t d = dropped();
-  if (d > 0) out << " (ring dropped " << d << " oldest events)";
-  out << "\n";
+  out << "trace transid=" << transid << "\n";
   for (const TraceEvent& e : Events(transid)) {
     out << "  " << e.ToString() << "\n";
   }

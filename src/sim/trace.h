@@ -5,14 +5,17 @@
 // handled and stamps a fresh span — parented on the active one — onto each
 // outgoing message, so the chain of sends, timer callbacks, and replies that
 // realises one transaction forms a causal tree. Subsystems append fixed-size
-// TraceEvents (no strings, no allocation beyond the ring) to the simulation's
-// bounded TraceLog ring; Dump(transid) renders a deterministic per-transaction
-// trace for tests and EXPERIMENTS.md.
+// TraceEvents (no strings) to the simulation's TraceLog; Dump(transid)
+// renders a deterministic per-transaction trace for tests and EXPERIMENTS.md.
 //
-// Storage is sharded per event loop: a record lands in the ring of the loop
+// The log is off until a reader turns it on with set_enabled(true); from
+// then on it keeps every event until the reader drains it with Clear().
+// Nothing is ever overwritten or dropped.
+//
+// Storage is sharded per event loop: a record lands in the shard of the loop
 // executing the current event, stamped with that event's total-order key
-// (time, origin, seq) and a per-shard ordinal. Reads merge the shards by
-// (key, ordinal), which reproduces the canonical event order — the same
+// (time, origin, seq). Reads merge the shards by key, then by record order
+// within a shard, which reproduces the canonical event order — the same
 // order at every worker count, because keys are assigned at schedule time,
 // never by the executing thread.
 
@@ -73,12 +76,11 @@ struct TraceEvent {
   std::string ToString() const;
 };
 
-/// Sharded bounded rings of TraceEvents. When a shard's ring is full, its
-/// oldest events are overwritten (and counted in dropped()); recording is
-/// O(1) and allocation-free once a ring has grown to capacity.
+/// Sharded append-only logs of TraceEvents, disabled until a reader
+/// enables them.
 class TraceLog {
  public:
-  explicit TraceLog(size_t capacity = 1 << 16);
+  TraceLog() { EnsureShards(1); }
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
@@ -94,23 +96,23 @@ class TraceLog {
     if (node >= span_counters_.size()) span_counters_.resize(node + 1, 0);
     return (static_cast<uint32_t>(node & 0xff) << 24) | ++span_counters_[node];
   }
-  /// Span for node-less (global) work; kept for tests and tools.
-  uint32_t NewSpan() { return NewSpan(0); }
 
   /// Appends `e` to the executing loop's shard (shard 0 outside event
   /// execution), stamped with the running event's key.
   void Record(const TraceEvent& e);
 
-  size_t size() const;     ///< retained events, all shards
-  size_t dropped() const;  ///< overwritten events, all shards
+  size_t size() const;  ///< recorded events, all shards
+  /// Events lost to a bound: always 0, the log keeps every event.
+  size_t dropped() const { return 0; }
+  /// Drains the log; a reader calls it once it has consumed the events.
   void Clear();
 
-  /// All retained events for one transaction, merged across shards into
+  /// All recorded events for one transaction, merged across shards into
   /// canonical (event key, record order) order.
   std::vector<TraceEvent> Events(uint64_t transid) const;
 
-  /// Every retained event across all transactions, in the same canonical
-  /// order. Debugging aid for whole-run engine comparisons.
+  /// Every recorded event across all transactions, in the same canonical
+  /// order.
   std::vector<TraceEvent> AllEvents() const;
 
   /// Deterministic multi-line rendering of Events(transid).
@@ -127,21 +129,17 @@ class TraceLog {
 
  private:
   struct Rec {
-    EventKey key;      // key of the event that recorded this
-    uint64_t ordinal;  // per-shard record order, tie-break at equal keys
+    EventKey key;  // key of the event that recorded this
     TraceEvent e;
   };
-  struct Shard {
-    std::vector<Rec> ring;  // grows lazily to capacity, then wraps
-    size_t head = 0;        // next overwrite position once full
-    size_t dropped = 0;
-    uint64_t next_ordinal = 0;
-  };
+  using Shard = std::vector<Rec>;  // in record order
+
+  /// Events whose transid is `*transid` (every event when null), merged.
+  std::vector<TraceEvent> Merge(const uint64_t* transid) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  size_t capacity_;
   std::vector<uint32_t> span_counters_;  // per-node, see NewSpan
-  bool enabled_ = true;
+  bool enabled_ = false;
 };
 
 }  // namespace encompass::sim

@@ -527,6 +527,33 @@ TEST_F(OsTest, AttachBackupResynchronizesState) {
   EXPECT_EQ(fresh->count, 3u);
 }
 
+/// A pair member that keeps the constructor argument it was built from.
+class LabelPair : public PairedProcess {
+ public:
+  explicit LabelPair(std::vector<std::string> labels)
+      : labels(std::move(labels)) {}
+  std::vector<std::string> labels;
+};
+
+TEST_F(OsTest, PairMembersBothGetAnRvalueArgument) {
+  Node* n = cluster_.AddNode(1);
+  const std::vector<std::string> labels{"alpha", "beta"};
+  auto pair = SpawnPair<LabelPair>(n, "$LBL", 0, 1,
+                                   std::vector<std::string>(labels));
+  sim_.Run();
+  ASSERT_NE(pair.primary, nullptr);
+  ASSERT_NE(pair.backup, nullptr);
+  EXPECT_EQ(pair.primary->labels, labels);
+  EXPECT_EQ(pair.backup->labels, labels);  // not a moved-from copy
+
+  n->FailCpu(1);
+  sim_.Run();
+  LabelPair* fresh = AttachBackup<LabelPair>(n, pair.primary, 2,
+                                             std::vector<std::string>(labels));
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->labels, labels);
+}
+
 TEST_F(OsTest, DoubleFailureKillsPairService) {
   Node* n = cluster_.AddNode(1);
   SpawnPair<CounterPair>(n, "$CTR", 0, 1);

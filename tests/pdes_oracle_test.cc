@@ -61,6 +61,7 @@ Rig MakeRig(int workers) {
   Rig rig;
   rig.workers = workers;
   rig.sim = std::make_unique<sim::Simulation>(kSeed, workers);
+  rig.sim->GetTrace().set_enabled(true);  // the golden holds every dump
   rig.deploy = std::make_unique<Deployment>(rig.sim.get());
   rig.injector = std::make_unique<sim::FaultInjector>(rig.sim.get());
   for (int n = 1; n <= 3; ++n) {

@@ -371,11 +371,11 @@ TEST(StatsTest, ToStringShowsPercentiles) {
 }
 
 TEST(TraceLogTest, RecordAndDumpPerTransaction) {
-  TraceLog log(16);
+  TraceLog log;
   TraceEvent e;
   e.time = 5;
   e.transid = 42;
-  e.span = log.NewSpan();
+  e.span = log.NewSpan(1);
   e.kind = TraceEventKind::kMsgSend;
   e.node = 1;
   e.a = 7;
@@ -400,29 +400,33 @@ TEST(TraceLogTest, RecordAndDumpPerTransaction) {
   EXPECT_EQ(dump.find("txn.state"), std::string::npos);
 }
 
-TEST(TraceLogTest, RingOverwritesOldestAndCountsDropped) {
-  TraceLog log(4);
-  for (uint64_t i = 1; i <= 6; ++i) {
+TEST(TraceLogTest, KeepsEveryEventUntilCleared) {
+  // Well past the 64 Ki events per shard a bounded ring would have kept.
+  constexpr uint32_t kEvents = (1 << 16) + 1000;
+  TraceLog log;
+  for (uint32_t i = 0; i < kEvents; ++i) {
     TraceEvent e;
-    e.transid = i;
+    e.time = i;
+    e.transid = 1 + i % 2;
+    e.a = i;
     log.Record(e);
   }
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.dropped(), 2u);
-  EXPECT_TRUE(log.Events(1).empty());   // overwritten
-  EXPECT_TRUE(log.Events(2).empty());   // overwritten
-  EXPECT_EQ(log.Events(3).size(), 1u);  // oldest survivor
-  EXPECT_EQ(log.Events(6).size(), 1u);
+  EXPECT_EQ(log.size(), kEvents);
+  EXPECT_EQ(log.dropped(), 0u);
+  const std::vector<TraceEvent> all = log.AllEvents();
+  ASSERT_EQ(all.size(), kEvents);
+  for (uint32_t i = 0; i < kEvents; ++i) ASSERT_EQ(all[i].a, i);
+  EXPECT_EQ(log.Events(1).size(), kEvents / 2);
+  EXPECT_EQ(log.Events(1).front().a, 0u);  // the oldest event survives
   log.Clear();
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(log.Events(6).empty());
+  EXPECT_TRUE(log.AllEvents().empty());
 }
 
 TEST(TraceLogTest, DisabledLogRecordsNothing) {
-  TraceLog log;
-  log.set_enabled(false);
+  // A fresh simulation's log is off: nothing records until a reader enables it.
   Simulation sim;
-  sim.GetTrace().set_enabled(false);
+  EXPECT_FALSE(sim.GetTrace().enabled());
   TraceContext ctx{42, 1};
   sim.RecordTrace(TraceEventKind::kMsgSend, ctx, 1);
   EXPECT_EQ(sim.GetTrace().size(), 0u);

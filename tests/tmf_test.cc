@@ -633,6 +633,7 @@ TEST_F(TmfTest, RollforwardNegotiatesEndingTransactions) {
 class TmfTreeTest : public ::testing::Test {
  protected:
   TmfTreeTest() : sim_(31), deploy_(&sim_) {
+    sim_.GetTrace().set_enabled(true);  // Deliveries() reads the trace
     for (net::NodeId id : {1, 2, 3}) {
       NodeSpec spec;
       spec.id = id;
@@ -710,7 +711,9 @@ class TmfTreeTest : public ::testing::Test {
   std::vector<std::pair<uint16_t, uint32_t>> Deliveries(uint64_t t,
                                                         uint32_t tag) {
     std::vector<std::pair<uint16_t, uint32_t>> out;
-    for (const auto& e : sim_.GetTrace().Events(t)) {
+    const std::vector<sim::TraceEvent> events = sim_.GetTrace().Events(t);
+    EXPECT_FALSE(events.empty()) << "no trace recorded for " << t;
+    for (const auto& e : events) {
       if (e.kind == sim::TraceEventKind::kPhase2Queued && e.a == tag) {
         out.emplace_back(e.node, e.b);
       }

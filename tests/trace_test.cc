@@ -31,11 +31,16 @@ struct Rig {
 
 // Three nodes, one audited file per node; the client lives on node 1.
 // `group_commit_window` > 0 opens the MAT/audit batching window (0 keeps the
-// default immediate-write behaviour).
-Rig MakeRig(uint64_t seed, SimDuration group_commit_window = 0) {
+// default immediate-write behaviour). The network counts messages per
+// transaction; `trace` turns the TraceLog on from the start.
+Rig MakeRig(uint64_t seed, SimDuration group_commit_window = 0,
+            bool trace = true) {
   Rig rig;
   rig.sim = std::make_unique<sim::Simulation>(seed);
-  rig.deploy = std::make_unique<Deployment>(rig.sim.get());
+  rig.sim->GetTrace().set_enabled(trace);
+  net::NetworkConfig net;
+  net.track_messages = true;
+  rig.deploy = std::make_unique<Deployment>(rig.sim.get(), net);
   for (int n = 1; n <= 3; ++n) {
     app::NodeSpec spec;
     spec.id = static_cast<net::NodeId>(n);
@@ -158,6 +163,23 @@ TEST(TraceTest, DistributedCommitCausalSequence) {
     seen.insert(e.span);
     EXPECT_EQ(e.transid, t);
   }
+}
+
+// Network attributes a message to the transid every message carries, so a
+// transaction's message count is the same whether or not a reader traces it.
+TEST(TraceTest, MessageAttributionDoesNotDependOnTracing) {
+  auto count = [](bool trace) {
+    Rig rig = MakeRig(101, 0, trace);
+    uint64_t t = Begin(rig);
+    EXPECT_TRUE(Insert(rig, t, "f2", "k", "v2").ok());
+    EXPECT_TRUE(Insert(rig, t, "f3", "k", "v3").ok());
+    EXPECT_TRUE(End(rig, t).ok());
+    EXPECT_EQ(rig.sim->GetTrace().size() > 0, trace);
+    return rig.deploy->cluster().network().PerTxnMessages()[t];
+  };
+  const uint64_t traced = count(true);
+  EXPECT_GT(traced, 0u);
+  EXPECT_EQ(count(false), traced);
 }
 
 TEST(TraceTest, UnilateralAbortCausalSequence) {
