@@ -4,7 +4,8 @@
 // system across a crash + halt-and-restart recovery. The shape to expect:
 // TMF shows a brief dip (only transactions touching the failed module are
 // backed out and restarted); the conventional system shows a total outage
-// whose length grows with the log to recover.
+// whose length grows with the log to recover. E1.d fails the CPU of the TCP
+// that runs the terminals: its backup restarts their programs.
 
 #include "baseline/wal_engine.h"
 #include "bench_util.h"
@@ -41,6 +42,49 @@ void TableTmfTimeline() {
   ReportValue("e1.a.takeovers", rig.sim->GetStats().Counter("os.takeovers"));
   ReportValue("e1.a.restarts", rig.Primary()->transactions_restarted());
   ReportValue("e1.a.programs_failed", rig.Primary()->programs_failed());
+}
+
+void TableTcpTakeover() {
+  Header("E1.d TMF: committed transactions per 500ms bucket (TCP CPU fails at 2s)");
+  // The same rig as E1.a, but the failed CPU (cpus - 2) holds $TCP1's
+  // primary. The backup takes over and restarts each terminal's program at
+  // its BEGIN-TRANSACTION with the checkpointed input; the terminal user
+  // enters nothing again. The CPU is reloaded at 3s and a new backup is
+  // attached at 3.5s, which resynchronizes it (OnBackupAttached).
+  BankRig rig = MakeBankRig(/*seed=*/41, /*cpus=*/4, /*accounts=*/100,
+                            /*terminals=*/8, /*iterations=*/UINT64_MAX);
+  const int tcp_cpu = rig.tcp.primary->cpu();
+  app::Tcp* tcp = rig.tcp.primary;
+  printf("%10s %14s %14s\n", "t (s)", "commits/bucket", "event");
+  uint64_t last = 0, min_commits = UINT64_MAX;
+  for (int bucket = 0; bucket < 12; ++bucket) {
+    const char* event = "";
+    if (bucket == 4) {
+      rig.node->node()->FailCpu(tcp_cpu);  // the primary vanishes with it
+      tcp = rig.tcp.backup;
+      event = "TCP CPU FAIL";
+    } else if (bucket == 6) {
+      rig.node->node()->ReloadCpu(tcp_cpu);
+      event = "CPU RELOAD";
+    } else if (bucket == 7) {
+      os::AttachBackup<app::Tcp>(rig.node->node(), tcp, tcp_cpu,
+                                 rig.tcp_config);
+      event = "NEW BACKUP";
+    }
+    rig.sim->RunFor(Millis(500));
+    const uint64_t now_committed = tcp->transactions_committed();
+    printf("%10.1f %14llu %14s\n", static_cast<double>(rig.sim->Now()) / 1e6,
+           (unsigned long long)(now_committed - last), event);
+    min_commits = std::min(min_commits, now_committed - last);
+    last = now_committed;
+  }
+  const int64_t restarts =
+      rig.sim->GetStats().Counter("tcp.takeover_restarts");
+  printf("terminal restarts after takeover=%lld failed=%llu\n",
+         (long long)restarts, (unsigned long long)tcp->programs_failed());
+  ReportValue("e1.d.bucket_commits.min", min_commits);
+  ReportValue("e1.d.tcp_takeover_restarts", restarts);
+  ReportValue("e1.d.programs_failed", tcp->programs_failed());
 }
 
 void TableBaselineTimeline() {
@@ -118,6 +162,7 @@ int main() {
   encompass::bench::TableTmfTimeline();
   encompass::bench::TableBaselineTimeline();
   encompass::bench::TableOutageVsLog();
+  encompass::bench::TableTcpTakeover();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -1,16 +1,22 @@
 // E6 — the data-base manager's storage claims: three file organizations,
 // multi-key access with automatic index maintenance, data and index
-// (prefix) compression, the main-memory cache, key-range partitioning, and
-// the heap cost of the volatile (unflushed-write) ledger.
+// (prefix) compression, the main-memory cache, key-range partitioning, the
+// heap cost of the volatile (unflushed-write) ledger, and every file path
+// through a deployed DISCPROCESS, rebuilt by ROLLFORWARD after a total node
+// failure.
 
 #include <chrono>
 #include <cinttypes>
 
 #include "bench_util.h"
+#include "discprocess/disc_protocol.h"
 #include "storage/bplus_tree.h"
 #include "storage/file.h"
 #include "storage/partition.h"
 #include "storage/volume.h"
+#include "test_util.h"
+#include "tmf/file_system.h"
+#include "tmf/rollforward.h"
 
 namespace encompass::bench {
 namespace {
@@ -176,6 +182,260 @@ void TableVolatileLedger() {
   ReportValue("e6.ledger.bytes_per_write", per_write);
 }
 
+/// Drives one client process's FileSystem and transaction verbs one call at
+/// a time: each call runs the simulation until its reply arrives.
+class FileClient {
+ public:
+  FileClient(sim::Simulation* sim, app::Deployment* deploy)
+      : sim_(sim),
+        client_(deploy->GetNode(1)->node()->Spawn<testutil::TestClient>(2)),
+        fs_(client_, &deploy->catalog()) {
+    sim_->Run();
+  }
+
+  uint64_t Begin() {
+    auto* o = client_->CallRaw(Tmp(), tmf::kTmfBegin, {});
+    sim_->Run();
+    auto t = tmf::DecodeTransidPayload(Slice(o->payload));
+    return t.ok() ? t->Pack() : 0;
+  }
+  Status End(uint64_t transid) { return Verb(tmf::kTmfEnd, transid); }
+  Status Abort(uint64_t transid) { return Verb(tmf::kTmfAbort, transid); }
+
+  /// Runs one FileSystem call under `transid`; the reply payload lands in
+  /// `payload` when given.
+  Status Op(uint64_t transid,
+            const std::function<void(tmf::FileSystem&, tmf::FileSystem::Callback)>& op,
+            Bytes* payload = nullptr) {
+    Status result = Status::Timeout("no reply");
+    client_->set_current_transid(transid);
+    op(fs_, [&](const Status& s, const Bytes& p) {
+      result = s;
+      if (payload != nullptr) *payload = p;
+    });
+    client_->set_current_transid(0);
+    sim_->Run();
+    return result;
+  }
+
+ private:
+  static net::Address Tmp() { return net::Address(1, "$TMP"); }
+  Status Verb(uint32_t tag, uint64_t transid) {
+    auto* o = client_->CallRaw(
+        Tmp(), tag, tmf::EncodeTransidPayload(Transid::Unpack(transid)),
+        transid);
+    sim_->Run();
+    return o->status;
+  }
+
+  sim::Simulation* sim_;
+  testutil::TestClient* client_;
+  tmf::FileSystem fs_;
+};
+
+/// Every record of every file on a volume, and the primary keys behind each
+/// alternate-key value of `sites`.
+std::map<std::string, std::string> VolumeImage(
+    Volume* vol, const std::vector<std::string>& sites) {
+  std::map<std::string, std::string> image;
+  for (const char* file : {"parts", "slots", "log"}) {
+    vol->Find(file)->ForEach([&](const Slice& key, const Slice& value) {
+      image[std::string(file) + "/" + key.ToString()] = value.ToString();
+    });
+  }
+  for (const auto& site : sites) {
+    auto keys = vol->Find("parts")->LookupAlternate("site", site);
+    std::string joined;
+    if (keys.ok()) {
+      for (const auto& k : *keys) joined += ToString(k) + ",";
+    }
+    image["parts.site/" + site] = joined;
+  }
+  return image;
+}
+
+void TableDeployedFilePaths() {
+  Header("E6.g file paths through a deployed DISCPROCESS, then ROLLFORWARD");
+  // One node whose volume holds the three organizations: "parts"
+  // (key-sequenced, alternate key "site"), "slots" (relative) and "log"
+  // (entry-sequenced). Each verb runs as a TMF transaction through the
+  // FileSystem; the node then fails and RecoverNode rebuilds the volume
+  // from its archive plus the audit trail.
+  sim::Simulation sim(97);
+  app::Deployment deploy(&sim);
+  app::NodeSpec spec;
+  spec.id = 1;
+  spec.node_config.num_cpus = 4;
+  FileSchema by_site;
+  by_site.alternate_keys = {"site"};
+  spec.volumes = {app::VolumeSpec{
+      "$DATA1",
+      {app::FileSpec{"parts", FileOrganization::kKeySequenced, true, by_site},
+       app::FileSpec{"slots", FileOrganization::kRelative},
+       app::FileSpec{"log", FileOrganization::kEntrySequenced}},
+      {}}};
+  app::NodeDeployment* node = deploy.AddNode(spec);
+  for (const char* file : {"parts", "slots", "log"}) {
+    deploy.DefineFile(file, 1, "$DATA1");
+  }
+  Volume* vol = node->storage().volumes.at("$DATA1").get();
+  FileClient d(&sim, &deploy);
+
+  int checks = 0, mismatches = 0;
+  auto check = [&](const char* what, bool ok, const std::string& seen) {
+    ++checks;
+    mismatches += ok ? 0 : 1;
+    printf("%-44s %-22s %s\n", what, seen.c_str(), ok ? "ok" : "MISMATCH");
+  };
+  auto slot = [](uint64_t n) { return EncodeRecnum(n); };
+  auto part = [](int i) {
+    char key[8];
+    snprintf(key, sizeof(key), "p%02d", i);
+    return std::string(key);
+  };
+  auto insert = [&d](uint64_t t, const std::string& file, const Bytes& key,
+                     const std::string& value, Bytes* assigned = nullptr) {
+    return d.Op(t, [&](tmf::FileSystem& fs, tmf::FileSystem::Callback cb) {
+      fs.Insert(file, Slice(key), Slice(value), std::move(cb));
+    }, assigned);
+  };
+  auto update = [&d](uint64_t t, const std::string& file, const Bytes& key,
+                     const std::string& value) {
+    return d.Op(t, [&](tmf::FileSystem& fs, tmf::FileSystem::Callback cb) {
+      fs.Update(file, Slice(key), Slice(value), std::move(cb));
+    });
+  };
+  auto erase = [&d](uint64_t t, const std::string& file, const Bytes& key) {
+    return d.Op(t, [&](tmf::FileSystem& fs, tmf::FileSystem::Callback cb) {
+      fs.Delete(file, Slice(key), std::move(cb));
+    });
+  };
+  // The record a positioned read lands on: its key for "parts", its value
+  // for the files keyed by record number.
+  auto seek = [&d](uint64_t t, const std::string& file, const Bytes& key,
+                   bool inclusive) {
+    Bytes payload;
+    Status s = d.Op(t, [&](tmf::FileSystem& fs, tmf::FileSystem::Callback cb) {
+      fs.Seek(file, Slice(key), inclusive, std::move(cb));
+    }, &payload);
+    auto rep = discprocess::SeekReply::Decode(Slice(payload));
+    if (!s.ok() || !rep.ok()) return "<" + s.ToString() + ">";
+    return ToString(file == "parts" ? rep->key : rep->value);
+  };
+  auto site_record = [](int i, const std::string& site) {
+    return Record().Set("site", site).Set("qty", std::to_string(i)).Encode();
+  };
+
+  // T1: 20 parts over four sites, slots 1..8, six log entries.
+  uint64_t t = d.Begin();
+  bool ok = true;
+  for (int i = 0; i < 20; ++i) {
+    ok &= insert(t, "parts", ToBytes(part(i)),
+                 ToString(site_record(i, "site" + std::to_string(i % 4))))
+              .ok();
+  }
+  for (uint64_t n = 1; n <= 8; ++n) {
+    ok &= insert(t, "slots", slot(n), "slot-" + std::to_string(n)).ok();
+  }
+  std::vector<Bytes> entries(6);
+  for (int i = 0; i < 6; ++i) {
+    ok &= insert(t, "log", {}, "entry-" + std::to_string(i), &entries[i]).ok();
+  }
+  check("insert 20 parts, 8 slots, 6 log entries", ok && d.End(t).ok(),
+        "committed");
+
+  // T2: the relative and entry-sequenced paths, an exclusive key-sequenced
+  // seek, an alternate-key read, a file lock and a browse scan.
+  t = d.Begin();
+  check("relative update slot 3",
+        update(t, "slots", slot(3), "slot-3b").ok(), "updated");
+  check("relative delete slot 4", erase(t, "slots", slot(4)).ok(), "deleted");
+  std::string at = seek(t, "slots", slot(4), true);
+  check("relative seek >= slot 4", at == "slot-5", at);
+  at = seek(t, "slots", slot(5), false);
+  check("relative seek > slot 5", at == "slot-6", at);
+  check("entry-sequenced update entry 1",
+        update(t, "log", entries[1], "entry-1b").ok(), "updated");
+  const Status refused = erase(t, "log", entries[2]);
+  check("entry-sequenced delete entry 2", refused.IsNotSupported(),
+        "refused");
+  at = seek(t, "log", entries[0], false);
+  check("entry-sequenced seek > entry 0", at == "entry-1b", at);
+  at = seek(t, "parts", ToBytes(part(5)), false);
+  check("key-sequenced seek > p05", at == part(6), at);
+  Bytes alt;
+  const Status alt_status =
+      d.Op(t, [](tmf::FileSystem& fs, tmf::FileSystem::Callback cb) {
+        fs.ReadAlternate("parts", "site", "site1", Slice(), std::move(cb));
+      }, &alt);
+  int alt_keys = 0;
+  Slice in(alt);
+  Slice pk;
+  while (GetLengthPrefixed(&in, &pk)) ++alt_keys;
+  check("alternate-key read site = site1", alt_status.ok() && alt_keys == 5,
+        std::to_string(alt_keys) + " parts");
+  check("file lock on parts",
+        d.Op(t, [](tmf::FileSystem& fs, tmf::FileSystem::Callback cb) {
+          fs.LockFile("parts", std::move(cb));
+        }).ok(), "granted");
+  int scanned = 0, batches = 0;
+  Bytes from;
+  bool inclusive = true, at_end = false;
+  while (!at_end && batches < 100) {
+    Bytes payload;
+    const Status s = d.Op(t, [&](tmf::FileSystem& fs, tmf::FileSystem::Callback cb) {
+      fs.Scan("parts", Slice(from), inclusive, /*max_records=*/8, std::move(cb));
+    }, &payload);
+    auto rep = discprocess::ScanReply::Decode(Slice(payload));
+    if (!s.ok() || !rep.ok()) break;
+    ++batches;
+    scanned += static_cast<int>(rep->entries.size());
+    at_end = rep->at_end || rep->entries.empty();
+    if (!rep->entries.empty()) from = rep->entries.back().key;
+    inclusive = false;
+  }
+  check("browse scan of parts, 8 per batch", scanned == 20 && at_end,
+        std::to_string(scanned) + " in " + std::to_string(batches) + " batches");
+  check("commit", d.End(t).ok(), "committed");
+
+  // T3 aborts: backout removes its log entry and part, restores slot 5.
+  const auto before_abort = VolumeImage(vol, {});
+  t = d.Begin();
+  ok = insert(t, "log", {}, "doomed").ok() &&
+       update(t, "slots", slot(5), "doomed").ok() &&
+       insert(t, "parts", ToBytes(part(99)), ToString(site_record(99, "site1"))).ok();
+  check("aborted append, update and insert backed out",
+        ok && d.Abort(t).ok() && VolumeImage(vol, {}) == before_abort,
+        "backed out");
+
+  // Archive, then T4 commits past the archive: ROLLFORWARD redoes it.
+  node->ArchiveVolumes();
+  t = d.Begin();
+  ok = update(t, "slots", slot(6), "slot-6b").ok() &&
+       insert(t, "slots", slot(9), "slot-9").ok() &&
+       insert(t, "log", {}, "entry-after-archive").ok() &&
+       update(t, "parts", ToBytes(part(1)), ToString(site_record(1, "site9"))).ok();
+  check("commit past the archive", ok && d.End(t).ok(), "committed");
+
+  const std::vector<std::string> sites = {"site0", "site1", "site2", "site3",
+                                          "site9"};
+  const auto committed = VolumeImage(vol, sites);
+  deploy.CrashNode(1);
+  sim.RunFor(Millis(100));
+  bool recovered = false;
+  deploy.RecoverNode(1, [&recovered](const std::vector<tmf::RollforwardReport>& r) {
+    recovered = r.size() == 1;
+  });
+  sim.RunFor(Seconds(5));
+  check("records + index entries after ROLLFORWARD",
+        recovered && VolumeImage(vol, sites) == committed,
+        std::to_string(committed.size()) + " compared");
+  printf("%d of %d checks mismatched\n", mismatches, checks);
+  ReportValue("e6.g.checks", checks);
+  ReportValue("e6.g.records_compared", static_cast<double>(committed.size()));
+  ReportValue("e6.g.mismatches", mismatches);
+}
+
 /// Builds a 4 KB-block tree of `n` records "<prefix><i>" -> "value".
 BPlusTree MakeTree(int n, const std::string& prefix = "key") {
   BPlusTree tree(4096);
@@ -241,6 +501,7 @@ int main() {
   encompass::bench::TableIndexOverheadAndPartitioning();
   encompass::bench::TableVolatileLedger();
   encompass::bench::TableBTreeWallClock();
+  encompass::bench::TableDeployedFilePaths();
   encompass::bench::WriteReport();
   return 0;
 }

@@ -3,7 +3,7 @@
 // the data base consistent." Runs the seeded fault-storm campaign across
 // many seeds and reports survival statistics: atomicity-oracle verdicts,
 // quiesce rate, recovery work, and what the storms actually threw at the
-// cluster.
+// cluster; then storms the queue execution lane.
 
 #include "bench_util.h"
 #include "encompass/chaos.h"
@@ -22,6 +22,12 @@ app::ChaosCampaignConfig CampaignConfig(uint64_t seed) {
   return cfg;
 }
 
+/// The survival verdict E9.a and E9.c count.
+bool Survived(const app::ChaosCampaignResult& r) {
+  return r.quiesced && r.violations.empty() &&
+         r.balance_sum == r.expected_sum && r.leaked_locks == 0;
+}
+
 void TableSurvival() {
   Header("E9.a campaign survival across seeds");
   printf("%6s %7s %8s %7s %9s %9s %9s %8s %9s\n", "seed", "faults", "crashes",
@@ -31,10 +37,8 @@ void TableSurvival() {
   size_t total_negotiated = 0, total_redo = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     app::ChaosCampaignResult r = app::RunChaosCampaign(CampaignConfig(seed));
-    bool ok = r.quiesced && r.violations.empty() &&
-              r.balance_sum == r.expected_sum && r.leaked_locks == 0;
     ++runs;
-    if (ok) ++survived;
+    if (Survived(r)) ++survived;
     total_faults += r.faults_fired;
     total_crashes += r.node_crashes;
     total_txns += r.txns_started;
@@ -68,14 +72,38 @@ void TableSurvival() {
 
 void TableStormShape() {
   Header("E9.b what one storm throws (seed 1 schedule)");
-  app::ChaosCampaignConfig cfg = CampaignConfig(1);
-  sim::FaultScheduleConfig scfg = cfg.schedule;
-  scfg.nodes = cfg.nodes;
-  scfg.cpus_per_node = 4;
-  sim::FaultSchedule schedule = sim::FaultScheduleGenerator(scfg).Generate(1);
-  printf("%s", schedule.Dump().c_str());
-  printf("(every fault heals; heavy faults get disjoint windows; the dump\n"
-         " above replays bit-identically via ReplayChaosCampaign)\n");
+  printf("%s", app::ChaosSchedule(CampaignConfig(1)).Dump().c_str());
+  printf("(every fault heals; heavy faults get disjoint windows; the seed\n"
+         " regenerates this schedule, so ChaosSchedule + ReplayChaosCampaign\n"
+         " replay the storm bit-identically)\n");
+}
+
+void TableQueueLane() {
+  Header("E9.c queue-lane storms: whole transactions through $QPLAN");
+  // Every node on the queue execution lane: clients submit predeclared
+  // transactions to the planner instead of the lock-lane verb sequence.
+  // A queue-lane commit is an ordinary 2PC commit, so the oracle applies.
+  printf("%6s %8s %7s %9s %8s %9s\n", "seed", "crashes", "txns", "committed",
+         "quiesced", "violations");
+  size_t runs = 0, survived = 0;
+  uint64_t committed = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    app::ChaosCampaignConfig cfg = CampaignConfig(seed);
+    cfg.queue_lane = true;
+    app::ChaosCampaignResult r = app::RunChaosCampaign(cfg);
+    ++runs;
+    if (Survived(r)) ++survived;
+    committed += r.txns_committed;
+    printf("%6llu %8zu %7llu %9llu %8s %9zu\n",
+           static_cast<unsigned long long>(seed), r.node_crashes,
+           static_cast<unsigned long long>(r.txns_started),
+           static_cast<unsigned long long>(r.txns_committed),
+           r.quiesced ? "yes" : "NO", r.violations.size());
+  }
+  printf("survived %zu/%zu queue-lane storms\n", survived, runs);
+  ReportValue("e9.c.runs", static_cast<double>(runs));
+  ReportValue("e9.c.survived", static_cast<double>(survived));
+  ReportValue("e9.c.txns_committed", static_cast<double>(committed));
 }
 
 }  // namespace
@@ -87,6 +115,7 @@ int main() {
   printf("E9: chaos recovery campaign — fault storms vs the atomicity oracle\n");
   encompass::bench::TableSurvival();
   encompass::bench::TableStormShape();
+  encompass::bench::TableQueueLane();
   encompass::bench::WriteReport();
   return 0;
 }

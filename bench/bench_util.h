@@ -253,6 +253,7 @@ struct BankRig {
   app::NodeDeployment* node = nullptr;
   storage::Volume* volume = nullptr;
   std::unique_ptr<app::ScreenProgram> program;
+  app::TcpConfig tcp_config;  ///< what $TCP1's primary and backup run
   os::PairHandles<app::Tcp> tcp;
 
   app::Tcp* Primary() {
@@ -287,11 +288,10 @@ inline BankRig MakeBankRig(uint64_t seed, int cpus, int accounts, int terminals,
 
   rig.program = std::make_unique<app::ScreenProgram>(
       apps::banking::MakeTransferProgram(1, "$SC.BANK", accounts, 100, skew));
-  app::TcpConfig tcfg;
-  tcfg.programs = {{"transfer", rig.program.get()}};
-  tcfg.restart_limit = restart_limit;
+  rig.tcp_config.programs = {{"transfer", rig.program.get()}};
+  rig.tcp_config.restart_limit = restart_limit;
   rig.tcp = os::SpawnPair<app::Tcp>(rig.node->node(), "$TCP1", cpus - 2,
-                                    cpus - 1, tcfg);
+                                    cpus - 1, rig.tcp_config);
   rig.sim->Run();
   for (int t = 0; t < terminals; ++t) {
     rig.tcp.primary->AttachTerminal("term" + std::to_string(t), "transfer",

@@ -66,10 +66,8 @@ int main() {
   sim.RunFor(Millis(50));
   printf("\n[neufahrn disconnected from the network]\n\n");
 
+  // One global update of X100 to `val`, submitted at node `via`.
   auto update = [&](net::NodeId via, const std::string& val) {
-    auto program = std::make_unique<ScreenProgram>(
-        MakeGlobalUpdateProgram(via, "item-master", "X100"));
-    // Run one deterministic update by overriding the Accept-generated value.
     ScreenProgram fixed("fixed-update");
     fixed.Compute([val](Fields& f) { f["val"] = val; })
         .BeginTransaction()

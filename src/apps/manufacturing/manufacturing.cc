@@ -91,17 +91,6 @@ void SeedGlobalRecord(app::Deployment* deploy,
   }
 }
 
-void SeedLocalRecord(app::Deployment* deploy, net::NodeId node,
-                     const std::string& file, const std::string& key,
-                     const std::string& value) {
-  Record rec;
-  rec.Set("val", value);
-  auto* vol = deploy->GetNode(node)->storage().volumes.at(MfgVolume(node)).get();
-  vol->Mutate(CopyName(file, node), storage::MutationOp::kInsert, Slice(key),
-              Slice(rec.Encode()));
-  vol->Flush();
-}
-
 std::optional<std::string> CopyValue(app::Deployment* deploy, net::NodeId n,
                                      const std::string& file,
                                      const std::string& key) {
@@ -396,6 +385,7 @@ app::ServerClassRouter* AddMfgServerClass(
 
 void SuspenseMonitor::OnStart() {
   fs_ = std::make_unique<tmf::FileSystem>(this, catalog_);
+  m_deferred_applied_ = stats().RegisterCounter("mfg.deferred_applied");
   SetTimer(config_.scan_interval, [this]() { Scan(); });
 }
 
@@ -510,8 +500,7 @@ void SuspenseMonitor::ApplyEntry(const Bytes& entry_key, const Record& entry) {
                                set_current_transid(0);
                                if (s5.ok()) {
                                  ++applied_;
-                                 sim()->GetStats().Incr(
-                                     "mfg.deferred_applied");
+                                 stats().Incr(m_deferred_applied_);
                                  ProcessNext(entry_key);
                                } else {
                                  FinishScan();
@@ -534,51 +523,6 @@ SuspenseMonitor* AddSuspenseMonitor(app::Deployment* deploy, net::NodeId node,
   cfg.scan_interval = scan_interval;
   return deploy->GetNode(node)->node()->Spawn<SuspenseMonitor>(
       1, &deploy->catalog(), cfg);
-}
-
-// ---------------------------------------------------------------------------
-// Terminal programs
-// ---------------------------------------------------------------------------
-
-app::ScreenProgram MakeLocalStockProgram(net::NodeId node, int num_items) {
-  app::ScreenProgram p("local-stock");
-  p.Accept([num_items](app::Fields& f, Random& rng) {
-     f["item"] = "item" + std::to_string(rng.Uniform(num_items));
-     f["qty"] = std::to_string(rng.Uniform(100));
-   })
-      .BeginTransaction()
-      .Send(node, GlobalServerClass(),
-            [](const app::Fields& f) {
-              Record r;
-              r.Set("op", "lupdate")
-                  .Set("file", "stock")
-                  .Set("key", f.at("item"))
-                  .Set("val", f.at("qty"));
-              return r.Encode();
-            })
-      .EndTransaction();
-  return p;
-}
-
-app::ScreenProgram MakeGlobalUpdateProgram(net::NodeId node,
-                                           const std::string& file,
-                                           const std::string& key) {
-  app::ScreenProgram p("global-update");
-  p.Accept([](app::Fields& f, Random& rng) {
-     f["val"] = "rev" + std::to_string(rng.Uniform(1000000));
-   })
-      .BeginTransaction()
-      .Send(node, GlobalServerClass(),
-            [file, key](const app::Fields& f) {
-              Record r;
-              r.Set("op", "gupdate")
-                  .Set("file", file)
-                  .Set("key", key)
-                  .Set("val", f.at("val"));
-              return r.Encode();
-            })
-      .EndTransaction();
-  return p;
 }
 
 }  // namespace encompass::apps::manufacturing

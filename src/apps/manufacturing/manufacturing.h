@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "encompass/deployment.h"
-#include "encompass/screen_program.h"
 #include "encompass/server.h"
 #include "encompass/server_class.h"
 
@@ -56,11 +55,6 @@ void SeedGlobalRecord(app::Deployment* deploy,
                       const std::vector<net::NodeId>& nodes,
                       const std::string& file, const std::string& key,
                       const std::string& value, net::NodeId master);
-
-/// Seeds one local record on one node.
-void SeedLocalRecord(app::Deployment* deploy, net::NodeId node,
-                     const std::string& file, const std::string& key,
-                     const std::string& value);
 
 /// Reads node `n`'s copy of a global record's "val" field straight from the
 /// volume (verification helper). Empty optional if missing.
@@ -143,21 +137,13 @@ class SuspenseMonitor : public os::Process {
   std::set<net::NodeId> unreachable_;
   bool scanning_ = false;
   uint64_t applied_ = 0;
+  sim::MetricId m_deferred_applied_;
 };
 
 /// Spawns a suspense monitor on the node (CPU 1 by convention).
 SuspenseMonitor* AddSuspenseMonitor(app::Deployment* deploy, net::NodeId node,
                                     const std::vector<net::NodeId>& nodes,
                                     SimDuration scan_interval = Millis(250));
-
-/// Terminal program for local work at a site: update a stock record.
-app::ScreenProgram MakeLocalStockProgram(net::NodeId node, int num_items);
-
-/// Terminal program for a (rare) global update: set a new value on a global
-/// record through the master-node protocol.
-app::ScreenProgram MakeGlobalUpdateProgram(net::NodeId node,
-                                           const std::string& file,
-                                           const std::string& key);
 
 }  // namespace encompass::apps::manufacturing
 

@@ -33,23 +33,4 @@ Result<AuditRecord> AuditRecord::Decode(Slice* in) {
   return rec;
 }
 
-Bytes CompletionRecord::Encode() const {
-  Bytes out;
-  PutFixed64(&out, transid.Pack());
-  PutFixed8(&out, static_cast<uint8_t>(completion));
-  return out;
-}
-
-Result<CompletionRecord> CompletionRecord::Decode(Slice* in) {
-  CompletionRecord rec;
-  uint64_t packed;
-  uint8_t c;
-  if (!GetFixed64(in, &packed) || !GetFixed8(in, &c)) {
-    return DecodeError("completion record");
-  }
-  rec.transid = Transid::Unpack(packed);
-  rec.completion = static_cast<Completion>(c);
-  return rec;
-}
-
 }  // namespace encompass::audit

@@ -41,9 +41,6 @@ enum class Completion : uint8_t {
 struct CompletionRecord {
   Transid transid;
   Completion completion = Completion::kCommitted;
-
-  Bytes Encode() const;
-  static Result<CompletionRecord> Decode(Slice* in);
 };
 
 }  // namespace encompass::audit

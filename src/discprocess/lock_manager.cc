@@ -5,11 +5,6 @@
 
 namespace encompass::discprocess {
 
-std::string LockKey::ToString() const {
-  if (file_level()) return file + "/*";
-  return file + "/" + encompass::ToString(record);
-}
-
 LockManager::FileTable& LockManager::InternFile(const std::string& file) {
   auto it = file_ids_.find(file);
   if (it != file_ids_.end()) return files_[it->second];

@@ -38,7 +38,6 @@ struct LockKey {
   Bytes record;  ///< empty = file-level lock
 
   bool file_level() const { return record.empty(); }
-  std::string ToString() const;
 
   friend bool operator<(const LockKey& a, const LockKey& b) {
     if (a.file != b.file) return a.file < b.file;

@@ -188,7 +188,7 @@ struct ChaosCampaignConfig {
 /// Everything a test or bench asserts about one campaign run.
 struct ChaosCampaignResult {
   sim::FaultSchedule schedule;
-  std::string schedule_dump;        ///< replayable (FaultSchedule::Parse)
+  std::string schedule_dump;        ///< for a reader; ChaosSchedule replays
   std::vector<std::string> journal; ///< fired faults + annotations
   size_t faults_fired = 0;
   size_t node_crashes = 0;
@@ -316,9 +316,8 @@ sim::FaultSchedule ChaosSchedule(const ChaosCampaignConfig& config);
 /// Generates the fault schedule for `config.seed` and runs the campaign.
 ChaosCampaignResult RunChaosCampaign(const ChaosCampaignConfig& config);
 
-/// Runs the campaign against an explicit schedule (e.g. parsed from a
-/// failing run's dump). With the schedule that RunChaosCampaign generated
-/// for the same config, the run is bit-identical.
+/// Runs the campaign against an explicit schedule. With ChaosSchedule of
+/// the same config (what RunChaosCampaign runs), the run is bit-identical.
 ChaosCampaignResult ReplayChaosCampaign(const ChaosCampaignConfig& config,
                                         const sim::FaultSchedule& schedule);
 

@@ -205,10 +205,6 @@ class Deployment {
   NodeDeployment* AddNode(NodeSpec spec);
   NodeDeployment* GetNode(net::NodeId id) const;
 
-  /// Adds a link between two deployed nodes.
-  void Link(net::NodeId a, net::NodeId b, SimDuration latency = 0) {
-    cluster_.Link(a, b, latency);
-  }
   /// Fully meshes all deployed nodes.
   void LinkAll(SimDuration latency = 0);
 

@@ -31,8 +31,6 @@ class Cluster {
 
   // -- Fault-injection conveniences -------------------------------------------
 
-  void FailCpu(net::NodeId node, int cpu) { GetNode(node)->FailCpu(cpu); }
-  void ReloadCpu(net::NodeId node, int cpu) { GetNode(node)->ReloadCpu(cpu); }
   void CutLink(net::NodeId a, net::NodeId b) { network_.SetLinkUp(a, b, false); }
   void RestoreLink(net::NodeId a, net::NodeId b) { network_.SetLinkUp(a, b, true); }
   void IsolateNode(net::NodeId id) { network_.IsolateNode(id); }

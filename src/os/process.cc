@@ -61,8 +61,8 @@ void Process::Send(const net::Address& dst, uint32_t tag, Bytes payload) {
   node_->Route(std::move(msg));
 }
 
-uint64_t Process::Call(const net::Address& dst, uint32_t tag, Bytes payload,
-                       RpcCallback cb, CallOptions options) {
+void Process::Call(const net::Address& dst, uint32_t tag, Bytes payload,
+                   RpcCallback cb, CallOptions options) {
   net::Message msg;
   msg.src = id();
   msg.dst = dst;
@@ -83,7 +83,6 @@ uint64_t Process::Call(const net::Address& dst, uint32_t tag, Bytes payload,
 
   node_->Route(std::move(msg));
   StartCallTimer(request_id);
-  return request_id;
 }
 
 void Process::StartCallTimer(uint64_t request_id) {
@@ -139,13 +138,6 @@ void Process::SendReply(net::ProcessId requester, uint32_t tag, uint64_t reply_t
   msg.payload = std::move(payload);
   StampTrace(msg);
   node_->Route(std::move(msg));
-}
-
-void Process::CancelCall(uint64_t request_id) {
-  auto it = pending_calls_.find(request_id);
-  if (it == pending_calls_.end()) return;
-  CancelTimer(it->second.timer);
-  pending_calls_.erase(it);
 }
 
 void Process::ResolveCall(uint64_t request_id, const Status& status,

@@ -63,11 +63,11 @@ class Process {
   /// the reply message (payload valid only when status is OK or app-defined).
   using RpcCallback = std::function<void(const Status&, const net::Message&)>;
 
-  /// Request expecting a reply. Returns the request id (usable with
-  /// CancelCall). The callback fires exactly once: with the reply, with a
-  /// Timeout status, or with Unavailable/Partitioned on delivery failure.
-  uint64_t Call(const net::Address& dst, uint32_t tag, Bytes payload,
-                RpcCallback cb, CallOptions options = {});
+  /// Request expecting a reply. The callback fires exactly once: with the
+  /// reply, with a Timeout status, or with Unavailable/Partitioned on
+  /// delivery failure.
+  void Call(const net::Address& dst, uint32_t tag, Bytes payload,
+            RpcCallback cb, CallOptions options = {});
 
   /// Answers a request.
   void Reply(const net::Message& request, const Status& status, Bytes payload = {});
@@ -77,9 +77,6 @@ class Process {
   /// original Message object died with the old primary).
   void SendReply(net::ProcessId requester, uint32_t tag, uint64_t reply_to,
                  const Status& status, Bytes payload = {});
-
-  /// Cancels a pending Call; its callback will not fire.
-  void CancelCall(uint64_t request_id);
 
   // -- Transaction identity (set by TMF / server layer) ----------------------
 

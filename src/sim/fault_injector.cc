@@ -31,11 +31,6 @@ void FaultInjector::InjectAt(SimTime when, std::string description,
   });
 }
 
-void FaultInjector::InjectAfter(SimDuration delay, std::string description,
-                                std::function<void()> action) {
-  InjectAt(sim_->Now() + delay, std::move(description), std::move(action));
-}
-
 void FaultInjector::Note(std::string description) {
   Append(std::move(description));
 }

@@ -33,10 +33,6 @@ class FaultInjector {
   /// re-entrant scheduling never skews pending().
   void InjectAt(SimTime when, std::string description, std::function<void()> action);
 
-  /// Schedules `action` `delay` microseconds from now.
-  void InjectAfter(SimDuration delay, std::string description,
-                   std::function<void()> action);
-
   /// Appends an annotation to the journal at the current simulated time
   /// without scheduling anything. Campaign drivers use this to record
   /// decisions (suppressed faults, recovery completions) next to the faults

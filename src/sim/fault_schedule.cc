@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "common/random.h"
@@ -99,57 +98,10 @@ std::string FaultSchedule::Dump() const {
   return out.str();
 }
 
-bool FaultSchedule::Parse(const std::string& text, FaultSchedule* out) {
-  out->seed = 0;
-  out->faults.clear();
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      unsigned long long seed = 0;
-      if (sscanf(line.c_str(), "# fault-schedule v1 seed=%llu", &seed) == 1) {
-        out->seed = seed;
-      }
-      continue;
-    }
-    char tag[16];
-    long long at = 0;
-    long long heal = 0;
-    unsigned node = 0;
-    unsigned peer = 0;
-    unsigned mask = 0;
-    int unit = 0;
-    if (sscanf(line.c_str(),
-               "%15s at=%lld heal=%lld node=%u peer=%u mask=%u unit=%d", tag,
-               &at, &heal, &node, &peer, &mask, &unit) != 7) {
-      return false;
-    }
-    FaultSpec spec;
-    bool known = false;
-    for (int c = 0; c < kNumClasses; ++c) {
-      if (strcmp(tag, FaultClassName(static_cast<FaultClass>(c))) == 0) {
-        spec.fault = static_cast<FaultClass>(c);
-        known = true;
-        break;
-      }
-    }
-    if (!known) return false;
-    spec.at = at;
-    spec.heal_after = heal;
-    spec.node = static_cast<uint16_t>(node);
-    spec.peer = static_cast<uint16_t>(peer);
-    spec.mask = mask;
-    spec.unit = unit;
-    out->faults.push_back(spec);
-  }
-  return true;
-}
-
 FaultSchedule FaultScheduleGenerator::Generate(uint64_t seed) const {
   // Private PRNG stream: schedule generation must not consume from the
-  // simulation RNG, or replaying a parsed schedule (which skips generation)
-  // would shift every workload draw.
+  // simulation RNG, or regenerating a schedule to replay it would shift
+  // every workload draw.
   Random rng(seed ^ 0xFA57'5CED'0000'0001ULL);
   FaultSchedule sched;
   sched.seed = seed;

@@ -6,9 +6,8 @@
 // actions through a FaultInjector.
 //
 // Determinism contract: the same (config, seed) always yields the same
-// schedule, and a schedule survives a round-trip through Dump()/Parse()
-// bit-identically, so any failing campaign seed can be replayed from its
-// dumped schedule without re-running the generator.
+// schedule, so any failing campaign seed replays by regenerating its
+// schedule. Dump() prints a schedule for a reader.
 //
 // Structural guarantees (what makes a generated schedule *recoverable* by
 // design, mirroring the single-module-failure discipline of the paper):
@@ -73,10 +72,7 @@ struct FaultSchedule {
   ///   # fault-schedule v1 seed=<n>
   ///   crash at=2000000 heal=900000 node=2
   ///   cpu at=3100000 heal=400000 node=1 unit=3
-  /// Round-trips exactly through Parse().
   std::string Dump() const;
-  /// Parses a Dump() string. Returns false on malformed input.
-  static bool Parse(const std::string& text, FaultSchedule* out);
 };
 
 /// Per-fault-class rate knobs and world geometry for the generator.
@@ -101,8 +97,8 @@ struct FaultScheduleConfig {
 
 /// Deterministic schedule generator. Owns its own PRNG stream (seeded per
 /// Generate call), so generating a schedule never perturbs the simulation
-/// RNG that drives workloads — replaying a parsed schedule and regenerating
-/// it produce identical worlds.
+/// RNG that drives workloads — a campaign that regenerates its schedule to
+/// replay it sees the same world.
 class FaultScheduleGenerator {
  public:
   explicit FaultScheduleGenerator(FaultScheduleConfig config)

@@ -1,11 +1,10 @@
 // Named counters and latency histograms collected during a simulation run.
 // Benchmarks and EXPERIMENTS.md rows are generated from these.
 //
-// Hot paths intern a metric once (RegisterCounter / RegisterHistogram) and
-// then update through the returned MetricId, which indexes dense storage —
-// no string hashing or map walk per event. The string-keyed calls remain
-// for tests, reporting, and one-off call sites; they resolve the name on
-// every call and are roughly an order of magnitude slower.
+// Every write interns its metric once (RegisterCounter / RegisterHistogram)
+// and then updates through the returned MetricId, which indexes dense
+// storage — no string hashing or map walk per event. Reads may look a metric
+// up by name.
 //
 // Storage is sharded per event loop: each update lands in the shard of the
 // loop executing the current event (shard 0 outside event execution), so
@@ -130,12 +129,8 @@ class Stats {
     return MergedAt(id.index_);
   }
 
-  // --- String-keyed compatibility path ------------------------------------
+  // --- Lookup by name -----------------------------------------------------
 
-  void Incr(const std::string& name, int64_t delta = 1) { Incr(RegisterCounter(name), delta); }
-  void Record(const std::string& name, int64_t value) {
-    Record(RegisterHistogram(name), value);
-  }
   int64_t Counter(const std::string& name) const;
   /// Returns nullptr if no histogram with that name was ever registered.
   /// The pointer stays valid across later registrations and Clear(); its

@@ -103,12 +103,6 @@ Status BPlusTree::Update(const Slice& key, const Slice& value) {
   return Status::Ok();
 }
 
-Status BPlusTree::Upsert(const Slice& key, const Slice& value) {
-  Status s = Update(key, value);
-  if (s.IsNotFound()) return Insert(key, value);
-  return s;
-}
-
 Status BPlusTree::Delete(const Slice& key) {
   Node* leaf = FindLeaf(key);
   size_t idx = leaf->LowerBound(key);
@@ -161,13 +155,6 @@ Result<TreeEntry> BPlusTree::SeekAfter(const Slice& key) const {
   }
   if (leaf == nullptr) return Status::EndOfFile();
   return TreeEntry{leaf->keys[idx], leaf->values[idx]};
-}
-
-Result<TreeEntry> BPlusTree::First() const {
-  if (size_ == 0) return Status::EndOfFile();
-  Node* node = root_.get();
-  while (!node->leaf) node = node->children[0].get();
-  return TreeEntry{node->keys[0], node->values[0]};
 }
 
 void BPlusTree::ForEach(

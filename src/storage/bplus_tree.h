@@ -40,8 +40,6 @@ class BPlusTree {
   Status Insert(const Slice& key, const Slice& value);
   /// Replaces the value of an existing key. NotFound if absent.
   Status Update(const Slice& key, const Slice& value);
-  /// Inserts or replaces.
-  Status Upsert(const Slice& key, const Slice& value);
   /// Removes a key. NotFound if absent.
   Status Delete(const Slice& key);
 
@@ -52,8 +50,6 @@ class BPlusTree {
   Result<TreeEntry> Seek(const Slice& key) const;
   /// First entry with key > target; EndOfFile when past the end.
   Result<TreeEntry> SeekAfter(const Slice& key) const;
-  /// Smallest entry; EndOfFile when empty.
-  Result<TreeEntry> First() const;
 
   /// In-order visit of every entry.
   void ForEach(const std::function<void(const Slice&, const Slice&)>& fn) const;

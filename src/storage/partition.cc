@@ -44,13 +44,4 @@ const FileDefinition* Catalog::Find(const std::string& name) const {
   return it == files_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> Catalog::FileNames() const {
-  std::vector<std::string> names;
-  for (const auto& [n, d] : files_) {
-    (void)d;
-    names.push_back(n);
-  }
-  return names;
-}
-
 }  // namespace encompass::storage

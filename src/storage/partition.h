@@ -71,7 +71,6 @@ class Catalog {
  public:
   Status DefineFile(FileDefinition def);
   const FileDefinition* Find(const std::string& name) const;
-  std::vector<std::string> FileNames() const;
 
  private:
   std::map<std::string, FileDefinition> files_;

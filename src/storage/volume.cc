@@ -26,48 +26,9 @@ Status Volume::CreateFile(const std::string& fname, FileOrganization org,
   return Status::Ok();
 }
 
-Status Volume::DropFile(const std::string& fname) {
-  if (files_.erase(fname) == 0) return Status::NotFound("no file: " + fname);
-  // A file never touched through the volume has no interned id, hence no
-  // ledger entries and no resident records.
-  auto it = cache_file_ids_.find(fname);
-  if (it == cache_file_ids_.end()) return Status::Ok();
-  const uint32_t fid = it->second;
-  // Ledger entries for the dropped file can no longer be undone; purge them
-  // by re-appending the survivors' encoded bytes.
-  Bytes kept;
-  size_t kept_entries = 0;
-  Slice in(ledger_);
-  LedgerEntry e;
-  while (true) {
-    const uint8_t* begin = in.data();
-    if (!LedgerNext(&in, &e)) break;
-    if (e.file_id == fid) continue;
-    kept.insert(kept.end(), begin, in.data());
-    ++kept_entries;
-  }
-  ledger_ = std::move(kept);
-  ledger_entries_ = kept_entries;
-  // Resident records of the dropped file must not satisfy reads of a later
-  // file reusing the name. The interned id survives (and is reused), so a
-  // re-created file starts cold but keeps O(1) lookups.
-  CacheDropFile(fid);
-  return Status::Ok();
-}
-
 StructuredFile* Volume::Find(const std::string& fname) const {
   auto it = files_.find(fname);
   return it == files_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> Volume::FileNames() const {
-  std::vector<std::string> names;
-  names.reserve(files_.size());
-  for (const auto& [n, f] : files_) {
-    (void)f;
-    names.push_back(n);
-  }
-  return names;
 }
 
 // ---------------------------------------------------------------------------
@@ -110,17 +71,6 @@ void Volume::CacheErase(uint32_t file_id, const Slice& key) {
   if (it == cache_.end()) return;
   lru_.erase(it->second);
   cache_.erase(it);
-}
-
-void Volume::CacheDropFile(uint32_t file_id) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->file_id == file_id) {
-      cache_.erase(CacheRef{it->file_id, Slice(it->key)});
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void Volume::CacheClear() {
@@ -369,7 +319,6 @@ bool Volume::LedgerNext(Slice* in, LedgerEntry* entry) {
 
 int Volume::Flush() {
   int writes = static_cast<int>(ledger_entries_) * UpDrives();
-  physical_writes_ += writes;
   if (stats_ != nullptr) stats_->Incr(m_physical_writes_, writes);
   ledger_.clear();
   ledger_entries_ = 0;
@@ -442,7 +391,6 @@ Result<size_t> Volume::ReviveDrive(int drive) {
       (void)n;
       copied += f->record_count();
     }
-    physical_writes_ += static_cast<int64_t>(copied);
     if (stats_ != nullptr) {
       stats_->Incr(m_physical_writes_, static_cast<int64_t>(copied));
     }

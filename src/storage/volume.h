@@ -67,9 +67,7 @@ class Volume {
 
   Status CreateFile(const std::string& fname, FileOrganization org,
                     FileOptions options = {});
-  Status DropFile(const std::string& fname);
   StructuredFile* Find(const std::string& fname) const;
-  std::vector<std::string> FileNames() const;
 
   // -- Record operations ---------------------------------------------------------
 
@@ -147,11 +145,6 @@ class Volume {
   int64_t cache_hits() const { return cache_hits_; }
   int64_t cache_misses() const { return cache_misses_; }
   int64_t physical_reads() const { return physical_reads_; }
-  int64_t physical_writes() const { return physical_writes_; }
-
-  /// Stable dense id the cache interns `fname` to; creates one on first use.
-  /// Exposed for tests (id stability across DropFile/CreateFile reuse).
-  uint32_t CacheFileId(const std::string& fname);
 
  private:
   /// One decoded ledger entry; the slices view the ledger segment.
@@ -198,10 +191,11 @@ class Volume {
 
   /// Physically removes a record regardless of organization (undo of insert).
   Status PhysicalRemove(StructuredFile* file, const Slice& key);
+  /// Stable dense id the cache interns `fname` to; creates one on first use.
+  uint32_t CacheFileId(const std::string& fname);
   void CacheTouch(uint32_t file_id, const Slice& key);
   bool CacheHit(uint32_t file_id, const Slice& key);
   void CacheErase(uint32_t file_id, const Slice& key);
-  void CacheDropFile(uint32_t file_id);
   void CacheClear();
 
   std::string name_;
@@ -228,7 +222,6 @@ class Volume {
   int64_t cache_hits_ = 0;
   int64_t cache_misses_ = 0;
   int64_t physical_reads_ = 0;
-  int64_t physical_writes_ = 0;
 
   // Optional mirror into the simulation's Stats registry (BindStats).
   sim::Stats* stats_ = nullptr;

@@ -199,7 +199,6 @@ void NodeRecoveryProcess::Finish() {
     pv.task.trail->SetUndoFloor(pv.task.trail->next_lsn() - 1);
     reports.push_back(*report);
   }
-  done_ = true;
   if (config_.on_done) config_.on_done(reports);  // may destroy this process
 }
 

@@ -73,8 +73,6 @@ class NodeRecoveryProcess : public os::Process {
 
   std::string DebugName() const override { return "$RECOVER"; }
 
-  bool done() const { return done_; }
-
   /// Exposes the backoff schedule for tests (determinism, growth, cap).
   SimDuration BackoffDelayForTest(const Transid& t, uint32_t attempts) const {
     return BackoffDelay(t, attempts);
@@ -116,7 +114,6 @@ class NodeRecoveryProcess : public os::Process {
   std::vector<PlannedVolume> planned_;
   std::map<Transid, Negotiation> pending_;    ///< awaiting a definite answer
   std::map<Transid, Disposition> negotiated_; ///< definite remote answers
-  bool done_ = false;
   uint32_t reported_max_attempts_ = 0;
   sim::MetricId m_runs_, m_negotiations_, m_negotiation_retries_;
   sim::MetricId m_presumed_aborts_, m_max_retry_attempts_, m_paxos_resolves_;

@@ -53,16 +53,6 @@ TEST(AuditRecordTest, DecodeRejectsTruncation) {
   EXPECT_FALSE(AuditRecord::Decode(&in).ok());
 }
 
-TEST(CompletionRecordTest, RoundTrip) {
-  CompletionRecord rec{Transid{3, 2, 17}, Completion::kAborted};
-  Bytes encoded = rec.Encode();
-  Slice in(encoded);
-  auto decoded = CompletionRecord::Decode(&in);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->transid, rec.transid);
-  EXPECT_EQ(decoded->completion, Completion::kAborted);
-}
-
 TEST(AuditBatchTest, RoundTripAndCorruption) {
   std::vector<AuditRecord> batch{MakeRecord(1, "a"), MakeRecord(2, "b")};
   Bytes encoded = EncodeAuditBatch(batch);

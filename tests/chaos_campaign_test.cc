@@ -4,8 +4,8 @@
 // checked after every storm. Each seed must survive: zero oracle violations,
 // conserved balances, no leaked locks/transactions, and every crashed node
 // recovered through ROLLFORWARD. A failing seed writes its schedule dump to
-// chaos_failing_seed_<n>.schedule so CI can archive it and anyone can replay
-// the exact storm with ReplayChaosCampaign.
+// chaos_failing_seed_<n>.schedule so CI can archive it; the seed replays the
+// exact storm (ChaosSchedule + ReplayChaosCampaign).
 
 #include <gtest/gtest.h>
 
@@ -32,22 +32,23 @@ TEST_P(ChaosCampaignTest, SurvivesSeed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosCampaignTest,
                          ::testing::Range<uint64_t>(1, 21));
 
-// A failing (or any) seed replays deterministically from its dumped
-// schedule: Dump -> Parse round-trips exactly, and the replayed campaign
-// reproduces the original run event for event.
+// A failing (or any) seed's dumped schedule replays deterministically:
+// ChaosSchedule regenerates it from the config, fault for fault and dump
+// for dump, and the replayed campaign reproduces the run event for event.
 TEST(ChaosReplayTest, DumpedScheduleReplaysDeterministically) {
   ChaosCampaignConfig cfg = StormConfig(42);
   ChaosCampaignResult first = RunChaosCampaign(cfg);
 
-  sim::FaultSchedule parsed;
-  ASSERT_TRUE(sim::FaultSchedule::Parse(first.schedule_dump, &parsed));
-  ASSERT_EQ(parsed.faults.size(), first.schedule.faults.size());
-  EXPECT_EQ(parsed.seed, first.schedule.seed);
-  for (size_t i = 0; i < parsed.faults.size(); ++i) {
-    EXPECT_TRUE(parsed.faults[i] == first.schedule.faults[i]) << "fault " << i;
+  const sim::FaultSchedule regenerated = ChaosSchedule(cfg);
+  ASSERT_EQ(regenerated.faults.size(), first.schedule.faults.size());
+  EXPECT_EQ(regenerated.seed, first.schedule.seed);
+  for (size_t i = 0; i < regenerated.faults.size(); ++i) {
+    EXPECT_TRUE(regenerated.faults[i] == first.schedule.faults[i])
+        << "fault " << i;
   }
+  EXPECT_EQ(regenerated.Dump(), first.schedule_dump);
 
-  ChaosCampaignResult replay = ReplayChaosCampaign(cfg, parsed);
+  ChaosCampaignResult replay = ReplayChaosCampaign(cfg, regenerated);
   EXPECT_EQ(replay.txns_started, first.txns_started);
   EXPECT_EQ(replay.txns_committed, first.txns_committed);
   EXPECT_EQ(replay.txns_aborted, first.txns_aborted);

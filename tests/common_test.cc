@@ -1,12 +1,11 @@
-// Unit tests for the common module: Status/Result, Slice, coding, CRC32,
-// Random, Transid.
+// Unit tests for the common module: Status/Result, Slice, coding, Random,
+// Transid.
 
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "common/coding.h"
-#include "common/crc32.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/slice.h"
@@ -222,32 +221,6 @@ TEST(CodingTest, LengthPrefixTruncationFails) {
   Slice in(buf);
   Slice out;
   EXPECT_FALSE(GetLengthPrefixed(&in, &out));
-}
-
-// ---------------------------------------------------------------------------
-// CRC32
-// ---------------------------------------------------------------------------
-
-TEST(Crc32Test, KnownVector) {
-  // CRC32C("123456789") = 0xE3069283 (well-known check value).
-  EXPECT_EQ(Crc32c(Slice("123456789")), 0xE3069283u);
-}
-
-TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32c(Slice("")), 0u); }
-
-TEST(Crc32Test, Incremental) {
-  Slice full("transaction monitoring");
-  uint32_t whole = Crc32c(full);
-  uint32_t part = Crc32c(0, full.data(), 11);
-  part = Crc32c(part, full.data() + 11, full.size() - 11);
-  EXPECT_EQ(whole, part);
-}
-
-TEST(Crc32Test, DetectsCorruption) {
-  Bytes data = ToBytes("audit record body");
-  uint32_t before = Crc32c(Slice(data));
-  data[5] ^= 0x01;
-  EXPECT_NE(before, Crc32c(Slice(data)));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 """Coverage gate: every function in src/**/*.cc runs somewhere, or is listed.
 
     python3 tests/coverage_gate.py --baseline tests/coverage_baseline.txt \
-        build-cov build-cov-perfbench
+        [--baseline tests/coverage_ctest_only.txt] build-cov build-cov-perfbench
 
 Each BUILD_DIR is a tree configured with `--coverage` in CMAKE_CXX_FLAGS and
 CMAKE_EXE_LINKER_FLAGS whose tests, benches and workloads have already run, so
@@ -11,9 +11,15 @@ it holds .gcda count files. The script reads them with `gcov --json-format`
 its source file and demangled name.
 
 It fails when a function in src/**/*.cc that nothing called is missing from
-the baseline, or when a baseline entry is called now (or no longer exists):
-the list can only shrink. It also prints the never-run line totals per src/
+the baselines, or when a baseline entry is called now (or no longer exists):
+the lists can only shrink. It also prints the never-run line totals per src/
 directory; those are not gated.
+
+--baseline may be given more than once; the gate reads the union of the
+files, and an entry listed twice is an error. CI runs the gate once before
+ctest with both lists (a function may run only under ctest if
+coverage_ctest_only.txt lists it) and once after ctest with
+coverage_baseline.txt alone.
 
 Baseline lines are `<file>\t<demangled name>\t<reason>`; `#` starts a comment.
 """
@@ -92,7 +98,7 @@ def read_baseline(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--baseline", required=True)
+    ap.add_argument("--baseline", action="append", required=True)
     ap.add_argument("build_dirs", nargs="+")
     args = ap.parse_args()
 
@@ -114,11 +120,16 @@ def main():
     print(f"  {'total':<20} {unrun:5d} of {len(lines):5d}")
 
     never = {k for k, n in calls.items() if n == 0}
-    baseline = read_baseline(args.baseline)
+    baseline = {}
+    for path in args.baseline:
+        for key, reason in read_baseline(path).items():
+            if key in baseline:
+                sys.exit(f"{path}: listed twice: {key[0]}\t{key[1]}")
+            baseline[key] = reason
     new = sorted(never - baseline.keys())
     stale = sorted(baseline.keys() - never)
     print(f"{len(calls)} src functions, {len(never)} never called, "
-          f"{len(baseline)} in the baseline")
+          f"{len(baseline)} in the baselines")
     for rel, name in new:
         print(f"NEW never-called function (test it, delete it, or list it "
               f"with a reason):\n{rel}\t{name}\t<reason>")

@@ -1,17 +1,17 @@
 // End-to-end tests of the ENCOMPASS application layer: server classes with
 // dynamic server creation, the TCP interpreting terminal programs with the
 // TMF verbs, transaction restart on deadlock, failure transparency (server
-// and TCP CPU failures), and the query engine — all on top of the full
-// TMF / DISCPROCESS / audit stack.
+// and TCP CPU failures), and browse scans through the file system — all on
+// top of the full TMF / DISCPROCESS / audit stack.
 
 #include <gtest/gtest.h>
 
 #include "apps/banking/banking.h"
 #include "encompass/deployment.h"
-#include "encompass/query.h"
 #include "encompass/server_class.h"
 #include "encompass/tcp.h"
 #include "test_util.h"
+#include "tmf/file_system.h"
 
 namespace encompass::app {
 namespace {
@@ -54,6 +54,48 @@ class EncompassTest : public ::testing::Test {
                                    std::move(config));
     sim_.Run();
     return pair.primary;
+  }
+
+  /// Every record of `file` in key order, read through FileSystem::Scan in
+  /// 64-record batches. A scan stays within one partition, so the browse
+  /// starts it again at each partition's upper bound.
+  std::vector<std::pair<std::string, storage::Record>> Browse(
+      const std::string& file) {
+    auto* client = node1_->node()->Spawn<TestClient>(5);
+    sim_.Run();
+    tmf::FileSystem fs(client, &deploy_.catalog());
+    const storage::FileDefinition* def = deploy_.catalog().Find(file);
+    std::vector<std::pair<std::string, storage::Record>> rows;
+    Bytes from;
+    bool inclusive = true;
+    while (true) {
+      Status status = Status::Timeout("no reply");
+      Bytes payload;
+      fs.Scan(file, Slice(from), inclusive, /*max_records=*/64,
+              [&](const Status& s, const Bytes& p) {
+                status = s;
+                payload = p;
+              });
+      sim_.Run();
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      auto reply = discprocess::ScanReply::Decode(Slice(payload));
+      if (!status.ok() || !reply.ok()) break;
+      for (const auto& entry : reply->entries) {
+        auto record = storage::Record::Decode(Slice(entry.value));
+        EXPECT_TRUE(record.ok());
+        rows.emplace_back(ToString(entry.key), std::move(*record));
+      }
+      if (!reply->entries.empty() && !reply->at_end) {
+        from = reply->entries.back().key;
+        inclusive = false;
+        continue;
+      }
+      const size_t p = def->partitions.LocateIndex(Slice(from));
+      if (p + 1 >= def->partitions.partition_count()) break;
+      from = def->partitions.entries()[p].upper_bound;
+      inclusive = true;
+    }
+    return rows;
   }
 
   sim::Simulation sim_;
@@ -240,52 +282,8 @@ TEST_F(EncompassTest, VoluntaryAbortProgramLeavesNoTrace) {
   EXPECT_GT(sim_.GetStats().Counter("tmf.voluntary_aborts"), 0);
 }
 
-TEST_F(EncompassTest, QueryEngineSelectsAndAggregates) {
-  auto* client = node1_->node()->Spawn<TestClient>(5);
-  sim_.Run();
-  QueryEngine query(client, &deploy_.catalog());
-
-  Status status;
-  std::vector<Row> rows;
-  query.Select("acct", {}, 0, [&](const Status& s, std::vector<Row> r) {
-    status = s;
-    rows = std::move(r);
-  });
-  sim_.Run();
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(rows.size(), static_cast<size_t>(kAccounts));
-  EXPECT_EQ(ToString(rows[0].key), AccountKey(0));
-
-  double total = -1;
-  query.Compute("acct", {}, "balance", Aggregate::kSum,
-                [&](const Status& s, double v) {
-                  status = s;
-                  total = v;
-                });
-  sim_.Run();
-  ASSERT_TRUE(status.ok());
-  EXPECT_DOUBLE_EQ(total, kAccounts * 1000.0);
-
-  // Predicate filtering.
-  query.Select("acct", {Predicate{"balance", CompareOp::kGt, "999"}}, 0,
-               [&](const Status& s, std::vector<Row> r) {
-                 status = s;
-                 rows = std::move(r);
-               });
-  sim_.Run();
-  EXPECT_EQ(rows.size(), static_cast<size_t>(kAccounts));
-
-  query.Select("acct", {Predicate{"balance", CompareOp::kLt, "0"}}, 0,
-               [&](const Status& s, std::vector<Row> r) {
-                 status = s;
-                 rows = std::move(r);
-               });
-  sim_.Run();
-  EXPECT_TRUE(rows.empty());
-}
-
 TEST_F(EncompassTest, QueryStreamsMultipleScanBatches) {
-  // More records than one 64-record scan batch: the engine must chain
+  // More records than one 64-record scan batch: the browse must chain
   // batches without gaps or duplicates.
   auto* vol = node1_->storage().volumes.at("$DATA1").get();
   storage::FileOptions opt;
@@ -303,30 +301,12 @@ TEST_F(EncompassTest, QueryStreamsMultipleScanBatches) {
   vol->Flush();
   ASSERT_TRUE(deploy_.DefineFile("big", 1, "$DATA1").ok());
 
-  auto* client = node1_->node()->Spawn<TestClient>(5);
-  sim_.Run();
-  QueryEngine query(client, &deploy_.catalog());
-  Status status;
-  std::vector<Row> rows;
-  query.Select("big", {}, 0, [&](const Status& s, std::vector<Row> r) {
-    status = s;
-    rows = std::move(r);
-  });
-  sim_.Run();
-  ASSERT_TRUE(status.ok());
+  const auto rows = Browse("big");
   ASSERT_EQ(rows.size(), 300u);
   for (int i = 0; i < 300; ++i) {
-    EXPECT_EQ(rows[i].record.Get("n"), std::to_string(i));
+    EXPECT_EQ(rows[i].second.Get("n"), std::to_string(i));
   }
   EXPECT_GE(sim_.GetStats().Counter("disc.scan_batches"), 5);
-
-  // LIMIT stops mid-batch.
-  query.Select("big", {}, 10, [&](const Status& s, std::vector<Row> r) {
-    status = s;
-    rows = std::move(r);
-  });
-  sim_.Run();
-  EXPECT_EQ(rows.size(), 10u);
 }
 
 TEST_F(EncompassTest, QueryScansPartitionedFileAcrossNodes) {
@@ -362,26 +342,13 @@ TEST_F(EncompassTest, QueryScansPartitionedFileAcrossNodes) {
   seed(node2->storage().volumes.at("$DATA2").get(), "nut", 11);
   seed(node2->storage().volumes.at("$DATA2").get(), "washer", 13);
 
-  auto* client = node1_->node()->Spawn<TestClient>(5);
-  sim_.Run();
-  QueryEngine query(client, &deploy_.catalog());
-  Status status;
-  std::vector<Row> rows;
-  query.Select("stock", {}, 0, [&](const Status& s, std::vector<Row> r) {
-    status = s;
-    rows = std::move(r);
-  });
-  sim_.Run();
-  ASSERT_TRUE(status.ok());
+  const auto rows = Browse("stock");
   ASSERT_EQ(rows.size(), 4u);  // both partitions, in key order
-  EXPECT_EQ(ToString(rows[0].key), "bolt");
-  EXPECT_EQ(ToString(rows[3].key), "washer");
-
-  double total = 0;
-  query.Compute("stock", {}, "qty", Aggregate::kSum,
-                [&](const Status&, double v) { total = v; });
-  sim_.Run();
-  EXPECT_DOUBLE_EQ(total, 36.0);
+  EXPECT_EQ(rows[0].first, "bolt");
+  EXPECT_EQ(rows[3].first, "washer");
+  int total = 0;
+  for (const auto& [key, record] : rows) total += std::stoi(record.Get("qty"));
+  EXPECT_EQ(total, 36);
 }
 
 }  // namespace

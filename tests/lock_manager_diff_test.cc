@@ -22,10 +22,14 @@ using AR = LockManager::AcquireResult;
 
 Transid T(uint64_t seq) { return Transid{1, 0, seq}; }
 
+std::string KeyName(const LockKey& key) {
+  return key.file + "/" + (key.file_level() ? "*" : ToString(key.record));
+}
+
 std::string DumpGrants(const std::vector<LockGrant>& grants) {
   std::string out;
   for (const auto& g : grants) {
-    out += g.owner.ToString() + ":" + g.key.ToString() + ";";
+    out += g.owner.ToString() + ":" + KeyName(g.key) + ";";
   }
   return out;
 }
@@ -70,7 +74,7 @@ class Harness {
       LockKey key = RandomKey();
       AR got = lm_.Acquire(owner, key);
       AR want = ref_.Acquire(owner, key);
-      ASSERT_EQ(got, want) << owner.ToString() << " acquire " << key.ToString();
+      ASSERT_EQ(got, want) << owner.ToString() << " acquire " << KeyName(key);
     } else if (dice < 75) {
       auto got = lm_.ReleaseAll(owner);
       auto want = ref_.ReleaseAll(owner);
@@ -80,7 +84,7 @@ class Harness {
       LockKey key = RandomKey();
       bool got = lm_.CancelWait(owner, key);
       bool want = ref_.CancelWait(owner, key);
-      ASSERT_EQ(got, want) << "cancel " << key.ToString();
+      ASSERT_EQ(got, want) << "cancel " << KeyName(key);
     } else if (dice < 92) {
       // Backup-style unconditional grant on a fresh or own unit. Restrict to
       // unheld keys: the reference overwrites blindly and leaks the old
@@ -90,7 +94,7 @@ class Harness {
       if (!lm_.Holds(owner, key) && lm_.Acquire(owner, key) == AR::kGranted) {
         // Production path granted; mirror it in the reference.
         AR want = ref_.Acquire(owner, key);
-        ASSERT_EQ(want, AR::kGranted) << "mirror " << key.ToString();
+        ASSERT_EQ(want, AR::kGranted) << "mirror " << KeyName(key);
       } else {
         lm_.CancelWait(owner, key);
         ref_.CancelWait(owner, key);

@@ -19,6 +19,62 @@ using testutil::TestClient;
 
 const std::vector<net::NodeId> kNodes = {1, 2, 3, 4};
 
+/// Seeds one local record on one node, straight into its volume.
+void SeedLocalRecord(Deployment* deploy, net::NodeId node,
+                     const std::string& file, const std::string& key,
+                     const std::string& value) {
+  storage::Record rec;
+  rec.Set("val", value);
+  auto* vol = deploy->GetNode(node)->storage().volumes.at(MfgVolume(node)).get();
+  vol->Mutate(CopyName(file, node), storage::MutationOp::kInsert, Slice(key),
+              Slice(rec.Encode()));
+  vol->Flush();
+}
+
+/// Terminal program for local work at a site: update a stock record.
+app::ScreenProgram MakeLocalStockProgram(net::NodeId node, int num_items) {
+  app::ScreenProgram p("local-stock");
+  p.Accept([num_items](app::Fields& f, Random& rng) {
+     f["item"] = "item" + std::to_string(rng.Uniform(num_items));
+     f["qty"] = std::to_string(rng.Uniform(100));
+   })
+      .BeginTransaction()
+      .Send(node, GlobalServerClass(),
+            [](const app::Fields& f) {
+              storage::Record r;
+              r.Set("op", "lupdate")
+                  .Set("file", "stock")
+                  .Set("key", f.at("item"))
+                  .Set("val", f.at("qty"));
+              return r.Encode();
+            })
+      .EndTransaction();
+  return p;
+}
+
+/// Terminal program for a (rare) global update: set a new value on a global
+/// record through the master-node protocol.
+app::ScreenProgram MakeGlobalUpdateProgram(net::NodeId node,
+                                           const std::string& file,
+                                           const std::string& key) {
+  app::ScreenProgram p("global-update");
+  p.Accept([](app::Fields& f, Random& rng) {
+     f["val"] = "rev" + std::to_string(rng.Uniform(1000000));
+   })
+      .BeginTransaction()
+      .Send(node, GlobalServerClass(),
+            [file, key](const app::Fields& f) {
+              storage::Record r;
+              r.Set("op", "gupdate")
+                  .Set("file", file)
+                  .Set("key", key)
+                  .Set("val", f.at("val"));
+              return r.Encode();
+            })
+      .EndTransaction();
+  return p;
+}
+
 class ManufacturingTest : public ::testing::Test {
  protected:
   ManufacturingTest() : sim_(47), deploy_(&sim_) {

@@ -144,21 +144,6 @@ TEST_F(OsTest, CallTimesOutWhenNoReply) {
   EXPECT_TRUE(got.IsTimeout());
 }
 
-TEST_F(OsTest, CancelCallSuppressesCallback) {
-  Node* n = cluster_.AddNode(1);
-  auto* echo = n->Spawn<EchoProcess>(0);
-  auto* client = n->Spawn<EchoProcess>(1);
-  sim_.Run();
-  bool fired = false;
-  uint64_t rid = client->Call(net::Address(echo->id()), kEchoTag, {},
-                              [&](const Status&, const net::Message&) {
-                                fired = true;
-                              });
-  client->CancelCall(rid);
-  sim_.Run();
-  EXPECT_FALSE(fired);
-}
-
 TEST_F(OsTest, TimersFireAndCancel) {
   Node* n = cluster_.AddNode(1);
   auto* p = n->Spawn<EchoProcess>(0);

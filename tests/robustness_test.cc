@@ -163,8 +163,6 @@ TEST(DecoderFuzzTest, RandomBytesNeverCrashDecoders) {
     (void)tmf::DecodeTransidPayload(Slice(soup));
     Slice in1(soup);
     (void)audit::AuditRecord::Decode(&in1);
-    Slice in2(soup);
-    (void)audit::CompletionRecord::Decode(&in2);
   }
 }
 

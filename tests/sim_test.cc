@@ -201,9 +201,9 @@ TEST(HistogramTest, EmptyIsZero) {
 
 TEST(StatsTest, CountersAccumulate) {
   Stats s;
-  s.Incr("a");
-  s.Incr("a", 4);
-  s.Incr("b", -2);
+  s.Incr(s.RegisterCounter("a"));
+  s.Incr(s.RegisterCounter("a"), 4);
+  s.Incr(s.RegisterCounter("b"), -2);
   EXPECT_EQ(s.Counter("a"), 5);
   EXPECT_EQ(s.Counter("b"), -2);
   EXPECT_EQ(s.Counter("missing"), 0);
@@ -211,12 +211,12 @@ TEST(StatsTest, CountersAccumulate) {
 
 TEST(StatsTest, HistogramsAndDump) {
   Stats s;
-  s.Record("lat", 10);
-  s.Record("lat", 20);
+  s.Record(s.RegisterHistogram("lat"), 10);
+  s.Record(s.RegisterHistogram("lat"), 20);
   ASSERT_NE(s.FindHistogram("lat"), nullptr);
   EXPECT_EQ(s.FindHistogram("lat")->count(), 2u);
   EXPECT_EQ(s.FindHistogram("none"), nullptr);
-  s.Incr("ops", 3);
+  s.Incr(s.RegisterCounter("ops"), 3);
   std::string dump = s.ToString();
   EXPECT_NE(dump.find("ops = 3"), std::string::npos);
   EXPECT_NE(dump.find("lat:"), std::string::npos);
@@ -229,7 +229,7 @@ TEST(FaultInjectorTest, FiresAndJournals) {
   FaultInjector fi(&sim);
   int hits = 0;
   fi.InjectAt(Millis(10), "cpu 2 down", [&] { ++hits; });
-  fi.InjectAfter(Millis(20), "link cut", [&] { ++hits; });
+  fi.InjectAt(sim.Now() + Millis(20), "link cut", [&] { ++hits; });
   EXPECT_EQ(fi.pending(), 2u);
   sim.Run();
   EXPECT_EQ(hits, 2);
@@ -251,8 +251,8 @@ TEST(FaultInjectorTest, ReentrantSchedulingKeepsCountsExact) {
     ++fired_chain;
     EXPECT_EQ(fi.fired(), static_cast<size_t>(fired_chain));
     if (depth > 0) {
-      fi.InjectAfter(Millis(1), "chain " + std::to_string(depth - 1),
-                     [&chain, depth] { chain(depth - 1); });
+      fi.InjectAt(sim.Now() + Millis(1), "chain " + std::to_string(depth - 1),
+                  [&chain, depth] { chain(depth - 1); });
       // The re-entrant schedule is visible immediately.
       EXPECT_EQ(fi.pending(), 1u);
       EXPECT_EQ(fi.scheduled(), static_cast<size_t>(fired_chain) + 1);
@@ -298,13 +298,13 @@ TEST(MetricIdTest, RegistrationIsIdempotentAndSurvivesClear) {
 
 TEST(MetricIdTest, HandleAndStringPathsShareStorage) {
   Stats s;
-  s.Incr("x", 7);
+  s.Incr(s.RegisterCounter("x"), 7);
   MetricId x = s.RegisterCounter("x");
   s.Incr(x, 1);
   EXPECT_EQ(s.Counter("x"), 8);
   MetricId h = s.RegisterHistogram("lat");
   s.Record(h, 5);
-  s.Record("lat", 15);
+  s.Record(s.RegisterHistogram("lat"), 15);
   ASSERT_NE(s.FindHistogram("lat"), nullptr);
   EXPECT_EQ(s.FindHistogram("lat")->count(), 2u);
   EXPECT_EQ(&s.GetHistogram(h), s.FindHistogram("lat"));
@@ -359,7 +359,7 @@ TEST(HistogramTest, LargeValuesApproximateWithinBucketWidth) {
 
 TEST(StatsTest, ToStringShowsPercentiles) {
   Stats s;
-  for (int i = 1; i <= 100; ++i) s.Record("lat", i);
+  for (int i = 1; i <= 100; ++i) s.Record(s.RegisterHistogram("lat"), i);
   std::string dump = s.ToString();
   EXPECT_NE(dump.find("p50"), std::string::npos);
   EXPECT_NE(dump.find("p95"), std::string::npos);

@@ -44,7 +44,7 @@ inline app::ChaosCampaignConfig PaxosStormConfig(uint64_t seed,
 
 /// Asserts every survival invariant. On any failure, writes the schedule
 /// dump to `<prefix><seed>.schedule` next to the test binary, where CI
-/// archives it for replay.
+/// archives it for a reader; the seed alone replays the storm.
 inline void ExpectSurvived(const app::ChaosCampaignResult& r, uint64_t seed,
                            const std::string& prefix) {
   bool clean = r.quiesced && r.violations.empty() &&

@@ -1,7 +1,7 @@
 // Regression tests for the Volume's interned-id LRU cache and the per-drive
 // read-either/write-both schedule: eviction order, hit/miss accounting
-// across Mutate/ApplyUndo/DropVolatile, interned-id stability across
-// DropFile/CreateFile reuse, and the drive scheduler's overlap behavior.
+// across Mutate/ApplyUndo/DropVolatile, and the drive scheduler's overlap
+// behavior.
 
 #include <gtest/gtest.h>
 
@@ -109,28 +109,6 @@ TEST(VolumeCacheTest, DropVolatileColdCache) {
   EXPECT_EQ(v.cache_hits(), hits_before);
   // And warm again after the miss.
   EXPECT_EQ(v.ReadRecord("f", Slice("a")).disc_ios, 0);
-}
-
-TEST(VolumeCacheTest, DropFilePurgesResidencyAndKeepsInternedId) {
-  Volume v = SmallCacheVolume(8);
-  ASSERT_TRUE(v.CreateFile("f", FileOrganization::kKeySequenced).ok());
-  const uint32_t id_before = v.CacheFileId("f");
-  Put(&v, "f", "a", "old");
-  EXPECT_EQ(v.ReadRecord("f", Slice("a")).disc_ios, 0);
-
-  ASSERT_TRUE(v.DropFile("f").ok());
-  ASSERT_TRUE(v.CreateFile("f", FileOrganization::kKeySequenced).ok());
-  // The interned id is stable across the name's reuse...
-  EXPECT_EQ(v.CacheFileId("f"), id_before);
-  // ...and the re-created file does not inherit the old file's residency:
-  // the record does not exist, stale bytes must not appear.
-  EXPECT_TRUE(v.ReadRecord("f", Slice("a")).status.IsNotFound());
-  Put(&v, "f", "a", "new");
-  EXPECT_EQ(ToString(v.ReadRecord("f", Slice("a")).value), "new");
-
-  // Unrelated files keep distinct ids.
-  ASSERT_TRUE(v.CreateFile("g", FileOrganization::kKeySequenced).ok());
-  EXPECT_NE(v.CacheFileId("g"), id_before);
 }
 
 TEST(VolumeCacheTest, HitMissCountersMatchStatsAccess) {

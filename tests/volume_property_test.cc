@@ -1,6 +1,6 @@
 // Property tests for the Volume durability boundary: random workloads of
-// mutations, backout compensations (ApplyUndo), flushes, file drops and
-// simulated total-node failures (DropVolatile) are checked against a
+// mutations, backout compensations (ApplyUndo), flushes and simulated
+// total-node failures (DropVolatile) are checked against a
 // reference model that tracks both the live and the durable state of every
 // file. Parameterized over file organizations and seeds.
 
@@ -50,8 +50,8 @@ using PropertyParam = std::tuple<FileOrganization, uint64_t>;
 class VolumePropertyTest : public ::testing::TestWithParam<PropertyParam> {};
 
 // Three files share the volume's ledger: "f" has the parameter's
-// organization, "g" is dropped and re-created, and "h" carries the
-// alternate key "site".
+// organization, "g" is key-sequenced, and "h" carries the alternate key
+// "site".
 TEST_P(VolumePropertyTest, MatchesDurabilityModel) {
   const FileOrganization org = std::get<0>(GetParam());
   const uint64_t seed = std::get<1>(GetParam());
@@ -182,7 +182,7 @@ TEST_P(VolumePropertyTest, MatchesDurabilityModel) {
   };
 
   for (int step = 0; step < 3000; ++step) {
-    switch (rng.Uniform(12)) {
+    switch (rng.Uniform(11)) {
       case 0: {
         const std::string key = f_key();
         write("f", MutationOp::kInsert, key,
@@ -235,15 +235,7 @@ TEST_P(VolumePropertyTest, MatchesDurabilityModel) {
         write("h", op, key, h_record());
         break;
       }
-      case 9:  // drop and re-create "g" (rare): its unflushed writes leave
-               // the ledger, the other files' stay
-        if (rng.Uniform(16) == 0) {
-          ASSERT_TRUE(vol.DropFile("g").ok());
-          ASSERT_TRUE(vol.CreateFile("g", FileOrganization::kKeySequenced).ok());
-          model.files["g"] = FileModel{};
-        }
-        break;
-      case 10:  // flush (rare)
+      case 9:  // flush (rare)
         if (rng.Uniform(8) == 0) {
           EXPECT_EQ(vol.VolatileCount(), static_cast<size_t>(model.Pending()));
           EXPECT_EQ(vol.Flush(), model.Pending() * vol.UpDrives());
@@ -251,7 +243,7 @@ TEST_P(VolumePropertyTest, MatchesDurabilityModel) {
           EXPECT_EQ(vol.VolatileCount(), 0u);
         }
         break;
-      case 11:  // total node failure (rarer)
+      case 10:  // total node failure (rarer)
         if (rng.Uniform(16) == 0) {
           vol.DropVolatile();
           model.Crash();
