@@ -53,26 +53,24 @@ void TableTcpTakeover() {
   // attached at 3.5s, which resynchronizes it (OnBackupAttached).
   BankRig rig = MakeBankRig(/*seed=*/41, /*cpus=*/4, /*accounts=*/100,
                             /*terminals=*/8, /*iterations=*/UINT64_MAX);
-  const int tcp_cpu = rig.tcp.primary->cpu();
-  app::Tcp* tcp = rig.tcp.primary;
+  const int tcp_cpu = rig.Primary()->cpu();
   printf("%10s %14s %14s\n", "t (s)", "commits/bucket", "event");
   uint64_t last = 0, min_commits = UINT64_MAX;
   for (int bucket = 0; bucket < 12; ++bucket) {
     const char* event = "";
     if (bucket == 4) {
       rig.node->node()->FailCpu(tcp_cpu);  // the primary vanishes with it
-      tcp = rig.tcp.backup;
       event = "TCP CPU FAIL";
     } else if (bucket == 6) {
       rig.node->node()->ReloadCpu(tcp_cpu);
       event = "CPU RELOAD";
     } else if (bucket == 7) {
-      os::AttachBackup<app::Tcp>(rig.node->node(), tcp, tcp_cpu,
+      os::AttachBackup<app::Tcp>(rig.node->node(), rig.Primary(), tcp_cpu,
                                  rig.tcp_config);
       event = "NEW BACKUP";
     }
     rig.sim->RunFor(Millis(500));
-    const uint64_t now_committed = tcp->transactions_committed();
+    const uint64_t now_committed = rig.Primary()->transactions_committed();
     printf("%10.1f %14llu %14s\n", static_cast<double>(rig.sim->Now()) / 1e6,
            (unsigned long long)(now_committed - last), event);
     min_commits = std::min(min_commits, now_committed - last);
@@ -81,10 +79,11 @@ void TableTcpTakeover() {
   const int64_t restarts =
       rig.sim->GetStats().Counter("tcp.takeover_restarts");
   printf("terminal restarts after takeover=%lld failed=%llu\n",
-         (long long)restarts, (unsigned long long)tcp->programs_failed());
+         (long long)restarts,
+         (unsigned long long)rig.Primary()->programs_failed());
   ReportValue("e1.d.bucket_commits.min", min_commits);
   ReportValue("e1.d.tcp_takeover_restarts", restarts);
-  ReportValue("e1.d.programs_failed", tcp->programs_failed());
+  ReportValue("e1.d.programs_failed", rig.Primary()->programs_failed());
 }
 
 void TableBaselineTimeline() {

@@ -1,7 +1,8 @@
 // E6 — the data-base manager's storage claims: three file organizations,
 // multi-key access with automatic index maintenance, data and index
 // (prefix) compression, the main-memory cache, key-range partitioning, the
-// heap cost of the volatile (unflushed-write) ledger, and every file path
+// heap cost of the volatile (unflushed-write) ledger and of a key-sequenced
+// file's B+ tree, and every file path
 // through a deployed DISCPROCESS, rebuilt by ROLLFORWARD after a total node
 // failure.
 
@@ -182,6 +183,27 @@ void TableVolatileLedger() {
   ReportValue("e6.ledger.bytes_per_write", per_write);
 }
 
+void TableTreeFootprint() {
+  Header("E6.h key-sequenced file: heap held per record");
+  // The banking file: 100,000 accounts, a 9-byte key and a 14-byte balance
+  // record each, in 4 KB blocks. Leaves keep their entries in one byte
+  // segment; bytes() sums node, segment and vector capacities.
+  constexpr int kAccounts = 100000;
+  BPlusTree tree(4096);
+  Record rec;
+  rec.Set("balance", "1000");
+  const Bytes balance = rec.Encode();
+  for (int i = 0; i < kAccounts; ++i) {
+    tree.Insert(Slice(apps::banking::AccountKey(i)), Slice(balance));
+  }
+  const double per_record =
+      static_cast<double>(tree.bytes()) / static_cast<double>(kAccounts);
+  printf("records / height / nodes      : %zu / %d / %zu\n", tree.size(),
+         tree.height(), tree.node_count());
+  printf("tree heap bytes per record    : %.1f\n", per_record);
+  ReportValue("e6.tree.bytes_per_record", per_record);
+}
+
 /// Drives one client process's FileSystem and transaction verbs one call at
 /// a time: each call runs the simulation until its reply arrives.
 class FileClient {
@@ -289,7 +311,7 @@ void TableDeployedFilePaths() {
   };
   auto slot = [](uint64_t n) { return EncodeRecnum(n); };
   auto part = [](int i) {
-    char key[8];
+    char key[16];
     snprintf(key, sizeof(key), "p%02d", i);
     return std::string(key);
   };
@@ -500,6 +522,7 @@ int main() {
   encompass::bench::TableCache();
   encompass::bench::TableIndexOverheadAndPartitioning();
   encompass::bench::TableVolatileLedger();
+  encompass::bench::TableTreeFootprint();
   encompass::bench::TableBTreeWallClock();
   encompass::bench::TableDeployedFilePaths();
   encompass::bench::WriteReport();

@@ -264,6 +264,16 @@ void TableAcceptance() {
   ReportValue("e7.commit_latency_ms.p95", r.p95_ms);
   ReportValue("e7.commit_latency_ms.p99", r.p99_ms);
   ReportSimStats("e7sim", rig.sim->GetStats());
+  // The home node's MAT holds one completion per transaction. Its index
+  // keeps a pair of 64-bit masks per 64 transids of one cpu: E7's drivers
+  // begin on all four CPUs, so each run of 64 seqs fills four blocks.
+  const audit::MonitorAuditTrail& mat =
+      rig.deploy->GetNode(1)->storage().monitor_trail;
+  const double mat_per_txn =
+      static_cast<double>(mat.bytes()) / static_cast<double>(mat.size());
+  printf("MAT: %zu completions, %.2f index bytes per transaction\n",
+         mat.size(), mat_per_txn);
+  ReportValue("e7.mat.bytes_per_txn", mat_per_txn);
 }
 
 void TableWindowSweep() {

@@ -254,10 +254,13 @@ struct BankRig {
   storage::Volume* volume = nullptr;
   std::unique_ptr<app::ScreenProgram> program;
   app::TcpConfig tcp_config;  ///< what $TCP1's primary and backup run
-  os::PairHandles<app::Tcp> tcp;
 
+  /// The live $TCP1 primary, found through the node: a failed CPU destroys
+  /// its processes, and a takeover re-binds the name to the survivor
+  /// (nullptr while the takeover is pending).
   app::Tcp* Primary() {
-    return tcp.primary->IsPrimary() ? tcp.primary : tcp.backup;
+    os::Node* n = node->node();
+    return static_cast<app::Tcp*>(n->Find(n->LookupName("$TCP1")));
   }
 };
 
@@ -290,12 +293,12 @@ inline BankRig MakeBankRig(uint64_t seed, int cpus, int accounts, int terminals,
       apps::banking::MakeTransferProgram(1, "$SC.BANK", accounts, 100, skew));
   rig.tcp_config.programs = {{"transfer", rig.program.get()}};
   rig.tcp_config.restart_limit = restart_limit;
-  rig.tcp = os::SpawnPair<app::Tcp>(rig.node->node(), "$TCP1", cpus - 2,
-                                    cpus - 1, rig.tcp_config);
+  os::SpawnPair<app::Tcp>(rig.node->node(), "$TCP1", cpus - 2, cpus - 1,
+                          rig.tcp_config);
   rig.sim->Run();
   for (int t = 0; t < terminals; ++t) {
-    rig.tcp.primary->AttachTerminal("term" + std::to_string(t), "transfer",
-                                    iterations);
+    rig.Primary()->AttachTerminal("term" + std::to_string(t), "transfer",
+                                  iterations);
   }
   return rig;
 }

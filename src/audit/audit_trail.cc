@@ -144,13 +144,26 @@ size_t AuditTrail::bytes() const {
 
 void MonitorAuditTrail::AppendForced(const CompletionRecord& record) {
   ++appended_;
-  index_.emplace(record.transid.Pack(), record.completion);
+  const uint64_t packed = record.transid.Pack();
+  const uint64_t bit = uint64_t{1} << (packed & 63);
+  Block& block = index_[packed >> 6];
+  if ((block.known & bit) != 0) return;
+  block.known |= bit;
+  if (record.completion == Completion::kCommitted) block.committed |= bit;
 }
 
 int MonitorAuditTrail::Lookup(const Transid& transid) const {
-  auto it = index_.find(transid.Pack());
-  if (it == index_.end()) return -1;
-  return it->second == Completion::kCommitted ? 1 : 0;
+  const uint64_t packed = transid.Pack();
+  auto it = index_.find(packed >> 6);
+  const uint64_t bit = uint64_t{1} << (packed & 63);
+  if (it == index_.end() || (it->second.known & bit) == 0) return -1;
+  return (it->second.committed & bit) != 0 ? 1 : 0;
+}
+
+size_t MonitorAuditTrail::bytes() const {
+  // A node holds the next pointer, the key and the block.
+  constexpr size_t kNode = sizeof(void*) + sizeof(uint64_t) + sizeof(Block);
+  return index_.size() * kNode + index_.bucket_count() * sizeof(void*);
 }
 
 }  // namespace encompass::audit

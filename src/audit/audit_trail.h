@@ -165,12 +165,24 @@ class MonitorAuditTrail {
 
   /// Records appended, duplicates included.
   size_t size() const { return appended_; }
+  /// Heap bytes of the index: its nodes and its bucket array.
+  size_t bytes() const;
 
  private:
+  /// Completion bits of the 64 transids that share one packed transid but
+  /// for its low six bits: home node, cpu and the high bits of seq. Bit
+  /// `Pack() & 63` is set in `known` once the transaction completed, and in
+  /// `committed` too if it committed.
+  struct Block {
+    uint64_t known = 0;
+    uint64_t committed = 0;
+  };
+
   size_t appended_ = 0;
-  // First completion recorded per transaction wins (idempotent re-commits
-  // append duplicate records; the disposition never changes).
-  std::unordered_map<uint64_t, Completion> index_;
+  // Keyed by Pack() >> 6. First completion recorded per transaction wins
+  // (idempotent re-commits append duplicate records; the disposition never
+  // changes).
+  std::unordered_map<uint64_t, Block> index_;
 };
 
 }  // namespace encompass::audit

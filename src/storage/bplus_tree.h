@@ -3,6 +3,10 @@
 // nodes, a linked leaf level for range scans, and prefix-compressed
 // serialization (used for archiving and for on-disc space accounting).
 //
+// Each leaf keeps its entries in one byte segment, like a disc block:
+// inserts, updates and deletes open or close one gap in it. A split seals
+// the left half (trims it to size).
+//
 // Deletion does not rebalance (underfull nodes are tolerated, as in many
 // production trees); an empty internal root collapses.
 
@@ -60,6 +64,9 @@ class BPlusTree {
   int height() const { return height_; }
   /// Total node count (leaf + internal).
   size_t node_count() const { return node_count_; }
+  /// Heap bytes the tree holds: every node, plus the capacity of its leaf
+  /// segment, end offsets, separator keys and child pointers.
+  size_t bytes() const;
 
   /// Serializes all entries with front (prefix) key compression.
   void SerializeTo(Bytes* out) const;
@@ -76,8 +83,8 @@ class BPlusTree {
 
   size_t EntrySize(const Slice& key, const Slice& value) const;
   Node* FindLeaf(const Slice& key) const;
-  bool InsertRec(Node* node, const Slice& key, const Slice& value, bool allow_replace,
-                 bool* replaced, std::unique_ptr<SplitResult>* split);
+  bool InsertRec(Node* node, const Slice& key, const Slice& value,
+                 std::unique_ptr<SplitResult>* split);
   void SplitNode(Node* node, std::unique_ptr<SplitResult>* split);
 
   size_t block_size_;

@@ -321,6 +321,38 @@ TEST(MonitorAuditTrailTest, FirstCompletionWinsOverDuplicates) {
   EXPECT_EQ(mat.size(), 2u);  // the log keeps both, the index keeps one
 }
 
+TEST(AuditTrailTest, MonitorLookupIsExactPerTransid) {
+  MonitorAuditTrail mat;
+  // Commit, then a late abort of the same transid: the first one stands.
+  mat.AppendForced(CompletionRecord{Transid{1, 0, 63}, Completion::kCommitted});
+  mat.AppendForced(CompletionRecord{Transid{1, 0, 63}, Completion::kAborted});
+  EXPECT_EQ(mat.Lookup(Transid{1, 0, 63}), 1);
+  // Seq 64 opens the next 64-seq block.
+  mat.AppendForced(CompletionRecord{Transid{1, 0, 64}, Completion::kAborted});
+  EXPECT_EQ(mat.Lookup(Transid{1, 0, 64}), 0);
+  EXPECT_EQ(mat.Lookup(Transid{1, 0, 62}), -1);  // same block, never recorded
+  EXPECT_EQ(mat.Lookup(Transid{1, 0, 65}), -1);
+  // Same seq, other cpu or home node: independent transactions.
+  EXPECT_EQ(mat.Lookup(Transid{1, 1, 63}), -1);
+  EXPECT_EQ(mat.Lookup(Transid{2, 0, 63}), -1);
+  mat.AppendForced(CompletionRecord{Transid{1, 1, 63}, Completion::kAborted});
+  mat.AppendForced(CompletionRecord{Transid{2, 0, 64}, Completion::kCommitted});
+  EXPECT_EQ(mat.Lookup(Transid{1, 1, 63}), 0);
+  EXPECT_EQ(mat.Lookup(Transid{2, 0, 64}), 1);
+  EXPECT_EQ(mat.Lookup(Transid{1, 0, 63}), 1);
+  EXPECT_EQ(mat.Lookup(Transid{1, 0, 64}), 0);
+  EXPECT_EQ(mat.Lookup(Transid{2, 0, 63}), -1);
+  // The largest seq a transid packs (40 bits), next to its block-mates.
+  const uint64_t top = (uint64_t{1} << 40) - 1;
+  mat.AppendForced(CompletionRecord{Transid{3, 7, top}, Completion::kCommitted});
+  mat.AppendForced(CompletionRecord{Transid{3, 7, top - 1}, Completion::kAborted});
+  EXPECT_EQ(mat.Lookup(Transid{3, 7, top}), 1);
+  EXPECT_EQ(mat.Lookup(Transid{3, 7, top - 1}), 0);
+  EXPECT_EQ(mat.Lookup(Transid{3, 7, top - 2}), -1);
+  EXPECT_EQ(mat.Lookup(Transid{3, 6, top}), -1);
+  EXPECT_EQ(mat.size(), 7u);
+}
+
 // -- AUDITPROCESS group commit ----------------------------------------------
 
 class AuditGroupCommitTest : public ::testing::Test {

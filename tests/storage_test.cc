@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/banking/banking.h"
 #include "common/random.h"
 #include "storage/bplus_tree.h"
 #include "storage/file.h"
@@ -160,6 +161,67 @@ TEST(BPlusTreeTest, DeserializeRejectsCorruption) {
   EXPECT_FALSE(BPlusTree::Deserialize(&in, 4096).ok());
 }
 
+TEST(BPlusTreeTest, InPlaceEditsInAFullLeaf) {
+  // One leaf just under its block: edits in the middle must move the
+  // entries after them and leave every other entry intact.
+  BPlusTree t(/*block_size=*/1024);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 40; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%03d", i);
+    model[key] = "value" + std::to_string(i);
+    ASSERT_TRUE(t.Insert(Slice(key), Slice(model[key])).ok());
+  }
+  ASSERT_EQ(t.node_count(), 1u);
+  auto check = [&] {
+    auto mit = model.begin();
+    t.ForEach([&](const Slice& k, const Slice& v) {
+      ASSERT_NE(mit, model.end());
+      EXPECT_EQ(k.ToString(), mit->first);
+      EXPECT_EQ(v.ToString(), mit->second);
+      ++mit;
+    });
+    EXPECT_EQ(mit, model.end());
+  };
+  model["key020"] = std::string(300, 'g');  // grows past the block
+  ASSERT_TRUE(t.Update(Slice("key020"), Slice(model["key020"])).ok());
+  check();
+  model["key020"] = "";  // shrinks to nothing
+  ASSERT_TRUE(t.Update(Slice("key020"), Slice()).ok());
+  check();
+  EXPECT_EQ(ToString(*t.Get(Slice("key020"))), "");
+  model["key021"] = "s";
+  ASSERT_TRUE(t.Update(Slice("key021"), Slice("s")).ok());
+  model.erase("key019");
+  ASSERT_TRUE(t.Delete(Slice("key019")).ok());
+  check();
+  auto r = t.SeekAfter(Slice("key018"));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ToString(r->key), "key020");
+  EXPECT_TRUE(r->value.empty());
+  EXPECT_EQ(t.node_count(), 1u);  // updates and deletes never split
+}
+
+TEST(BPlusTreeTest, ShapeMatchesParent) {
+  // The banking file: 100,000 accounts, each a 9-byte key and a 14-byte
+  // balance record. The leaf layout must not move a split point: the shape
+  // drives the disc-access model, and every simulated number with it.
+  BPlusTree t(/*block_size=*/4096);
+  Record rec;
+  rec.Set("balance", "1000");
+  const Bytes balance = rec.Encode();
+  ASSERT_EQ(balance.size(), 14u);
+  constexpr int kAccounts = 100000;
+  for (int i = 0; i < kAccounts; ++i) {
+    ASSERT_TRUE(
+        t.Insert(Slice(apps::banking::AccountKey(i)), Slice(balance)).ok());
+  }
+  EXPECT_EQ(t.height(), 3);
+  EXPECT_EQ(t.node_count(), 1534u);
+  // The leaf segments hold the 23-byte records at well under 48 bytes each.
+  EXPECT_LE(static_cast<double>(t.bytes()) / kAccounts, 48.0);
+}
+
 // Property sweep: random workloads against a std::map reference model, for
 // several block sizes (small blocks force deep trees).
 class BPlusTreePropertyTest : public ::testing::TestWithParam<size_t> {};
@@ -170,9 +232,24 @@ TEST_P(BPlusTreePropertyTest, MatchesReferenceModel) {
   std::map<std::string, std::string> model;
   Random rng(block_size * 7919 + 13);
 
+  // One key in five is 128 bytes or longer (a two-byte length varint in
+  // the leaf segment); values are empty, short or long, so updates grow and
+  // shrink entries in the middle of full leaves.
+  auto make_key = [](uint64_t n) {
+    std::string key = "k" + std::to_string(n);
+    if (n % 5 == 0) key += std::string(128 + n % 40, 'p');
+    return key;
+  };
+  auto make_value = [&rng] {
+    switch (rng.Uniform(3)) {
+      case 0: return std::string();
+      case 1: return "v" + std::to_string(rng.Next() % 100000);
+      default: return std::string(40 + rng.Uniform(80), 'w');
+    }
+  };
   for (int step = 0; step < 4000; ++step) {
-    std::string key = "k" + std::to_string(rng.Uniform(800));
-    std::string value = "v" + std::to_string(rng.Next() % 100000);
+    std::string key = make_key(rng.Uniform(800));
+    std::string value = make_value();
     switch (rng.Uniform(4)) {
       case 0: {  // insert
         Status s = tree.Insert(Slice(key), Slice(value));
@@ -227,8 +304,8 @@ TEST_P(BPlusTreePropertyTest, MatchesReferenceModel) {
     ++mit;
   });
   EXPECT_EQ(mit, model.end());
-  for (int probe = 0; probe < 100; ++probe) {
-    std::string key = "k" + std::to_string(rng.Uniform(900));
+  for (int probe = 0; probe < 200; ++probe) {
+    std::string key = make_key(rng.Uniform(900));
     auto s = tree.Seek(Slice(key));
     auto lb = model.lower_bound(key);
     if (lb == model.end()) {
@@ -236,6 +313,16 @@ TEST_P(BPlusTreePropertyTest, MatchesReferenceModel) {
     } else {
       ASSERT_TRUE(s.ok());
       EXPECT_EQ(ToString(s->key), lb->first);
+      EXPECT_EQ(ToString(s->value), lb->second);
+    }
+    auto a = tree.SeekAfter(Slice(key));
+    auto ub = model.upper_bound(key);
+    if (ub == model.end()) {
+      EXPECT_TRUE(a.status().IsEndOfFile());
+    } else {
+      ASSERT_TRUE(a.ok());
+      EXPECT_EQ(ToString(a->key), ub->first);
+      EXPECT_EQ(ToString(a->value), ub->second);
     }
   }
   // Serialization survives the same workload.
