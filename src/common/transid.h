@@ -16,7 +16,10 @@ namespace encompass {
 struct Transid {
   uint16_t home_node = 0;  ///< network node that executed BEGIN-TRANSACTION
   uint8_t cpu = 0;         ///< processor within the home node
-  uint64_t seq = 0;        ///< per-cpu sequence number (0 = invalid)
+  /// Sequence number (0 = invalid), drawn from the home node's one TMP
+  /// counter: it is unique per node, not per cpu, so transids begun on
+  /// different cpus interleave in seq.
+  uint64_t seq = 0;
 
   bool valid() const { return seq != 0; }
 

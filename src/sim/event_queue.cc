@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace encompass::sim {
@@ -16,13 +17,15 @@ EventId EventQueue::Schedule(SimTime when, EventFn fn) {
     slots_.push_back(1);
   }
   const uint32_t gen = slots_[slot];
-  heap_.push(Event{EventKey{when, origin_, seq}, slot, gen, std::move(fn)});
+  heap_.push_back(Event{EventKey{when, origin_, seq}, slot, gen, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
   return (static_cast<EventId>(gen) << kSlotBits) | slot;
 }
 
 void EventQueue::ScheduleKeyed(const EventKey& key, EventFn fn) {
-  heap_.push(Event{key, kNoSlot, 0, std::move(fn)});
+  heap_.push_back(Event{key, kNoSlot, 0, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
 }
 
@@ -35,35 +38,43 @@ void EventQueue::Cancel(EventId id) {
   RetireSlot(slot);
   --live_count_;
   // The heap entry stays behind with the old generation stamped on it;
-  // SkipCancelled drops it when it reaches the top.
+  // SkipCancelled drops it when it reaches the top, or Compact sooner.
+  if (heap_.size() > 2 * live_count_ + 64) Compact();
+}
+
+void EventQueue::Compact() {
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const Event& e) { return Dead(e); }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::SkipCancelled() const {
-  while (!heap_.empty() && Dead(heap_.top())) {
-    heap_.pop();
+  while (!heap_.empty() && Dead(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
 }
 
 const EventKey* EventQueue::NextKey() const {
   SkipCancelled();
-  return heap_.empty() ? nullptr : &heap_.top().key;
+  return heap_.empty() ? nullptr : &heap_.front().key;
 }
 
 SimTime EventQueue::NextTime() const {
   SkipCancelled();
-  return heap_.empty() ? kNoDeadline : heap_.top().key.time;
+  return heap_.empty() ? kNoDeadline : heap_.front().key.time;
 }
 
 EventFn EventQueue::PopNext(EventKey* key) {
   SkipCancelled();
   assert(!heap_.empty());
-  // priority_queue::top() is const; the callback is moved out via const_cast,
-  // which is safe because the element is popped immediately after.
-  auto& top = const_cast<Event&>(heap_.top());
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event& top = heap_.back();
   *key = top.key;
   EventFn fn = std::move(top.fn);
   if (top.slot != kNoSlot) RetireSlot(top.slot);
-  heap_.pop();
+  heap_.pop_back();
   --live_count_;
   return fn;
 }

@@ -20,12 +20,18 @@
 // bumping its generation, so a stale id — already fired, already cancelled,
 // or plain garbage — can never match a live slot: the no-op guarantees cost
 // one array load instead of two hash probes per schedule/cancel/pop.
+//
+// The heap holds live state, not history: a cancelled entry stays in place
+// only until dead entries outnumber 2 * live + 64, when Cancel compacts the
+// heap (drop the dead, make_heap the rest). Each compaction removes more
+// than half the entries, each of them one cancel, so it costs O(1)
+// amortised per cancel; and since keys are unique, the pop order is the
+// same as if the dead entries had been skipped at the top.
 
 #ifndef ENCOMPASS_SIM_EVENT_QUEUE_H_
 #define ENCOMPASS_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -81,7 +87,8 @@ class EventQueue {
   /// Cancels a pending locally-scheduled event. Cancelling an already-fired,
   /// already-cancelled, or unknown event is a true no-op (no tombstone, no
   /// accounting change): the id's generation no longer matches its slot.
-  /// O(1); the dead heap entry is dropped when it reaches the top.
+  /// O(1) amortised; the dead heap entry is dropped when it reaches the top
+  /// or when the heap is compacted (see file comment).
   void Cancel(EventId id);
 
   bool empty() const { return live_count_ == 0; }
@@ -123,6 +130,8 @@ class EventQueue {
     return e.slot != kNoSlot && slots_[e.slot] != e.gen;
   }
   void SkipCancelled() const;
+  /// Drops every dead entry and re-heapifies the survivors.
+  void Compact();
   void RetireSlot(uint32_t slot) {
     slots_[slot] = (slots_[slot] + 1) & kGenMask;
     if (slots_[slot] == 0) slots_[slot] = 1;  // gen 0 is reserved for "never"
@@ -130,7 +139,8 @@ class EventQueue {
   }
 
   uint16_t origin_;
-  mutable std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  // Binary min-heap under Later (std::push_heap/pop_heap).
+  mutable std::vector<Event> heap_;
   // slots_[s] is slot s's current generation; an id (or heap entry) is live
   // iff its stamped generation equals it. Generations start at 1 and bump on
   // fire and on cancel, so id 0 and recycled ids never match.

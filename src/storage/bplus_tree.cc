@@ -348,14 +348,16 @@ void BPlusTree::SplitNode(Node* node, std::unique_ptr<SplitResult>* split) {
 
 void BPlusTree::SerializeTo(Bytes* out) const {
   PutVarint64(out, size_);
-  Bytes prev;
+  // ForEach hands out slices into the leaf segments, which stay in place for
+  // the whole walk, so the previous key is kept as a view, not a copy.
+  Slice prev;
   ForEach([&](const Slice& key, const Slice& value) {
-    size_t shared = SharedPrefixLength(Slice(prev), key);
+    size_t shared = SharedPrefixLength(prev, key);
     PutVarint64(out, shared);
     PutVarint64(out, key.size() - shared);
     out->insert(out->end(), key.data() + shared, key.data() + key.size());
     PutLengthPrefixed(out, value);
-    prev = key.ToBytes();
+    prev = key;
   });
 }
 

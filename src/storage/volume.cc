@@ -56,14 +56,23 @@ void Volume::CacheTouch(uint32_t file_id, const Slice& key) {
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(CacheEntry{file_id, key.ToBytes()});
   // The index key views the bytes owned by the node it points at.
-  cache_.emplace(CacheRef{file_id, Slice(lru_.front().key)}, lru_.begin());
-  if (cache_.size() > config_.cache_capacity) {
-    const CacheEntry& victim = lru_.back();
-    cache_.erase(CacheRef{victim.file_id, Slice(victim.key)});
-    lru_.pop_back();
+  if (cache_.size() < config_.cache_capacity) {
+    lru_.push_front(CacheEntry{file_id, key.ToBytes()});
+    cache_.emplace(CacheRef{file_id, Slice(lru_.front().key)}, lru_.begin());
+    return;
   }
+  if (lru_.empty()) return;  // capacity 0: nothing is ever resident
+  // Full: the LRU victim becomes the new line in place. Its list node, key
+  // buffer and index node are all reused, so a miss allocates nothing.
+  auto victim = std::prev(lru_.end());
+  auto index_node = cache_.extract(CacheRef{victim->file_id, Slice(victim->key)});
+  victim->file_id = file_id;
+  victim->key.assign(key.data(), key.data() + key.size());
+  lru_.splice(lru_.begin(), lru_, victim);
+  index_node.key() = CacheRef{file_id, Slice(victim->key)};
+  index_node.mapped() = victim;
+  cache_.insert(std::move(index_node));
 }
 
 void Volume::CacheErase(uint32_t file_id, const Slice& key) {
@@ -96,7 +105,7 @@ OpResult Volume::Mutate(const std::string& fname, MutationOp op, const Slice& ke
   }
   const uint32_t fid = CacheFileId(fname);
 
-  // Capture the before-image (needed for audit and for the volatile ledger).
+  // Capture the before-image (needed for the audit trail).
   if (op != MutationOp::kInsert && !key.empty()) {
     auto prior = file->Read(key);
     if (prior.ok()) {
@@ -105,6 +114,7 @@ OpResult Volume::Mutate(const std::string& fname, MutationOp op, const Slice& ke
     }
   }
 
+  SaveImage(fid, *file);
   switch (op) {
     case MutationOp::kInsert: {
       Bytes assigned;
@@ -135,7 +145,7 @@ OpResult Volume::Mutate(const std::string& fname, MutationOp op, const Slice& ke
     // Write-back: the update lives in cache/memory only until Flush. This is
     // the paper's "audit records need not be written to disc prior to
     // updating the data base" — nothing is forced here.
-    LedgerAppend(fid, op, out.existed, Slice(out.key), Slice(out.before));
+    NoteWrite();
   }
   return out;
 }
@@ -155,15 +165,13 @@ OpResult Volume::ApplyUndo(const std::string& fname, MutationOp original_op,
   const uint32_t fid = CacheFileId(fname);
   auto current = file->Read(key);
 
-  // The compensation enters the ledger as the forward write it performs.
-  MutationOp done = original_op;
   switch (original_op) {
     case MutationOp::kInsert:
       if (!current.ok()) {
         out.status = Status::Ok();  // already compensated
         return out;
       }
-      done = MutationOp::kDelete;
+      SaveImage(fid, *file);
       out.status = PhysicalRemove(file, key);
       if (out.status.ok()) CacheErase(fid, key);
       break;
@@ -176,6 +184,7 @@ OpResult Volume::ApplyUndo(const std::string& fname, MutationOp original_op,
         out.status = Status::Ok();  // already compensated
         return out;
       }
+      SaveImage(fid, *file);
       out.status = file->Update(key, before);
       if (out.status.ok()) CacheTouch(fid, key);
       break;
@@ -184,17 +193,12 @@ OpResult Volume::ApplyUndo(const std::string& fname, MutationOp original_op,
         out.status = Status::Ok();  // already compensated
         return out;
       }
-      done = MutationOp::kInsert;
+      SaveImage(fid, *file);
       out.status = file->Insert(key, before, nullptr);
       if (out.status.ok()) CacheTouch(fid, key);
       break;
   }
-  if (out.status.ok()) {
-    // An undone delete re-inserts: nothing existed before it.
-    const bool existed = current.ok();
-    LedgerAppend(fid, done, existed, key,
-                 existed ? Slice(*current) : Slice());
-  }
+  if (out.status.ok()) NoteWrite();
   return out;
 }
 
@@ -290,39 +294,34 @@ OpResult Volume::ReadAlternate(const std::string& fname, const std::string& fiel
 // Durability boundary
 // ---------------------------------------------------------------------------
 
-void Volume::LedgerAppend(uint32_t file_id, MutationOp op, bool existed,
-                          const Slice& key, const Slice& before) {
-  PutFixed8(&ledger_, static_cast<uint8_t>(op));
-  PutFixed8(&ledger_, existed ? 1 : 0);
-  PutVarint32(&ledger_, file_id);
-  PutLengthPrefixed(&ledger_, key);
-  PutLengthPrefixed(&ledger_, before);
-  ++ledger_entries_;
+void Volume::SaveImage(uint32_t file_id, const StructuredFile& file) {
+  if (file_id >= images_.size()) images_.resize(file_id + 1);
+  Bytes& image = images_[file_id];
+  if (!image.empty()) return;  // already dirty: the image predates the flush
+  file.ArchiveTo(&image);
+  image.shrink_to_fit();
+}
+
+void Volume::NoteWrite() {
+  ++volatile_writes_;
   // A drive that is down misses this write and becomes stale.
   for (int d = 0; d < drive_count(); ++d) {
     if (!drive_up_[d]) drive_stale_[d] = true;
   }
 }
 
-bool Volume::LedgerNext(Slice* in, LedgerEntry* entry) {
-  uint8_t op = 0;
-  uint8_t existed = 0;
-  if (!GetFixed8(in, &op) || !GetFixed8(in, &existed) ||
-      !GetVarint32(in, &entry->file_id) || !GetLengthPrefixed(in, &entry->key) ||
-      !GetLengthPrefixed(in, &entry->before)) {
-    return false;
-  }
-  entry->op = static_cast<MutationOp>(op);
-  entry->existed = existed != 0;
-  return true;
+int Volume::Flush() {
+  int writes = static_cast<int>(volatile_writes_) * UpDrives();
+  if (stats_ != nullptr) stats_->Incr(m_physical_writes_, writes);
+  images_.clear();
+  volatile_writes_ = 0;
+  return writes;
 }
 
-int Volume::Flush() {
-  int writes = static_cast<int>(ledger_entries_) * UpDrives();
-  if (stats_ != nullptr) stats_->Incr(m_physical_writes_, writes);
-  ledger_.clear();
-  ledger_entries_ = 0;
-  return writes;
+size_t Volume::durable_bytes() const {
+  size_t total = 0;
+  for (const Bytes& image : images_) total += image.capacity();
+  return total;
 }
 
 Status Volume::PhysicalRemove(StructuredFile* file, const Slice& key) {
@@ -333,38 +332,14 @@ Status Volume::PhysicalRemove(StructuredFile* file, const Slice& key) {
 }
 
 void Volume::DropVolatile() {
-  // Entries are variable-length and encoded forward: find where each one
-  // starts, then revert them newest first.
-  std::vector<size_t> starts;
-  starts.reserve(ledger_entries_);
-  Slice in(ledger_);
-  LedgerEntry e;
-  while (true) {
-    const size_t start = ledger_.size() - in.size();
-    if (!LedgerNext(&in, &e)) break;
-    starts.push_back(start);
+  for (const auto& [fname, id] : cache_file_ids_) {
+    if (id >= images_.size() || images_[id].empty()) continue;  // clean
+    Slice image(images_[id]);
+    StructuredFile* file = Find(fname);
+    if (file != nullptr) file->RestoreFrom(&image);
   }
-  std::vector<StructuredFile*> files(cache_file_ids_.size(), nullptr);
-  for (const auto& [fname, id] : cache_file_ids_) files[id] = Find(fname);
-  for (auto it = starts.rbegin(); it != starts.rend(); ++it) {
-    in = Slice(ledger_.data() + *it, ledger_.size() - *it);
-    LedgerNext(&in, &e);
-    StructuredFile* file = files[e.file_id];
-    if (file == nullptr) continue;
-    switch (e.op) {
-      case MutationOp::kInsert:
-        PhysicalRemove(file, e.key);
-        break;
-      case MutationOp::kUpdate:
-        if (e.existed) file->Update(e.key, e.before);
-        break;
-      case MutationOp::kDelete:
-        if (e.existed) file->Insert(e.key, e.before, nullptr);
-        break;
-    }
-  }
-  ledger_.clear();
-  ledger_entries_ = 0;
+  images_.clear();
+  volatile_writes_ = 0;
   // Main memory is gone with the node: the cache is cold. Interned file ids
   // survive — they name files, not contents.
   CacheClear();
@@ -501,8 +476,8 @@ Status Volume::RestoreFromArchive(const Slice& archive) {
     restored[fname] = std::move(file);
   }
   files_ = std::move(restored);
-  ledger_.clear();
-  ledger_entries_ = 0;
+  images_.clear();
+  volatile_writes_ = 0;
   CacheClear();
   return Status::Ok();
 }

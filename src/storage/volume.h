@@ -4,7 +4,9 @@
 //   * a main-memory cache with an explicit durable/volatile boundary: data
 //     base updates are NOT forced to disc at update time (the NonStop claim);
 //     unflushed updates are lost on total node failure (DropVolatile), which
-//     is exactly the case ROLLFORWARD recovers,
+//     is exactly the case ROLLFORWARD recovers. The boundary is kept as a
+//     durable image per file, copied on the first write after a flush, so
+//     it costs the live state of the written files, not the write history,
 //   * structured files (the three organizations) living on the volume, and
 //   * whole-volume archives for ROLLFORWARD.
 //
@@ -71,9 +73,9 @@ class Volume {
 
   // -- Record operations ---------------------------------------------------------
 
-  /// Applies a mutation, captures the before-image, and registers the change
-  /// in the volatile ledger (unforced write-back). For an entry-sequenced
-  /// append pass an empty key; the assigned key comes back in OpResult::key.
+  /// Applies a mutation and captures the before-image (unforced write-back:
+  /// the change is volatile until Flush). For an entry-sequenced append pass
+  /// an empty key; the assigned key comes back in OpResult::key.
   OpResult Mutate(const std::string& fname, MutationOp op, const Slice& key,
                   const Slice& record);
 
@@ -81,7 +83,7 @@ class Volume {
   /// insert -> physical removal, update -> restore the before-image,
   /// delete -> re-insert the before-image. Idempotent: re-undoing an already
   /// compensated mutation is a no-op (a takeover can replay backout work).
-  /// The compensation itself enters the volatile ledger like any write.
+  /// The compensation itself is a volatile write like any other.
   OpResult ApplyUndo(const std::string& fname, MutationOp original_op,
                      const Slice& key, const Slice& before);
 
@@ -97,15 +99,19 @@ class Volume {
 
   // -- Durability boundary ---------------------------------------------------------
 
-  /// Forces all volatile updates to disc (clears the ledger). Returns the
-  /// number of physical writes performed (x up drives).
+  /// Forces all volatile updates to disc (drops every durable image: the
+  /// live content is now the disc copy). Returns the number of physical
+  /// writes performed (unflushed writes x up drives).
   int Flush();
-  size_t VolatileCount() const { return ledger_entries_; }
-  /// Total node failure: every unflushed update is lost. Reverts the ledger
-  /// in reverse order, restoring the last flushed state.
+  /// Successful writes since the last flush.
+  size_t VolatileCount() const { return volatile_writes_; }
+  /// Total node failure: every unflushed update is lost. Each file written
+  /// since the last flush is restored in place from its durable image. The
+  /// restore is the archive's: a key-sequenced tree is rebuilt, and an
+  /// entry-sequenced file's next record number rolls back with its entries.
   void DropVolatile();
-  /// Heap bytes the volatile ledger holds (its segment's capacity).
-  size_t ledger_bytes() const { return ledger_.capacity(); }
+  /// Heap bytes the durable images hold; 0 right after a flush.
+  size_t durable_bytes() const;
 
   // -- Mirrored drives ---------------------------------------------------------------
 
@@ -147,20 +153,12 @@ class Volume {
   int64_t physical_reads() const { return physical_reads_; }
 
  private:
-  /// One decoded ledger entry; the slices view the ledger segment.
-  struct LedgerEntry {
-    MutationOp op = MutationOp::kInsert;
-    bool existed = false;
-    uint32_t file_id = 0;
-    Slice key;
-    Slice before;
-  };
-  /// Registers one unforced write in the volatile ledger, and marks every
-  /// down drive stale (it missed the write).
-  void LedgerAppend(uint32_t file_id, MutationOp op, bool existed,
-                    const Slice& key, const Slice& before);
-  /// Decodes the entry at the front of `in` and consumes it.
-  static bool LedgerNext(Slice* in, LedgerEntry* entry);
+  /// Copy-on-first-write: saves `file`'s durable image before the first
+  /// write to it since the last flush.
+  void SaveImage(uint32_t file_id, const StructuredFile& file);
+  /// Counts one unforced write, and marks every down drive stale (it missed
+  /// the write).
+  void NoteWrite();
 
   /// One resident cache line: which record of which (interned) file.
   struct CacheEntry {
@@ -201,11 +199,11 @@ class Volume {
   std::string name_;
   VolumeConfig config_;
   std::map<std::string, std::unique_ptr<StructuredFile>> files_;
-  // Volatile ledger: every unflushed write, encoded back to back as
-  // [op u8][existed u8][file id varint][key len-prefixed][before
-  // len-prefixed]. The file id is the interned cache id (CacheFileId).
-  Bytes ledger_;
-  size_t ledger_entries_ = 0;
+  // Durable image (ArchiveTo bytes) of each file written since the last
+  // flush, indexed by interned file id (CacheFileId). Empty = clean: an
+  // archive image is never empty (it starts with the record count).
+  std::vector<Bytes> images_;
+  size_t volatile_writes_ = 0;
   bool drive_up_[2] = {true, true};
   bool drive_stale_[2] = {false, false};
 

@@ -4,7 +4,9 @@
 // operation sequences — schedules, keyed inserts, pops, and cancels aimed at
 // live, fired, cancelled, and never-issued ids — and must agree on firing
 // order, event keys, live-size accounting, and whether each
-// cancel took effect.
+// cancel took effect. A cancellation-heavy phase drives the production
+// queue's heap compaction (dead entries dropped once they outnumber the
+// live ones) many times over.
 
 #include <gtest/gtest.h>
 
@@ -102,6 +104,78 @@ TEST(EventQueueDiffTest, RandomizedOperationSequences) {
     }
     EXPECT_TRUE(ref.empty());
     EXPECT_EQ(prod_fired, ref_fired) << "trial " << trial;
+  }
+}
+
+// Timer-shaped churn: most scheduled events are timeouts that get cancelled
+// long before their deadline, as every Process::Call's 5 s timeout is. With
+// ~90% of thousands of timers cancelled while the rest stay pending, dead
+// entries repeatedly outnumber 2 * live + 64 and the production heap is
+// compacted many times; keyed inserts and pops interleave throughout. The
+// firing order, keys and live size must still match the reference exactly.
+TEST(EventQueueDiffTest, CancellationHeavyChurnMatchesReference) {
+  for (uint32_t trial = 0; trial < 4; ++trial) {
+    std::mt19937_64 rng(0xC0FFEE00 + trial);
+    EventQueue prod(/*origin=*/2);
+    testing::ReferenceEventQueue ref(/*origin=*/2);
+    std::vector<IdPair> pending;  // scheduled, not yet cancelled by the test
+    std::vector<uint64_t> prod_fired, ref_fired;
+    uint64_t keyed_seq = 1;
+    uint64_t label = 0;
+    SimTime now = 0;
+
+    auto pop_one = [&] {
+      ASSERT_EQ(prod.empty(), ref.empty());
+      if (prod.empty()) return;
+      EventKey pk, rk;
+      prod.PopNext(&pk)();
+      ref.PopNext(&rk)();
+      ASSERT_EQ(pk.time, rk.time);
+      ASSERT_EQ(pk.origin, rk.origin);
+      ASSERT_EQ(pk.seq, rk.seq);
+      now = pk.time;
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t dice = rng() % 100;
+      if (dice < 46) {  // arm a timer, far out or (sometimes) soon
+        const SimTime when =
+            now + 1 + ((rng() % 4 == 0) ? rng() % 50 : 5000 + rng() % 5000);
+        const uint64_t tag = label++;
+        pending.push_back(IdPair{
+            prod.Schedule(when, [&prod_fired, tag] { prod_fired.push_back(tag); }),
+            ref.Schedule(when, [&ref_fired, tag] { ref_fired.push_back(tag); })});
+      } else if (dice < 88) {  // a reply arrives: cancel a pending timer
+        if (pending.empty()) continue;
+        const size_t i = rng() % pending.size();
+        const size_t before = prod.size();
+        prod.Cancel(pending[i].prod);
+        const bool ref_effect = ref.Cancel(pending[i].ref);
+        ASSERT_EQ(prod.size() != before, ref_effect) << "op " << op;
+        pending[i] = pending.back();
+        pending.pop_back();
+      } else if (dice < 94) {  // a cross-node post
+        const EventKey key{now + 1 + static_cast<SimTime>(rng() % 200),
+                           static_cast<uint16_t>(5 + rng() % 3), keyed_seq++};
+        const uint64_t tag = label++;
+        prod.ScheduleKeyed(key, [&prod_fired, tag] { prod_fired.push_back(tag); });
+        ref.ScheduleKeyed(key, [&ref_fired, tag] { ref_fired.push_back(tag); });
+      } else {
+        pop_one();
+      }
+      ASSERT_EQ(prod.size(), ref.size()) << "trial " << trial << " op " << op;
+      ASSERT_EQ(prod.NextTime(), ref.NextTime()) << "op " << op;
+    }
+    // Cancel what is left: live timers die, fired ones are stale no-ops.
+    for (const IdPair& p : pending) {
+      const size_t before = prod.size();
+      prod.Cancel(p.prod);
+      ASSERT_EQ(prod.size() != before, ref.Cancel(p.ref));
+    }
+    while (!prod.empty()) pop_one();
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(prod_fired, ref_fired) << "trial " << trial;
+    EXPECT_FALSE(prod_fired.empty());
   }
 }
 

@@ -568,6 +568,107 @@ TEST_F(VolumeTest, DropVolatileRevertsEntrySequencedAppends) {
   EXPECT_EQ(vol_.Find("log")->record_count(), 1u);
 }
 
+// The durable image holds the next record number with the entries, so a
+// lost append's number is handed out again after the crash.
+TEST_F(VolumeTest, DropVolatileRollsBackTheNextEntryNumber) {
+  vol_.CreateFile("log", FileOrganization::kEntrySequenced);
+  vol_.Mutate("log", MutationOp::kInsert, Slice(), Slice("committed"));
+  vol_.Flush();
+  auto lost = vol_.Mutate("log", MutationOp::kInsert, Slice(), Slice("lost"));
+  ASSERT_TRUE(lost.status.ok());
+  vol_.DropVolatile();
+  auto again = vol_.Mutate("log", MutationOp::kInsert, Slice(), Slice("again"));
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_EQ(again.key, lost.key);
+  EXPECT_EQ(ToString(vol_.ReadRecord("log", Slice(again.key)).value), "again");
+}
+
+TEST_F(VolumeTest, DropVolatileEmptiesAFileCreatedAfterTheFlush) {
+  vol_.Mutate("acct", MutationOp::kInsert, Slice("a"), Slice("100"));
+  vol_.Flush();
+  ASSERT_TRUE(vol_.CreateFile("late", FileOrganization::kRelative).ok());
+  vol_.Mutate("late", MutationOp::kInsert, Slice(EncodeRecnum(7)), Slice("x"));
+  vol_.Mutate("acct", MutationOp::kUpdate, Slice("a"), Slice("200"));
+  vol_.DropVolatile();
+  // The file's creation is not volatile; its unflushed content is.
+  ASSERT_NE(vol_.Find("late"), nullptr);
+  EXPECT_EQ(vol_.Find("late")->record_count(), 0u);
+  EXPECT_EQ(ToString(vol_.ReadRecord("acct", Slice("a")).value), "100");
+}
+
+TEST_F(VolumeTest, DropVolatileOnANeverFlushedVolumeEmptiesIt) {
+  vol_.Mutate("acct", MutationOp::kInsert, Slice("a"), Slice("1"));
+  vol_.Mutate("acct", MutationOp::kInsert, Slice("b"), Slice("2"));
+  vol_.Mutate("acct", MutationOp::kDelete, Slice("a"), Slice());
+  EXPECT_EQ(vol_.VolatileCount(), 3u);
+  vol_.DropVolatile();
+  EXPECT_EQ(vol_.Find("acct")->record_count(), 0u);
+  EXPECT_EQ(vol_.VolatileCount(), 0u);
+  EXPECT_EQ(vol_.durable_bytes(), 0u);
+  EXPECT_EQ(vol_.Flush(), 0);
+}
+
+TEST_F(VolumeTest, FailedMutateIsNotAVolatileWrite) {
+  vol_.Mutate("acct", MutationOp::kInsert, Slice("a"), Slice("100"));
+  vol_.Flush();
+  auto dup = vol_.Mutate("acct", MutationOp::kInsert, Slice("a"), Slice("999"));
+  EXPECT_TRUE(dup.status.IsAlreadyExists());
+  auto missing = vol_.Mutate("acct", MutationOp::kUpdate, Slice("z"), Slice("1"));
+  EXPECT_TRUE(missing.status.IsNotFound());
+  EXPECT_EQ(vol_.VolatileCount(), 0u);
+  vol_.DropVolatile();
+  EXPECT_EQ(ToString(vol_.ReadRecord("acct", Slice("a")).value), "100");
+  EXPECT_EQ(vol_.Find("acct")->record_count(), 1u);
+  EXPECT_EQ(vol_.Flush(), 0);
+}
+
+TEST_F(VolumeTest, DurableImageIsCopiedOnFirstWriteAndDroppedByFlush) {
+  for (int i = 0; i < 50; ++i) {
+    vol_.Mutate("acct", MutationOp::kInsert, Slice("k" + std::to_string(i)),
+                Slice("v"));
+  }
+  EXPECT_EQ(vol_.Flush(), 50 * 2);  // every write, on both drives
+  EXPECT_EQ(vol_.durable_bytes(), 0u);
+  vol_.ReadRecord("acct", Slice("k1"));  // reads leave the file clean
+  EXPECT_EQ(vol_.durable_bytes(), 0u);
+  vol_.Mutate("acct", MutationOp::kUpdate, Slice("k1"), Slice("w"));
+  const size_t image = vol_.durable_bytes();
+  EXPECT_GT(image, 0u);
+  // Later writes add nothing: the image is of the flushed file.
+  for (int i = 0; i < 500; ++i) {
+    vol_.Mutate("acct", MutationOp::kUpdate, Slice("k" + std::to_string(i % 50)),
+                Slice("u" + std::to_string(i)));
+  }
+  EXPECT_EQ(vol_.durable_bytes(), image);
+  EXPECT_EQ(vol_.VolatileCount(), 501u);
+  EXPECT_EQ(vol_.Flush(), 501 * 2);
+  EXPECT_EQ(vol_.durable_bytes(), 0u);
+  EXPECT_EQ(ToString(vol_.ReadRecord("acct", Slice("k1")).value), "u451");
+}
+
+TEST_F(VolumeTest, DropVolatileRestoresAlternateKeys) {
+  FileOptions opt;
+  opt.schema.alternate_keys = {"site"};
+  vol_.CreateFile("stock", FileOrganization::kKeySequenced, opt);
+  auto at = [](const char* site) { return Record().Set("site", site).Encode(); };
+  vol_.Mutate("stock", MutationOp::kInsert, Slice("s1"), Slice(at("north")));
+  vol_.Flush();
+  vol_.Mutate("stock", MutationOp::kUpdate, Slice("s1"), Slice(at("south")));
+  vol_.Mutate("stock", MutationOp::kInsert, Slice("s2"), Slice(at("north")));
+  vol_.DropVolatile();
+  auto pks = [this](const char* site) {
+    std::vector<std::string> out;
+    auto r = vol_.ReadAlternate("stock", "site", site);
+    EXPECT_TRUE(r.status.ok());
+    Slice in(r.value);
+    Slice pk;
+    while (GetLengthPrefixed(&in, &pk)) out.push_back(pk.ToString());
+    return out;
+  };
+  EXPECT_EQ(pks("north"), std::vector<std::string>{"s1"});
+  EXPECT_TRUE(pks("south").empty());
+}
+
 TEST_F(VolumeTest, MirroredDriveFailureKeepsService) {
   EXPECT_EQ(vol_.UpDrives(), 2);
   vol_.FailDrive(0);

@@ -49,7 +49,7 @@ using PropertyParam = std::tuple<FileOrganization, uint64_t>;
 
 class VolumePropertyTest : public ::testing::TestWithParam<PropertyParam> {};
 
-// Three files share the volume's ledger: "f" has the parameter's
+// Three files share the volume's durability boundary: "f" has the parameter's
 // organization, "g" is key-sequenced, and "h" carries the alternate key
 // "site".
 TEST_P(VolumePropertyTest, MatchesDurabilityModel) {
@@ -241,6 +241,7 @@ TEST_P(VolumePropertyTest, MatchesDurabilityModel) {
           EXPECT_EQ(vol.Flush(), model.Pending() * vol.UpDrives());
           model.Flush();
           EXPECT_EQ(vol.VolatileCount(), 0u);
+          EXPECT_EQ(vol.durable_bytes(), 0u);
         }
         break;
       case 10:  // total node failure (rarer)
